@@ -15,14 +15,10 @@ import numpy as np
 from pstsim import protocols, svg
 
 
-def deviation(res):
-    return protocols.wrap_phase(res.phase - res.parity * math.pi / 2.0)
-
-
 def fit_line(rows):
     by_count = {}
     for res in rows:
-        by_count.setdefault(res.inner.count("1"), []).append(abs(deviation(res)))
+        by_count.setdefault(res.inner.count("1"), []).append(abs(res.deviation))
     counts = sorted(by_count)
     means = [float(np.mean(by_count[k])) for k in counts]
     slope, intercept = np.polyfit(counts, means, 1)
@@ -44,7 +40,7 @@ def main():
     zeta = (2 * math.pi * args.zeta_khz * 1e3,) * (args.n - 1)
 
     ideal = protocols.parity_phase_table(args.n, ("+x",), tau=args.tau)
-    worst = max(abs(deviation(r)) for r in ideal)
+    worst = max(abs(r.deviation) for r in ideal)
     print(f"ideal: {len(ideal)} inner states, max |deviation| = {worst:.3e}")
 
     zz = protocols.parity_phase_table(args.n, ("+x",), model="zz", zeta=zeta,
@@ -54,7 +50,7 @@ def main():
         fh.write("inner,parity,phase_ideal_rad,phase_zz_rad,deviation_zz_rad\n")
         for a, b in zip(ideal, zz):
             fh.write(f"{a.inner},{a.parity},{a.phase:.12e},{b.phase:.12e},"
-                     f"{deviation(b):.12e}\n")
+                     f"{b.deviation:.12e}\n")
     counts, means, slope, r2 = fit_line(zz)
     print("zz deviation means by inner excitation count:")
     for k, m in zip(counts, means):

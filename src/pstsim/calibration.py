@@ -19,10 +19,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
 
+from . import evolution
 from .models import chains
 from .models import device as device_models
-
-TWO_PI = 2.0 * math.pi
 
 
 class FitError(RuntimeError):
@@ -146,15 +145,15 @@ class EffectiveChainConfig:
 
 def default_effective_config(tau: float = 640e-9, noise: float = 0.0) -> EffectiveChainConfig:
     """Six-site effective chain at superconducting-device scales."""
-    slopes = TWO_PI * np.array([88.0, 104.0, 119.0, 97.0, 91.0]) * 1e6
-    bare = TWO_PI * np.array([440.0, 342.0, 52.0, 390.0, 620.0]) * 1e6
+    slopes = math.tau * np.array([88.0, 104.0, 119.0, 97.0, 91.0]) * 1e6
+    bare = math.tau * np.array([440.0, 342.0, 52.0, 390.0, 620.0]) * 1e6
     stark = np.zeros((5, 5))
     for b in range(5):
-        stark[b, b] = -TWO_PI * 6.0e9
+        stark[b, b] = -math.tau * 6.0e9
         if b > 0:
-            stark[b, b - 1] = -TWO_PI * 2.2e9
+            stark[b, b - 1] = -math.tau * 2.2e9
         if b < 4:
-            stark[b, b + 1] = -TWO_PI * 2.2e9
+            stark[b, b + 1] = -math.tau * 2.2e9
     return EffectiveChainConfig(tau=tau, coupling_slopes=tuple(slopes),
                                 bare_resonances=tuple(bare),
                                 stark=tuple(map(tuple, stark)), noise=noise)
@@ -263,14 +262,17 @@ class EffectiveBackend:
         if not 1 <= initial <= n:
             raise ValueError(f"initial site {initial} outside chain of {n}")
         t = np.asarray(times, dtype=float)
-        h = self._chain_hamiltonian(drives)
-        w, v = np.linalg.eigh(h)
-        amp0 = v.conj().T[:, initial - 1]
-        phases = np.exp(-1j * np.outer(t, w))
-        pops = np.abs(phases * amp0 @ v.T) ** 2
+        pops = _site_populations(self._chain_hamiltonian(drives), initial, t)
         pops = pops + self._noise(pops.shape, "chain", drives.amplitudes,
                                   drives.frequencies, initial, t)
         return np.clip(pops, 0.0, 1.0)
+
+
+def _site_populations(h: np.ndarray, initial: int, times) -> np.ndarray:
+    """Site populations of the single-excitation block h started on one site."""
+    psi0 = np.zeros(len(h), dtype=complex)
+    psi0[initial - 1] = 1.0
+    return np.abs(evolution._block_states(h, psi0, times)) ** 2
 
 
 def ideal_drive_settings(config: EffectiveChainConfig) -> DriveSettings:
@@ -283,7 +285,7 @@ def ideal_drive_settings(config: EffectiveChainConfig) -> DriveSettings:
 
 def perturb_drives(settings: DriveSettings, seed: int,
                    amplitude_scale: float = 0.2,
-                   frequency_offset: float = TWO_PI * 200e3) -> DriveSettings:
+                   frequency_offset: float = math.tau * 200e3) -> DriveSettings:
     """Random miscalibration: relative on amplitudes, absolute on frequencies."""
     rng = np.random.default_rng(seed)
     m = settings.n_drives
@@ -350,7 +352,7 @@ class DeviceBackend:
             couplers.append(bg.coupler)
             static.append(device_models.DriveConfig(
                 coupler=bg.coupler, amplitude=bg.amplitude,
-                frequency_hz=bg.frequency / TWO_PI))
+                frequency_hz=bg.frequency / math.tau))
             for q in self.device.coupler_qubits(bg.coupler):
                 if q not in qubits:
                     qubits.append(q)
@@ -363,7 +365,7 @@ class DeviceBackend:
         psi0[model.bare_index({("q", pair[0]): 1})] = 1.0
         base = device_models.DriveConfig(coupler=j, amplitude=amplitude,
                                          frequency_hz=1.0)
-        probs = model.evolve_columns(psi0, t, freqs / TWO_PI, base, dt=self.dt)
+        probs = model.evolve_columns(psi0, t, freqs / math.tau, base, dt=self.dt)
         return probs, model, qubits
 
     def run_pair_scan(self, pair, amplitude: float, frequencies, times,
@@ -394,7 +396,7 @@ class DeviceBackend:
                     for k in range(n - 1)]
         static = [device_models.DriveConfig(coupler=couplers[k],
                                             amplitude=drives.amplitudes[k],
-                                            frequency_hz=drives.frequencies[k] / TWO_PI)
+                                            frequency_hz=drives.frequencies[k] / math.tau)
                   for k in range(n - 2)]
         model = device_models.DeviceSubsetModel(self.device, qubits, couplers,
                                                 drives=static, levels=self.levels)
@@ -404,7 +406,7 @@ class DeviceBackend:
                                          amplitude=drives.amplitudes[-1],
                                          frequency_hz=1.0)
         probs = model.evolve_columns(
-            psi0, t, np.array([drives.frequencies[-1]]) / TWO_PI, base, dt=self.dt)
+            psi0, t, np.array([drives.frequencies[-1]]) / math.tau, base, dt=self.dt)
         masks = self._level_one_masks(model, range(n))
         return np.column_stack([probs[:, m, :].sum(axis=1)[:, 0] for m in masks])
 
@@ -575,12 +577,8 @@ def amplitude_for_target(j_target: float, curve) -> float:
 # closed-loop optimization of simultaneous drives
 
 def _ideal_populations(n: int, tau: float, initial: int, times) -> np.ndarray:
-    spec = chains.ChainSpec.pst(n, tau)
-    h = chains.single_excitation_hamiltonian(spec)
-    w, v = np.linalg.eigh(h)
-    amp0 = v.conj().T[:, initial - 1]
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
-    return np.abs(phases * amp0 @ v.T) ** 2
+    h = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(n, tau))
+    return _site_populations(h, initial, times)
 
 
 def transfer_error_objective(backend, drives: DriveSettings,
@@ -658,7 +656,7 @@ class OptimizerConfig:
     budget: int = 500
     seed: int = 0
     amplitude_halfwidth: float = 0.35
-    frequency_halfwidth: float = TWO_PI * 600e3
+    frequency_halfwidth: float = math.tau * 600e3
     target: float = 0.0
     initial_sites: tuple = (1,)
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__, calibration, protocols, serialize, svg, tomography
 from .models import chains, lattice
 
-TWO_PI = 2.0 * np.pi
 ENV_OUT_DIR = "PSTSIM_OUT"
 
 
@@ -175,12 +174,12 @@ def cmd_couplings(args) -> int:
         "n": args.n,
         "tau_s": tau,
         "units": {"couplings_hz": "Hz", "detunings_hz": "Hz", "tau_s": "s"},
-        "couplings_hz": [j / TWO_PI for j in spec.couplings],
+        "couplings_hz": [j / math.tau for j in spec.couplings],
     }
     if theta is not None:
         payload["theta_rad"] = theta
         payload["transfer_fraction"] = math.sin(theta / 2.0) ** 2
-        payload["detunings_hz"] = [d / TWO_PI for d in spec.detunings]
+        payload["detunings_hz"] = [d / math.tau for d in spec.detunings]
     if args.format == "json":
         serialize.write_json(out.path("couplings.json"), payload)
     else:
@@ -188,10 +187,10 @@ def cmd_couplings(args) -> int:
                   newline="\n") as fh:
             fh.write("kind,index,value_hz\n")
             for k, j in enumerate(spec.couplings, start=1):
-                fh.write(f"coupling,{k},{j / TWO_PI:.12e}\n")
+                fh.write(f"coupling,{k},{j / math.tau:.12e}\n")
             if theta is not None:
                 for k, d in enumerate(spec.detunings, start=1):
-                    fh.write(f"detuning,{k},{d / TWO_PI:.12e}\n")
+                    fh.write(f"detuning,{k},{d / math.tau:.12e}\n")
     out.finish({"n": args.n, "tau": args.tau, "theta": args.theta or "",
                 "format": args.format})
     return 0
@@ -276,11 +275,10 @@ def cmd_parity(args) -> int:
                    for inp in inputs]
     rows = []
     for res in results:
-        rows.append(dict(res.as_dict(), deviation_rad=protocols.wrap_phase(
-            res.phase - res.parity * math.pi / 2.0)))
+        rows.append(dict(res.as_dict(), deviation_rad=res.deviation))
     payload = {"schema_version": serialize.SCHEMA_VERSION, "n": n,
                "model": model, "tau_s": tau,
-               "zeta_hz": [z / TWO_PI for z in zeta], "label": label,
+               "zeta_hz": [z / math.tau for z in zeta], "label": label,
                "rows": rows}
     if "zz" in model and args.inner == "all":
         payload["fit"] = _parity_fit(

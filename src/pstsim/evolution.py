@@ -1,19 +1,28 @@
-"""Time evolution engines and relaxation bookkeeping.
+"""Time evolution: the one place where a static Hamiltonian is exponentiated.
 
-Three propagation methods behind one entry point: dense matrix
-exponentials for small problems, Arnoldi/Krylov stepping for larger
-excitation sectors, and fixed-step RK4 for explicitly time-dependent
-Hamiltonians (flux-driven device models).  Relaxation enters as
-non-Hermitian diagonal terms; the survival norm of the propagated state
-is tracked alongside per-site populations.
+Static Hamiltonians are split into the connected components of their
+nonzero pattern.  For the excitation-conserving chains these are the
+excitation sectors (finer where a coupling vanishes), so no sector
+bookkeeping is passed in.  Each block the initial state touches is
+diagonalised once, with ``eigh`` when it is Hermitian and ``eig`` when
+relaxation makes it non-Hermitian (``expm`` near an exceptional point,
+where the eigenvectors are ill-conditioned), and every requested time is
+then evaluated exactly.  ``method="krylov"`` steps with scipy's
+``expm_multiply`` without forming a dense matrix, and fixed-step RK4
+handles explicitly time-dependent Hamiltonians (flux-driven device
+models).  Relaxation enters as non-Hermitian diagonal terms; the
+survival norm of the propagated state is tracked alongside per-site
+populations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "EvolutionOptions",
@@ -21,17 +30,20 @@ __all__ = [
     "Trajectory",
     "propagator",
     "evolve",
-    "krylov_expmv",
     "add_relaxation",
     "decay_rates",
     "stroboscopic_compare",
-    "DimensionError",
+    "ResourceError",
 ]
 
 DENSE_GUARD = 4096
 
+# eig-based propagation loses about cond(V) * eps; above this the block
+# is exponentiated directly instead
+_EIG_COND_LIMIT = 1e6
 
-class DimensionError(RuntimeError):
+
+class ResourceError(RuntimeError):
     """Problem size above the configured dense guard."""
 
 
@@ -39,17 +51,13 @@ class DimensionError(RuntimeError):
 class EvolutionOptions:
     method: str = "dense-expm"          # dense-expm | krylov | rk4
     dt: float | None = None             # rk4 step; None picks the default rule
-    krylov_dim: int = 30
-    track_norm: bool = True
-    dense_guard: int = DENSE_GUARD
+    dense_guard: int = DENSE_GUARD      # largest block that is diagonalised
 
     def __post_init__(self):
         if self.method not in ("dense-expm", "krylov", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.krylov_dim < 2:
-            raise ValueError("krylov dimension must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -99,13 +107,65 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     return np.asarray(H, dtype=complex) - 1j * np.diag(diag)
 
 
+def _block_states(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
+    """exp(-i h t) psi0 for every t in ``times``, from one decomposition of h.
+
+    ``psi0`` is one state (d,) or a matrix of states (d, m); the result
+    has shape (len(times), d) or (len(times), d, m).
+    """
+    times = np.asarray(times, dtype=float)
+    if np.array_equal(h, h.conj().T):
+        w, v = np.linalg.eigh(h)
+        c = v.conj().T @ psi0
+    else:
+        w, v = np.linalg.eig(h)
+        if np.linalg.cond(v) > _EIG_COND_LIMIT:
+            return np.array([expm(-1j * h * t) @ psi0 for t in times])
+        c = np.linalg.solve(v, psi0)
+    phases = np.exp(-1j * np.outer(times, w))
+    if c.ndim == 1:
+        return phases * c @ v.T
+    return (v * phases[:, None, :]) @ c
+
+
+def _blocks(H, guard: int, psi0: np.ndarray | None = None):
+    """Dense diagonal blocks of H over the components of its nonzero pattern.
+
+    Yields ``(indices, block)`` for every component, or only for those
+    where ``psi0`` has support.  Raises ResourceError before any work if
+    a block to be diagonalised is larger than ``guard``.
+    """
+    A = sparse.csr_matrix(H, dtype=complex, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    dim = A.shape[0]
+    row = np.repeat(np.arange(dim), np.diff(A.indptr))
+    col, val = A.indices, A.data
+    pattern = sparse.csr_matrix((np.ones(A.nnz), col, A.indptr), shape=A.shape)
+    n_comp, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+    if psi0 is not None:
+        comps = [idx for idx in comps if np.any(psi0[idx])]
+    largest = max((len(idx) for idx in comps), default=0)
+    if largest > guard:
+        raise ResourceError(f"block dimension {largest} above dense guard {guard}")
+    entry_labels = labels[row]
+    local = np.empty(dim, dtype=np.int64)        # position of each state in its block
+    for idx in comps:
+        local[idx] = np.arange(len(idx))
+        mine = entry_labels == labels[idx[0]]
+        block = np.zeros((len(idx), len(idx)), dtype=complex)
+        block[local[row[mine]], local[col[mine]]] = val[mine]
+        yield idx, block
+
+
 def propagator(H, t: float, dense_guard: int = DENSE_GUARD) -> np.ndarray:
-    """exp(-i H t) as a dense matrix (scaling-and-squaring Pade)."""
-    dim = H.shape[0]
-    if dim > dense_guard:
-        raise DimensionError(f"dimension {dim} above dense guard {dense_guard}")
-    Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=complex)
-    return expm(-1j * Hd * t)
+    """exp(-i H t) as a dense matrix, assembled block by block."""
+    U = np.zeros(H.shape, dtype=complex)
+    for idx, h in _blocks(H, dense_guard):
+        U[np.ix_(idx, idx)] = _block_states(h, np.eye(len(idx)), [t])[0]
+    return U
 
 
 def _default_rk4_dt(H0: np.ndarray, span: float) -> float:
@@ -122,41 +182,6 @@ def _rk4_step(f, t, y, dt):
     k3 = f(t + dt / 2, y + dt / 2 * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def krylov_expmv(H, v: np.ndarray, t: float, m: int = 30, tol: float = 1e-10) -> np.ndarray:
-    """Approximate exp(-i H t) v in an m-dimensional Arnoldi subspace.
-
-    The step is halved recursively while the Hessenberg residual
-    estimate exceeds ``tol``.  Works for non-Hermitian H (decay terms).
-    """
-    beta = np.linalg.norm(v)
-    if beta == 0 or t == 0:
-        return v.astype(complex)
-    dim = H.shape[0]
-    m = min(m, dim)
-    V = np.zeros((dim, m + 1), dtype=complex)
-    h = np.zeros((m + 1, m), dtype=complex)
-    V[:, 0] = v / beta
-    used = m
-    for j in range(m):
-        w = H @ V[:, j]
-        for i in range(j + 1):
-            h[i, j] = np.vdot(V[:, i], w)
-            w = w - h[i, j] * V[:, i]
-        h[j + 1, j] = np.linalg.norm(w)
-        if abs(h[j + 1, j]) < 1e-14:       # happy breakdown: exact in subspace
-            used = j + 1
-            break
-        V[:, j + 1] = w / h[j + 1, j]
-    Hm = h[:used, :used]
-    small = expm(-1j * Hm * t)
-    if used == m and m < dim:
-        resid = abs(h[m, m - 1]) * abs(small[m - 1, 0]) * abs(t) * beta
-        if resid > tol:
-            half = krylov_expmv(H, v, t / 2, m, tol)
-            return krylov_expmv(H, half, t / 2, m, tol)
-    return beta * (V[:, :used] @ small[:, 0])
 
 
 @dataclass
@@ -200,7 +225,9 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     ``H`` is a matrix for the static case or a callable ``H(t)`` (rk4
     only).  ``occupations`` (dim, n_sites) converts amplitudes to
     per-site populations; when omitted each basis state is reported as
-    its own column.
+    its own column.  The default method decomposes each block of H that
+    ``psi0`` touches once and raises ResourceError when one is larger
+    than ``options.dense_guard``.
     """
     options = options or EvolutionOptions()
     times = np.asarray(times, dtype=float)
@@ -216,28 +243,15 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
     if options.method == "dense-expm":
-        if H.shape[0] > options.dense_guard:
-            raise DimensionError(
-                f"dimension {H.shape[0]} above dense guard {options.dense_guard}")
-        Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=complex)
-        psi = psi0
-        t_prev = 0.0
-        step_cache: dict = {}
-        for i, t in enumerate(times):
-            dt = t - t_prev
-            if dt != 0:
-                if dt not in step_cache:
-                    step_cache[dt] = expm(-1j * Hd * dt)
-                psi = step_cache[dt] @ psi
-            states[i] = psi
-            t_prev = t
+        for idx, h in _blocks(H, options.dense_guard, psi0):
+            states[:, idx] = _block_states(h, psi0[idx], times)
     elif options.method == "krylov":
+        A = -1j * (H.tocsr() if sparse.issparse(H) else np.asarray(H, dtype=complex))
         psi = psi0
         t_prev = 0.0
         for i, t in enumerate(times):
-            dt = t - t_prev
-            if dt != 0:
-                psi = krylov_expmv(H, psi, dt, m=options.krylov_dim)
+            if t != t_prev:
+                psi = expm_multiply(A * (t - t_prev), psi)
             states[i] = psi
             t_prev = t
     else:  # rk4

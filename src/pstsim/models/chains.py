@@ -21,7 +21,7 @@ from math import pi, sqrt
 import numpy as np
 from scipy import sparse
 
-from .. import statespace
+from .. import evolution, statespace
 
 __all__ = [
     "ChainSpec",
@@ -131,47 +131,43 @@ def fst_profile(n: int, tau: float, theta: float):
     return J, delta
 
 
+def _hamiltonian_entries(spec: ChainSpec, states: np.ndarray):
+    """Chain Hamiltonian restricted to ``states`` (ascending basis indices).
+
+    Returns ``(diag, rows, cols, vals)``: the diagonal and the hopping
+    entries, indexed by position in ``states``.  Every hop conserves the
+    excitation number, so the states of whole sectors suffice.
+    """
+    n = spec.n_sites
+    occ = statespace.occupation_rows(states, n)
+    diag = occ @ np.array(spec.detunings) + (occ[:, :-1] * occ[:, 1:]) @ np.array(spec.zz)
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for k, j in enumerate(spec.couplings):
+        # hop an excitation from site k+1 to site k+2
+        src = np.flatnonzero((occ[:, k] == 1) & (occ[:, k + 1] == 0))
+        dst = np.searchsorted(states, states[src] ^ (3 << (n - 2 - k)))
+        rows += [src, dst]
+        cols += [dst, src]
+        vals.append(np.full(2 * len(src), j))
+    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
     """Full 2**n Hamiltonian of the chain (sparse, angular frequency)."""
-    n = spec.n_sites
-    dim = 2**n
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim)
-    for x in range(dim):
-        occ = statespace.occupations(x, n)
-        diag[x] = sum(d * o for d, o in zip(spec.detunings, occ))
-        diag[x] += sum(z * occ[k] * occ[k + 1] for k, z in enumerate(spec.zz))
-        for k in range(n - 1):
-            # hop an excitation from site k+1 to site k+2
-            if occ[k] == 1 and occ[k + 1] == 0:
-                y = x ^ (1 << (n - 1 - k)) ^ (1 << (n - 2 - k))
-                rows += [x, y]
-                cols += [y, x]
-                vals += [spec.couplings[k], spec.couplings[k]]
-    H = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    H = H.tocsr()
-    H += sparse.diags(diag.astype(complex))
-    return H.tocsr()
+    dim = 2**spec.n_sites
+    diag, rows, cols, vals = _hamiltonian_entries(spec, np.arange(dim))
+    d = np.flatnonzero(diag)
+    return sparse.csr_matrix((np.concatenate([vals, diag[d]]),
+                              (np.concatenate([rows, d]), np.concatenate([cols, d]))),
+                             shape=(dim, dim), dtype=complex)
 
 
 def sector_hamiltonian(spec: ChainSpec, k: int) -> np.ndarray:
     """Hamiltonian block on the k-excitation sector (dense)."""
-    n = spec.n_sites
-    states = statespace.sector_states(n, k)
-    index = {int(x): r for r, x in enumerate(states)}
-    dim = len(states)
-    H = np.zeros((dim, dim), dtype=complex)
-    for r, x in enumerate(states):
-        x = int(x)
-        occ = statespace.occupations(x, n)
-        H[r, r] = sum(d * o for d, o in zip(spec.detunings, occ))
-        H[r, r] += sum(z * occ[b] * occ[b + 1] for b, z in enumerate(spec.zz))
-        for b in range(n - 1):
-            if occ[b] == 1 and occ[b + 1] == 0:
-                y = x ^ (1 << (n - 1 - b)) ^ (1 << (n - 2 - b))
-                s = index[y]
-                H[r, s] += spec.couplings[b]
-                H[s, r] += spec.couplings[b]
+    states = statespace.sector_states(spec.n_sites, k)
+    diag, rows, cols, vals = _hamiltonian_entries(spec, states)
+    H = np.diag(diag.astype(complex))
+    H[rows, cols] += vals
     return H
 
 
@@ -214,24 +210,18 @@ def pst_state_map(n: int):
     if n % 2 == 1:
         site_factor[:] = alpha * np.exp(-1j * s * pi / 2)
         site_factor[(n - 1) // 2] = alpha
-    dim = 2**n
-    targets = np.zeros(dim, dtype=np.int64)
-    phases = np.zeros(dim, dtype=complex)
-    for x in range(dim):
-        bits = statespace.occupations(x, n)
-        t = statespace.mirror_index(x, n)
-        tbits = bits[::-1]
-        amp = 1.0 + 0j
-        for k in range(1, n // 2 + 1):
-            kt = n + 1 - k
-            if bits[k - 1] != bits[kt - 1]:
-                inner = sum(bits[j - 1] for j in range(k + 1, kt))
-                amp *= np.exp(1j * s * ((-1) ** inner) * pi / 2)
-        for i in range(n):
-            if tbits[i]:
-                amp *= site_factor[i]
-        targets[x] = t
-        phases[x] = amp
+    bits = statespace.occupation_rows(np.arange(2**n), n)
+    targets = bits @ (1 << np.arange(n))      # site 1 becomes the least significant bit
+    # by the parity of the excitations strictly between the swapped pair
+    swap_phase = np.exp(1j * s * pi / 2 * np.array([1, -1]))
+    phases = np.ones(2**n, dtype=complex)
+    for k in range(1, n // 2 + 1):
+        kt = n + 1 - k
+        factor = swap_phase[bits[:, k:kt - 1].sum(axis=1) % 2]
+        phases = np.where(bits[:, k - 1] != bits[:, kt - 1], phases * factor, phases)
+    for i in range(n):
+        # the transferred excitation on site i of the target
+        phases = np.where(bits[:, n - 1 - i] == 1, phases * site_factor[i], phases)
     return targets, phases
 
 
@@ -256,16 +246,14 @@ def fst_effective_hamiltonian(n: int, tau: float, theta: float) -> np.ndarray:
     if not 0 <= theta <= pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     dim = 2**n
+    bits = statespace.occupation_rows(np.arange(dim), n)
     H = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        bits = statespace.occupations(x, n)
-        for k in range(1, n // 2 + 1):
-            kt = n + 1 - k
-            if bits[k - 1] != bits[kt - 1]:
-                # swap the pair; amplitude carries the inner sigma_z parity
-                y = x ^ (1 << (n - k)) ^ (1 << (n - kt))
-                inner = sum(bits[j - 1] for j in range(k + 1, kt))
-                H[y, x] += theta / (2 * tau) * ((-1) ** inner)
+    for k in range(1, n // 2 + 1):
+        kt = n + 1 - k
+        # swap the pair; amplitude carries the inner sigma_z parity
+        src = np.flatnonzero(bits[:, k - 1] != bits[:, kt - 1])
+        inner = bits[src, k:kt - 1].sum(axis=1)
+        H[src ^ (1 << (n - k)) ^ (1 << (n - kt)), src] += theta / (2 * tau) * (-1.0) ** inner
     return H
 
 
@@ -293,15 +281,6 @@ def fst_effective_propagator(n: int, tau: float, theta: float) -> np.ndarray:
     single global phase (and exactly reduces to :func:`pst_unitary` at
     theta = pi up to that phase).
     """
-    from scipy.linalg import expm
-
-    U = expm(-1j * fst_effective_hamiltonian(n, tau, theta) * tau)
-    angles = fst_dressing_angles(n, theta)
-    dim = 2**n
-    dress = np.ones(dim, dtype=complex)
-    for x in range(dim):
-        bits = statespace.occupations(x, n)
-        for i, b in enumerate(bits):
-            if b:
-                dress[x] *= np.exp(1j * angles[i])
-    return U * dress[np.newaxis, :]
+    U = evolution.propagator(fst_effective_hamiltonian(n, tau, theta), tau)
+    occupied = statespace.occupation_rows(np.arange(2**n), n)
+    return U * np.exp(1j * (occupied @ fst_dressing_angles(n, theta)))[np.newaxis, :]

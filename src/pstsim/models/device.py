@@ -18,6 +18,8 @@ from math import pi
 import numpy as np
 from scipy.optimize import brentq
 
+from ..evolution import DENSE_GUARD, ResourceError, _rk4_step
+
 __all__ = [
     "QubitSpec",
     "CouplerSpec",
@@ -29,17 +31,9 @@ __all__ = [
     "coupler_flux_derivative",
     "effective_coupling_estimate",
     "DeviceSubsetModel",
-    "build_device_hamiltonian",
     "crosstalk_compensation",
     "default_device",
 ]
-
-DIMENSION_GUARD = 4096
-
-
-class ResourceError(RuntimeError):
-    """Model dimension above the configured guard."""
-
 
 @dataclass(frozen=True)
 class QubitSpec:
@@ -193,16 +187,15 @@ class DeviceSubsetModel:
 
     def __init__(self, device: DeviceSpec, qubit_indices, coupler_indices,
                  drives=(), levels: int | None = None,
-                 guard: int = DIMENSION_GUARD, allow_large: bool = False):
+                 guard: int = DENSE_GUARD):
         self.device = device
         self.qubits = tuple(qubit_indices)
         self.couplers = tuple(coupler_indices)
         self.levels = levels or device.levels
         n_modes = len(self.qubits) + len(self.couplers)
         self.dim = self.levels**n_modes
-        if self.dim > guard and not allow_large:
-            raise ResourceError(
-                f"{self.dim} basis states above guard {guard}; pass allow_large to override")
+        if self.dim > guard:
+            raise ResourceError(f"{self.dim} basis states above guard {guard}")
         drives = tuple(drives)
         for d in drives:
             if d.coupler not in self.couplers:
@@ -343,24 +336,10 @@ class DeviceSubsetModel:
         for i, t_out in enumerate(times):
             while t_now < t_out - 1e-18:
                 step = min(dt, t_out - t_now)
-                k1 = f(t_now, psi)
-                k2 = f(t_now + step / 2, psi + step / 2 * k1)
-                k3 = f(t_now + step / 2, psi + step / 2 * k2)
-                k4 = f(t_now + step, psi + step * k3)
-                psi = psi + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                psi = _rk4_step(f, t_now, psi, step)
                 t_now += step
             out[i] = np.abs(psi) ** 2
         return out
-
-
-def build_device_hamiltonian(device: DeviceSpec, qubit_indices, coupler_indices,
-                             drives=(), t: float = 0.0, levels: int | None = None,
-                             guard: int = DIMENSION_GUARD,
-                             allow_large: bool = False) -> np.ndarray:
-    """Dense H(t)/hbar for a device subset (angular frequency)."""
-    model = DeviceSubsetModel(device, qubit_indices, coupler_indices, drives,
-                              levels=levels, guard=guard, allow_large=allow_large)
-    return model.hamiltonian(t)
 
 
 def crosstalk_compensation(M: np.ndarray, phi_target, phi_off,

@@ -18,7 +18,6 @@ __all__ = [
     "site_index",
     "mirror_position",
     "build_lattice_hamiltonian",
-    "lattice_transfer",
 ]
 
 
@@ -70,16 +69,3 @@ def build_lattice_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     hy = _axis_hopping(spec.ny, spec.tau)
     return np.kron(hx, np.eye(spec.ny)) + np.kron(np.eye(spec.nx), hy)
 
-
-def lattice_transfer(spec: LatticeSpec, start, times) -> np.ndarray:
-    """Populations of one excitation released at ``start``.
-
-    Returns an array of shape (len(times), nx, ny).
-    """
-    from .. import evolution
-
-    H = build_lattice_hamiltonian(spec)
-    psi0 = np.zeros(spec.n_sites, dtype=complex)
-    psi0[site_index(spec, *start)] = 1.0
-    traj = evolution.evolve(H, psi0, times)
-    return traj.populations.reshape(len(traj.times), spec.nx, spec.ny)

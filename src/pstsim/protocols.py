@@ -10,10 +10,10 @@ from math import pi
 import cmath
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import evolution, statespace
 from .models import chains, lattice
+from .statespace import wrap_phase
 
 __all__ = [
     "GateOp",
@@ -25,7 +25,6 @@ __all__ = [
     "apply_gate",
     "simulate_gates",
     "run_pst",
-    "run_fst",
     "parity_phase_experiment",
     "parity_phase_table",
     "double_fst_parity_experiment",
@@ -39,12 +38,6 @@ __all__ = [
 INPUT_PHASES = {"+x": 0.0, "+y": pi / 2, "-x": pi, "-y": -pi / 2}
 
 NOISE_MODELS = ("ideal", "zz", "relax", "zz+relax")
-
-
-def wrap_phase(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    out = (x + pi) % (2 * pi) - pi
-    return pi if out == -pi else out
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +182,6 @@ def run_pst(spec: chains.ChainSpec, initial, times, noise=None,
     return evolution.evolve(H, psi0, times, occupations=occ)
 
 
-def run_fst(spec: chains.ChainSpec, initial, times, noise=None,
-            model: str = "ideal") -> evolution.Trajectory:
-    """Same as run_pst for a fractional-transfer chain spec."""
-    return run_pst(spec, initial, times, noise=noise, model=model)
-
-
 # ---------------------------------------------------------------------------
 # parity experiment
 
@@ -205,30 +192,73 @@ class ParityExperimentResult:
     phase: float
     parity: int
 
+    @property
+    def deviation(self) -> float:
+        """Phase minus its ideal value, wrapped to (-pi, pi].
+
+        Ideally the phase is parity * pi/2 plus an offset fixed by n mod 4
+        (pi, -pi/2, 0, +pi/2 for n mod 4 = 0, 1, 2, 3): minus the
+        mirror-pair dressing angle of :func:`chains.fst_dressing_angles`.
+        """
+        n = len(self.inner) + 2
+        paired_angle = chains.fst_dressing_angles(n, pi)[0]
+        return wrap_phase(self.phase - self.parity * pi / 2 + paired_angle)
+
     def as_dict(self) -> dict:
         return {"inner": self.inner, "input_state": self.input_state,
                 "phase_rad": self.phase, "parity": self.parity}
 
 
-def _sector_transfer_vector(spec, occupied_sites, noise):
-    """Evolve a computational chain state for time tau within its sector."""
+def _sector_transfer(spec, k: int, noise):
+    """States of the k-excitation sector and its one-period propagator."""
     n = spec.n_sites
-    k = len(occupied_sites)
-    bits = 0
-    for s in occupied_sites:
-        bits |= 1 << (n - s)
-    states = statespace.sector_states(n, k)
-    H = chains.sector_hamiltonian(spec, k).astype(complex)
+    H = chains.sector_hamiltonian(spec, k)
     if noise is not None:
         rates = evolution.decay_rates(noise)
-        occ = statespace.sector_occupation_matrix(n, k)
-        H = H - 1j * np.diag(occ @ rates)
-    psi = np.zeros(len(states), dtype=complex)
-    try:
-        psi[statespace.sector_rank(bits, n)] = 1.0
-    except (ValueError, IndexError) as exc:
-        raise RuntimeError("inner excitations outside the evolved sector") from exc
-    return states, expm(-1j * H * spec.tau) @ psi
+        H = H - 1j * np.diag(statespace.sector_occupation_matrix(n, k) @ rates)
+    return statespace.sector_states(n, k), evolution.propagator(H, spec.tau)
+
+
+def _parity_spec(n: int, model: str, zeta, noise, tau):
+    """Chain spec and relaxation of a parity experiment (shared by a table)."""
+    if n < 3:
+        raise ValueError("parity experiment needs n >= 3")
+    spec = chains.ChainSpec.pst(n, 640e-9 if tau is None else tau)
+    if model.startswith("zz"):
+        if not zeta:
+            raise ValueError("zz model needs zeta values")
+        spec = spec.with_zz(tuple(zeta))
+    use_noise, _ = _noise_for(model, spec, noise)
+    return spec, use_noise
+
+
+def _parity_experiment(spec, noise, inner: str, input_state: str,
+                       transfers: dict) -> ParityExperimentResult:
+    """One parity experiment; ``transfers`` holds the sector propagators by k."""
+    n = spec.n_sites
+    if len(inner) != n - 2 or set(inner) - {"0", "1"}:
+        raise ValueError(f"inner must be a bitstring of length {n - 2}")
+    if input_state not in INPUT_PHASES:
+        raise ValueError(f"input_state must be one of {sorted(INPUT_PHASES)}")
+    low = int(inner, 2) << 1                  # sites 2..n-1; site n empty
+    high = low | 1 << (n - 1)                 # site 1 excited as well
+    phi_in = INPUT_PHASES[input_state]
+    full = np.zeros(2**n, dtype=complex)
+    for bits, weight in ((low, 1.0), (high, np.exp(1j * phi_in))):
+        k = statespace.excitation_number(bits)
+        if k not in transfers:
+            transfers[k] = _sector_transfer(spec, k, noise)
+        states, U = transfers[k]
+        full[states] += weight * U[:, statespace.sector_rank(bits, n)] / np.sqrt(2.0)
+
+    rho = statespace.reduced_density_matrix(full, [n], n)
+    coher = 2.0 * rho[1, 0]                      # <X> + i<Y>
+    if abs(coher) < 1e-9:
+        raise RuntimeError("transferred state has no x-y coherence; phase undefined")
+    phi_out = cmath.phase(coher)
+    parity = -1 if inner.count("1") % 2 else 1
+    return ParityExperimentResult(inner=inner, input_state=input_state,
+                                  phase=wrap_phase(phi_in - phi_out), parity=parity)
 
 
 def parity_phase_experiment(n: int, inner: str, input_state: str,
@@ -243,51 +273,21 @@ def parity_phase_experiment(n: int, inner: str, input_state: str,
     (-pi, pi].  ``zeta`` (rad/s per adjacent pair) activates ZZ terms
     during the transfer for the "zz" models.
     """
-    if n < 3:
-        raise ValueError("parity experiment needs n >= 3")
-    if len(inner) != n - 2 or set(inner) - {"0", "1"}:
-        raise ValueError(f"inner must be a bitstring of length {n - 2}")
-    if input_state not in INPUT_PHASES:
-        raise ValueError(f"input_state must be one of {sorted(INPUT_PHASES)}")
-    tau = 640e-9 if tau is None else tau
-    spec = chains.ChainSpec.pst(n, tau)
-    if model.startswith("zz"):
-        if not zeta:
-            raise ValueError("zz model needs zeta values")
-        spec = spec.with_zz(tuple(zeta))
-    use_noise, _ = _noise_for(model, spec, noise)
-
-    inner_sites = [i + 2 for i, b in enumerate(inner) if b == "1"]
-    low = _sector_transfer_vector(spec, inner_sites, use_noise)
-    high = _sector_transfer_vector(spec, [1] + inner_sites, use_noise)
-
-    phi_in = INPUT_PHASES[input_state]
-    full = np.zeros(2**n, dtype=complex)
-    states_lo, amp_lo = low
-    states_hi, amp_hi = high
-    full[states_lo] = amp_lo / np.sqrt(2.0)
-    full[states_hi] += np.exp(1j * phi_in) * amp_hi / np.sqrt(2.0)
-
-    rho = statespace.reduced_density_matrix(full, [n], n)
-    coher = 2.0 * rho[1, 0]                      # <X> + i<Y>
-    if abs(coher) < 1e-9:
-        raise RuntimeError("transferred state has no x-y coherence; phase undefined")
-    phi_out = cmath.phase(coher)
-    parity = -1 if len(inner_sites) % 2 else 1
-    return ParityExperimentResult(inner=inner, input_state=input_state,
-                                  phase=wrap_phase(phi_in - phi_out), parity=parity)
+    spec, use_noise = _parity_spec(n, model, zeta, noise, tau)
+    return _parity_experiment(spec, use_noise, inner, input_state, {})
 
 
 def parity_phase_table(n: int, input_states=("+x",), model: str = "ideal",
                        zeta=(), noise=None, tau: float | None = None):
-    """All 2^(n-2) inner bitstrings for the given input states."""
-    results = []
-    for code in range(2 ** (n - 2)):
-        inner = format(code, f"0{n - 2}b")
-        for inp in input_states:
-            results.append(parity_phase_experiment(
-                n, inner, inp, model=model, zeta=zeta, noise=noise, tau=tau))
-    return results
+    """All 2^(n-2) inner bitstrings for the given input states.
+
+    Each sector's propagator is built once per table and shared by its rows.
+    """
+    spec, use_noise = _parity_spec(n, model, zeta, noise, tau)
+    transfers = {}
+    return [_parity_experiment(spec, use_noise, format(code, f"0{n - 2}b"), inp,
+                               transfers)
+            for code in range(2 ** (n - 2)) for inp in input_states]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,7 @@ def double_fst_parity_experiment(middle_excited_first_leg: bool,
     excitation refocuses on site 1.  Returns per-site populations.
     """
     spec = chains.ChainSpec.fst(3, tau, theta)
-    H = chains.chain_hamiltonian(spec)
-    U = expm(-1j * H.toarray() * tau)
+    U = evolution.propagator(chains.chain_hamiltonian(spec), tau)
     state = np.zeros(8, dtype=complex)
     bits = 0b100 | (0b010 if middle_excited_first_leg else 0)
     state[bits] = 1.0
@@ -436,8 +435,7 @@ def run_ghz(scenario: GHZScenario) -> GHZReport:
     noise = scenario.noise()
     if noise is not None:
         H = evolution.add_relaxation(H, noise, occ)
-    U = expm(-1j * (H.toarray() if hasattr(H, "toarray") else H) * scenario.tau)
-    state = U @ state
+    state = evolution.evolve(H, state, [scenario.tau]).states[0]
     for g in ghz_circuit(n)[2:]:
         state = apply_gate(state, g, n)
     if scenario.zeta and scenario.zz_application == "end":

@@ -9,6 +9,7 @@ location, which the CLI prints verbatim.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ from .models import chains
 from .models import device as device_models
 
 SCHEMA_VERSION = 1
-TWO_PI = 2.0 * np.pi
 
 
 class ConfigError(ValueError):
@@ -118,13 +118,13 @@ def chain_payload(spec: chains.ChainSpec) -> dict:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tau_s": spec.tau,
-        "couplings_hz": [j / TWO_PI for j in spec.couplings],
+        "couplings_hz": [j / math.tau for j in spec.couplings],
         "label": spec.label,
     }
     if spec.detunings:
-        payload["detunings_hz"] = [d / TWO_PI for d in spec.detunings]
+        payload["detunings_hz"] = [d / math.tau for d in spec.detunings]
     if spec.zz:
-        payload["zz_hz"] = [z / TWO_PI for z in spec.zz]
+        payload["zz_hz"] = [z / math.tau for z in spec.zz]
     return payload
 
 
@@ -145,10 +145,10 @@ def parse_chain(data: dict) -> chains.ChainSpec:
         raise ConfigError("/zz_hz", f"expected {n - 1} entries, got {len(zz)}")
     try:
         return chains.ChainSpec(
-            couplings=tuple(TWO_PI * j for j in couplings),
+            couplings=tuple(math.tau * j for j in couplings),
             tau=tau,
-            detunings=tuple(TWO_PI * d for d in detunings),
-            zz=tuple(TWO_PI * z for z in zz),
+            detunings=tuple(math.tau * d for d in detunings),
+            zz=tuple(math.tau * z for z in zz),
             label=_get(data, "label", str, "", required=False, default=""),
         )
     except ValueError as exc:
@@ -243,7 +243,7 @@ def scenario_payload(scenario: protocols.GHZScenario) -> dict:
         "n": scenario.n,
         "tau_s": scenario.tau,
         "t1_s": list(scenario.t1),
-        "zeta_hz": [z / TWO_PI for z in scenario.zeta],
+        "zeta_hz": [z / math.tau for z in scenario.zeta],
         "decay_convention": scenario.decay_convention,
         "zz_application": scenario.zz_application,
         "label": scenario.label,
@@ -263,7 +263,7 @@ def parse_scenario(data: dict) -> dict:
     zeta_hz = _number_list(data, "zeta_hz", "", required=False) or []
     if zeta_hz and len(zeta_hz) != n - 1:
         raise ConfigError("/zeta_hz", f"expected {n - 1} entries, got {len(zeta_hz)}")
-    zeta = tuple(TWO_PI * z for z in zeta_hz)
+    zeta = tuple(math.tau * z for z in zeta_hz)
     label = _get(data, "label", str, "", required=False, default="")
     if kind == "ghz":
         t1 = _number_list(data, "t1_s", "")

@@ -9,13 +9,15 @@ combinadic ranking of its occupation patterns in ascending integer
 order.
 """
 
-from math import comb
+from math import comb, pi
 
 import numpy as np
 
 __all__ = [
+    "wrap_phase",
     "basis_index",
     "occupations",
+    "occupation_rows",
     "excitation_number",
     "sector_dimension",
     "sector_states",
@@ -29,6 +31,12 @@ __all__ = [
     "mirror_site",
     "mirror_index",
 ]
+
+
+def wrap_phase(x: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    out = (x + pi) % (2 * pi) - pi
+    return pi if out == -pi else out
 
 
 def basis_index(bits) -> int:
@@ -46,6 +54,12 @@ def occupations(index: int, n: int) -> tuple:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def occupation_rows(states, n: int) -> np.ndarray:
+    """(len(states), n) integer occupations (site 1 first) of an index array."""
+    states = np.asarray(states, dtype=np.int64)
+    return (states[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def excitation_number(index: int) -> int:
     return bin(index).count("1")
 
@@ -56,7 +70,8 @@ def sector_dimension(n: int, k: int) -> int:
 
 def sector_states(n: int, k: int) -> np.ndarray:
     """All basis indices with ``k`` excitations, ascending."""
-    return np.array([x for x in range(2**n) if excitation_number(x) == k], dtype=np.int64)
+    states = np.arange(2**n, dtype=np.int64)
+    return states[occupation_rows(states, n).sum(axis=1) == k]
 
 
 def sector_rank(index: int, n: int) -> int:
@@ -90,19 +105,12 @@ def sector_unrank(rank: int, n: int, k: int) -> int:
 
 def occupation_matrix(n: int) -> np.ndarray:
     """(2**n, n) matrix of per-site occupations over the full basis."""
-    out = np.zeros((2**n, n))
-    for x in range(2**n):
-        out[x] = occupations(x, n)
-    return out
+    return occupation_rows(np.arange(2**n), n).astype(float)
 
 
 def sector_occupation_matrix(n: int, k: int) -> np.ndarray:
     """(C(n,k), n) occupations over the k-excitation sector basis."""
-    states = sector_states(n, k)
-    out = np.zeros((len(states), n))
-    for r, x in enumerate(states):
-        out[r] = occupations(int(x), n)
-    return out
+    return occupation_rows(sector_states(n, k), n).astype(float)
 
 
 def embed_single_qubit(op: np.ndarray, site: int, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import statespace
-from .protocols import wrap_phase
+from .statespace import wrap_phase
 
 PAULI = {
     "I": np.eye(2, dtype=complex),

@@ -66,6 +66,25 @@ def test_chain_hamiltonian_hermitian_and_number_conserving(n, seed):
     np.testing.assert_allclose(H @ num - num @ H, 0.0, atol=1e-9)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**31 - 1))
+def test_chain_hamiltonian_matches_operator_sum(n, seed):
+    # the defining sum of site operators, independent of the bit-operation builder
+    spec = _random_spec(np.random.default_rng(seed), n)
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])       # |0><1| on one site
+    num = np.diag([0.0, 1.0])
+
+    def site(op, s):
+        return statespace.embed_single_qubit(op, s, n)
+
+    H = sum(d * site(num, s + 1) for s, d in enumerate(spec.detunings))
+    for k, (j, z) in enumerate(zip(spec.couplings, spec.zz), start=1):
+        hop = site(lower, k).conj().T @ site(lower, k + 1)
+        H = H + j * (hop + hop.conj().T) + z * site(num, k) @ site(num, k + 1)
+    np.testing.assert_allclose(chains.chain_hamiltonian(spec).toarray(), H,
+                               rtol=0, atol=1e-9 * np.abs(H).max())
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**31 - 1), st.data())
 def test_sector_hamiltonian_is_the_restriction(n, seed, data):

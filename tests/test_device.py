@@ -102,8 +102,7 @@ def test_subset_model_guard(dev):
         dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=6)
     with pytest.raises(dv.ResourceError):
         dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=3, guard=10)
-    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=3, guard=10,
-                                 allow_large=True)
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=3, guard=27)
     assert model.dim == 27
 
 

@@ -1,10 +1,17 @@
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from pstsim import evolution, statespace
+import pstsim
+from pstsim import evolution, serialize, statespace
 from pstsim.models import chains
+
+SRC = Path(pstsim.__file__).parent
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _random_hermitian(rng, dim, scale=1e6):
@@ -16,6 +23,11 @@ def _basis(dim, k=0):
     v = np.zeros(dim, dtype=complex)
     v[k] = 1.0
     return v
+
+
+def _spread_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
 
 
 @pytest.mark.parametrize("method", ["dense-expm", "krylov", "rk4"])
@@ -82,18 +94,112 @@ def test_add_relaxation_shapes_and_signs():
 def test_krylov_matches_dense_on_sparse_chain():
     spec = chains.ChainSpec.pst(10, 640e-9)
     H = chains.chain_hamiltonian(spec)
-    psi0 = _basis(2**10, 0b1000000000)
-    t = 640e-9
-    exact = expm(-1j * H.toarray() * t) @ psi0
-    np.testing.assert_allclose(evolution.krylov_expmv(H, psi0, t), exact,
-                               atol=1e-8)
+    psi0 = _spread_state(np.random.default_rng(5), 2**10)
+    times = np.linspace(0.0, 2 * 640e-9, 9)
+    dense = evolution.evolve(H, psi0, times)
+    krylov = evolution.evolve(H, psi0, times,
+                              evolution.EvolutionOptions(method="krylov"))
+    np.testing.assert_allclose(krylov.states, dense.states, rtol=0, atol=1e-10)
 
 
 def test_dense_guard_trips():
+    # the guard bounds the largest block that is diagonalised, so it needs
+    # a connected matrix: np.eye(16) is sixteen 1x1 blocks
     opts = evolution.EvolutionOptions(method="dense-expm", dense_guard=8)
-    H = np.eye(16)
-    with pytest.raises(evolution.DimensionError):
+    H = _random_hermitian(np.random.default_rng(2), 16)
+    with pytest.raises(evolution.ResourceError):
         evolution.evolve(H, _basis(16), [0.0, 1e-9], opts)
+    with pytest.raises(evolution.ResourceError):
+        evolution.propagator(H, 1e-9, dense_guard=8)
+
+
+def test_dense_guard_counts_only_touched_blocks():
+    # 5 sites: the one-excitation sector has 5 states, the two-excitation 10
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(5, 640e-9))
+    opts = evolution.EvolutionOptions(dense_guard=8)
+    traj = evolution.evolve(H, _basis(32, 0b10000), [0.0, 640e-9], opts)
+    assert abs(traj.states[-1, 0b00001]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(evolution.ResourceError):
+        evolution.evolve(H, _basis(32, 0b11000), [0.0, 640e-9], opts)
+
+
+# ------------------------------------------------ block propagation vs expm
+
+def _assert_matches_expm(H, psi0, times, atol=1e-10):
+    Hd = H.toarray() if hasattr(H, "toarray") else np.asarray(H)
+    traj = evolution.evolve(H, psi0, times)
+    for t, state in zip(times, traj.states):
+        np.testing.assert_allclose(state, expm(-1j * Hd * t) @ psi0, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_space_chain_matches_expm(n):
+    # detunings and ZZ shifts on top of the transfer profile
+    spec = chains.ChainSpec(couplings=chains.pst_couplings(n, 640e-9), tau=640e-9,
+                            detunings=np.linspace(-1e6, 1e6, n), zz=np.full(n - 1, -2e5))
+    H = chains.chain_hamiltonian(spec)
+    psi0 = _spread_state(np.random.default_rng(n), H.shape[0])
+    _assert_matches_expm(H, psi0, np.linspace(0.0, 2 * 640e-9, 7))
+
+
+@pytest.mark.parametrize("t1", [None, (20e-6,) * 6], ids=["noise_t1", "equal_t1"])
+def test_relaxation_matches_expm(t1):
+    noise = (serialize.load_noise(CONFIGS / "noise_t1.json") if t1 is None
+             else evolution.NoiseSpec(t1=t1))
+    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)),
+                                 noise, statespace.occupation_matrix(6))
+    psi0 = _spread_state(np.random.default_rng(7), 64)
+    _assert_matches_expm(H, psi0, np.linspace(0.0, 2 * 640e-9, 7))
+    np.testing.assert_allclose(evolution.propagator(H, 640e-9),
+                               expm(-1j * H.toarray() * 640e-9), rtol=0, atol=1e-10)
+
+
+def test_exceptional_point_falls_back_to_expm(monkeypatch):
+    # [[0, g], [g, -2ig]] has one doubly degenerate eigenvalue and one eigenvector
+    g = 1e6
+    H = np.array([[0.0, g], [g, -2j * g]])
+    calls = []
+    monkeypatch.setattr(evolution, "expm", lambda a: calls.append(a) or expm(a))
+    times = np.linspace(0.0, 3e-6, 7)
+    traj = evolution.evolve(H, _basis(2), times)
+    assert len(calls) == len(times)
+    for t, state in zip(times, traj.states):
+        np.testing.assert_allclose(state, expm(-1j * H * t)[:, 0], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi])
+def test_fst_chain_matches_expm(n, theta):
+    H = chains.chain_hamiltonian(chains.ChainSpec.fst(n, 640e-9, theta))
+    psi0 = _spread_state(np.random.default_rng(n), 2**n)
+    _assert_matches_expm(H, psi0, np.linspace(0.0, 2 * 640e-9, 5))
+
+
+def test_uniform_grid_matches_stepped_expm():
+    # the replaced dense path stepped one exp(-i H dt) along the grid
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(8, 640e-9))
+    psi0 = _spread_state(np.random.default_rng(8), 256)
+    times = np.linspace(0.0, 2 * 640e-9, 241)
+    step = expm(-1j * H.toarray() * (times[1] - times[0]))
+    traj = evolution.evolve(H, psi0, times)
+    psi = psi0
+    for state in traj.states:
+        np.testing.assert_allclose(state, psi, rtol=0, atol=1e-10)
+        psi = step @ psi
+
+
+def test_only_evolution_uses_expm():
+    # evolution is the one place that exponentiates a static Hamiltonian
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "evolution.py":
+            continue
+        with open(path, "rb") as fh:
+            names = {tok.string for tok in tokenize.tokenize(fh.readline)
+                     if tok.type == tokenize.NAME}
+        if "expm" in names:
+            offenders.append(str(path.relative_to(SRC)))
+    assert offenders == []
 
 
 def test_time_dependent_hamiltonian_rk4():

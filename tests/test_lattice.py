@@ -57,8 +57,9 @@ def test_corner_to_corner_transfer(nx, ny, data):
     spec = lattice.LatticeSpec(nx=nx, ny=ny, tau=1e-6)
     x = data.draw(st.integers(1, nx))
     y = data.draw(st.integers(1, ny))
-    pops = lattice.lattice_transfer(spec, (x, y), np.array([spec.tau]))
-    assert pops.shape == (1, nx, ny)
+    traj = protocols.lattice_pst(spec, (x, y), np.array([spec.tau]))
+    assert traj.populations.shape == (1, nx * ny)
+    pops = traj.populations.reshape(1, nx, ny)
     mx, my = lattice.mirror_position(spec, x, y)
     assert pops[0, mx - 1, my - 1] == pytest.approx(1.0, abs=1e-9)
 
@@ -66,8 +67,9 @@ def test_corner_to_corner_transfer(nx, ny, data):
 def test_population_conservation_mid_transfer():
     spec = lattice.LatticeSpec(nx=3, ny=3, tau=1e-6)
     times = np.linspace(0.0, 1e-6, 7)
-    pops = lattice.lattice_transfer(spec, (2, 1), times)
-    np.testing.assert_allclose(pops.sum(axis=(1, 2)), 1.0, atol=1e-9)
+    traj = protocols.lattice_pst(spec, (2, 1), times)
+    assert traj.populations.shape == (7, 9)
+    np.testing.assert_allclose(traj.populations.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_lattice_pst_wraps_into_trajectory():

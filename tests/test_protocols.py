@@ -184,6 +184,13 @@ def test_parity_result_as_dict():
     assert d["phase_rad"] == row.phase
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_ideal_parity_deviation_vanishes_for_every_n(n):
+    # the ideal offset depends on n mod 4; deviation removes it for every n
+    rows = protocols.parity_phase_table(n, input_states=("+x", "-y"))
+    assert max(abs(row.deviation) for row in rows) < 1e-9
+
+
 def test_parity_zz_deviation_grows_with_count():
     zeta = (-2.0 * pi * 100e3,) * 5
     rows = protocols.parity_phase_table(6, model="zz", zeta=zeta)

@@ -154,3 +154,9 @@ def test_bad_inputs():
         ss.apply_single_qubit(np.ones(4) / 2, np.eye(2), 0, 2)
     with pytest.raises(ValueError):
         ss.mirror_site(7, 6)
+
+
+def test_occupation_rows_match_occupations():
+    states = np.array([0, 5, 0b1011, 15])
+    rows = ss.occupation_rows(states, 4)
+    assert rows.tolist() == [list(ss.occupations(int(x), 4)) for x in states]
