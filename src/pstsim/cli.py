@@ -241,7 +241,7 @@ def _parity_fit(rows) -> dict:
 
 
 def cmd_parity(args) -> int:
-    n, tau, zeta, model, label = args.n, None, (), args.model, ""
+    n, tau, zeta, noise, model, label = args.n, None, (), None, args.model, ""
     if args.config:
         parsed = serialize.load_scenario(args.config)
         if parsed["kind"] != "parity":
@@ -249,6 +249,7 @@ def cmd_parity(args) -> int:
         n = args.n if args.n is not None else parsed["n"]
         tau = parsed["tau"]
         zeta = parsed["zeta"]
+        noise = parsed["noise"]
         model = args.model or parsed["model"]
         label = parsed.get("label", "")
     if n is None:
@@ -258,6 +259,8 @@ def cmd_parity(args) -> int:
     model = model or "ideal"
     if "zz" in model and not len(zeta):
         raise UsageError(f"model {model!r} needs zeta values from a scenario config")
+    if "relax" in model and noise is None:
+        raise UsageError(f"model {model!r} needs t1_s values from a scenario config")
     inputs = tuple(args.inputs.split(","))
     for inp in inputs:
         if inp not in protocols.INPUT_PHASES:
@@ -265,13 +268,13 @@ def cmd_parity(args) -> int:
     out = _Outputs(args, "parity")
     if args.inner == "all":
         results = protocols.parity_phase_table(n, inputs, model=model,
-                                               zeta=zeta, tau=tau)
+                                               zeta=zeta, noise=noise, tau=tau)
     else:
         if not re.fullmatch(r"[01]+", args.inner) or len(args.inner) != n - 2:
             raise UsageError(f"--inner must be 'all' or an {n - 2}-bit string")
         results = [protocols.parity_phase_experiment(n, args.inner, inp,
                                                      model=model, zeta=zeta,
-                                                     tau=tau)
+                                                     noise=noise, tau=tau)
                    for inp in inputs]
     rows = []
     for res in results:

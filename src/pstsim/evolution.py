@@ -135,26 +135,35 @@ def _blocks(H, guard: int, psi0: np.ndarray | None = None):
     where ``psi0`` has support.  Raises ResourceError before any work if
     a block to be diagonalised is larger than ``guard``.
     """
-    A = sparse.csr_matrix(H, dtype=complex, copy=True)
-    A.sum_duplicates()
-    A.eliminate_zeros()
+    if sparse.issparse(H):
+        A = H.tocsr()
+        if not A.has_canonical_format:          # the block fill assigns each entry once
+            A = A.copy()
+            A.sum_duplicates()
+        row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        col, val = A.indices, A.data
+    else:
+        A = np.asarray(H)
+        row, col = np.nonzero(A)
+        val = A[row, col]
     dim = A.shape[0]
-    row = np.repeat(np.arange(dim), np.diff(A.indptr))
-    col, val = A.indices, A.data
-    pattern = sparse.csr_matrix((np.ones(A.nnz), col, A.indptr), shape=A.shape)
+    edge = val != 0                                 # a stored zero couples nothing
+    row, col, val = row[edge], col[edge], val[edge]
+    # real unit weights: csgraph casts complex weights to float, which
+    # would drop purely imaginary couplings
+    indptr = np.searchsorted(row, np.arange(dim + 1))
+    pattern = sparse.csr_matrix((np.ones(len(row)), col, indptr), shape=(dim, dim))
     n_comp, labels = connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
-    if psi0 is not None:
-        comps = [idx for idx in comps if np.any(psi0[idx])]
-    largest = max((len(idx) for idx in comps), default=0)
+    wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
+    largest = np.bincount(labels)[wanted].max(initial=0)
     if largest > guard:
         raise ResourceError(f"block dimension {largest} above dense guard {guard}")
     entry_labels = labels[row]
     local = np.empty(dim, dtype=np.int64)        # position of each state in its block
-    for idx in comps:
+    for label in wanted:
+        idx = np.flatnonzero(labels == label)
         local[idx] = np.arange(len(idx))
-        mine = entry_labels == labels[idx[0]]
+        mine = entry_labels == label
         block = np.zeros((len(idx), len(idx)), dtype=complex)
         block[local[row[mine]], local[col[mine]]] = val[mine]
         yield idx, block

@@ -287,8 +287,11 @@ def parse_scenario(data: dict) -> dict:
         model = _get(data, "model", str, "", required=False, default="zz")
         if model not in protocols.NOISE_MODELS:
             raise ConfigError("/model", f"unknown model {model!r}")
+        noise = parse_noise(data) if "t1_s" in data else None
+        if noise is not None and len(noise.t1) != n:
+            raise ConfigError("/t1_s", f"expected {n} entries, got {len(noise.t1)}")
         return {"kind": "parity", "n": n, "tau": tau, "zeta": zeta,
-                "model": model, "label": label}
+                "model": model, "label": label, "noise": noise}
     raise ConfigError("/kind", f"unknown scenario kind {kind!r}")
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import statespace
 from .statespace import wrap_phase
@@ -18,6 +19,7 @@ PAULI = {
     "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+_PAULI_STACK = np.stack([PAULI[c] for c in "IXYZ"])
 
 _SQ = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex)
@@ -108,14 +110,71 @@ def pauli_expectation(state: np.ndarray, label: str) -> float:
     return float(np.real(np.trace(arr @ op)))
 
 
-def _signs(n: int, label: str) -> np.ndarray:
-    """Outcome signs (-1)^(parity of bits under the non-identity sites)."""
-    outcomes = np.arange(2**n)
-    parity = np.zeros(2**n, dtype=np.int64)
-    for site, c in enumerate(label, start=1):
-        if c != "I":
-            parity += (outcomes >> (n - site)) & 1
-    return 1.0 - 2.0 * (parity % 2)
+def _pauli_labels(n: int) -> list:
+    """Every length-n Pauli string, in base-4 index order (I=0, X=1, Y=2, Z=3)."""
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+
+
+def _walsh_hadamard(freqs: np.ndarray, n: int) -> np.ndarray:
+    """Walsh-Hadamard transform, in place, of the rows of (S, 2^n) frequencies.
+
+    Entry ``m`` of a row becomes sum_b (-1)^popcount(b & m) freq[b]: the
+    expectation of that setting with the sites outside mask ``m`` (site 1
+    the most significant bit) replaced by the identity.  One butterfly
+    per site.
+    """
+    for site in range(1, n + 1):
+        pairs = freqs.reshape(len(freqs), 2 ** (site - 1), 2, 2 ** (n - site))
+        a0, a1 = pairs[:, :, 0], pairs[:, :, 1]
+        diff = a0 - a1
+        a0 += a1
+        a1[...] = diff
+    return freqs
+
+
+def _label_indices(settings: tuple, n: int) -> np.ndarray:
+    """(S, 2^n) base-4 index of the Pauli string behind each transform entry.
+
+    Entry ``[i, m]`` keeps setting ``i``'s axis on the sites in mask ``m``
+    and puts I elsewhere; strings are numbered with I=0, X=1, Y=2, Z=3
+    and site 1 as the most significant digit, which is also their
+    lexicographic order.
+    """
+    codes = np.frombuffer("".join(settings).encode("ascii"), dtype=np.uint8)
+    digits = np.searchsorted(np.frombuffer(b"IXYZ", dtype=np.uint8), codes)
+    place = statespace.occupation_rows(np.arange(2**n), n) * 4 ** np.arange(n - 1, -1, -1)
+    return digits.reshape(-1, n) @ place.T
+
+
+def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
+    """(S, 2^n) outcome frequencies of a normalized state, one row per setting.
+
+    The settings are visited in order and the rotated state of each
+    prefix of axes is kept on a stack, so a setting only rotates the
+    sites after the prefix it shares with the previous one.  Every
+    rotation is the same ``apply_single_qubit`` call on the same input
+    as when each setting is rotated from scratch, so the probabilities,
+    and the multinomial draws from each setting's own stream, are too.
+    """
+    n = settings.n_sites
+    freqs = np.empty((len(settings.settings), 2**n))
+    # rotated[k]: psi with the current setting's first k axes rotated onto Z
+    rotated = [psi] + [None] * n
+    previous = ""
+    for idx, s in enumerate(settings.settings):
+        for depth in range(len(os.path.commonprefix((previous, s))), n):
+            below = rotated[depth]
+            rotated[depth + 1] = (below if s[depth] == "Z" else
+                                  statespace.apply_single_qubit(below, _TO_Z[s[depth]],
+                                                                depth + 1, n))
+        previous = s
+        probs = np.abs(rotated[n]) ** 2
+        if settings.shots:
+            rng = np.random.default_rng([settings.seed, idx])
+            freqs[idx] = rng.multinomial(settings.shots, probs / probs.sum()) / settings.shots
+        else:
+            freqs[idx] = probs
+    return freqs
 
 
 def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> ExpectationTable:
@@ -128,6 +187,11 @@ def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> Expe
     match it on its non-identity sites) and averaging, which uses all
     the data collected for the lower-weight strings.
 
+    Settings sharing a prefix of axes share its rotated state.  One
+    Walsh-Hadamard transform of all settings' outcome frequencies gives
+    every compatible string's marginal at once, in O(n 2^n) per setting,
+    and the marginals are averaged per string by base-4 label index.
+
     The state is normalized before measurement — a sub-normalized
     (no-jump) vector is measured as the conditional state it represents.
     """
@@ -138,29 +202,12 @@ def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> Expe
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("cannot measure the zero state")
-    psi = psi / nrm
-    sums = {}
-    hits = {}
-    for idx, s in enumerate(settings.settings):
-        rotated = psi
-        for site, axis in enumerate(s, start=1):
-            if axis != "Z":
-                rotated = statespace.apply_single_qubit(rotated, _TO_Z[axis], site, n)
-        probs = np.abs(rotated) ** 2
-        if settings.shots:
-            rng = np.random.default_rng([settings.seed, idx])
-            freq = rng.multinomial(settings.shots, probs / probs.sum()) / settings.shots
-        else:
-            freq = probs
-        for r in range(n + 1):
-            for drop in itertools.combinations(range(n), r):
-                label = list(s)
-                for k in drop:
-                    label[k] = "I"
-                label = "".join(label)
-                sums[label] = sums.get(label, 0.0) + float(np.dot(_signs(n, label), freq))
-                hits[label] = hits.get(label, 0) + 1
-    values = {label: sums[label] / hits[label] for label in sums}
+    marginals = _walsh_hadamard(_frequencies(psi / nrm, settings), n).ravel()
+    labels = _label_indices(settings.settings, n).ravel()
+    hits = np.bincount(labels, minlength=4**n)
+    sums = np.bincount(labels, weights=marginals, minlength=4**n)
+    names = _pauli_labels(n)
+    values = {names[i]: float(sums[i] / hits[i]) for i in np.flatnonzero(hits)}
     return ExpectationTable(n, settings.shots, values)
 
 
@@ -168,19 +215,25 @@ def reconstruct(expectations) -> np.ndarray:
     """Linear-inversion density matrix, projected to PSD and unit trace.
 
     Needs an estimate for every Pauli string of the qubit count; raises
-    on an incomplete table.  Negative eigenvalues are clipped to zero
-    and the trace renormalized (plain projection, no likelihood fit).
+    on an incomplete table.  The 4^n estimates form a (4,)*n tensor and
+    each axis is contracted with the stacked single-site Paulis in turn,
+    so no n-site Pauli operator is formed.  Negative eigenvalues are
+    clipped to zero and the trace renormalized (plain projection, no
+    likelihood fit).
     """
     values = expectations.values if isinstance(expectations, ExpectationTable) else dict(expectations)
     n = len(next(iter(values)))
     dim = 2**n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p in itertools.product("IXYZ", repeat=n):
-        label = "".join(p)
-        if label not in values:
-            raise ValueError(f"incomplete Pauli basis: missing {label}")
-        rho += values[label] * pauli_operator(label)
-    rho /= dim
+    try:
+        coeffs = np.array([values[label] for label in _pauli_labels(n)])
+    except KeyError as exc:
+        raise ValueError(f"incomplete Pauli basis: missing {exc.args[0]}") from None
+    t = coeffs.reshape((4,) * n)
+    for _ in range(n):
+        # contracts the leading site axis and appends its (row, column) pair
+        t = np.tensordot(t, _PAULI_STACK, axes=([0], [0]))
+    rho = t.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+    rho = rho.reshape(dim, dim) / dim
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
@@ -226,13 +279,13 @@ class FidelityReport:
         }
 
 
-def fidelity_opt_z(rho: np.ndarray, target: np.ndarray, site: int = 1,
-                   grid: float = 1e-3) -> FidelityReport:
+def fidelity_opt_z(rho: np.ndarray, target: np.ndarray, site: int = 1) -> FidelityReport:
     """Fidelity allowing one virtual Z(phi) on the designated site.
 
     The site defaults to 1, the same site the GHZ circuit singles out.
-    phi is swept over (-pi, pi] on a ``grid``-spaced sweep and the best
-    point refined; phi_opt is reported in (-pi, pi].
+    F(phi) = base + 2 Re(e^{i phi} z) is a sinusoid in phi, so its
+    maximum is base + 2|z| at phi = -arg z, reported in (-pi, pi];
+    phi_opt is 0 when no rotation beats the raw fidelity.
     """
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(target, dtype=complex).ravel()
@@ -251,16 +304,7 @@ def fidelity_opt_z(rho: np.ndarray, target: np.ndarray, site: int = 1,
     psi0 = psi - psi1
     base = float(np.real(psi0.conj() @ rho @ psi0 + psi1.conj() @ rho @ psi1))
     z = complex(psi1.conj() @ rho @ psi0)
-
-    def f(phi):
-        return base + 2.0 * (math.cos(phi) * z.real - math.sin(phi) * z.imag)
-
-    phis = np.arange(-math.pi + grid, math.pi + grid / 2, grid)
-    sweep = base + 2.0 * (np.cos(phis) * z.real - np.sin(phis) * z.imag)
-    best = int(np.argmax(sweep))
-    res = minimize_scalar(lambda p: -f(p), bounds=(phis[best] - grid, phis[best] + grid),
-                          method="bounded", options={"xatol": 1e-12})
-    f_raw = f(0.0)
-    f_opt = max(float(-res.fun), float(sweep[best]), f_raw)
-    phi_opt = wrap_phase(float(res.x)) if f_opt > f_raw else 0.0
+    f_raw = base + 2.0 * z.real
+    f_opt = max(base + 2.0 * abs(z), f_raw)
+    phi_opt = wrap_phase(-cmath.phase(z)) if f_opt > f_raw else 0.0
     return FidelityReport(f_raw, f_opt, phi_opt)

@@ -160,6 +160,23 @@ def test_parity_single_inner(tmp_path):
     assert row["phase_rad"] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+@pytest.mark.parametrize("model", ["relax", "zz+relax"])
+def test_parity_relax_scenario(tmp_path, model):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "kind": "parity", "n": 4, "tau_s": 640e-9,
+        "model": model, "zeta_hz": [-100e3] * 3,
+        "t1_s": [20e-6, 30e-6, 10e-6, 40e-6]}))
+    assert _run(tmp_path, "parity", "--config", config) == 0
+    data = _load(tmp_path, "parity.json")
+    assert data["model"] == model
+    assert len(data["rows"]) == 16
+    if model == "relax":
+        # relaxation damps amplitudes but leaves the transfer phase alone
+        for row in data["rows"]:
+            assert row["deviation_rad"] == pytest.approx(0.0, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -167,6 +184,8 @@ def test_parity_single_inner(tmp_path):
         ("parity", "--n", "6", "--inner", "101"),
         ("parity", "--n", "4", "--model", "zz"),
         ("parity", "--n", "4", "--inputs", "up"),
+        ("parity", "--n", "4", "--model", "relax"),
+        ("parity", "--config", "configs/scenario_parity_zz.json", "--model", "zz+relax"),
     ],
 )
 def test_parity_usage_errors(tmp_path, argv):

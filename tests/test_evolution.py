@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 
 import pstsim
@@ -152,6 +153,30 @@ def test_relaxation_matches_expm(t1):
     _assert_matches_expm(H, psi0, np.linspace(0.0, 2 * 640e-9, 7))
     np.testing.assert_allclose(evolution.propagator(H, 640e-9),
                                expm(-1j * H.toarray() * 640e-9), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr", "duplicated csr"])
+def test_imaginary_couplings_and_duplicate_entries(form):
+    # purely imaginary couplings are edges of the pattern; a non-canonical
+    # sparse H stores one coupling as two halves that must add up
+    g = 1e6
+    H = np.array([[0.0, 1j * g, 0.0, 0.0], [-1j * g, 3e5, 2j * g, 0.0],
+                  [0.0, -2j * g, 0.0, 0.0], [0.0, 0.0, 0.0, 1e5]])
+    Hin = H
+    if form != "dense":
+        row, col = np.nonzero(H)
+        val = H[row, col]
+        if form == "duplicated csr":
+            row, col, val = np.repeat(row, 2), np.repeat(col, 2), np.repeat(val, 2) / 2
+        indptr = np.searchsorted(row, np.arange(5))
+        Hin = sparse.csr_matrix((val, col, indptr), shape=H.shape)
+        assert Hin.has_canonical_format == (form == "csr")
+    psi0 = _spread_state(np.random.default_rng(4), 4)
+    _assert_matches_expm(Hin, psi0, np.linspace(0.0, 2e-6, 5))
+    np.testing.assert_allclose(evolution.propagator(Hin, 1e-6), expm(-1j * H * 1e-6),
+                               rtol=0, atol=1e-10)
+    # sites 0-2 form one block, site 3 its own
+    assert sorted(len(idx) for idx, _ in evolution._blocks(Hin, 8)) == [1, 3]
 
 
 def test_exceptional_point_falls_back_to_expm(monkeypatch):

@@ -121,6 +121,13 @@ def test_parity_scenario_parse():
     assert parsed["n"] == 6
     assert parsed["model"] == "zz"
     np.testing.assert_allclose(parsed["zeta"], [-2 * pi * 100e3] * 5, rtol=1e-15)
+    assert parsed["noise"] is None
+    relax = dict(data, model="relax", t1_s=[20e-6] * 6, decay_convention="rate-2pi")
+    noise = serialize.parse_scenario(relax)["noise"]
+    assert noise.t1 == (20e-6,) * 6
+    assert noise.decay_convention == "rate-2pi"
+    with pytest.raises(serialize.ConfigError, match="/t1_s"):
+        serialize.parse_scenario(dict(relax, t1_s=[20e-6] * 5))
 
 
 # -------------------------------------------------------------------- errors

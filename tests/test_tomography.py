@@ -1,12 +1,15 @@
 """Tests for Pauli tomography, reconstruction, and fidelity reports."""
 
 import itertools
+import math
 from math import pi
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from pstsim import protocols, tomography
+from pstsim import protocols, statespace, tomography
+from pstsim.statespace import wrap_phase
 
 
 def _ghz3():
@@ -196,3 +199,176 @@ def test_fidelity_opt_z_matches_unnormalized_report():
     rep = tomography.fidelity_opt_z(rho, _ghz3())
     assert rep.fidelity == pytest.approx(report.fidelity, abs=1e-12)
     assert rep.fidelity_opt == pytest.approx(report.fidelity_opt, abs=1e-12)
+
+
+# ------------------------------------------------ references: the loop versions
+# The estimator, reconstruction and virtual-Z optimum as they were before the
+# per-qubit transforms, kept verbatim (module names qualified) so the
+# transforms can be pinned against them.  ``record`` collects each
+# setting's outcome frequencies.
+
+
+def _signs(n: int, label: str) -> np.ndarray:
+    """Outcome signs (-1)^(parity of bits under the non-identity sites)."""
+    outcomes = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=np.int64)
+    for site, c in enumerate(label, start=1):
+        if c != "I":
+            parity += (outcomes >> (n - site)) & 1
+    return 1.0 - 2.0 * (parity % 2)
+
+
+def _loop_simulate_tomography(state, settings, record=None):
+    psi = np.asarray(state, dtype=complex).ravel()
+    n = settings.n_sites
+    psi = psi / np.linalg.norm(psi)
+    sums = {}
+    hits = {}
+    for idx, s in enumerate(settings.settings):
+        rotated = psi
+        for site, axis in enumerate(s, start=1):
+            if axis != "Z":
+                rotated = statespace.apply_single_qubit(rotated, tomography._TO_Z[axis], site, n)
+        probs = np.abs(rotated) ** 2
+        if settings.shots:
+            rng = np.random.default_rng([settings.seed, idx])
+            freq = rng.multinomial(settings.shots, probs / probs.sum()) / settings.shots
+        else:
+            freq = probs
+        if record is not None:
+            record.append(freq)
+        for r in range(n + 1):
+            for drop in itertools.combinations(range(n), r):
+                label = list(s)
+                for k in drop:
+                    label[k] = "I"
+                label = "".join(label)
+                sums[label] = sums.get(label, 0.0) + float(np.dot(_signs(n, label), freq))
+                hits[label] = hits.get(label, 0) + 1
+    values = {label: sums[label] / hits[label] for label in sums}
+    return tomography.ExpectationTable(n, settings.shots, values)
+
+
+def _kron_reconstruct(values: dict) -> np.ndarray:
+    n = len(next(iter(values)))
+    dim = 2**n
+    rho = np.zeros((dim, dim), dtype=complex)
+    for p in itertools.product("IXYZ", repeat=n):
+        label = "".join(p)
+        if label not in values:
+            raise ValueError(f"incomplete Pauli basis: missing {label}")
+        rho += values[label] * tomography.pauli_operator(label)
+    rho /= dim
+    rho = 0.5 * (rho + rho.conj().T)
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+    return (v * w) @ v.conj().T
+
+
+def _sweep_fidelity_opt_z(rho, target, site=1, grid=1e-3):
+    rho = np.asarray(rho, dtype=complex)
+    psi = np.asarray(target, dtype=complex).ravel()
+    n = int(round(math.log2(psi.size)))
+    bit = (np.arange(psi.size) >> (n - site)) & 1
+    psi1 = np.where(bit == 1, psi, 0.0)
+    psi0 = psi - psi1
+    base = float(np.real(psi0.conj() @ rho @ psi0 + psi1.conj() @ rho @ psi1))
+    z = complex(psi1.conj() @ rho @ psi0)
+
+    def f(phi):
+        return base + 2.0 * (math.cos(phi) * z.real - math.sin(phi) * z.imag)
+
+    phis = np.arange(-math.pi + grid, math.pi + grid / 2, grid)
+    sweep = base + 2.0 * (np.cos(phis) * z.real - np.sin(phis) * z.imag)
+    best = int(np.argmax(sweep))
+    res = minimize_scalar(lambda p: -f(p), bounds=(phis[best] - grid, phis[best] + grid),
+                          method="bounded", options={"xatol": 1e-12})
+    f_raw = f(0.0)
+    f_opt = max(float(-res.fun), float(sweep[best]), f_raw)
+    phi_opt = wrap_phase(float(res.x)) if f_opt > f_raw else 0.0
+    return tomography.FidelityReport(f_raw, f_opt, phi_opt)
+
+
+# ----------------------------------------------- transforms vs the references
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return psi / np.linalg.norm(psi)
+
+
+def _random_rho(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_matches_loop(psi, plan):
+    record = []
+    ref = _loop_simulate_tomography(psi, plan, record)
+    table = tomography.simulate_tomography(psi, plan)
+    assert table.shots == plan.shots
+    assert set(table.values) == set(ref.values)
+    for label, value in ref.values.items():
+        assert table[label] == pytest.approx(value, abs=1e-12), label
+    freqs = tomography._frequencies(psi / np.linalg.norm(psi), plan)
+    assert len(freqs) == len(record)
+    for freq, want in zip(freqs, record):
+        assert np.array_equal(freq, want)
+
+
+@pytest.mark.parametrize("shots", [0, 300])
+@pytest.mark.parametrize("kind", ["ghz", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_estimator_matches_loop_reference(n, kind, shots):
+    psi = protocols.ghz_state(n) if kind == "ghz" else 0.7 * _random_state(n, n)
+    _assert_matches_loop(psi, tomography.TomographySettings.full(n, shots=shots, seed=7))
+
+
+@pytest.mark.parametrize("shots", [0, 500])
+@pytest.mark.parametrize("kind", ["ghz", "random"])
+def test_estimator_matches_loop_reference_partial_plan(kind, shots):
+    # out of order, with shared prefixes, repeated suffixes and no X on site 3
+    plan = tomography.TomographySettings(
+        ("ZZXY", "ZZYY", "XYZZ", "ZXZY", "YYYY", "ZZZX", "XYZX", "YXZZ"),
+        shots=shots, seed=4)
+    psi = protocols.ghz_state(4) if kind == "ghz" else _random_state(4, 9)
+    _assert_matches_loop(psi, plan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reconstruct_matches_kron_sum(n):
+    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+    physical = {label: tomography.pauli_expectation(_random_rho(n, n), label)
+                for label in labels}
+    # random values: a non-physical table, so the eigenvalue clipping acts
+    rng = np.random.default_rng(n)
+    noisy = dict(zip(labels, rng.uniform(-1.0, 1.0, size=len(labels))))
+    noisy["I" * n] = 1.0
+    for values in (physical, noisy):
+        np.testing.assert_allclose(tomography.reconstruct(values),
+                                   _kron_reconstruct(values), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fidelity_opt_z_matches_sweep(n):
+    for seed in range(5):
+        rho = _random_rho(n, 100 * n + seed)
+        target = _random_state(n, seed) if seed % 2 else protocols.ghz_state(n)
+        for site in range(1, n + 1):
+            new = tomography.fidelity_opt_z(rho, target, site=site)
+            ref = _sweep_fidelity_opt_z(rho, target, site=site)
+            assert new.fidelity == ref.fidelity
+            assert new.fidelity_opt == pytest.approx(ref.fidelity_opt, abs=1e-12)
+            assert abs(wrap_phase(new.phi_opt - ref.phi_opt)) < 1e-6
+            assert -pi < new.phi_opt <= pi
+
+
+def test_fidelity_opt_z_without_coherence_keeps_zero_angle():
+    # z = 0: no rotation beats the raw fidelity
+    rep = tomography.fidelity_opt_z(np.diag([0.5, 0.0, 0.0, 0.5]), protocols.ghz_state(2))
+    assert rep.fidelity == rep.fidelity_opt == pytest.approx(0.5, abs=1e-15)
+    assert rep.phi_opt == 0.0
