@@ -71,20 +71,25 @@ class DriveSettings:
 
 
 class ExperimentBackend(Protocol):
-    """Minimal interface every backend provides.
+    """What chevron scans and the drive optimizer read from a backend.
 
-    Both capabilities are pure functions of their arguments and the
-    backend's seed, so repeated calls return bit-identical data and may
-    run concurrently.
+    Both measurements are pure functions of their arguments and the
+    backend's configuration, so repeated calls return bit-identical data
+    and may run concurrently.
     """
 
-    seed: int
+    tau: float
+    n_sites: int
 
-    def run_pair(self, pair, drive: CouplerDrive, times, background=()) -> np.ndarray:
-        """Two-site populations (len(times), 2) for one driven pair."""
+    def pair_coupler(self, pair) -> int:
+        """Coupler bridging an adjacent pair; ValueError for any other pair."""
+
+    def run_pair_scan(self, pair, amplitude: float, frequencies, times,
+                      background=()) -> np.ndarray:
+        """Target-site population (len(frequencies), len(times)) of a driven pair."""
 
     def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
-        """All-site populations (len(times), n) under simultaneous drives."""
+        """All-site populations (len(times), n_sites) under simultaneous drives."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +238,6 @@ class EffectiveBackend:
                                   tuple(background))
         return np.clip(pops, 0.0, 1.0)
 
-    def run_pair(self, pair, drive: CouplerDrive, times, background=()) -> np.ndarray:
-        b = self.pair_coupler(pair)
-        if drive.coupler != b:
-            raise ValueError(f"drive addresses coupler {drive.coupler}, pair needs {b}")
-        target = self.run_pair_scan(pair, drive.amplitude, [drive.frequency], times,
-                                    background)[0]
-        return np.column_stack([1.0 - target, target])
-
     def _chain_hamiltonian(self, drives: DriveSettings) -> np.ndarray:
         if drives.n_drives != self.config.n_drives:
             raise ValueError(f"expected {self.config.n_drives} drives")
@@ -318,8 +315,6 @@ class DeviceBackend:
     chain_qubits: tuple = (1, 2, 3)
     tau: float = 640e-9
     levels: int = 3
-    seed: int = 0
-    dt: float | None = None
 
     def __post_init__(self):
         if self.device is None:
@@ -336,53 +331,48 @@ class DeviceBackend:
     def pair_coupler(self, pair) -> int:
         return _bridging_coupler(self.device, pair)
 
-    def _level_one_masks(self, model, qubit_positions):
-        occ = model.occupations()
-        return [occ[:, pos] == 1 for pos in qubit_positions]
+    def _populations(self, qubits, couplers, static, coupler, amplitude,
+                     frequencies, times, start, readout) -> np.ndarray:
+        """Level-one populations (len(times), len(readout), len(frequencies)).
 
-    def _pair_probs(self, pair, amplitude, frequencies, times, background):
-        """Full-space probabilities for a driven pair, plus the model."""
-        freqs = np.asarray(frequencies, dtype=float)
-        t = np.asarray(times, dtype=float)
+        One excitation starts on qubit ``start``.  ``coupler`` is driven at
+        ``amplitude`` and, column by column, at each angular frequency;
+        the ``static`` CouplerDrives run alongside.  The order of
+        ``qubits`` and ``couplers`` fixes the model's mode order.
+        """
+        static = [device_models.DriveConfig(coupler=d.coupler, amplitude=d.amplitude,
+                                            frequency_hz=d.frequency / math.tau)
+                  for d in static]
+        model = device_models.DeviceSubsetModel(
+            self.device, qubits, couplers, drives=static, levels=self.levels)
+        psi0 = np.zeros(model.dim, dtype=complex)
+        psi0[model.bare_index({("q", start): 1})] = 1.0
+        # a placeholder frequency: evolve_columns drives one column per entry of frequencies
+        drive = device_models.DriveConfig(coupler=coupler, amplitude=amplitude,
+                                          frequency_hz=1.0)
+        probs = model.evolve_columns(psi0, np.asarray(times, dtype=float),
+                                     np.asarray(frequencies, dtype=float) / math.tau,
+                                     drive)
+        occ = model.occupations()
+        return np.stack([probs[:, occ[:, qubits.index(q)] == 1, :].sum(axis=1)
+                         for q in readout], axis=1)
+
+    def run_pair_scan(self, pair, amplitude: float, frequencies, times,
+                      background=()) -> np.ndarray:
         j = self.pair_coupler(pair)
         qubits = list(self.device.coupler_qubits(j))
         couplers = [j]
-        static = []
         for bg in background:
             couplers.append(bg.coupler)
-            static.append(device_models.DriveConfig(
-                coupler=bg.coupler, amplitude=bg.amplitude,
-                frequency_hz=bg.frequency / math.tau))
             for q in self.device.coupler_qubits(bg.coupler):
                 if q not in qubits:
                     qubits.append(q)
         if len(qubits) > 3:
             raise device_models.ResourceError(
                 "background drives would need more than 3 qubits")
-        model = device_models.DeviceSubsetModel(
-            self.device, qubits, couplers, drives=static, levels=self.levels)
-        psi0 = np.zeros(model.dim, dtype=complex)
-        psi0[model.bare_index({("q", pair[0]): 1})] = 1.0
-        base = device_models.DriveConfig(coupler=j, amplitude=amplitude,
-                                         frequency_hz=1.0)
-        probs = model.evolve_columns(psi0, t, freqs / math.tau, base, dt=self.dt)
-        return probs, model, qubits
-
-    def run_pair_scan(self, pair, amplitude: float, frequencies, times,
-                      background=()) -> np.ndarray:
-        probs, model, qubits = self._pair_probs(pair, amplitude, frequencies,
-                                                times, background)
-        mask = self._level_one_masks(model, [qubits.index(pair[1])])[0]
-        return probs[:, mask, :].sum(axis=1).T
-
-    def run_pair(self, pair, drive: CouplerDrive, times, background=()) -> np.ndarray:
-        j = self.pair_coupler(pair)
-        if drive.coupler != j:
-            raise ValueError(f"drive addresses coupler {drive.coupler}, pair needs {j}")
-        probs, model, qubits = self._pair_probs(pair, drive.amplitude,
-                                                [drive.frequency], times, background)
-        masks = self._level_one_masks(model, [qubits.index(q) for q in pair])
-        return np.column_stack([probs[:, m, :].sum(axis=1)[:, 0] for m in masks])
+        pops = self._populations(qubits, couplers, background, j, amplitude,
+                                 frequencies, times, pair[0], [pair[1]])
+        return pops[:, 0, :].T
 
     def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
         qubits = self.chain_qubits
@@ -391,24 +381,14 @@ class DeviceBackend:
             raise ValueError(f"expected {n - 1} drives for {n} qubits")
         if not 1 <= initial <= n:
             raise ValueError(f"initial site {initial} outside chain of {n}")
-        t = np.asarray(times, dtype=float)
         couplers = [_bridging_coupler(self.device, (qubits[k], qubits[k + 1]))
                     for k in range(n - 1)]
-        static = [device_models.DriveConfig(coupler=couplers[k],
-                                            amplitude=drives.amplitudes[k],
-                                            frequency_hz=drives.frequencies[k] / math.tau)
+        static = [CouplerDrive(couplers[k], drives.amplitudes[k], drives.frequencies[k])
                   for k in range(n - 2)]
-        model = device_models.DeviceSubsetModel(self.device, qubits, couplers,
-                                                drives=static, levels=self.levels)
-        psi0 = np.zeros(model.dim, dtype=complex)
-        psi0[model.bare_index({("q", qubits[initial - 1]): 1})] = 1.0
-        base = device_models.DriveConfig(coupler=couplers[-1],
-                                         amplitude=drives.amplitudes[-1],
-                                         frequency_hz=1.0)
-        probs = model.evolve_columns(
-            psi0, t, np.array([drives.frequencies[-1]]) / math.tau, base, dt=self.dt)
-        masks = self._level_one_masks(model, range(n))
-        return np.column_stack([probs[:, m, :].sum(axis=1)[:, 0] for m in masks])
+        pops = self._populations(qubits, couplers, static, couplers[-1],
+                                 drives.amplitudes[-1], [drives.frequencies[-1]],
+                                 times, qubits[initial - 1], qubits)
+        return pops[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +427,8 @@ class ChevronDataset:
         }
 
 
-def chevron_scan(backend, pair, amplitudes, frequencies, times,
-                 neighbor_drives=(), label: str = "") -> ChevronDataset:
+def chevron_scan(backend: ExperimentBackend, pair, amplitudes, frequencies,
+                 times, neighbor_drives=(), label: str = "") -> ChevronDataset:
     """Measure the driven pair over the full (A, frequency, time) grid.
 
     ``neighbor_drives`` adds the adjacent couplers' drives at fixed
@@ -461,15 +441,8 @@ def chevron_scan(backend, pair, amplitudes, frequencies, times,
     if amps.size == 0 or freqs.size == 0 or t.size == 0:
         raise ValueError("empty scan grid")
     pops = np.empty((amps.size, freqs.size, t.size))
-    if hasattr(backend, "run_pair_scan"):
-        for ia, amp in enumerate(amps):
-            pops[ia] = backend.run_pair_scan(pair, amp, freqs, t, neighbor_drives)
-    else:
-        coupler = backend.pair_coupler(pair)
-        for ia, amp in enumerate(amps):
-            for iw, w in enumerate(freqs):
-                drive = CouplerDrive(coupler, amp, w)
-                pops[ia, iw] = backend.run_pair(pair, drive, t, neighbor_drives)[:, 1]
+    for ia, amp in enumerate(amps):
+        pops[ia] = backend.run_pair_scan(pair, amp, freqs, t, neighbor_drives)
     return ChevronDataset(tuple(pair), amps, freqs, t, np.clip(pops, 0.0, 1.0), label)
 
 
@@ -541,8 +514,8 @@ def fit_chevron(dataset: ChevronDataset, amplitude_index: int | None = None,
     return ChevronFit(j_fit, w0 + best.x[1] / span, best.x[2], rms)
 
 
-def measure_coupling_curve(backend, pair, amplitudes, frequencies, times,
-                           neighbor_drives=()) -> tuple:
+def measure_coupling_curve(backend: ExperimentBackend, pair, amplitudes,
+                           frequencies, times, neighbor_drives=()) -> tuple:
     """J(A) samples: fit one chevron per amplitude."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     couplings = np.empty(amps.size)
@@ -576,40 +549,19 @@ def amplitude_for_target(j_target: float, curve) -> float:
 # ---------------------------------------------------------------------------
 # closed-loop optimization of simultaneous drives
 
-def _ideal_populations(n: int, tau: float, initial: int, times) -> np.ndarray:
-    h = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(n, tau))
-    return _site_populations(h, initial, times)
+def transfer_error_objective(backend: ExperimentBackend, drives: DriveSettings) -> float:
+    """Mean |population - ideal| over sites and times, starting on site 1.
 
-
-def transfer_error_objective(backend, drives: DriveSettings,
-                             initial_sites=(1,), times=None) -> float:
-    """Mean |population - ideal| over sites, initial states, and times.
-
-    Times default to the five multiples of the backend's transfer time,
-    where the ideal trajectory alternates between the mirrored and the
-    original configuration.
+    The times are the first five multiples of the backend's transfer
+    time, where the ideal trajectory alternates between the mirrored and
+    the original configuration.
     """
     tau = backend.tau
-    n = backend.n_sites
-    if times is None:
-        times = np.arange(1, 6) * tau
-    times = np.asarray(times, dtype=float)
-    total = 0.0
-    for s in initial_sites:
-        pops = backend.run_chain(drives, s, times)
-        ideal = _ideal_populations(n, tau, s, times)
-        total += float(np.mean(np.abs(pops - ideal)))
-    return total / len(initial_sites)
-
-
-class ProposalStrategy(Protocol):
-    """Propose-evaluate-update contract for pluggable optimizers."""
-
-    def propose(self, rng: np.random.Generator) -> np.ndarray:
-        """Next candidate in unit-box coordinates [-1, 1]^dim."""
-
-    def update(self, coords: np.ndarray, value: float) -> None:
-        """Report the objective value of an evaluated candidate."""
+    times = np.arange(1, 6) * tau
+    pops = backend.run_chain(drives, 1, times)
+    spec = chains.ChainSpec.pst(backend.n_sites, tau)
+    ideal = _site_populations(chains.single_excitation_hamiltonian(spec), 1, times)
+    return float(np.mean(np.abs(pops - ideal)))
 
 
 @dataclass
@@ -658,7 +610,6 @@ class OptimizerConfig:
     amplitude_halfwidth: float = 0.35
     frequency_halfwidth: float = math.tau * 600e3
     target: float = 0.0
-    initial_sites: tuple = (1,)
 
     def __post_init__(self):
         if self.budget < 1:
@@ -700,10 +651,9 @@ class CalibrationResult:
         }
 
 
-def optimize_simultaneous_drives(backend, guess: DriveSettings,
-                                 config: OptimizerConfig | None = None,
-                                 strategy: ProposalStrategy | None = None) -> CalibrationResult:
-    """Derivative-free minimization of the transfer-error objective.
+def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSettings,
+                                 config: OptimizerConfig | None = None) -> CalibrationResult:
+    """Shrinking Gaussian search on the transfer-error objective.
 
     The search box is centred on the guess: amplitudes vary by the
     relative halfwidth, frequencies by the absolute one.  Deterministic
@@ -714,7 +664,7 @@ def optimize_simultaneous_drives(backend, guess: DriveSettings,
     m = guess.n_drives
     dim = 2 * m
     rng = np.random.default_rng(config.seed)
-    strategy = strategy or ShrinkingGaussianSearch(dim=dim)
+    search = ShrinkingGaussianSearch(dim=dim)
     amp0 = np.array(guess.amplitudes)
     freq0 = np.array(guess.frequencies)
 
@@ -729,21 +679,21 @@ def optimize_simultaneous_drives(backend, guess: DriveSettings,
     def evaluate(coords):
         nonlocal best_coords, best_value
         drives = decode(coords)
-        value = transfer_error_objective(backend, drives, config.initial_sites)
+        value = transfer_error_objective(backend, drives)
         history.append({
             "evaluation": len(history) + 1,
             "amplitudes": list(drives.amplitudes),
             "frequencies": list(drives.frequencies),
             "objective": value,
         })
-        strategy.update(coords, value)
+        search.update(coords, value)
         if value < best_value:
             best_coords, best_value = coords.copy(), value
         return value
 
     evaluate(np.zeros(dim))
     while len(history) < config.budget and best_value > config.target:
-        evaluate(strategy.propose(rng))
+        evaluate(search.propose(rng))
 
     best = decode(best_coords)
     return CalibrationResult(

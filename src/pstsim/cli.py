@@ -155,15 +155,21 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
     return 0
 
 
-def cmd_couplings(args) -> int:
-    if args.n < 2:
+def _chain_flags(n: int, tau_text: str, theta_text: str | None = None):
+    """Checked (tau, theta) of a chain command; theta is None when not given."""
+    if n < 2:
         raise UsageError("--n must be at least 2")
-    tau = parse_time(args.tau)
+    tau = parse_time(tau_text)
     if tau <= 0:
         raise UsageError("--tau must be positive")
-    theta = parse_angle(args.theta) if args.theta is not None else None
+    theta = parse_angle(theta_text) if theta_text is not None else None
     if theta is not None and not 0.0 <= theta <= math.pi:
         raise UsageError("--theta must lie in [0, pi]")
+    return tau, theta
+
+
+def cmd_couplings(args) -> int:
+    tau, theta = _chain_flags(args.n, args.tau, args.theta)
     if theta is None:
         spec = chains.ChainSpec.pst(args.n, tau)
     else:
@@ -203,20 +209,13 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_pst(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
-    tau = parse_time(args.tau)
+    tau, _ = _chain_flags(args.n, args.tau)
     spec = chains.ChainSpec.pst(args.n, tau)
     return _run_trajectory(args, "pst", spec, {"n": args.n, "tau": args.tau})
 
 
 def cmd_fst(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
-    tau = parse_time(args.tau)
-    theta = parse_angle(args.theta)
-    if not 0.0 <= theta <= math.pi:
-        raise UsageError("--theta must lie in [0, pi]")
+    tau, theta = _chain_flags(args.n, args.tau, args.theta)
     spec = chains.ChainSpec.fst(args.n, tau, theta)
     return _run_trajectory(args, "fst", spec,
                            {"n": args.n, "tau": args.tau, "theta": args.theta})
@@ -246,7 +245,9 @@ def cmd_parity(args) -> int:
         parsed = serialize.load_scenario(args.config)
         if parsed["kind"] != "parity":
             raise ValueError(f"scenario kind {parsed['kind']!r} is not 'parity'")
-        n = args.n if args.n is not None else parsed["n"]
+        if args.n is not None and args.n != parsed["n"]:
+            raise UsageError(f"--n {args.n} conflicts with scenario n={parsed['n']}")
+        n = parsed["n"]
         tau = parsed["tau"]
         zeta = parsed["zeta"]
         noise = parsed["noise"]

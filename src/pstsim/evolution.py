@@ -8,11 +8,11 @@ diagonalised once, with ``eigh`` when it is Hermitian and ``eig`` when
 relaxation makes it non-Hermitian (``expm`` near an exceptional point,
 where the eigenvectors are ill-conditioned), and every requested time is
 then evaluated exactly.  ``method="krylov"`` steps with scipy's
-``expm_multiply`` without forming a dense matrix, and fixed-step RK4
-handles explicitly time-dependent Hamiltonians (flux-driven device
-models).  Relaxation enters as non-Hermitian diagonal terms; the
-survival norm of the propagated state is tracked alongside per-site
-populations.
+``expm_multiply`` without forming a dense matrix.  Time-dependent
+Hamiltonians are not handled here: the flux-driven device model steps
+its own H(t) with ``_rk4_step``.  Relaxation enters as non-Hermitian
+diagonal terms; the survival norm of the propagated state is tracked
+alongside per-site populations.
 """
 
 from dataclasses import dataclass
@@ -49,15 +49,12 @@ class ResourceError(RuntimeError):
 
 @dataclass
 class EvolutionOptions:
-    method: str = "dense-expm"          # dense-expm | krylov | rk4
-    dt: float | None = None             # rk4 step; None picks the default rule
+    method: str = "dense-expm"          # dense-expm | krylov
     dense_guard: int = DENSE_GUARD      # largest block that is diagonalised
 
     def __post_init__(self):
-        if self.method not in ("dense-expm", "krylov", "rk4"):
+        if self.method not in ("dense-expm", "krylov"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -177,14 +174,6 @@ def propagator(H, t: float, dense_guard: int = DENSE_GUARD) -> np.ndarray:
     return U
 
 
-def _default_rk4_dt(H0: np.ndarray, span: float) -> float:
-    # resolve the fastest matrix-element frequency; entries are angular
-    hmax = np.max(np.abs(H0))
-    if hmax == 0:
-        return span / 2000 if span > 0 else 1.0
-    return min(1.0 / (50.0 * hmax / (2 * pi)), span / 2000)
-
-
 def _rk4_step(f, t, y, dt):
     k1 = f(t, y)
     k2 = f(t + dt / 2, y + dt / 2 * k1)
@@ -231,12 +220,13 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
            occupations: np.ndarray | None = None) -> Trajectory:
     """Propagate ``psi0`` through ``times`` (ascending, seconds).
 
-    ``H`` is a matrix for the static case or a callable ``H(t)`` (rk4
-    only).  ``occupations`` (dim, n_sites) converts amplitudes to
-    per-site populations; when omitted each basis state is reported as
-    its own column.  The default method decomposes each block of H that
-    ``psi0`` touches once and raises ResourceError when one is larger
-    than ``options.dense_guard``.
+    ``H`` is a static matrix, dense or sparse.  ``occupations``
+    (dim, n_sites) converts amplitudes to per-site populations; when
+    omitted each basis state is reported as its own column.  The default
+    method decomposes each block of H that ``psi0`` touches once and
+    raises ResourceError when one is larger than
+    ``options.dense_guard``; ``method="krylov"`` steps between the
+    requested times with ``expm_multiply``.
     """
     options = options or EvolutionOptions()
     times = np.asarray(times, dtype=float)
@@ -245,16 +235,14 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
     psi0 = np.asarray(psi0, dtype=complex)
-    time_dependent = callable(H)
-    if time_dependent and options.method != "rk4":
-        raise ValueError("time-dependent H requires the rk4 method")
-
+    if np.shape(H) != (len(psi0), len(psi0)):
+        raise ValueError("H must be a static square matrix matching psi0")
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
     if options.method == "dense-expm":
         for idx, h in _blocks(H, options.dense_guard, psi0):
             states[:, idx] = _block_states(h, psi0[idx], times)
-    elif options.method == "krylov":
+    else:
         A = -1j * (H.tocsr() if sparse.issparse(H) else np.asarray(H, dtype=complex))
         psi = psi0
         t_prev = 0.0
@@ -263,26 +251,6 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
                 psi = expm_multiply(A * (t - t_prev), psi)
             states[i] = psi
             t_prev = t
-    else:  # rk4
-        Hfun = H if time_dependent else (lambda _t, _H=H: _H)
-        H0 = Hfun(float(times[0]))
-        H0d = H0.toarray() if sparse.issparse(H0) else np.asarray(H0)
-        span = float(times[-1]) - 0.0
-        dt = options.dt or _default_rk4_dt(H0d, span if span > 0 else 1.0)
-
-        def f(t, y):
-            Ht = Hfun(t)
-            return -1j * (Ht @ y)
-
-        psi = psi0
-        t_now = 0.0
-        for i, t_out in enumerate(times):
-            while t_now < t_out - 1e-18:
-                step = min(dt, t_out - t_now)
-                psi = _rk4_step(f, t_now, psi, step)
-                t_now += step
-            states[i] = psi
-        del f
 
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite amplitudes during evolution")

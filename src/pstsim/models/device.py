@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..evolution import DENSE_GUARD, ResourceError, _rk4_step
 
@@ -355,12 +354,19 @@ def crosstalk_compensation(M: np.ndarray, phi_target, phi_off,
 
 
 def operating_point(coupler: CouplerSpec, omega_target_hz: float) -> float:
-    """Flux (in [0, 0.5]) at which the coupler sits at ``omega_target_hz``."""
+    """Flux (in [0, 0.5]) at which the coupler sits at ``omega_target_hz``.
+
+    Inverts :func:`coupler_frequency`: with r = (w + E_C)/(w_max + E_C),
+    cos^2(pi phi) = (r^4 - d^2)/(1 - d^2).
+    """
     lo, hi = coupler.omega_min_hz, coupler.omega_max_hz
     if not lo <= omega_target_hz <= hi:
         raise ValueError(f"target {omega_target_hz} outside range [{lo}, {hi}]")
-    return brentq(lambda p: coupler_frequency(coupler, p) - omega_target_hz, 0.0, 0.5,
-                  xtol=1e-12)
+    ec = -coupler.anharmonicity_hz
+    d = flux_asymmetry(coupler)
+    r = (omega_target_hz + ec) / (hi + ec)
+    c2 = np.clip((r**4 - d * d) / (1 - d * d), 0.0, 1.0)
+    return float(np.arccos(np.sqrt(c2)) / pi)
 
 
 # Default device: measured datasheet values where published; anharmonicities

@@ -167,8 +167,7 @@ def run_pst(spec: chains.ChainSpec, initial, times, noise=None,
             raise ValueError(f"start site {initial} outside 1..{n}")
         H = chains.single_excitation_hamiltonian(eff_spec).astype(complex)
         if use_noise is not None:
-            rates = evolution.decay_rates(use_noise)
-            H = H - 1j * np.diag(rates)
+            H = evolution.add_relaxation(H, use_noise, np.eye(n))
         psi0 = np.zeros(n, dtype=complex)
         psi0[initial - 1] = 1.0
         return evolution.evolve(H, psi0, times)
@@ -214,8 +213,7 @@ def _sector_transfer(spec, k: int, noise):
     n = spec.n_sites
     H = chains.sector_hamiltonian(spec, k)
     if noise is not None:
-        rates = evolution.decay_rates(noise)
-        H = H - 1j * np.diag(statespace.sector_occupation_matrix(n, k) @ rates)
+        H = evolution.add_relaxation(H, noise, statespace.sector_occupation_matrix(n, k))
     return statespace.sector_states(n, k), evolution.propagator(H, spec.tau)
 
 

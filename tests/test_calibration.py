@@ -1,5 +1,6 @@
 """Tests for the effective/device backends, chevron fits, and the optimizer."""
 
+import math
 from math import pi
 
 import numpy as np
@@ -52,9 +53,9 @@ def test_resonant_pair_oscillation():
     j = cfg.coupling_slopes[b - 1] * amp
     res = cfg.resonances([amp, 0.0, 0.0, 0.0, 0.0])[b - 1]
     t = np.linspace(0.0, 2e-6, 11)
-    pops = be.run_pair(pair, calibration.CouplerDrive(b, amp, res), t)
-    np.testing.assert_allclose(pops[:, 1], np.sin(j * t) ** 2, atol=1e-12)
-    np.testing.assert_allclose(pops.sum(axis=1), 1.0, atol=1e-12)
+    pops = be.run_pair_scan(pair, amp, [res], t)
+    assert pops.shape == (1, t.size)
+    np.testing.assert_allclose(pops[0], np.sin(j * t) ** 2, atol=1e-12)
 
 
 def test_detuned_contrast():
@@ -86,10 +87,10 @@ def test_measurement_noise_reproducible():
     assert pa.min() >= 0.0 and pa.max() <= 1.0
 
 
-def test_run_pair_rejects_wrong_coupler():
-    be = _backend()
-    with pytest.raises(ValueError):
-        be.run_pair((1, 2), calibration.CouplerDrive(3, 0.01, TWO_PI * 440e6), [0.0])
+def test_run_pair_scan_rejects_non_adjacent_pair():
+    for be in (_backend(), calibration.DeviceBackend(levels=2)):
+        with pytest.raises(ValueError):
+            be.run_pair_scan((1, 3), 0.01, [TWO_PI * 440e6], [0.0])
 
 
 # ----------------------------------------------------------- objective
@@ -321,14 +322,100 @@ def test_device_backend_resource_guard():
 def test_device_backend_pair_run_deterministic():
     db = calibration.DeviceBackend()
     pair = (1, 2)
-    j = db.pair_coupler(pair)
     t = np.linspace(0.0, 30e-9, 4)
-    drive = calibration.CouplerDrive(j, 0.01, TWO_PI * 447e6)
-    a = db.run_pair(pair, drive, t)
-    b = db.run_pair(pair, drive, t)
+    a = db.run_pair_scan(pair, 0.01, [TWO_PI * 447e6], t)
+    b = db.run_pair_scan(pair, 0.01, [TWO_PI * 447e6], t)
     assert np.all(np.isfinite(a))
     np.testing.assert_array_equal(a, b)
-    assert a.shape == (4, 2)
-    assert a[0, 0] == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        db.run_pair(pair, calibration.CouplerDrive(j + 1, 0.01, TWO_PI * 447e6), t)
+    assert a.shape == (1, 4)
+    assert a[0, 0] == pytest.approx(0.0, abs=1e-9)
+
+
+# The device run path before run_pair_scan and run_chain shared one helper,
+# kept verbatim (apart from the removed ``dt`` field, which was always None)
+# as the reference the shared path must reproduce bit for bit.
+
+def _reference_level_one_masks(self, model, qubit_positions):
+    occ = model.occupations()
+    return [occ[:, pos] == 1 for pos in qubit_positions]
+
+
+def _reference_pair_probs(self, pair, amplitude, frequencies, times, background):
+    """Full-space probabilities for a driven pair, plus the model."""
+    freqs = np.asarray(frequencies, dtype=float)
+    t = np.asarray(times, dtype=float)
+    j = self.pair_coupler(pair)
+    qubits = list(self.device.coupler_qubits(j))
+    couplers = [j]
+    static = []
+    for bg in background:
+        couplers.append(bg.coupler)
+        static.append(device_models.DriveConfig(
+            coupler=bg.coupler, amplitude=bg.amplitude,
+            frequency_hz=bg.frequency / math.tau))
+        for q in self.device.coupler_qubits(bg.coupler):
+            if q not in qubits:
+                qubits.append(q)
+    if len(qubits) > 3:
+        raise device_models.ResourceError(
+            "background drives would need more than 3 qubits")
+    model = device_models.DeviceSubsetModel(
+        self.device, qubits, couplers, drives=static, levels=self.levels)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[model.bare_index({("q", pair[0]): 1})] = 1.0
+    base = device_models.DriveConfig(coupler=j, amplitude=amplitude,
+                                     frequency_hz=1.0)
+    probs = model.evolve_columns(psi0, t, freqs / math.tau, base, dt=None)
+    return probs, model, qubits
+
+
+def _reference_run_pair_scan(self, pair, amplitude, frequencies, times, background=()):
+    probs, model, qubits = _reference_pair_probs(self, pair, amplitude, frequencies,
+                                                 times, background)
+    mask = _reference_level_one_masks(self, model, [qubits.index(pair[1])])[0]
+    return probs[:, mask, :].sum(axis=1).T
+
+
+def _reference_run_chain(self, drives, initial, times):
+    qubits = self.chain_qubits
+    n = len(qubits)
+    if drives.n_drives != n - 1:
+        raise ValueError(f"expected {n - 1} drives for {n} qubits")
+    if not 1 <= initial <= n:
+        raise ValueError(f"initial site {initial} outside chain of {n}")
+    t = np.asarray(times, dtype=float)
+    couplers = [calibration._bridging_coupler(self.device, (qubits[k], qubits[k + 1]))
+                for k in range(n - 1)]
+    static = [device_models.DriveConfig(coupler=couplers[k],
+                                        amplitude=drives.amplitudes[k],
+                                        frequency_hz=drives.frequencies[k] / math.tau)
+              for k in range(n - 2)]
+    model = device_models.DeviceSubsetModel(self.device, qubits, couplers,
+                                            drives=static, levels=self.levels)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[model.bare_index({("q", qubits[initial - 1]): 1})] = 1.0
+    base = device_models.DriveConfig(coupler=couplers[-1],
+                                     amplitude=drives.amplitudes[-1],
+                                     frequency_hz=1.0)
+    probs = model.evolve_columns(
+        psi0, t, np.array([drives.frequencies[-1]]) / math.tau, base, dt=None)
+    masks = _reference_level_one_masks(self, model, range(n))
+    return np.column_stack([probs[:, m, :].sum(axis=1)[:, 0] for m in masks])
+
+
+def test_device_backend_matches_reference_run_path():
+    db = calibration.DeviceBackend(levels=2)
+    f = [q.frequency_hz for q in db.device.qubits]
+    t = np.linspace(0.0, 2e-9, 5)
+    freqs = TWO_PI * (abs(f[0] - f[1]) + np.array([-4e6, 0.0, 4e6]))
+    background = (calibration.CouplerDrive(2, 0.01, TWO_PI * abs(f[1] - f[2])),)
+    for bg in ((), background):
+        np.testing.assert_array_equal(
+            db.run_pair_scan((1, 2), 0.01, freqs, t, bg),
+            _reference_run_pair_scan(db, (1, 2), 0.01, freqs, t, bg))
+    drives = calibration.DriveSettings(
+        (0.01, 0.012), (TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2])))
+    for initial in (1, 2, 3):
+        np.testing.assert_array_equal(
+            db.run_chain(drives, initial, t),
+            _reference_run_chain(db, drives, initial, t))

@@ -67,6 +67,10 @@ def test_couplings_fractional_angle(tmp_path):
         ("couplings", "--n", "1", "--tau", "640ns"),
         ("couplings", "--n", "4", "--tau", "-2ns"),
         ("couplings", "--n", "4", "--tau", "640ns", "--theta", "1.2pi"),
+        ("couplings", "--n", "4", "--tau=-2ns"),
+        # pst and fst share the chain-flag checks of couplings
+        ("pst", "--n", "4", "--tau", "0ns"),
+        ("fst", "--n", "4", "--tau=-2ns", "--theta", "0.6pi"),
     ],
 )
 def test_couplings_usage_errors(tmp_path, argv):
@@ -186,6 +190,7 @@ def test_parity_relax_scenario(tmp_path, model):
         ("parity", "--n", "4", "--inputs", "up"),
         ("parity", "--n", "4", "--model", "relax"),
         ("parity", "--config", "configs/scenario_parity_zz.json", "--model", "zz+relax"),
+        ("parity", "--n", "5", "--config", "configs/scenario_parity_zz.json"),
     ],
 )
 def test_parity_usage_errors(tmp_path, argv):

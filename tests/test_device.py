@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pstsim.models import device as dv
 
@@ -55,7 +55,11 @@ def test_flux_curve_endpoints_and_sweet_spot(dev):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 6), st.floats(0.01, 0.99))
+@given(st.integers(1, 6), st.floats(0.0, 1.0))
+@example(1, 0.0)
+@example(1, 1.0)
+@example(5, 0.0)
+@example(5, 1.0)
 def test_operating_point_round_trip(j, frac):
     dev_ = dv.default_device()
     c = dev_.couplers[j - 1]

@@ -31,7 +31,7 @@ def _spread_state(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
-@pytest.mark.parametrize("method", ["dense-expm", "krylov", "rk4"])
+@pytest.mark.parametrize("method", ["dense-expm", "krylov"])
 def test_methods_agree_with_exact_exponential(method):
     rng = np.random.default_rng(3)
     H = _random_hermitian(rng, 8)
@@ -227,20 +227,12 @@ def test_only_evolution_uses_expm():
     assert offenders == []
 
 
-def test_time_dependent_hamiltonian_rk4():
-    rng = np.random.default_rng(11)
-    H0 = _random_hermitian(rng, 6)
-
-    def H(t):
-        return H0 * np.cos(2 * np.pi * 1e5 * t)
-
+def test_evolve_rejects_callable_or_mismatched_h():
+    H = _random_hermitian(np.random.default_rng(11), 6)
     times = np.linspace(0.0, 2e-6, 5)
-    opts = evolution.EvolutionOptions(method="rk4", dt=1e-9)
-    traj = evolution.evolve(H, _basis(6), times, opts)
-    np.testing.assert_allclose(traj.norm, 1.0, atol=1e-6)
-    with pytest.raises(ValueError):
-        evolution.evolve(H, _basis(6), times,
-                         evolution.EvolutionOptions(method="dense-expm"))
+    for bad in (lambda t: H, H[:5, :5], sparse.csr_matrix(H[:, :5])):
+        with pytest.raises(ValueError, match="square matrix"):
+            evolution.evolve(bad, _basis(6), times)
 
 
 def test_trajectory_to_csv_round_trip(tmp_path):
