@@ -10,22 +10,7 @@ import argparse
 import math
 import os
 
-import numpy as np
-
 from pstsim import protocols, svg
-
-
-def fit_line(rows):
-    by_count = {}
-    for res in rows:
-        by_count.setdefault(res.inner.count("1"), []).append(abs(res.deviation))
-    counts = sorted(by_count)
-    means = [float(np.mean(by_count[k])) for k in counts]
-    slope, intercept = np.polyfit(counts, means, 1)
-    pred = np.polyval([slope, intercept], counts)
-    ss_tot = float(np.sum((np.array(means) - np.mean(means)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((means - pred) ** 2)) / ss_tot
-    return counts, means, float(slope), r2
 
 
 def main():
@@ -51,11 +36,13 @@ def main():
         for a, b in zip(ideal, zz):
             fh.write(f"{a.inner},{a.parity},{a.phase:.12e},{b.phase:.12e},"
                      f"{b.deviation:.12e}\n")
-    counts, means, slope, r2 = fit_line(zz)
+    fit = protocols.parity_deviation_fit(zz)
+    counts, means = fit["counts"], fit["mean_deviation_rad"]
     print("zz deviation means by inner excitation count:")
     for k, m in zip(counts, means):
         print(f"  {k}: {m:.6f} rad")
-    print(f"slope = {slope:.6f} rad/excitation, r^2 = {r2:.8f}")
+    print(f"slope = {fit['slope_rad']:.6f} rad/excitation, "
+          f"r^2 = {fit['r_squared']:.8f}")
 
     svg.bar_chart([r.inner for r in zz], [r.phase for r in zz],
                   os.path.join(args.out_dir, "parity_phases.svg"),

@@ -209,11 +209,11 @@ class EffectiveBackend:
         rng = np.random.default_rng([self.seed, _entropy(*key)])
         return rng.normal(0.0, self.config.noise, shape)
 
-    def _amplitude_vector(self, drive: CouplerDrive, background) -> np.ndarray:
+    def _amplitude_vector(self, coupler: int, amplitude: float, background) -> np.ndarray:
         amps = np.zeros(self.config.n_drives)
-        amps[drive.coupler - 1] = drive.amplitude
+        amps[coupler - 1] = amplitude
         for bg in background:
-            if bg.coupler == drive.coupler:
+            if bg.coupler == coupler:
                 raise ValueError("background drive collides with the scanned coupler")
             if not 1 <= bg.coupler <= self.config.n_drives:
                 raise ValueError(f"no coupler {bg.coupler} in this chain")
@@ -224,8 +224,7 @@ class EffectiveBackend:
                       background=()) -> np.ndarray:
         """Target-site population (len(frequencies), len(times))."""
         b = self.pair_coupler(pair)
-        drive = CouplerDrive(b, amplitude, 0.0)
-        amps = self._amplitude_vector(drive, background)
+        amps = self._amplitude_vector(b, amplitude, background)
         freqs = np.asarray(frequencies, dtype=float)
         t = np.asarray(times, dtype=float)
         res = self.config.resonances(amps)[b - 1]
@@ -259,17 +258,13 @@ class EffectiveBackend:
         if not 1 <= initial <= n:
             raise ValueError(f"initial site {initial} outside chain of {n}")
         t = np.asarray(times, dtype=float)
-        pops = _site_populations(self._chain_hamiltonian(drives), initial, t)
+        psi0 = np.zeros(n, dtype=complex)
+        psi0[initial - 1] = 1.0
+        h = self._chain_hamiltonian(drives)
+        pops = np.abs(evolution._block_states(h, psi0, t)) ** 2
         pops = pops + self._noise(pops.shape, "chain", drives.amplitudes,
                                   drives.frequencies, initial, t)
         return np.clip(pops, 0.0, 1.0)
-
-
-def _site_populations(h: np.ndarray, initial: int, times) -> np.ndarray:
-    """Site populations of the single-excitation block h started on one site."""
-    psi0 = np.zeros(len(h), dtype=complex)
-    psi0[initial - 1] = 1.0
-    return np.abs(evolution._block_states(h, psi0, times)) ** 2
 
 
 def ideal_drive_settings(config: EffectiveChainConfig) -> DriveSettings:
@@ -281,15 +276,14 @@ def ideal_drive_settings(config: EffectiveChainConfig) -> DriveSettings:
 
 
 def perturb_drives(settings: DriveSettings, seed: int,
-                   amplitude_scale: float = 0.2,
-                   frequency_offset: float = math.tau * 200e3) -> DriveSettings:
-    """Random miscalibration: relative on amplitudes, absolute on frequencies."""
+                   amplitude_scale: float = 0.2) -> DriveSettings:
+    """Random miscalibration: relative on amplitudes, up to 200 kHz on frequencies."""
     rng = np.random.default_rng(seed)
     m = settings.n_drives
+    offset = math.tau * 200e3
     amps = np.array(settings.amplitudes) * (1.0 + rng.uniform(-amplitude_scale,
                                                               amplitude_scale, m))
-    freqs = np.array(settings.frequencies) + rng.uniform(-frequency_offset,
-                                                         frequency_offset, m)
+    freqs = np.array(settings.frequencies) + rng.uniform(-offset, offset, m)
     return DriveSettings(tuple(amps), tuple(freqs))
 
 
@@ -347,12 +341,9 @@ class DeviceBackend:
             self.device, qubits, couplers, drives=static, levels=self.levels)
         psi0 = np.zeros(model.dim, dtype=complex)
         psi0[model.bare_index({("q", start): 1})] = 1.0
-        # a placeholder frequency: evolve_columns drives one column per entry of frequencies
-        drive = device_models.DriveConfig(coupler=coupler, amplitude=amplitude,
-                                          frequency_hz=1.0)
         probs = model.evolve_columns(psi0, np.asarray(times, dtype=float),
                                      np.asarray(frequencies, dtype=float) / math.tau,
-                                     drive)
+                                     coupler, amplitude)
         occ = model.occupations()
         return np.stack([probs[:, occ[:, qubits.index(q)] == 1, :].sum(axis=1)
                          for q in readout], axis=1)
@@ -554,70 +545,34 @@ def transfer_error_objective(backend: ExperimentBackend, drives: DriveSettings) 
 
     The times are the first five multiples of the backend's transfer
     time, where the ideal trajectory alternates between the mirrored and
-    the original configuration.
+    the original configuration: all population on site n at odd
+    multiples, on site 1 at even ones.
     """
-    tau = backend.tau
-    times = np.arange(1, 6) * tau
-    pops = backend.run_chain(drives, 1, times)
-    spec = chains.ChainSpec.pst(backend.n_sites, tau)
-    ideal = _site_populations(chains.single_excitation_hamiltonian(spec), 1, times)
+    pops = backend.run_chain(drives, 1, np.arange(1, 6) * backend.tau)
+    ideal = np.zeros(pops.shape)
+    ideal[0::2, -1] = 1.0
+    ideal[1::2, 0] = 1.0
     return float(np.mean(np.abs(pops - ideal)))
 
 
-@dataclass
-class ShrinkingGaussianSearch:
-    """Random search around the incumbent with decaying Gaussian steps.
-
-    Proposals alternate full-vector moves with single-coordinate
-    refinements; the step size decays geometrically to a floor so late
-    evaluations polish the best point found.
-    """
-
-    dim: int
-    sigma: float = 0.35
-    floor: float = 0.02
-    decay: float = 0.992
-    coordinate_fraction: float = 0.4
-
-    def __post_init__(self):
-        self._best = np.zeros(self.dim)
-        self._best_value = math.inf
-        self._step = 0
-
-    def propose(self, rng: np.random.Generator) -> np.ndarray:
-        self._step += 1
-        scale = max(self.floor, self.sigma * self.decay ** self._step)
-        coords = self._best.copy()
-        if rng.random() < self.coordinate_fraction:
-            k = int(rng.integers(self.dim))
-            coords[k] += scale * rng.standard_normal()
-        else:
-            coords += scale * rng.standard_normal(self.dim)
-        return np.clip(coords, -1.0, 1.0)
-
-    def update(self, coords: np.ndarray, value: float) -> None:
-        if value < self._best_value:
-            self._best_value = value
-            self._best = np.asarray(coords, dtype=float).copy()
+# The search box about the guess (relative on amplitudes, rad/s on
+# frequencies) and the proposal steps: _SIGMA box units, times _DECAY per
+# evaluation, down to _FLOOR; a _COORDINATE_FRACTION of them move one
+# coordinate, the rest the whole vector.
+_AMPLITUDE_HALFWIDTH, _FREQUENCY_HALFWIDTH = 0.35, math.tau * 600e3
+_SIGMA, _FLOOR, _DECAY, _COORDINATE_FRACTION = 0.35, 0.02, 0.992, 0.4
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search box, budget, and termination for the drive optimizer."""
+    """Evaluation budget and random seed of the drive optimizer."""
 
     budget: int = 500
     seed: int = 0
-    amplitude_halfwidth: float = 0.35
-    frequency_halfwidth: float = math.tau * 600e3
-    target: float = 0.0
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if not 0 < self.amplitude_halfwidth < 1:
-            raise ValueError("amplitude halfwidth is relative, in (0, 1)")
-        if self.frequency_halfwidth <= 0:
-            raise ValueError("frequency halfwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -656,28 +611,27 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
     """Shrinking Gaussian search on the transfer-error objective.
 
     The search box is centred on the guess: amplitudes vary by the
-    relative halfwidth, frequencies by the absolute one.  Deterministic
-    given the config seed; stops at the target objective or when the
-    budget is exhausted (flagged on the result).
+    relative halfwidth, frequencies by the absolute one.  Each proposal
+    perturbs the best point so far and is clipped to the box.
+    Deterministic given the config seed; stops when the objective is
+    exactly zero or when the budget is exhausted (flagged on the result).
     """
     config = config or OptimizerConfig()
     m = guess.n_drives
     dim = 2 * m
     rng = np.random.default_rng(config.seed)
-    search = ShrinkingGaussianSearch(dim=dim)
     amp0 = np.array(guess.amplitudes)
     freq0 = np.array(guess.frequencies)
 
     def decode(coords) -> DriveSettings:
-        amps = amp0 * (1.0 + coords[:m] * config.amplitude_halfwidth)
-        freqs = freq0 + coords[m:] * config.frequency_halfwidth
+        amps = amp0 * (1.0 + coords[:m] * _AMPLITUDE_HALFWIDTH)
+        freqs = freq0 + coords[m:] * _FREQUENCY_HALFWIDTH
         return DriveSettings(tuple(amps), tuple(freqs))
 
     history = []
-    best_coords, best_value = None, math.inf
-
-    def evaluate(coords):
-        nonlocal best_coords, best_value
+    coords = best_coords = np.zeros(dim)
+    best_value = math.inf
+    while True:
         drives = decode(coords)
         value = transfer_error_objective(backend, drives)
         history.append({
@@ -686,14 +640,17 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
             "frequencies": list(drives.frequencies),
             "objective": value,
         })
-        search.update(coords, value)
         if value < best_value:
-            best_coords, best_value = coords.copy(), value
-        return value
-
-    evaluate(np.zeros(dim))
-    while len(history) < config.budget and best_value > config.target:
-        evaluate(search.propose(rng))
+            best_coords, best_value = coords, value
+        if len(history) >= config.budget or best_value == 0.0:
+            break
+        scale = max(_FLOOR, _SIGMA * _DECAY ** len(history))
+        coords = best_coords.copy()
+        if rng.random() < _COORDINATE_FRACTION:
+            coords[int(rng.integers(dim))] += scale * rng.standard_normal()
+        else:
+            coords += scale * rng.standard_normal(dim)
+        coords = np.clip(coords, -1.0, 1.0)
 
     best = decode(best_coords)
     return CalibrationResult(
@@ -703,7 +660,8 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
         best_objective=best_value,
         evaluations=len(history),
         seed=config.seed,
-        budget_exhausted=len(history) >= config.budget and best_value > config.target,
+        # the loop ends early only on a zero objective
+        budget_exhausted=best_value > 0.0,
     )
 
 
@@ -711,8 +669,8 @@ def write_convergence_csv(result: CalibrationResult, path) -> None:
     """Per-evaluation CSV: objective, running minimum, and parameters."""
     m = len(result.amplitudes)
     running = result.running_minimum()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["evaluation", "objective", "running_min"]
                         + [f"amplitude_{b+1}" for b in range(m)]
                         + [f"frequency_{b+1}" for b in range(m)])

@@ -137,7 +137,7 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
     if noise is not None and len(noise.t1) != spec.n_sites:
         raise ValueError(f"noise table has {len(noise.t1)} entries for "
                          f"{spec.n_sites} sites")
-    has_zz = bool(len(spec.zz))
+    has_zz = any(spec.zz)
     if noise is not None:
         model = "zz+relax" if has_zz else "relax"
     else:
@@ -221,24 +221,6 @@ def cmd_fst(args) -> int:
                            {"n": args.n, "tau": args.tau, "theta": args.theta})
 
 
-def _parity_fit(rows) -> dict:
-    """Line through the per-count means of |deviation|."""
-    by_count = {}
-    for row in rows:
-        by_count.setdefault(row["inner"].count("1"), []).append(
-            abs(row["deviation_rad"]))
-    counts = sorted(by_count)
-    means = [float(np.mean(by_count[k])) for k in counts]
-    slope, intercept = np.polyfit(counts, means, 1)
-    pred = np.polyval([slope, intercept], counts)
-    ss_res = float(np.sum((np.array(means) - pred) ** 2))
-    ss_tot = float(np.sum((np.array(means) - np.mean(means)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return {"counts": counts, "mean_deviation_rad": means,
-            "slope_rad": float(slope), "intercept_rad": float(intercept),
-            "r_squared": r2}
-
-
 def cmd_parity(args) -> int:
     n, tau, zeta, noise, model, label = args.n, None, (), None, args.model, ""
     if args.config:
@@ -285,8 +267,8 @@ def cmd_parity(args) -> int:
                "zeta_hz": [z / math.tau for z in zeta], "label": label,
                "rows": rows}
     if "zz" in model and args.inner == "all":
-        payload["fit"] = _parity_fit(
-            [r for r in rows if r["input_state"] == inputs[0]])
+        payload["fit"] = protocols.parity_deviation_fit(
+            [res for res in results if res.input_state == inputs[0]])
     serialize.write_json(out.path("parity.json"), payload)
     with open(out.path("parity.csv"), "w", encoding="ascii", newline="\n") as fh:
         fh.write("inner,input_state,parity,phase_rad,deviation_rad\n")

@@ -12,7 +12,7 @@ Spec data (frequencies, couplings) is stored in Hz as it would appear on
 a datasheet; every Hamiltonian builder returns angular-frequency units.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "coupler_flux_derivative",
     "effective_coupling_estimate",
     "DeviceSubsetModel",
-    "crosstalk_compensation",
     "default_device",
 ]
 
@@ -48,7 +47,7 @@ class CouplerSpec:
     ``g_left_hz`` couples to the lower-indexed qubit of the pair the
     coupler bridges, ``g_right_hz`` to the higher-indexed one (ring
     wrap: the last coupler bridges the last and first qubits).
-    ``phi_dc`` is the default flux operating point in flux quanta.
+    ``phi_dc`` is the flux operating point (bias) in flux quanta.
     """
 
     omega_min_hz: float
@@ -92,18 +91,11 @@ class DeviceSpec:
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Flux modulation of one coupler: phi(t) = phi_dc + A cos(w t + phase)."""
+    """Flux modulation of one coupler about its bias: phi_dc + A cos(2 pi f t)."""
 
     coupler: int
     amplitude: float            # flux quanta
     frequency_hz: float
-    phase: float = 0.0
-    harmonic: int = 1
-    phi_dc: float | None = None  # overrides the coupler's default bias
-
-    def __post_init__(self):
-        if self.harmonic < 1:
-            raise ValueError("harmonic must be >= 1")
 
 
 def flux_asymmetry(coupler: CouplerSpec) -> float:
@@ -125,32 +117,25 @@ def coupler_frequency(coupler: CouplerSpec, phi) -> np.ndarray:
     return (coupler.omega_max_hz + ec) * (d * d + (1 - d * d) * c2) ** 0.25 - ec
 
 
-_STENCIL_STEP = 1e-3
+def coupler_flux_derivative(coupler: CouplerSpec, phi) -> np.ndarray:
+    """d w_c / d phi (Hz per flux quantum) of :func:`coupler_frequency`.
 
-_STENCILS = {
-    1: ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)),
-    2: ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)),
-}
-_STENCIL_NORM = {1: 12.0 * _STENCIL_STEP, 2: 12.0 * _STENCIL_STEP**2}
-
-
-def coupler_flux_derivative(coupler: CouplerSpec, phi: float, order: int = 1) -> float:
-    """d^k w_c / d phi^k (Hz per flux-quantum^k), 5-point central stencil."""
-    if order not in _STENCILS:
-        raise ValueError("only first and second flux derivatives are supported")
-    acc = 0.0
-    for offset, w in _STENCILS[order]:
-        acc += w * coupler_frequency(coupler, phi + offset * _STENCIL_STEP)
-    return acc / _STENCIL_NORM[order]
+    With u = d^2 + (1 - d^2) cos^2(pi phi),
+    dw/dphi = -(pi/4) (w_max + E_C) (1 - d^2) sin(2 pi phi) u^{-3/4}.
+    """
+    ec = -coupler.anharmonicity_hz
+    d = flux_asymmetry(coupler)
+    x = pi * np.asarray(phi, dtype=float)
+    u = d * d + (1 - d * d) * np.cos(x) ** 2
+    return -0.25 * pi * (coupler.omega_max_hz + ec) * (1 - d * d) * np.sin(2 * x) * u**-0.75
 
 
 def effective_coupling_estimate(device: DeviceSpec, pair, drive: DriveConfig) -> float:
     """First-order estimate of the parametric coupling J (angular frequency).
 
-    J ~ (d^k w_c/d phi^k)|_dc * g g' / Delta^2 * A^k / 2 with Delta the
-    difference frequency of the driven pair and k the drive harmonic.
-    Valid near the calibrated bias points; tests cross-check it against
-    full-model chevron dynamics.
+    J ~ (d w_c/d phi)|_dc * g g' / Delta^2 * A / 2 with Delta the
+    difference frequency of the driven pair.  Valid near the calibrated
+    bias points; tests cross-check it against full-model chevron dynamics.
     """
     a, b = pair
     j = drive.coupler
@@ -161,12 +146,10 @@ def effective_coupling_estimate(device: DeviceSpec, pair, drive: DriveConfig) ->
     delta = 2 * pi * (device.qubits[qa - 1].frequency_hz - device.qubits[qb - 1].frequency_hz)
     if delta == 0:
         raise ZeroDivisionError("degenerate pair: difference frequency is zero")
-    phi_dc = cp.phi_dc if drive.phi_dc is None else drive.phi_dc
-    k = drive.harmonic
-    deriv = 2 * pi * coupler_flux_derivative(cp, phi_dc, order=k)
+    deriv = 2 * pi * float(coupler_flux_derivative(cp, cp.phi_dc))
     g1 = 2 * pi * cp.g_left_hz
     g2 = 2 * pi * cp.g_right_hz
-    return deriv * g1 * g2 / delta**2 * drive.amplitude**k / 2.0
+    return deriv * g1 * g2 / delta**2 * drive.amplitude / 2.0
 
 
 def _mode_ops(levels: int):
@@ -185,16 +168,15 @@ class DeviceSubsetModel:
     """
 
     def __init__(self, device: DeviceSpec, qubit_indices, coupler_indices,
-                 drives=(), levels: int | None = None,
-                 guard: int = DENSE_GUARD):
+                 drives=(), levels: int | None = None):
         self.device = device
         self.qubits = tuple(qubit_indices)
         self.couplers = tuple(coupler_indices)
         self.levels = levels or device.levels
         n_modes = len(self.qubits) + len(self.couplers)
         self.dim = self.levels**n_modes
-        if self.dim > guard:
-            raise ResourceError(f"{self.dim} basis states above guard {guard}")
+        if self.dim > DENSE_GUARD:
+            raise ResourceError(f"{self.dim} basis states above guard {DENSE_GUARD}")
         drives = tuple(drives)
         for d in drives:
             if d.coupler not in self.couplers:
@@ -249,17 +231,11 @@ class DeviceSubsetModel:
 
     def flux(self, cj: int, t) -> np.ndarray:
         """Flux on coupler ``cj`` at time(s) t, bias plus all its drives."""
-        c = self.device.couplers[cj - 1]
-        phi = None
         acc = 0.0
         for d in self.drives:
             if d.coupler == cj:
-                if d.phi_dc is not None:
-                    phi = d.phi_dc
-                acc = acc + d.amplitude * np.cos(2 * pi * d.frequency_hz * np.asarray(t) + d.phase)
-        if phi is None:
-            phi = c.phi_dc
-        return phi + acc
+                acc = acc + d.amplitude * np.cos(2 * pi * d.frequency_hz * np.asarray(t))
+        return self.device.couplers[cj - 1].phi_dc + acc
 
     def hamiltonian(self, t: float) -> np.ndarray:
         """Dense H(t) in angular-frequency units (Hermitian)."""
@@ -293,33 +269,33 @@ class DeviceSubsetModel:
         return idx
 
     def evolve_columns(self, psi0: np.ndarray, times: np.ndarray,
-                       frequencies_hz: np.ndarray, base_drive: DriveConfig,
+                       frequencies_hz: np.ndarray, coupler: int, amplitude: float,
                        dt: float | None = None) -> np.ndarray:
-        """RK4-propagate one initial state under copies of ``base_drive``
-        at several drive frequencies simultaneously.
+        """RK4-propagate one initial state with ``coupler`` driven at
+        ``amplitude`` (flux quanta), one column per drive frequency.
 
         Only the frequency varies across columns, so each step reuses the
         fixed part and adjusts the driven coupler's diagonal per column.
-        Returns |amplitudes|^2 with shape (len(times), dim, n_freqs).
+        The static drives of the model run in every column.  The default
+        step is dt = 2 pi / (50 max|H(0)|).  Returns |amplitudes|^2 with
+        shape (len(times), dim, len(frequencies_hz)).
         """
-        if any(d.coupler == base_drive.coupler for d in self.drives):
-            raise ValueError("base drive coupler must not also carry a static drive")
-        cj = base_drive.coupler
-        c = self.device.couplers[cj - 1]
-        phi_dc = base_drive.phi_dc if base_drive.phi_dc is not None else c.phi_dc
+        if any(d.coupler == coupler for d in self.drives):
+            raise ValueError("driven coupler must not also carry a static drive")
+        c = self.device.couplers[coupler - 1]
         ncol = len(frequencies_hz)
         w_ang = 2 * pi * np.asarray(frequencies_hz)
 
-        others = [j for j in self.couplers if j != cj]
+        others = [j for j in self.couplers if j != coupler]
 
         def hpsi(t, psi):
             out = self.H_fixed @ psi
             for oj in others:
                 w = coupler_frequency(self.device.couplers[oj - 1], self.flux(oj, t))
                 out += (2 * pi * w) * (self._coupler_n[oj][:, None] * psi)
-            phi_cols = phi_dc + base_drive.amplitude * np.cos(w_ang * t + base_drive.phase)
+            phi_cols = c.phi_dc + amplitude * np.cos(w_ang * t)
             w_cols = coupler_frequency(c, phi_cols)
-            out += self._coupler_n[cj][:, None] * (psi * (2 * pi * w_cols)[None, :])
+            out += self._coupler_n[coupler][:, None] * (psi * (2 * pi * w_cols)[None, :])
             return out
 
         def f(t, psi):
@@ -339,18 +315,6 @@ class DeviceSubsetModel:
                 t_now += step
             out[i] = np.abs(psi) ** 2
         return out
-
-
-def crosstalk_compensation(M: np.ndarray, phi_target, phi_off,
-                           cond_threshold: float = 1e8) -> np.ndarray:
-    """Voltages solving M V + phi_off = phi_target for the flux lines."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    if np.linalg.cond(M) > cond_threshold:
-        raise np.linalg.LinAlgError("flux crosstalk matrix is ill conditioned")
-    rhs = np.asarray(phi_target, dtype=float) - np.asarray(phi_off, dtype=float)
-    return np.linalg.solve(M, rhs)
 
 
 def operating_point(coupler: CouplerSpec, omega_target_hz: float) -> float:

@@ -27,6 +27,7 @@ __all__ = [
     "run_pst",
     "parity_phase_experiment",
     "parity_phase_table",
+    "parity_deviation_fit",
     "double_fst_parity_experiment",
     "ghz_circuit",
     "run_ghz",
@@ -286,6 +287,27 @@ def parity_phase_table(n: int, input_states=("+x",), model: str = "ideal",
     return [_parity_experiment(spec, use_noise, format(code, f"0{n - 2}b"), inp,
                                transfers)
             for code in range(2 ** (n - 2)) for inp in input_states]
+
+
+def parity_deviation_fit(results) -> dict:
+    """Line through the per-count means of |deviation| (rad).
+
+    ``results`` are parity experiments; they are grouped by the number of
+    excited inner sites, the occupation the ZZ phase error grows with.
+    """
+    by_count = {}
+    for res in results:
+        by_count.setdefault(res.inner.count("1"), []).append(abs(res.deviation))
+    counts = sorted(by_count)
+    means = [float(np.mean(by_count[k])) for k in counts]
+    slope, intercept = np.polyfit(counts, means, 1)
+    pred = np.polyval([slope, intercept], counts)
+    ss_res = float(np.sum((np.array(means) - pred) ** 2))
+    ss_tot = float(np.sum((np.array(means) - np.mean(means)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return {"counts": counts, "mean_deviation_rad": means,
+            "slope_rad": float(slope), "intercept_rad": float(intercept),
+            "r_squared": r2}
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,28 @@ def test_evolve_with_relaxation(tmp_path):
     assert norms[-1] < 0.999
 
 
+@pytest.mark.parametrize("zz_hz, noise, model", [
+    (None, None, "ideal"),
+    (None, "configs/noise_t1.json", "relax"),
+    (-1e5, None, "zz"),
+    (-1e5, "configs/noise_t1.json", "zz+relax"),
+])
+def test_trajectory_manifest_model(tmp_path, zz_hz, noise, model):
+    if zz_hz is None:
+        argv = ["pst", "--n", 6, "--tau", "640ns"]
+    else:
+        with open("configs/chain_n6.json") as fh:
+            chain = json.load(fh)
+        chain["zz_hz"] = [zz_hz] * 5
+        config = tmp_path / "chain_zz.json"
+        config.write_text(json.dumps(chain))
+        argv = ["evolve", "--config", config]
+    if noise:
+        argv = [*argv, "--noise", noise]
+    assert _run(tmp_path, *argv, "--times", "0:1tau:3") == 0
+    assert _load(tmp_path, f"{argv[0]}_manifest.json")["config"]["model"] == model
+
+
 def test_evolve_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, "couplings_hz": 3, "tau_s": 1e-6}\n')

@@ -202,6 +202,11 @@ def test_parity_zz_deviation_grows_with_count():
     means = [np.mean(dev[k]) for k in sorted(dev)]
     assert means[0] < 1e-9
     assert all(b > a for a, b in zip(means, means[1:]))
+    fit = protocols.parity_deviation_fit(rows)
+    assert fit["counts"] == sorted(dev)
+    np.testing.assert_allclose(fit["mean_deviation_rad"], means, rtol=1e-12)
+    assert fit["slope_rad"] == pytest.approx(0.129011, abs=1e-6)
+    assert fit["r_squared"] > 0.999
 
 
 def test_parity_errors():
