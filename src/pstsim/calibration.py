@@ -1,10 +1,9 @@
 """Drive calibration against simulated experiment backends.
 
-Chevron characterization of pairwise couplings, amplitude targeting by
-monotone inversion of measured J(A) curves, and closed-loop optimization
-of all simultaneous drives.  Frequencies and couplings are angular
-(rad/s) throughout this module; the Hz conversion happens only at the
-device-model and file boundaries.
+Chevron characterization of pairwise couplings and closed-loop
+optimization of all simultaneous drives.  Frequencies and couplings are
+angular (rad/s) throughout this module; the Hz conversion happens only
+at the device-model and file boundaries.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
 
 from . import evolution
@@ -26,10 +24,6 @@ from .models import device as device_models
 
 class FitError(RuntimeError):
     """Raised when a chevron dataset cannot be fitted acceptably."""
-
-
-class TargetRangeError(ValueError):
-    """Raised when a requested coupling lies outside the measured range."""
 
 
 @dataclass(frozen=True)
@@ -503,38 +497,6 @@ def fit_chevron(dataset: ChevronDataset, amplitude_index: int | None = None,
             f"{freqs.size} frequencies x {t.size} times")
     j_fit = best.x[0] / span
     return ChevronFit(j_fit, w0 + best.x[1] / span, best.x[2], rms)
-
-
-def measure_coupling_curve(backend: ExperimentBackend, pair, amplitudes,
-                           frequencies, times, neighbor_drives=()) -> tuple:
-    """J(A) samples: fit one chevron per amplitude."""
-    amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    couplings = np.empty(amps.size)
-    for i, amp in enumerate(amps):
-        data = chevron_scan(backend, pair, [amp], frequencies, times, neighbor_drives)
-        couplings[i] = fit_chevron(data).coupling
-    return amps, couplings
-
-
-def amplitude_for_target(j_target: float, curve) -> float:
-    """Invert measured J(A) samples for the amplitude hitting a target J."""
-    amps, js = (np.asarray(v, dtype=float) for v in curve)
-    if amps.size != js.size or amps.size < 2:
-        raise ValueError("need matching J(A) samples, at least two points")
-    order = np.argsort(amps)
-    amps, js = amps[order], js[order]
-    diffs = np.diff(js)
-    if np.all(diffs > 0):
-        pass
-    elif np.all(diffs < 0):
-        amps, js = amps[::-1], js[::-1]
-    else:
-        raise ValueError("coupling samples are not monotone in amplitude")
-    if not js[0] <= j_target <= js[-1]:
-        raise TargetRangeError(
-            f"target {j_target:.6g} rad/s outside achievable "
-            f"[{js[0]:.6g}, {js[-1]:.6g}] rad/s")
-    return float(PchipInterpolator(js, amps)(j_target))
 
 
 # ---------------------------------------------------------------------------

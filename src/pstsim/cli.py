@@ -3,8 +3,7 @@
 Every command writes its outputs plus a ``<command>_manifest.json`` into
 the output directory (``--out-dir``, default from ``PSTSIM_OUT`` or the
 current directory).  All files are byte-identical across reruns with the
-same flags and seed; wall-clock duration is kept out of the manifest for
-that reason.
+same flags and seed; no wall-clock time is measured or written.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import math
 import os
 import re
 import sys
-import time
 
 import numpy as np
 
@@ -97,7 +95,6 @@ class _Outputs:
         os.makedirs(self.dir, exist_ok=True)
         self.command = command
         self.names = []
-        self.started = time.monotonic()
 
     def path(self, name: str) -> str:
         self.names.append(name)
@@ -106,8 +103,7 @@ class _Outputs:
     def finish(self, config: dict, seed: int = 0) -> None:
         manifest = serialize.RunManifest(
             command=self.command, config=config, seed=seed,
-            version=__version__, outputs=tuple(self.names),
-            duration_s=time.monotonic() - self.started)
+            version=__version__, outputs=tuple(self.names))
         manifest.write(os.path.join(self.dir, f"{self.command}_manifest.json"))
         for name in (*self.names, f"{self.command}_manifest.json"):
             print(os.path.join(self.dir, name))
@@ -375,7 +371,7 @@ def cmd_calibrate(args) -> int:
     result = calibration.optimize_simultaneous_drives(backend, guess, opt)
     out = _Outputs(args, "calibrate")
     payload = dict(result.as_dict(), schema_version=serialize.SCHEMA_VERSION,
-                   backend=args.backend, measurement_noise=args.noise)
+                   backend="effective", measurement_noise=args.noise)
     serialize.write_json(out.path("calibration.json"), payload)
     calibration.write_convergence_csv(result, out.path("convergence.csv"))
     if args.svg:
@@ -385,7 +381,7 @@ def cmd_calibrate(args) -> int:
                        out.path("convergence.svg"), log_y=True,
                        title=f"drive optimization (seed {args.seed})",
                        x_label="evaluation", y_label="transfer error")
-    out.finish({"backend": args.backend, "budget": args.budget,
+    out.finish({"backend": "effective", "budget": args.budget,
                 "perturb": args.perturb, "noise": args.noise}, seed=args.seed)
     print(f"best objective {result.best_objective:.6g} after "
           f"{result.evaluations} evaluations")
@@ -518,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ghz)
 
     p = sub.add_parser("calibrate", help="closed-loop drive optimization")
-    p.add_argument("--backend", choices=("effective",), default="effective")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--noise", type=float, default=0.0,

@@ -32,7 +32,6 @@ __all__ = [
     "evolve",
     "add_relaxation",
     "decay_rates",
-    "stroboscopic_compare",
     "ResourceError",
 ]
 
@@ -262,39 +261,3 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     else:
         populations = prob
     return Trajectory(times=times, states=states, populations=populations, norm=norm)
-
-
-def stroboscopic_compare(U_a: np.ndarray, U_b: np.ndarray):
-    """Best global phase aligning two propagators and the residual 2-norm distance.
-
-    Returns ``(phase, distance)`` with distance =
-    min_phi || U_a - e^{i phi} U_b ||_2.  The starting guess for phi is
-    the argument of the entry ratio at U_b's largest element, refined
-    against the trace alignment.
-    """
-    U_a = np.asarray(U_a)
-    U_b = np.asarray(U_b)
-    if U_a.shape != U_b.shape:
-        raise ValueError("shape mismatch")
-    if not np.any(U_a) or not np.any(U_b):
-        raise ValueError("zero matrix")
-    flat = np.argmax(np.abs(U_b))
-    phi0 = float(np.angle(U_a.flat[flat] / U_b.flat[flat]))
-    overlap = np.trace(U_b.conj().T @ U_a)
-    candidates = [phi0] + ([float(np.angle(overlap))] if overlap != 0 else [])
-
-    def dist(phi):
-        return np.linalg.norm(U_a - np.exp(1j * phi) * U_b, 2)
-
-    from scipy.optimize import minimize_scalar
-
-    best_phi, best_d = None, np.inf
-    for c in candidates:
-        r = minimize_scalar(dist, bracket=(c - 1e-3, c, c + 1e-3))
-        if r.fun < best_d:
-            best_phi, best_d = float(r.x), float(r.fun)
-    # wrap into (-pi, pi]
-    best_phi = (best_phi + pi) % (2 * pi) - pi
-    if best_phi == -pi:
-        best_phi = pi
-    return best_phi, best_d

@@ -16,7 +16,6 @@ from . import chains
 __all__ = [
     "LatticeSpec",
     "site_index",
-    "mirror_position",
     "build_lattice_hamiltonian",
 ]
 
@@ -48,12 +47,6 @@ def site_index(spec: LatticeSpec, x: int, y: int) -> int:
     if not (1 <= x <= spec.nx and 1 <= y <= spec.ny):
         raise ValueError(f"position ({x}, {y}) outside {spec.nx}x{spec.ny} lattice")
     return (x - 1) * spec.ny + (y - 1)
-
-
-def mirror_position(spec: LatticeSpec, x: int, y: int):
-    """Transfer destination of (x, y): both axes mirrored."""
-    site_index(spec, x, y)
-    return spec.nx + 1 - x, spec.ny + 1 - y
 
 
 def _axis_hopping(n: int, tau: float) -> np.ndarray:

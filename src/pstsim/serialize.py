@@ -16,7 +16,6 @@ import numpy as np
 
 from . import protocols
 from .models import chains
-from .models import device as device_models
 
 SCHEMA_VERSION = 1
 
@@ -114,20 +113,6 @@ def _check_version(data: dict, pointer: str = "") -> None:
 # ---------------------------------------------------------------------------
 # chain configs
 
-def chain_payload(spec: chains.ChainSpec) -> dict:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tau_s": spec.tau,
-        "couplings_hz": [j / math.tau for j in spec.couplings],
-        "label": spec.label,
-    }
-    if spec.detunings:
-        payload["detunings_hz"] = [d / math.tau for d in spec.detunings]
-    if spec.zz:
-        payload["zz_hz"] = [z / math.tau for z in spec.zz]
-    return payload
-
-
 def parse_chain(data: dict) -> chains.ChainSpec:
     _check_version(data)
     tau = _get(data, "tau_s", float, "")
@@ -160,95 +145,7 @@ def load_chain(path) -> chains.ChainSpec:
 
 
 # ---------------------------------------------------------------------------
-# device configs
-
-def device_payload(spec: device_models.DeviceSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "levels": spec.levels,
-        "label": spec.label,
-        "qubits": [
-            {"frequency_hz": q.frequency_hz, "anharmonicity_hz": q.anharmonicity_hz,
-             "t1_s": q.t1_s}
-            for q in spec.qubits
-        ],
-        "couplers": [
-            {"omega_min_hz": c.omega_min_hz, "omega_max_hz": c.omega_max_hz,
-             "anharmonicity_hz": c.anharmonicity_hz, "g_left_hz": c.g_left_hz,
-             "g_right_hz": c.g_right_hz, "phi_dc": c.phi_dc}
-            for c in spec.couplers
-        ],
-        "qubit_qubit_g_hz": list(spec.qubit_qubit_g_hz),
-    }
-
-
-def parse_device(data: dict) -> device_models.DeviceSpec:
-    _check_version(data)
-    qubits_raw = _get(data, "qubits", list, "")
-    couplers_raw = _get(data, "couplers", list, "")
-    qubits = []
-    for i, q in enumerate(qubits_raw):
-        ptr = f"/qubits/{i}"
-        if not isinstance(q, dict):
-            raise ConfigError(ptr, "expected object")
-        t1 = _get(q, "t1_s", float, ptr)
-        if t1 <= 0:
-            raise ConfigError(f"{ptr}/t1_s", "must be positive")
-        qubits.append(device_models.QubitSpec(
-            frequency_hz=_get(q, "frequency_hz", float, ptr),
-            anharmonicity_hz=_get(q, "anharmonicity_hz", float, ptr),
-            t1_s=t1,
-        ))
-    couplers = []
-    for i, c in enumerate(couplers_raw):
-        ptr = f"/couplers/{i}"
-        if not isinstance(c, dict):
-            raise ConfigError(ptr, "expected object")
-        lo = _get(c, "omega_min_hz", float, ptr)
-        hi = _get(c, "omega_max_hz", float, ptr)
-        if not 0 < lo < hi:
-            raise ConfigError(ptr, "needs 0 < omega_min_hz < omega_max_hz")
-        couplers.append(device_models.CouplerSpec(
-            omega_min_hz=lo, omega_max_hz=hi,
-            anharmonicity_hz=_get(c, "anharmonicity_hz", float, ptr),
-            g_left_hz=_get(c, "g_left_hz", float, ptr),
-            g_right_hz=_get(c, "g_right_hz", float, ptr),
-            phi_dc=_get(c, "phi_dc", float, ptr, required=False, default=0.0),
-        ))
-    g_qq = _number_list(data, "qubit_qubit_g_hz", "", required=False,
-                        allow_none_items=True)
-    try:
-        return device_models.DeviceSpec(
-            qubits=tuple(qubits),
-            couplers=tuple(couplers),
-            qubit_qubit_g_hz=tuple(g_qq) if g_qq is not None else (),
-            levels=_get(data, "levels", int, "", required=False, default=3),
-            label=_get(data, "label", str, "", required=False, default=""),
-        )
-    except ValueError as exc:
-        raise ConfigError("", str(exc)) from exc
-
-
-def load_device(path) -> device_models.DeviceSpec:
-    return parse_device(load_json(path))
-
-
-# ---------------------------------------------------------------------------
 # noise / interaction scenarios
-
-def scenario_payload(scenario: protocols.GHZScenario) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ghz",
-        "n": scenario.n,
-        "tau_s": scenario.tau,
-        "t1_s": list(scenario.t1),
-        "zeta_hz": [z / math.tau for z in scenario.zeta],
-        "decay_convention": scenario.decay_convention,
-        "zz_application": scenario.zz_application,
-        "label": scenario.label,
-    }
-
 
 def parse_scenario(data: dict) -> dict:
     """Validated scenario: {"kind": "ghz"|"parity", ...normalized fields}."""
@@ -299,14 +196,6 @@ def load_scenario(path) -> dict:
     return parse_scenario(load_json(path))
 
 
-def noise_payload(noise) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "t1_s": [float(t) for t in noise.t1],
-        "decay_convention": noise.decay_convention,
-    }
-
-
 def parse_noise(data: dict):
     """Parse a relaxation-time table into a ``NoiseSpec``."""
     from . import evolution
@@ -334,9 +223,8 @@ def load_noise(path):
 class RunManifest:
     """What a command ran and what it wrote.
 
-    The wall-clock duration is kept on the object for logging but left
-    out of the serialized payload so identical runs emit byte-identical
-    manifests.
+    No wall-clock time is recorded, so identical runs emit
+    byte-identical manifests.
     """
 
     command: str
@@ -344,7 +232,6 @@ class RunManifest:
     seed: int | None
     version: str
     outputs: list = field(default_factory=list)
-    duration_s: float | None = None
 
     def as_dict(self) -> dict:
         return {

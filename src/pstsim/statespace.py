@@ -19,17 +19,12 @@ __all__ = [
     "occupations",
     "occupation_rows",
     "excitation_number",
-    "sector_dimension",
     "sector_states",
     "sector_rank",
-    "sector_unrank",
     "occupation_matrix",
     "sector_occupation_matrix",
-    "embed_single_qubit",
     "apply_single_qubit",
     "reduced_density_matrix",
-    "mirror_site",
-    "mirror_index",
 ]
 
 
@@ -64,10 +59,6 @@ def excitation_number(index: int) -> int:
     return bin(index).count("1")
 
 
-def sector_dimension(n: int, k: int) -> int:
-    return comb(n, k)
-
-
 def sector_states(n: int, k: int) -> np.ndarray:
     """All basis indices with ``k`` excitations, ascending."""
     states = np.arange(2**n, dtype=np.int64)
@@ -85,24 +76,6 @@ def sector_rank(index: int, n: int) -> int:
     return sum(comb(p, k - i) for i, p in enumerate(positions))
 
 
-def sector_unrank(rank: int, n: int, k: int) -> int:
-    """Inverse of :func:`sector_rank` for the (n, k) sector."""
-    if not 0 <= rank < comb(n, k):
-        raise ValueError(f"rank {rank} outside sector of dimension {comb(n, k)}")
-    x = 0
-    remaining = k
-    r = rank
-    for p in range(n - 1, -1, -1):
-        if remaining == 0:
-            break
-        c = comb(p, remaining)
-        if r >= c:
-            x |= 1 << p
-            r -= c
-            remaining -= 1
-    return x
-
-
 def occupation_matrix(n: int) -> np.ndarray:
     """(2**n, n) matrix of per-site occupations over the full basis."""
     return occupation_rows(np.arange(2**n), n).astype(float)
@@ -111,18 +84,6 @@ def occupation_matrix(n: int) -> np.ndarray:
 def sector_occupation_matrix(n: int, k: int) -> np.ndarray:
     """(C(n,k), n) occupations over the k-excitation sector basis."""
     return occupation_rows(sector_states(n, k), n).astype(float)
-
-
-def embed_single_qubit(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Dense 2**n operator acting with 2x2 ``op`` on ``site`` (1-based)."""
-    if op.shape != (2, 2):
-        raise ValueError("op must be 2x2")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside chain of length {n}")
-    out = np.array([[1.0 + 0j]])
-    for s in range(1, n + 1):
-        out = np.kron(out, op if s == site else np.eye(2))
-    return out
 
 
 def apply_single_qubit(psi: np.ndarray, op: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -150,19 +111,3 @@ def reduced_density_matrix(psi: np.ndarray, keep, n: int) -> np.ndarray:
     a = np.transpose(tensor, kept_axes + other_axes).reshape(2 ** len(keep), -1)
     # rho_ab = sum_r a[a, r] conj(a[b, r])
     return a @ a.conj().T
-
-
-def mirror_site(site: int, n: int) -> int:
-    """Mirror partner of a site under the chain reflection."""
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside chain of length {n}")
-    return n + 1 - site
-
-
-def mirror_index(index: int, n: int) -> int:
-    """Basis index with the occupation pattern reversed along the chain."""
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (index & 1)
-        index >>= 1
-    return out

@@ -30,10 +30,6 @@ _TO_Z = {
 }
 
 
-class UndefinedPhaseError(ValueError):
-    """Raised when a Bloch vector has no usable transverse component."""
-
-
 @dataclass(frozen=True)
 class TomographySettings:
     """Measurement plan: Pauli settings, shots per setting, base seed.
@@ -91,23 +87,6 @@ class ExpectationTable:
             "shots": self.shots,
             "values": {k: self.values[k] for k in sorted(self.values)},
         }
-
-
-def pauli_operator(label: str) -> np.ndarray:
-    """Tensor product of single-site Paulis, site 1 leftmost."""
-    op = np.array([[1.0]], dtype=complex)
-    for c in label:
-        op = np.kron(op, PAULI[c])
-    return op
-
-
-def pauli_expectation(state: np.ndarray, label: str) -> float:
-    """Exact <P> for a state vector or density matrix."""
-    op = pauli_operator(label)
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return float(np.real(arr.conj() @ op @ arr))
-    return float(np.real(np.trace(arr @ op)))
 
 
 def _pauli_labels(n: int) -> list:
@@ -239,19 +218,6 @@ def reconstruct(expectations) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     w /= w.sum()
     return (v * w) @ v.conj().T
-
-
-def xy_phase(rho: np.ndarray, threshold: float = 1e-6) -> float:
-    """Equatorial angle atan2(<Y>, <X>) of a single-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("xy_phase takes a single-qubit density matrix")
-    coher = 2.0 * rho[1, 0]  # <X> + i<Y>
-    if abs(coher) < threshold:
-        raise UndefinedPhaseError(
-            f"transverse component {abs(coher):.3g} below threshold {threshold:.3g}"
-        )
-    return wrap_phase(math.atan2(coher.imag, coher.real))
 
 
 def fidelity(rho: np.ndarray, target: np.ndarray) -> float:

@@ -173,36 +173,6 @@ def test_fit_chevron_amplitude_index():
     assert fit.coupling == pytest.approx(cfg.coupling_slopes[1] * 0.012, rel=1e-9)
 
 
-# ----------------------------------------------------- coupling curves
-
-
-def test_coupling_curve_is_linear():
-    be = _backend()
-    cfg = be.config
-    _, freqs, times = _chevron_window(cfg, (2, 3), 0.012)
-    amps = np.linspace(0.006, 0.014, 5)
-    curve = calibration.measure_coupling_curve(be, (2, 3), amps, freqs, times)
-    np.testing.assert_allclose(curve[1], cfg.coupling_slopes[1] * curve[0], rtol=1e-6)
-
-
-def test_amplitude_for_target_inversion():
-    be = _backend()
-    cfg = be.config
-    _, freqs, times = _chevron_window(cfg, (2, 3), 0.012)
-    amps = np.linspace(0.006, 0.014, 5)
-    curve = calibration.measure_coupling_curve(be, (2, 3), amps, freqs, times)
-    target = cfg.coupling_slopes[1] * 0.0103
-    assert calibration.amplitude_for_target(target, curve) == pytest.approx(
-        0.0103, abs=1e-6
-    )
-    with pytest.raises(calibration.TargetRangeError):
-        calibration.amplitude_for_target(cfg.coupling_slopes[1] * 0.02, curve)
-    with pytest.raises(ValueError):
-        calibration.amplitude_for_target(
-            1.0, (np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]))
-        )
-
-
 # ------------------------------------------------------------- perturb
 
 
@@ -465,7 +435,7 @@ def test_device_backend_resource_guard():
 def test_device_backend_pair_run_deterministic():
     db = calibration.DeviceBackend()
     pair = (1, 2)
-    t = np.linspace(0.0, 30e-9, 4)
+    t = np.linspace(0.0, 5e-9, 4)
     a = db.run_pair_scan(pair, 0.01, [TWO_PI * 447e6], t)
     b = db.run_pair_scan(pair, 0.01, [TWO_PI * 447e6], t)
     assert np.all(np.isfinite(a))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import shlex
 
 import numpy as np
 import pytest
@@ -351,3 +353,22 @@ def test_svg_outputs(tmp_path):
     assert svgs, "expected an SVG heatmap"
     text = svgs[0].read_text()
     assert text.startswith("<?xml") or text.startswith("<svg")
+
+
+def test_committed_configs_run_as_the_readme_shows(tmp_path):
+    # every README command that reads a configs/ file, at a small shot count
+    with open("README.md") as fh:
+        lines = fh.read().replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("pstsim ") and "configs/" in line]
+    read = set()
+    for i, argv in enumerate(commands):
+        if "--shots" in argv:
+            argv[argv.index("--shots") + 1] = "200"
+        out = tmp_path / str(i)
+        assert _run(out, *argv) == 0, argv
+        manifest = _load(out, f"{argv[0]}_manifest.json")
+        assert all((out / name).stat().st_size > 0 for name in manifest["outputs"])
+        read.update(os.path.basename(a) for a in argv if a.startswith("configs/"))
+    assert [c[0] for c in commands] == ["evolve", "parity", "ghz"]
+    assert read == set(os.listdir("configs"))

@@ -1,3 +1,4 @@
+import ast
 import tokenize
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from pstsim import evolution, serialize, statespace
 from pstsim.models import chains
 
 SRC = Path(pstsim.__file__).parent
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _random_hermitian(rng, dim, scale=1e6):
@@ -225,6 +227,31 @@ def test_only_evolution_uses_expm():
         if "expm" in names:
             offenders.append(str(path.relative_to(SRC)))
     assert offenders == []
+
+
+def test_every_public_name_has_a_caller():
+    # each top-level public def/class of the package is used, outside its own
+    # definition, by the package, a script, the benchmark or an acceptance
+    # criterion; unit tests alone do not count, and neither do __all__ strings
+    spans = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                spans.setdefault(node.name, []).append(
+                    (path, node.lineno, node.end_lineno))
+    callers = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in callers:
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and tok.string in spans and not any(
+                        path == p and lo <= tok.start[0] <= hi
+                        for p, lo, hi in spans[tok.string]):
+                    used.add(tok.string)
+    assert sorted(set(spans) - used) == []
 
 
 def test_evolve_rejects_callable_or_mismatched_h():

@@ -18,12 +18,6 @@ def test_site_index_x_major():
         lattice.site_index(spec, 0, 2)
 
 
-def test_mirror_position():
-    spec = lattice.LatticeSpec(nx=4, ny=3, tau=1e-6)
-    assert lattice.mirror_position(spec, 1, 1) == (4, 3)
-    assert lattice.mirror_position(spec, 2, 2) == (3, 2)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         lattice.LatticeSpec(nx=0, ny=3, tau=1e-6)
@@ -60,8 +54,8 @@ def test_corner_to_corner_transfer(nx, ny, data):
     traj = protocols.lattice_pst(spec, (x, y), np.array([spec.tau]))
     assert traj.populations.shape == (1, nx * ny)
     pops = traj.populations.reshape(1, nx, ny)
-    mx, my = lattice.mirror_position(spec, x, y)
-    assert pops[0, mx - 1, my - 1] == pytest.approx(1.0, abs=1e-9)
+    # both axes mirrored
+    assert pops[0, nx - x, ny - y] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_population_conservation_mid_transfer():

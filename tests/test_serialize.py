@@ -1,15 +1,13 @@
 """Tests for JSON payloads, config parsing, and run manifests."""
 
-import dataclasses
 import json
 from math import pi
 
 import numpy as np
 import pytest
 
-from pstsim import evolution, protocols, serialize
+from pstsim import protocols, serialize
 from pstsim.models import chains
-from pstsim.models import device as device_models
 
 
 # ----------------------------------------------------------------- canonical
@@ -54,50 +52,49 @@ def test_dump_json_deterministic():
     assert json.loads(a) == {"a": [1.0, [0.0, 2.0]], "z": 1}
 
 
-# --------------------------------------------------------------- round trips
+# ------------------------------------------------------------- config files
 
 
-def test_chain_round_trip(tmp_path):
-    spec = chains.ChainSpec.pst(5, 640e-9, label="demo")
-    spec = dataclasses.replace(
-        spec,
-        detunings=(0.0, 1e3, 0.0, -2e3, 0.0),
-        zz=(-2 * pi * 100e3,) * 4,
-    )
-    path = tmp_path / "chain.json"
-    serialize.write_json(path, serialize.chain_payload(spec))
-    back = serialize.load_chain(path)
-    np.testing.assert_allclose(back.couplings, spec.couplings, rtol=1e-15)
-    np.testing.assert_allclose(back.zz, spec.zz, rtol=1e-15)
-    np.testing.assert_allclose(back.detunings, spec.detunings, rtol=1e-15)
-    assert back.tau == spec.tau
-    assert back.label == spec.label
+def test_chain_round_trip():
+    # the committed file holds the 6-site PST profile in Hz
+    spec = serialize.load_chain("configs/chain_n6.json")
+    ref = chains.ChainSpec.pst(6, 640e-9)
+    np.testing.assert_allclose(spec.couplings, ref.couplings, rtol=1e-15)
+    assert spec.detunings == (0.0,) * 6
+    assert spec.zz == (0.0,) * 5
+    assert spec.tau == 640e-9
+    assert spec.label == "pst-6-640ns"
+    # Hz fields come back as exactly 2 pi times the file's numbers
+    data = {
+        "schema_version": 1,
+        "tau_s": 640e-9,
+        "couplings_hz": [1e6, 2e6],
+        "detunings_hz": [0.0, 1e3, -2e3],
+        "zz_hz": [-100e3, -100e3],
+        "label": "demo",
+    }
+    spec = serialize.parse_chain(data)
+    assert spec.couplings == (2 * pi * 1e6, 2 * pi * 2e6)
+    assert spec.detunings == (0.0, 2 * pi * 1e3, -2 * pi * 2e3)
+    assert spec.zz == (-2 * pi * 100e3,) * 2
+    assert (spec.tau, spec.label) == (640e-9, "demo")
 
 
-def test_device_round_trip(tmp_path):
-    spec = device_models.default_device()
-    path = tmp_path / "device.json"
-    serialize.write_json(path, serialize.device_payload(spec))
-    back = serialize.load_device(path)
-    assert back == spec
+def test_noise_round_trip():
+    noise = serialize.load_noise("configs/noise_t1.json")
+    assert noise.t1 == (12.1e-6, 53.2e-6, 26.2e-6, 46e-6, 63.4e-6, 72e-6)
+    assert noise.decay_convention == "t1"
+    back = serialize.parse_noise({"schema_version": 1, "t1_s": [12.1e-6, 53],
+                                  "decay_convention": "rate-2pi"})
+    assert back.t1 == (12.1e-6, 53.0)
+    assert back.decay_convention == "rate-2pi"
 
 
-def test_noise_round_trip(tmp_path):
-    noise = evolution.NoiseSpec(t1=(12.1e-6, 53.2e-6), decay_convention="rate-2pi")
-    path = tmp_path / "noise.json"
-    serialize.write_json(path, serialize.noise_payload(noise))
-    back = serialize.load_noise(path)
-    assert back.t1 == noise.t1
-    assert back.decay_convention == noise.decay_convention
-
-
-def test_ghz_scenario_round_trip(tmp_path):
-    scenario = protocols.paper_ghz_scenario()
-    path = tmp_path / "scenario.json"
-    serialize.write_json(path, serialize.scenario_payload(scenario))
-    parsed = serialize.load_scenario(path)
+def test_ghz_scenario_round_trip():
+    parsed = serialize.load_scenario("configs/scenario_ghz_paper.json")
     assert parsed["kind"] == "ghz"
     back = parsed["scenario"]
+    scenario = protocols.paper_ghz_scenario()
     assert back.n == scenario.n
     assert back.tau == scenario.tau
     np.testing.assert_allclose(back.t1, scenario.t1, rtol=1e-15)
@@ -140,11 +137,7 @@ def test_error_pointers():
         serialize.parse_chain(
             {"schema_version": 1, "couplings_hz": [1.0], "tau_s": -1.0}
         )
-    payload = serialize.device_payload(device_models.default_device())
-    payload["qubits"][2]["t1_s"] = -1.0
-    with pytest.raises(serialize.ConfigError, match="/qubits/2/t1_s"):
-        serialize.parse_device(payload)
-    with pytest.raises(serialize.ConfigError, match="/t1_s"):
+    with pytest.raises(serialize.ConfigError, match="^/t1_s/1: must be positive$"):
         serialize.parse_noise({"schema_version": 1, "t1_s": [1e-6, -1e-6]})
     with pytest.raises(serialize.ConfigError, match="/kind"):
         serialize.parse_scenario(
@@ -174,7 +167,6 @@ def test_manifest_payload_excludes_duration(tmp_path):
         seed=3,
         version="1.0",
         outputs=["b.csv", "a.json"],
-        duration_s=12.5,
     )
     d = manifest.as_dict()
     assert set(d) == {"schema_version", "command", "config", "seed", "version", "outputs"}
@@ -186,8 +178,8 @@ def test_manifest_payload_excludes_duration(tmp_path):
 
 def test_manifest_bytes_stable(tmp_path):
     kwargs = dict(command="x", config={"k": 1.0}, seed=None, version="1.0")
-    a = serialize.RunManifest(outputs=["f.csv"], duration_s=0.1, **kwargs)
-    b = serialize.RunManifest(outputs=["f.csv"], duration_s=99.0, **kwargs)
+    a = serialize.RunManifest(outputs=["f.csv", "a.json"], **kwargs)
+    b = serialize.RunManifest(outputs=["a.json", "f.csv"], **kwargs)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     a.write(pa)
     b.write(pb)

@@ -16,6 +16,23 @@ def _ghz3():
     return protocols.ghz_state(3)
 
 
+def pauli_operator(label: str) -> np.ndarray:
+    """Tensor product of single-site Paulis, site 1 leftmost."""
+    op = np.array([[1.0]], dtype=complex)
+    for c in label:
+        op = np.kron(op, tomography.PAULI[c])
+    return op
+
+
+def pauli_expectation(state: np.ndarray, label: str) -> float:
+    """Exact <P> for a state vector or density matrix."""
+    op = pauli_operator(label)
+    arr = np.asarray(state, dtype=complex)
+    if arr.ndim == 1:
+        return float(np.real(arr.conj() @ op @ arr))
+    return float(np.real(np.trace(arr @ op)))
+
+
 # ------------------------------------------------------------------ settings
 
 
@@ -54,7 +71,7 @@ def test_exact_table_matches_pauli_expectation():
     assert table.shots == 0
     for label in ("".join(p) for p in itertools.product("IXYZ", repeat=2)):
         assert table[label] == pytest.approx(
-            tomography.pauli_expectation(psi, label), abs=1e-12
+            pauli_expectation(psi, label), abs=1e-12
         )
     assert table["II"] == pytest.approx(1.0, abs=1e-12)
 
@@ -133,35 +150,6 @@ def test_sampled_ghz_fidelity_mean():
         fids.append(tomography.fidelity(tomography.reconstruct(table), psi))
     assert np.mean(fids) >= 0.98
     assert min(fids) > 0.95
-
-
-# ---------------------------------------------------------------- xy_phase
-
-
-def test_xy_phase_cardinal_states():
-    plus_y = np.array([1.0, 1j]) / np.sqrt(2.0)
-    minus_x = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert tomography.xy_phase(np.outer(plus_y, plus_y.conj())) == pytest.approx(
-        pi / 2, abs=1e-12
-    )
-    assert tomography.xy_phase(np.outer(minus_x, minus_x.conj())) == pytest.approx(
-        pi, abs=1e-12
-    )
-
-
-def test_xy_phase_shrunk_bloch_vector():
-    rho = np.array(
-        [
-            [0.5, 0.35 * np.exp(-1j * 0.7)],
-            [0.35 * np.exp(1j * 0.7), 0.5],
-        ]
-    )
-    assert tomography.xy_phase(rho) == pytest.approx(0.7, abs=1e-12)
-
-
-def test_xy_phase_undefined_for_mixed():
-    with pytest.raises(tomography.UndefinedPhaseError):
-        tomography.xy_phase(np.eye(2) / 2.0)
 
 
 # ---------------------------------------------------------------- fidelity
@@ -257,7 +245,7 @@ def _kron_reconstruct(values: dict) -> np.ndarray:
         label = "".join(p)
         if label not in values:
             raise ValueError(f"incomplete Pauli basis: missing {label}")
-        rho += values[label] * tomography.pauli_operator(label)
+        rho += values[label] * pauli_operator(label)
     rho /= dim
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)
@@ -342,7 +330,7 @@ def test_estimator_matches_loop_reference_partial_plan(kind, shots):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reconstruct_matches_kron_sum(n):
     labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    physical = {label: tomography.pauli_expectation(_random_rho(n, n), label)
+    physical = {label: pauli_expectation(_random_rho(n, n), label)
                 for label in labels}
     # random values: a non-physical table, so the eigenvalue clipping acts
     rng = np.random.default_rng(n)
