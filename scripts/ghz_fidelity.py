@@ -41,7 +41,7 @@ def main():
                "ideal": [{"n": n, "fidelity": f} for n, f in rows],
                "noisy": report.as_dict()}
     if args.shots:
-        settings = tomography.TomographySettings.full(
+        settings = tomography.TomographySettings(
             scenario.n, shots=args.shots, seed=args.seed)
         table = tomography.simulate_tomography(report.state, settings)
         rho = tomography.reconstruct(table)

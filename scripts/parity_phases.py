@@ -28,8 +28,7 @@ def main():
     worst = max(abs(r.deviation) for r in ideal)
     print(f"ideal: {len(ideal)} inner states, max |deviation| = {worst:.3e}")
 
-    zz = protocols.parity_phase_table(args.n, ("+x",), model="zz", zeta=zeta,
-                                      tau=args.tau)
+    zz = protocols.parity_phase_table(args.n, ("+x",), zeta=zeta, tau=args.tau)
     path = os.path.join(args.out_dir, "parity_phases.csv")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("inner,parity,phase_ideal_rad,phase_zz_rad,deviation_zz_rad\n")

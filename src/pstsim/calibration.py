@@ -27,21 +27,6 @@ class FitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CouplerDrive:
-    """One parametric drive: which coupler, amplitude, angular frequency."""
-
-    coupler: int
-    amplitude: float
-    frequency: float
-
-    def __post_init__(self):
-        if self.coupler < 1:
-            raise ValueError("coupler index is 1-based")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-
-
-@dataclass(frozen=True)
 class DriveSettings:
     """Amplitude and angular frequency for every coupler of a chain."""
 
@@ -60,16 +45,14 @@ class DriveSettings:
     def n_drives(self) -> int:
         return len(self.amplitudes)
 
-    def as_dict(self) -> dict:
-        return {"amplitudes": list(self.amplitudes), "frequencies": list(self.frequencies)}
-
 
 class ExperimentBackend(Protocol):
     """What chevron scans and the drive optimizer read from a backend.
 
     Both measurements are pure functions of their arguments and the
     backend's configuration, so repeated calls return bit-identical data
-    and may run concurrently.
+    and may run concurrently.  A pair scan drives one coupler alone; a
+    chain run drives every coupler of the chain at once.
     """
 
     tau: float
@@ -78,8 +61,7 @@ class ExperimentBackend(Protocol):
     def pair_coupler(self, pair) -> int:
         """Coupler bridging an adjacent pair; ValueError for any other pair."""
 
-    def run_pair_scan(self, pair, amplitude: float, frequencies, times,
-                      background=()) -> np.ndarray:
+    def run_pair_scan(self, pair, amplitude: float, frequencies, times) -> np.ndarray:
         """Target-site population (len(frequencies), len(times)) of a driven pair."""
 
     def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
@@ -105,7 +87,6 @@ class EffectiveChainConfig:
     bare_resonances: tuple
     stark: tuple = ()
     noise: float = 0.0
-    label: str = "effective-chain"
 
     def __post_init__(self):
         object.__setattr__(self, "coupling_slopes", tuple(float(c) for c in self.coupling_slopes))
@@ -142,8 +123,8 @@ class EffectiveChainConfig:
         return res
 
 
-def default_effective_config(tau: float = 640e-9, noise: float = 0.0) -> EffectiveChainConfig:
-    """Six-site effective chain at superconducting-device scales."""
+def default_effective_config(noise: float = 0.0) -> EffectiveChainConfig:
+    """Six-site effective chain at superconducting-device scales, tau = 640 ns."""
     slopes = math.tau * np.array([88.0, 104.0, 119.0, 97.0, 91.0]) * 1e6
     bare = math.tau * np.array([440.0, 342.0, 52.0, 390.0, 620.0]) * 1e6
     stark = np.zeros((5, 5))
@@ -153,7 +134,7 @@ def default_effective_config(tau: float = 640e-9, noise: float = 0.0) -> Effecti
             stark[b, b - 1] = -math.tau * 2.2e9
         if b < 4:
             stark[b, b + 1] = -math.tau * 2.2e9
-    return EffectiveChainConfig(tau=tau, coupling_slopes=tuple(slopes),
+    return EffectiveChainConfig(tau=640e-9, coupling_slopes=tuple(slopes),
                                 bare_resonances=tuple(bare),
                                 stark=tuple(map(tuple, stark)), noise=noise)
 
@@ -203,22 +184,11 @@ class EffectiveBackend:
         rng = np.random.default_rng([self.seed, _entropy(*key)])
         return rng.normal(0.0, self.config.noise, shape)
 
-    def _amplitude_vector(self, coupler: int, amplitude: float, background) -> np.ndarray:
-        amps = np.zeros(self.config.n_drives)
-        amps[coupler - 1] = amplitude
-        for bg in background:
-            if bg.coupler == coupler:
-                raise ValueError("background drive collides with the scanned coupler")
-            if not 1 <= bg.coupler <= self.config.n_drives:
-                raise ValueError(f"no coupler {bg.coupler} in this chain")
-            amps[bg.coupler - 1] = bg.amplitude
-        return amps
-
-    def run_pair_scan(self, pair, amplitude: float, frequencies, times,
-                      background=()) -> np.ndarray:
+    def run_pair_scan(self, pair, amplitude: float, frequencies, times) -> np.ndarray:
         """Target-site population (len(frequencies), len(times))."""
         b = self.pair_coupler(pair)
-        amps = self._amplitude_vector(b, amplitude, background)
+        amps = np.zeros(self.config.n_drives)
+        amps[b - 1] = amplitude
         freqs = np.asarray(frequencies, dtype=float)
         t = np.asarray(times, dtype=float)
         res = self.config.resonances(amps)[b - 1]
@@ -227,8 +197,9 @@ class EffectiveBackend:
         rabi2 = coupling * coupling + half * half
         safe = np.where(rabi2 == 0.0, 1.0, rabi2)
         pops = (coupling * coupling / safe) * np.sin(np.sqrt(safe) * t[None, :]) ** 2
-        pops = pops + self._noise(pops.shape, "pair_scan", pair, amplitude, freqs, t,
-                                  tuple(background))
+        # the trailing () is part of the recorded noise key: without it
+        # every noisy scan would draw a different stream
+        pops = pops + self._noise(pops.shape, "pair_scan", pair, amplitude, freqs, t, ())
         return np.clip(pops, 0.0, 1.0)
 
     def _chain_hamiltonian(self, drives: DriveSettings) -> np.ndarray:
@@ -293,24 +264,18 @@ def _bridging_coupler(device, pair) -> int:
 
 @dataclass
 class DeviceBackend:
-    """Runs pair and short-chain experiments on the transmon-level model.
+    """Runs pair scans and the chain (q1, q2, q3) on the default device.
 
-    Subsets are limited to three qubits; anything larger trips the
-    truncated-model resource guard by design.
+    ``levels`` is the truncation of every transmon and coupler mode.
     """
 
-    device: object = None
-    chain_qubits: tuple = (1, 2, 3)
-    tau: float = 640e-9
     levels: int = 3
 
+    tau = 640e-9                # read through the backend protocol
+    chain_qubits = (1, 2, 3)
+
     def __post_init__(self):
-        if self.device is None:
-            self.device = device_models.default_device()
-        self.chain_qubits = tuple(self.chain_qubits)
-        if len(self.chain_qubits) > 3:
-            raise device_models.ResourceError(
-                "device backend chains are limited to 3 qubits")
+        self.device = device_models.default_device()
 
     @property
     def n_sites(self) -> int:
@@ -325,12 +290,9 @@ class DeviceBackend:
 
         One excitation starts on qubit ``start``.  ``coupler`` is driven at
         ``amplitude`` and, column by column, at each angular frequency;
-        the ``static`` CouplerDrives run alongside.  The order of
+        the ``static`` DriveConfigs run alongside.  The order of
         ``qubits`` and ``couplers`` fixes the model's mode order.
         """
-        static = [device_models.DriveConfig(coupler=d.coupler, amplitude=d.amplitude,
-                                            frequency_hz=d.frequency / math.tau)
-                  for d in static]
         model = device_models.DeviceSubsetModel(
             self.device, qubits, couplers, drives=static, levels=self.levels)
         psi0 = np.zeros(model.dim, dtype=complex)
@@ -342,20 +304,10 @@ class DeviceBackend:
         return np.stack([probs[:, occ[:, qubits.index(q)] == 1, :].sum(axis=1)
                          for q in readout], axis=1)
 
-    def run_pair_scan(self, pair, amplitude: float, frequencies, times,
-                      background=()) -> np.ndarray:
+    def run_pair_scan(self, pair, amplitude: float, frequencies, times) -> np.ndarray:
         j = self.pair_coupler(pair)
-        qubits = list(self.device.coupler_qubits(j))
-        couplers = [j]
-        for bg in background:
-            couplers.append(bg.coupler)
-            for q in self.device.coupler_qubits(bg.coupler):
-                if q not in qubits:
-                    qubits.append(q)
-        if len(qubits) > 3:
-            raise device_models.ResourceError(
-                "background drives would need more than 3 qubits")
-        pops = self._populations(qubits, couplers, background, j, amplitude,
+        qubits = self.device.coupler_qubits(j)
+        pops = self._populations(qubits, [j], [], j, amplitude,
                                  frequencies, times, pair[0], [pair[1]])
         return pops[:, 0, :].T
 
@@ -368,7 +320,9 @@ class DeviceBackend:
             raise ValueError(f"initial site {initial} outside chain of {n}")
         couplers = [_bridging_coupler(self.device, (qubits[k], qubits[k + 1]))
                     for k in range(n - 1)]
-        static = [CouplerDrive(couplers[k], drives.amplitudes[k], drives.frequencies[k])
+        static = [device_models.DriveConfig(
+                      coupler=couplers[k], amplitude=drives.amplitudes[k],
+                      frequency_hz=drives.frequencies[k] / math.tau)
                   for k in range(n - 2)]
         pops = self._populations(qubits, couplers, static, couplers[-1],
                                  drives.amplitudes[-1], [drives.frequencies[-1]],
@@ -388,7 +342,6 @@ class ChevronDataset:
     frequencies: np.ndarray
     times: np.ndarray
     populations: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=float)
@@ -401,24 +354,13 @@ class ChevronDataset:
         if self.populations.min() < -1e-9 or self.populations.max() > 1 + 1e-9:
             raise ValueError("populations outside [0, 1]")
 
-    def as_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "amplitudes": self.amplitudes.tolist(),
-            "frequencies": self.frequencies.tolist(),
-            "times": self.times.tolist(),
-            "populations": self.populations.tolist(),
-            "label": self.label,
-        }
-
 
 def chevron_scan(backend: ExperimentBackend, pair, amplitudes, frequencies,
-                 times, neighbor_drives=(), label: str = "") -> ChevronDataset:
+                 times) -> ChevronDataset:
     """Measure the driven pair over the full (A, frequency, time) grid.
 
-    ``neighbor_drives`` adds the adjacent couplers' drives at fixed
-    parameters during every scan point, for characterization under the
-    same conditions the simultaneous-drive experiment will see.
+    Only the pair's own coupler is driven; the other couplers stay at
+    their bias points.
     """
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -427,8 +369,8 @@ def chevron_scan(backend: ExperimentBackend, pair, amplitudes, frequencies,
         raise ValueError("empty scan grid")
     pops = np.empty((amps.size, freqs.size, t.size))
     for ia, amp in enumerate(amps):
-        pops[ia] = backend.run_pair_scan(pair, amp, freqs, t, neighbor_drives)
-    return ChevronDataset(tuple(pair), amps, freqs, t, np.clip(pops, 0.0, 1.0), label)
+        pops[ia] = backend.run_pair_scan(pair, amp, freqs, t)
+    return ChevronDataset(tuple(pair), amps, freqs, t, np.clip(pops, 0.0, 1.0))
 
 
 class ChevronFit(NamedTuple):
@@ -440,20 +382,17 @@ class ChevronFit(NamedTuple):
     residual: float
 
 
-def fit_chevron(dataset: ChevronDataset, amplitude_index: int | None = None,
-                residual_threshold: float = 0.1) -> ChevronFit:
-    """Fit the detuned-oscillation model to one amplitude slice.
+def fit_chevron(dataset: ChevronDataset, residual_threshold: float = 0.1) -> ChevronFit:
+    """Fit the detuned-oscillation model to a one-amplitude dataset.
 
     The model is P(t) = C * J^2/(J^2 + d^2/4) * sin^2(sqrt(J^2 + d^2/4) t)
     with d the detuning from the resonance; the fit returns the coupling
     and the frequency of maximal contrast.  A root-mean-square residual
     above ``residual_threshold`` raises FitError with diagnostics.
     """
-    if amplitude_index is None:
-        if dataset.amplitudes.size != 1:
-            raise ValueError("dataset has several amplitudes; pass amplitude_index")
-        amplitude_index = 0
-    pops = dataset.populations[amplitude_index]
+    if dataset.amplitudes.size != 1:
+        raise ValueError("chevron fits take a dataset with a single amplitude")
+    pops = dataset.populations[0]
     freqs = dataset.frequencies
     t = dataset.times
     span = t[-1] - t[0]

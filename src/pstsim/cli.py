@@ -133,12 +133,7 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
     if noise is not None and len(noise.t1) != spec.n_sites:
         raise ValueError(f"noise table has {len(noise.t1)} entries for "
                          f"{spec.n_sites} sites")
-    has_zz = any(spec.zz)
-    if noise is not None:
-        model = "zz+relax" if has_zz else "relax"
-    else:
-        model = "zz" if has_zz else "ideal"
-    traj = protocols.run_pst(spec, initial, times, noise=noise, model=model)
+    traj = protocols.run_pst(spec, initial, times, noise=noise)
     csv_name = args.out or f"{command}_trajectory.csv"
     traj.to_csv(out.path(csv_name))
     if args.svg:
@@ -146,7 +141,7 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
         _trajectory_svg(traj, spec.tau, out.path(f"{stem}.svg"),
                         f"{command} n={spec.n_sites}")
     config = dict(config, initial=args.initial, times=args.times,
-                  model=model, noise=args.noise or "")
+                  model=protocols.noise_label(spec.zz, noise), noise=args.noise or "")
     out.finish(config)
     return 0
 
@@ -218,7 +213,7 @@ def cmd_fst(args) -> int:
 
 
 def cmd_parity(args) -> int:
-    n, tau, zeta, noise, model, label = args.n, None, (), None, args.model, ""
+    n, tau, zeta, noise, label = args.n, None, (), None, ""
     if args.config:
         parsed = serialize.load_scenario(args.config)
         if parsed["kind"] != "parity":
@@ -229,30 +224,24 @@ def cmd_parity(args) -> int:
         tau = parsed["tau"]
         zeta = parsed["zeta"]
         noise = parsed["noise"]
-        model = args.model or parsed["model"]
-        label = parsed.get("label", "")
+        label = parsed["label"]
     if n is None:
         raise UsageError("--n is required without a scenario config")
     if n < 3:
         raise UsageError("--n must be at least 3")
-    model = model or "ideal"
-    if "zz" in model and not len(zeta):
-        raise UsageError(f"model {model!r} needs zeta values from a scenario config")
-    if "relax" in model and noise is None:
-        raise UsageError(f"model {model!r} needs t1_s values from a scenario config")
+    model = protocols.noise_label(zeta, noise)
     inputs = tuple(args.inputs.split(","))
     for inp in inputs:
         if inp not in protocols.INPUT_PHASES:
             raise UsageError(f"unknown input state {inp!r}")
     out = _Outputs(args, "parity")
     if args.inner == "all":
-        results = protocols.parity_phase_table(n, inputs, model=model,
-                                               zeta=zeta, noise=noise, tau=tau)
+        results = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise,
+                                               tau=tau)
     else:
         if not re.fullmatch(r"[01]+", args.inner) or len(args.inner) != n - 2:
             raise UsageError(f"--inner must be 'all' or an {n - 2}-bit string")
-        results = [protocols.parity_phase_experiment(n, args.inner, inp,
-                                                     model=model, zeta=zeta,
+        results = [protocols.parity_phase_experiment(n, args.inner, inp, zeta=zeta,
                                                      noise=noise, tau=tau)
                    for inp in inputs]
     rows = []
@@ -325,8 +314,7 @@ def cmd_ghz(args) -> int:
     out = _Outputs(args, "ghz")
     target = protocols.ghz_state(n)
     if args.shots > 0:
-        settings = tomography.TomographySettings.full(n, shots=args.shots,
-                                                      seed=args.seed)
+        settings = tomography.TomographySettings(n, shots=args.shots, seed=args.seed)
         table = tomography.simulate_tomography(state, settings)
         rho = tomography.reconstruct(table)
         rho_source = "tomography"
@@ -496,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity", help="transfer-phase table over inner states")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--inner", default="all", help="'all' or an (n-2)-bit string")
-    p.add_argument("--model", default=None,
-                   choices=protocols.NOISE_MODELS)
     p.add_argument("--inputs", default="+x,+y,-x,-y",
                    help="comma list of input states")
     p.add_argument("--config", default=None, help="parity scenario JSON")

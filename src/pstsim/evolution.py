@@ -7,7 +7,8 @@ bookkeeping is passed in.  Each block the initial state touches is
 diagonalised once, with ``eigh`` when it is Hermitian and ``eig`` when
 relaxation makes it non-Hermitian (``expm`` near an exceptional point,
 where the eigenvectors are ill-conditioned), and every requested time is
-then evaluated exactly.  ``method="krylov"`` steps with scipy's
+then evaluated exactly; a block above ``DENSE_GUARD`` raises
+ResourceError before any work.  ``method="krylov"`` steps with scipy's
 ``expm_multiply`` without forming a dense matrix.  Time-dependent
 Hamiltonians are not handled here: the flux-driven device model steps
 its own H(t) with ``_rk4_step``.  Relaxation enters as non-Hermitian
@@ -49,7 +50,6 @@ class ResourceError(RuntimeError):
 @dataclass
 class EvolutionOptions:
     method: str = "dense-expm"          # dense-expm | krylov
-    dense_guard: int = DENSE_GUARD      # largest block that is diagonalised
 
     def __post_init__(self):
         if self.method not in ("dense-expm", "krylov"):
@@ -124,12 +124,12 @@ def _block_states(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     return (v * phases[:, None, :]) @ c
 
 
-def _blocks(H, guard: int, psi0: np.ndarray | None = None):
+def _blocks(H, psi0: np.ndarray | None = None):
     """Dense diagonal blocks of H over the components of its nonzero pattern.
 
     Yields ``(indices, block)`` for every component, or only for those
     where ``psi0`` has support.  Raises ResourceError before any work if
-    a block to be diagonalised is larger than ``guard``.
+    a block to be diagonalised is larger than ``DENSE_GUARD``.
     """
     if sparse.issparse(H):
         A = H.tocsr()
@@ -152,8 +152,8 @@ def _blocks(H, guard: int, psi0: np.ndarray | None = None):
     n_comp, labels = connected_components(pattern, directed=False)
     wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
     largest = np.bincount(labels)[wanted].max(initial=0)
-    if largest > guard:
-        raise ResourceError(f"block dimension {largest} above dense guard {guard}")
+    if largest > DENSE_GUARD:
+        raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
     entry_labels = labels[row]
     local = np.empty(dim, dtype=np.int64)        # position of each state in its block
     for label in wanted:
@@ -165,10 +165,10 @@ def _blocks(H, guard: int, psi0: np.ndarray | None = None):
         yield idx, block
 
 
-def propagator(H, t: float, dense_guard: int = DENSE_GUARD) -> np.ndarray:
+def propagator(H, t: float) -> np.ndarray:
     """exp(-i H t) as a dense matrix, assembled block by block."""
     U = np.zeros(H.shape, dtype=complex)
-    for idx, h in _blocks(H, dense_guard):
+    for idx, h in _blocks(H):
         U[np.ix_(idx, idx)] = _block_states(h, np.eye(len(idx)), [t])[0]
     return U
 
@@ -202,18 +202,6 @@ class Trajectory:
                 row = [t] + list(self.populations[i]) + [self.norm[i]]
                 f.write(",".join("%.12e" % v for v in row) + "\n")
 
-    def as_dict(self, include_states: bool = False) -> dict:
-        out = {
-            "times_s": [float(t) for t in self.times],
-            "populations": [[float(p) for p in row] for row in self.populations],
-            "norm": [float(v) for v in self.norm],
-        }
-        if include_states:
-            out["states"] = [
-                [[float(a.real), float(a.imag)] for a in row] for row in self.states
-            ]
-        return out
-
 
 def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
            occupations: np.ndarray | None = None) -> Trajectory:
@@ -223,9 +211,9 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     (dim, n_sites) converts amplitudes to per-site populations; when
     omitted each basis state is reported as its own column.  The default
     method decomposes each block of H that ``psi0`` touches once and
-    raises ResourceError when one is larger than
-    ``options.dense_guard``; ``method="krylov"`` steps between the
-    requested times with ``expm_multiply``.
+    raises ResourceError when one is larger than ``DENSE_GUARD`` (read
+    at call time); ``method="krylov"`` steps between the requested times
+    with ``expm_multiply``.
     """
     options = options or EvolutionOptions()
     times = np.asarray(times, dtype=float)
@@ -239,7 +227,7 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
     if options.method == "dense-expm":
-        for idx, h in _blocks(H, options.dense_guard, psi0):
+        for idx, h in _blocks(H, psi0):
             states[:, idx] = _block_states(h, psi0[idx], times)
     else:
         A = -1j * (H.tocsr() if sparse.issparse(H) else np.asarray(H, dtype=complex))

@@ -72,13 +72,13 @@ class ChainSpec:
         return len(self.couplings) + 1
 
     @classmethod
-    def pst(cls, n: int, tau: float, label: str = "") -> "ChainSpec":
-        return cls(couplings=tuple(pst_couplings(n, tau)), tau=tau, label=label)
+    def pst(cls, n: int, tau: float) -> "ChainSpec":
+        return cls(couplings=tuple(pst_couplings(n, tau)), tau=tau)
 
     @classmethod
-    def fst(cls, n: int, tau: float, theta: float, label: str = "") -> "ChainSpec":
+    def fst(cls, n: int, tau: float, theta: float) -> "ChainSpec":
         J, delta = fst_profile(n, tau, theta)
-        return cls(couplings=tuple(J), tau=tau, detunings=tuple(delta), label=label)
+        return cls(couplings=tuple(J), tau=tau, detunings=tuple(delta))
 
     def with_zz(self, zz) -> "ChainSpec":
         return ChainSpec(self.couplings, self.tau, self.detunings, tuple(zz), self.label)

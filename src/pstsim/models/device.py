@@ -66,7 +66,6 @@ class DeviceSpec:
     couplers: tuple
     qubit_qubit_g_hz: tuple = ()   # residual static coupling per pair, None where unknown
     levels: int = 3
-    label: str = ""
 
     def __post_init__(self):
         n = len(self.qubits)
@@ -152,6 +151,9 @@ def effective_coupling_estimate(device: DeviceSpec, pair, drive: DriveConfig) ->
     return deriv * g1 * g2 / delta**2 * drive.amplitude / 2.0
 
 
+_STEPS_PER_PERIOD = 50.0    # RK4 steps per period of the fastest frequency in H(0)
+
+
 def _mode_ops(levels: int):
     a = np.diag(np.sqrt(np.arange(1, levels)), 1)
     n = np.diag(np.arange(levels, dtype=float))
@@ -181,6 +183,8 @@ class DeviceSubsetModel:
         for d in drives:
             if d.coupler not in self.couplers:
                 raise ValueError(f"drive on coupler {d.coupler} outside the subset")
+            if d.amplitude < 0:
+                raise ValueError("drive amplitude must be >= 0")
         self.drives = drives
         self._build()
 
@@ -269,15 +273,15 @@ class DeviceSubsetModel:
         return idx
 
     def evolve_columns(self, psi0: np.ndarray, times: np.ndarray,
-                       frequencies_hz: np.ndarray, coupler: int, amplitude: float,
-                       dt: float | None = None) -> np.ndarray:
+                       frequencies_hz: np.ndarray, coupler: int,
+                       amplitude: float) -> np.ndarray:
         """RK4-propagate one initial state with ``coupler`` driven at
         ``amplitude`` (flux quanta), one column per drive frequency.
 
         Only the frequency varies across columns, so each step reuses the
         fixed part and adjusts the driven coupler's diagonal per column.
-        The static drives of the model run in every column.  The default
-        step is dt = 2 pi / (50 max|H(0)|).  Returns |amplitudes|^2 with
+        The static drives of the model run in every column.  The step is
+        dt = 2 pi / (_STEPS_PER_PERIOD max|H(0)|).  Returns |amplitudes|^2 with
         shape (len(times), dim, len(frequencies_hz)).
         """
         if any(d.coupler == coupler for d in self.drives):
@@ -288,7 +292,7 @@ class DeviceSubsetModel:
 
         others = [j for j in self.couplers if j != coupler]
 
-        def hpsi(t, psi):
+        def f(t, psi):              # -i H(t) psi, column by column
             out = self.H_fixed @ psi
             for oj in others:
                 w = coupler_frequency(self.device.couplers[oj - 1], self.flux(oj, t))
@@ -296,15 +300,11 @@ class DeviceSubsetModel:
             phi_cols = c.phi_dc + amplitude * np.cos(w_ang * t)
             w_cols = coupler_frequency(c, phi_cols)
             out += self._coupler_n[coupler][:, None] * (psi * (2 * pi * w_cols)[None, :])
-            return out
-
-        def f(t, psi):
-            return -1j * hpsi(t, psi)
+            return -1j * out
 
         times = np.asarray(times, dtype=float)
-        if dt is None:
-            hmax = np.max(np.abs(self.hamiltonian(0.0)))
-            dt = 1.0 / (50.0 * hmax / (2 * pi))
+        hmax = np.max(np.abs(self.hamiltonian(0.0)))
+        dt = 1.0 / (_STEPS_PER_PERIOD * hmax / (2 * pi))
         psi = np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, ncol))
         out = np.zeros((len(times), self.dim, ncol))
         t_now = 0.0
@@ -378,4 +378,4 @@ def default_device() -> DeviceSpec:
         couplers.append(CouplerSpec(**{**cp.__dict__, "phi_dc": phi}))
     gqq = tuple(None if g is None else g * 1e6 for g in _G_QQ_MHZ)
     return DeviceSpec(qubits=qubits, couplers=tuple(couplers),
-                      qubit_qubit_g_hz=gqq, levels=3, label="default-ring")
+                      qubit_qubit_g_hz=gqq, levels=3)

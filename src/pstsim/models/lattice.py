@@ -27,7 +27,6 @@ class LatticeSpec:
     nx: int
     ny: int
     tau: float
-    label: str = ""
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:

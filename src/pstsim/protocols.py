@@ -22,6 +22,7 @@ __all__ = [
     "GHZScenario",
     "GHZReport",
     "wrap_phase",
+    "noise_label",
     "apply_gate",
     "simulate_gates",
     "run_pst",
@@ -37,8 +38,6 @@ __all__ = [
 ]
 
 INPUT_PHASES = {"+x": 0.0, "+y": pi / 2, "-x": pi, "-y": -pi / 2}
-
-NOISE_MODELS = ("ideal", "zz", "relax", "zz+relax")
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +121,10 @@ def apply_gate(state: np.ndarray, gate: GateOp, n_sites: int | None = None) -> n
     return state
 
 
-def simulate_gates(n: int, gates, initial=None) -> np.ndarray:
-    """Run a gate list on |0...0> (or the given state) and return the state."""
-    if initial is None:
-        state = np.zeros(2**n, dtype=complex)
-        state[0] = 1.0
-    else:
-        state = np.asarray(initial, dtype=complex).copy()
+def simulate_gates(n: int, gates) -> np.ndarray:
+    """Run a gate list on |0...0> and return the state."""
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
     for g in gates:
         state = apply_gate(state, g, n)
     return state
@@ -137,48 +133,42 @@ def simulate_gates(n: int, gates, initial=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transfer runs
 
-def _noise_for(model: str, spec: chains.ChainSpec, noise):
-    if model not in NOISE_MODELS:
-        raise ValueError(f"model must be one of {NOISE_MODELS}")
-    if "relax" in model and noise is None:
-        raise ValueError("relax model needs a NoiseSpec")
-    use_noise = noise if "relax" in model else None
-    use_zz = spec.zz if (model.startswith("zz") and spec.zz) else ()
-    if model.startswith("zz") and not spec.zz:
-        raise ValueError("zz model but the chain spec carries no zz couplings")
-    return use_noise, use_zz
+def noise_label(zz, noise) -> str:
+    """Which noise terms act: "ideal", "zz", "relax" or "zz+relax".
+
+    ZZ acts when ``zz`` holds a nonzero coupling, relaxation when
+    ``noise`` is a NoiseSpec; this is the rule :func:`run_pst` and the
+    parity experiments follow.
+    """
+    terms = [name for name, on in (("zz", any(zz)), ("relax", noise is not None)) if on]
+    return "+".join(terms) or "ideal"
 
 
-def run_pst(spec: chains.ChainSpec, initial, times, noise=None,
-            model: str = "ideal") -> evolution.Trajectory:
+def run_pst(spec: chains.ChainSpec, initial, times, noise=None) -> evolution.Trajectory:
     """Evolve the chain and record per-site populations.
 
     ``initial`` is either a 1-based site index (single-excitation fast
-    path in the n-dimensional sector) or a full 2^n state vector.
-    ``model`` selects the noise terms: "ideal", "zz" (uses the spec's zz
-    couplings), "relax" (needs ``noise``), or "zz+relax".
+    path in the n-dimensional sector) or a full 2^n state vector.  The
+    spec's zz couplings act as they are (they leave a single excitation
+    alone); ``noise`` adds relaxation.
     """
     n = spec.n_sites
-    use_noise, use_zz = _noise_for(model, spec, noise)
-    eff_spec = spec if use_zz else chains.ChainSpec(
-        couplings=spec.couplings, tau=spec.tau, detunings=spec.detunings,
-        zz=(), label=spec.label)
     if isinstance(initial, (int, np.integer)):
         if not 1 <= initial <= n:
             raise ValueError(f"start site {initial} outside 1..{n}")
-        H = chains.single_excitation_hamiltonian(eff_spec).astype(complex)
-        if use_noise is not None:
-            H = evolution.add_relaxation(H, use_noise, np.eye(n))
+        H = chains.single_excitation_hamiltonian(spec).astype(complex)
+        if noise is not None:
+            H = evolution.add_relaxation(H, noise, np.eye(n))
         psi0 = np.zeros(n, dtype=complex)
         psi0[initial - 1] = 1.0
         return evolution.evolve(H, psi0, times)
     psi0 = np.asarray(initial, dtype=complex)
     if psi0.size != 2**n:
         raise ValueError("initial state dimension does not match the chain")
-    H = chains.chain_hamiltonian(eff_spec)
+    H = chains.chain_hamiltonian(spec)
     occ = statespace.occupation_matrix(n)
-    if use_noise is not None:
-        H = evolution.add_relaxation(H, use_noise, occ)
+    if noise is not None:
+        H = evolution.add_relaxation(H, noise, occ)
     return evolution.evolve(H, psi0, times, occupations=occ)
 
 
@@ -218,17 +208,11 @@ def _sector_transfer(spec, k: int, noise):
     return statespace.sector_states(n, k), evolution.propagator(H, spec.tau)
 
 
-def _parity_spec(n: int, model: str, zeta, noise, tau):
-    """Chain spec and relaxation of a parity experiment (shared by a table)."""
+def _parity_spec(n: int, zeta, tau):
+    """Chain spec of a parity experiment (shared by a table)."""
     if n < 3:
         raise ValueError("parity experiment needs n >= 3")
-    spec = chains.ChainSpec.pst(n, 640e-9 if tau is None else tau)
-    if model.startswith("zz"):
-        if not zeta:
-            raise ValueError("zz model needs zeta values")
-        spec = spec.with_zz(tuple(zeta))
-    use_noise, _ = _noise_for(model, spec, noise)
-    return spec, use_noise
+    return chains.ChainSpec.pst(n, 640e-9 if tau is None else tau).with_zz(zeta)
 
 
 def _parity_experiment(spec, noise, inner: str, input_state: str,
@@ -260,31 +244,29 @@ def _parity_experiment(spec, noise, inner: str, input_state: str,
                                   phase=wrap_phase(phi_in - phi_out), parity=parity)
 
 
-def parity_phase_experiment(n: int, inner: str, input_state: str,
-                            model: str = "ideal", zeta=(), noise=None,
-                            tau: float | None = None) -> ParityExperimentResult:
+def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
+                            noise=None, tau: float | None = None) -> ParityExperimentResult:
     """Transfer-phase measurement for one inner bitstring and input state.
 
     Site 1 is prepared in the +-x/+-y superposition, sites 2..n-1 in the
     computational ``inner`` pattern, site n in the ground state.  After
     one transfer the x-y angle of site n's reduced state is read out and
     the prepared input phase subtracted; the result is wrapped to
-    (-pi, pi].  ``zeta`` (rad/s per adjacent pair) activates ZZ terms
-    during the transfer for the "zz" models.
+    (-pi, pi].  Nonzero ``zeta`` (rad/s per adjacent pair) adds ZZ terms
+    during the transfer, and ``noise`` relaxation.
     """
-    spec, use_noise = _parity_spec(n, model, zeta, noise, tau)
-    return _parity_experiment(spec, use_noise, inner, input_state, {})
+    return _parity_experiment(_parity_spec(n, zeta, tau), noise, inner, input_state, {})
 
 
-def parity_phase_table(n: int, input_states=("+x",), model: str = "ideal",
-                       zeta=(), noise=None, tau: float | None = None):
+def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
+                       tau: float | None = None):
     """All 2^(n-2) inner bitstrings for the given input states.
 
     Each sector's propagator is built once per table and shared by its rows.
     """
-    spec, use_noise = _parity_spec(n, model, zeta, noise, tau)
+    spec = _parity_spec(n, zeta, tau)
     transfers = {}
-    return [_parity_experiment(spec, use_noise, format(code, f"0{n - 2}b"), inp,
+    return [_parity_experiment(spec, noise, format(code, f"0{n - 2}b"), inp,
                                transfers)
             for code in range(2 ** (n - 2)) for inp in input_states]
 
@@ -313,9 +295,7 @@ def parity_deviation_fit(results) -> dict:
 # ---------------------------------------------------------------------------
 # double FST parity experiment
 
-def double_fst_parity_experiment(middle_excited_first_leg: bool,
-                                 theta: float = pi / 2,
-                                 tau: float = 350e-9) -> np.ndarray:
+def double_fst_parity_experiment(middle_excited_first_leg: bool) -> np.ndarray:
     """Two theta=pi/2 fractional transfers on three sites.
 
     The outer excitation starts on site 1.  With the middle qubit in the
@@ -324,7 +304,8 @@ def double_fst_parity_experiment(middle_excited_first_leg: bool,
     flipping it between the legs reverses the second rotation, so the
     excitation refocuses on site 1.  Returns per-site populations.
     """
-    spec = chains.ChainSpec.fst(3, tau, theta)
+    tau = 350e-9
+    spec = chains.ChainSpec.fst(3, tau, pi / 2)
     U = evolution.propagator(chains.chain_hamiltonian(spec), tau)
     state = np.zeros(8, dtype=complex)
     bits = 0b100 | (0b010 if middle_excited_first_leg else 0)
@@ -480,7 +461,6 @@ class GraphStateReport:
     n: int
     iswap_edges: tuple
     cz_edges: tuple
-    edge_transfer_index: dict = field(repr=False)
 
     def union(self):
         return set(self.iswap_edges) | set(self.cz_edges)
@@ -497,18 +477,12 @@ def graph_state_edges(n: int) -> GraphStateReport:
         raise ValueError("need n >= 2")
     iswap = []
     cz = []
-    origin = {}
     for m in range(1, n // 2 + 1):
         mt = n + 1 - m
         iswap.append((m, mt))
-        origin[(m, mt)] = m
         for k in range(m + 1, mt):
-            for edge in ((m, k), (k, mt)):
-                e = tuple(sorted(edge))
-                cz.append(e)
-                origin[e] = m
-    return GraphStateReport(n=n, iswap_edges=tuple(iswap), cz_edges=tuple(cz),
-                            edge_transfer_index=origin)
+            cz += [(m, k), (k, mt)]
+    return GraphStateReport(n=n, iswap_edges=tuple(iswap), cz_edges=tuple(cz))
 
 
 # ---------------------------------------------------------------------------

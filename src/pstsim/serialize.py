@@ -83,8 +83,7 @@ def _get(data: dict, key: str, kind, pointer: str, required: bool = True,
     return value
 
 
-def _number_list(data: dict, key: str, pointer: str, required: bool = True,
-                 allow_none_items: bool = False):
+def _number_list(data: dict, key: str, pointer: str, required: bool = True):
     if key not in data:
         if required:
             raise ConfigError(f"{pointer}/{key}", "missing required field")
@@ -94,9 +93,7 @@ def _number_list(data: dict, key: str, pointer: str, required: bool = True,
         raise ConfigError(f"{pointer}/{key}", "expected list")
     out = []
     for i, v in enumerate(raw):
-        if v is None and allow_none_items:
-            out.append(None)
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
             out.append(float(v))
         else:
             raise ConfigError(f"{pointer}/{key}/{i}", "expected number")
@@ -181,14 +178,17 @@ def parse_scenario(data: dict) -> dict:
             raise ConfigError("", str(exc)) from exc
         return {"kind": "ghz", "scenario": scenario}
     if kind == "parity":
-        model = _get(data, "model", str, "", required=False, default="zz")
-        if model not in protocols.NOISE_MODELS:
-            raise ConfigError("/model", f"unknown model {model!r}")
         noise = parse_noise(data) if "t1_s" in data else None
         if noise is not None and len(noise.t1) != n:
             raise ConfigError("/t1_s", f"expected {n} entries, got {len(noise.t1)}")
+        # "model" only labels the file; zeta_hz and t1_s decide what acts
+        model = protocols.noise_label(zeta, noise)
+        given = _get(data, "model", str, "", required=False, default=model)
+        if given != model:
+            raise ConfigError("/model", f"{given!r} contradicts zeta_hz and t1_s, "
+                                        f"which give {model!r}")
         return {"kind": "parity", "n": n, "tau": tau, "zeta": zeta,
-                "model": model, "label": label, "noise": noise}
+                "label": label, "noise": noise}
     raise ConfigError("/kind", f"unknown scenario kind {kind!r}")
 
 

@@ -32,42 +32,30 @@ _TO_Z = {
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """Measurement plan: Pauli settings, shots per setting, base seed.
+    """Complete n-qubit measurement plan: every Pauli setting, shots, base seed.
 
-    ``shots = 0`` means exact expectations (no sampling).  Each setting
-    draws from its own stream derived from ``seed`` and the setting's
-    position, so tables are reproducible regardless of evaluation order.
+    The settings are all 3^n strings over X, Y, Z in product order
+    (``settings``).  ``shots = 0`` means exact expectations (no
+    sampling).  Each setting draws from its own stream derived from
+    ``seed`` and the setting's position in that order, so tables are
+    reproducible regardless of evaluation order.
     """
 
-    settings: tuple
+    n_sites: int
     shots: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if not self.settings:
-            raise ValueError("no measurement settings")
-        n = len(self.settings[0])
-        for s in self.settings:
-            if len(s) != n or any(c not in "XYZ" for c in s):
-                raise ValueError(f"bad Pauli setting {s!r}")
-        if len(set(self.settings)) != len(self.settings):
-            raise ValueError("duplicate measurement settings")
+        if self.n_sites < 1:
+            raise ValueError("need at least one site")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
     @property
-    def n_sites(self) -> int:
-        return len(self.settings[0])
-
-    @classmethod
-    def full(cls, n: int, shots: int = 0, seed: int = 0) -> "TomographySettings":
-        """All 3^n settings needed for complete n-qubit tomography."""
-        if n < 1:
-            raise ValueError("need at least one site")
-        labels = tuple("".join(p) for p in itertools.product("XYZ", repeat=n))
-        return cls(labels, shots, seed)
+    def settings(self) -> tuple:
+        return tuple("".join(p) for p in itertools.product("XYZ", repeat=self.n_sites))
 
 
 @dataclass
@@ -77,16 +65,6 @@ class ExpectationTable:
     n_sites: int
     shots: int
     values: dict
-
-    def __getitem__(self, label: str) -> float:
-        return self.values[label]
-
-    def as_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "shots": self.shots,
-            "values": {k: self.values[k] for k in sorted(self.values)},
-        }
 
 
 def _pauli_labels(n: int) -> list:
@@ -136,11 +114,12 @@ def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
     and the multinomial draws from each setting's own stream, are too.
     """
     n = settings.n_sites
-    freqs = np.empty((len(settings.settings), 2**n))
+    labels = settings.settings
+    freqs = np.empty((len(labels), 2**n))
     # rotated[k]: psi with the current setting's first k axes rotated onto Z
     rotated = [psi] + [None] * n
     previous = ""
-    for idx, s in enumerate(settings.settings):
+    for idx, s in enumerate(labels):
         for depth in range(len(os.path.commonprefix((previous, s))), n):
             below = rotated[depth]
             rotated[depth + 1] = (below if s[depth] == "Z" else
@@ -157,7 +136,7 @@ def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
 
 
 def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> ExpectationTable:
-    """Measure a state in every declared Pauli setting.
+    """Measure a state in every Pauli setting of the plan.
 
     With shots the joint outcome distribution of each setting is sampled
     once (multinomial over the 2^n bitstrings) with a per-setting stream,
@@ -245,10 +224,10 @@ class FidelityReport:
         }
 
 
-def fidelity_opt_z(rho: np.ndarray, target: np.ndarray, site: int = 1) -> FidelityReport:
-    """Fidelity allowing one virtual Z(phi) on the designated site.
+def fidelity_opt_z(rho: np.ndarray, target: np.ndarray) -> FidelityReport:
+    """Fidelity allowing one virtual Z(phi) on site 1.
 
-    The site defaults to 1, the same site the GHZ circuit singles out.
+    Site 1 is the one the GHZ circuit singles out.
     F(phi) = base + 2 Re(e^{i phi} z) is a sinusoid in phi, so its
     maximum is base + 2|z| at phi = -arg z, reported in (-pi, pi];
     phi_opt is 0 when no rotation beats the raw fidelity.
@@ -260,12 +239,10 @@ def fidelity_opt_z(rho: np.ndarray, target: np.ndarray, site: int = 1) -> Fideli
     n = int(round(math.log2(psi.size)))
     if psi.size != 2**n:
         raise ValueError("target dimension is not a power of 2")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside register of {n} qubits")
 
-    # Z(phi) on rho is a phase e^{-i phi} on the site=|1> half of the
+    # Z(phi) on rho is a phase e^{-i phi} on the site-1 |1> half of the
     # conjugated target, so F(phi) = base + 2 Re(e^{i phi} z).
-    bit = (np.arange(psi.size) >> (n - site)) & 1
+    bit = (np.arange(psi.size) >> (n - 1)) & 1
     psi1 = np.where(bit == 1, psi, 0.0)
     psi0 = psi - psi1
     base = float(np.real(psi0.conj() @ rho @ psi0 + psi1.conj() @ rho @ psi1))

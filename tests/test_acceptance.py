@@ -121,7 +121,7 @@ def test_criterion_03_parity_phase_table():
 def test_criterion_04_zz_deviation_trend():
     """ZZ coupling shifts phases linearly in the inner excitation count."""
     zeta = (-TWO_PI * 100e3,) * 5
-    rows = protocols.parity_phase_table(6, model="zz", zeta=zeta)
+    rows = protocols.parity_phase_table(6, zeta=zeta)
     by_count = {}
     for row in rows:
         deviation = abs(protocols.wrap_phase(row.phase - row.parity * pi / 2))

@@ -162,15 +162,12 @@ def test_fit_chevron_residual_threshold():
         calibration.fit_chevron(data, residual_threshold=1e-6)
 
 
-def test_fit_chevron_amplitude_index():
+def test_fit_chevron_rejects_several_amplitudes():
     be = _backend()
-    cfg = be.config
-    _, freqs, times = _chevron_window(cfg, (2, 3), 0.012)
+    _, freqs, times = _chevron_window(be.config, (2, 3), 0.012)
     data = calibration.chevron_scan(be, (2, 3), [0.01, 0.012], freqs, times)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single amplitude"):
         calibration.fit_chevron(data)
-    fit = calibration.fit_chevron(data, amplitude_index=1)
-    assert fit.coupling == pytest.approx(cfg.coupling_slopes[1] * 0.012, rel=1e-9)
 
 
 # ------------------------------------------------------------- perturb
@@ -427,11 +424,6 @@ def test_optimizer_matches_reference_search(noise):
 # ------------------------------------------------------- device backend
 
 
-def test_device_backend_resource_guard():
-    with pytest.raises(device_models.ResourceError):
-        calibration.DeviceBackend(chain_qubits=(1, 2, 3, 4))
-
-
 def test_device_backend_pair_run_deterministic():
     db = calibration.DeviceBackend()
     pair = (1, 2)
@@ -445,15 +437,16 @@ def test_device_backend_pair_run_deterministic():
 
 
 # The device run path before run_pair_scan and run_chain shared one helper,
-# kept verbatim (apart from the removed ``dt`` field, which was always None)
-# as the reference the shared path must reproduce bit for bit.
+# kept verbatim (apart from the removed ``dt`` field, which was always None,
+# and the removed background drives) as the reference the shared path must
+# reproduce bit for bit.
 
 def _reference_level_one_masks(self, model, qubit_positions):
     occ = model.occupations()
     return [occ[:, pos] == 1 for pos in qubit_positions]
 
 
-def _reference_pair_probs(self, pair, amplitude, frequencies, times, background):
+def _reference_pair_probs(self, pair, amplitude, frequencies, times):
     """Full-space probabilities for a driven pair, plus the model."""
     freqs = np.asarray(frequencies, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -461,17 +454,6 @@ def _reference_pair_probs(self, pair, amplitude, frequencies, times, background)
     qubits = list(self.device.coupler_qubits(j))
     couplers = [j]
     static = []
-    for bg in background:
-        couplers.append(bg.coupler)
-        static.append(device_models.DriveConfig(
-            coupler=bg.coupler, amplitude=bg.amplitude,
-            frequency_hz=bg.frequency / math.tau))
-        for q in self.device.coupler_qubits(bg.coupler):
-            if q not in qubits:
-                qubits.append(q)
-    if len(qubits) > 3:
-        raise device_models.ResourceError(
-            "background drives would need more than 3 qubits")
     model = device_models.DeviceSubsetModel(
         self.device, qubits, couplers, drives=static, levels=self.levels)
     psi0 = np.zeros(model.dim, dtype=complex)
@@ -479,13 +461,13 @@ def _reference_pair_probs(self, pair, amplitude, frequencies, times, background)
     base = device_models.DriveConfig(coupler=j, amplitude=amplitude,
                                      frequency_hz=1.0)
     probs = model.evolve_columns(psi0, t, freqs / math.tau, base.coupler,
-                                 base.amplitude, dt=None)
+                                 base.amplitude)
     return probs, model, qubits
 
 
-def _reference_run_pair_scan(self, pair, amplitude, frequencies, times, background=()):
+def _reference_run_pair_scan(self, pair, amplitude, frequencies, times):
     probs, model, qubits = _reference_pair_probs(self, pair, amplitude, frequencies,
-                                                 times, background)
+                                                 times)
     mask = _reference_level_one_masks(self, model, [qubits.index(pair[1])])[0]
     return probs[:, mask, :].sum(axis=1).T
 
@@ -513,7 +495,7 @@ def _reference_run_chain(self, drives, initial, times):
                                      frequency_hz=1.0)
     probs = model.evolve_columns(
         psi0, t, np.array([drives.frequencies[-1]]) / math.tau, base.coupler,
-        base.amplitude, dt=None)
+        base.amplitude)
     masks = _reference_level_one_masks(self, model, range(n))
     return np.column_stack([probs[:, m, :].sum(axis=1)[:, 0] for m in masks])
 
@@ -523,11 +505,9 @@ def test_device_backend_matches_reference_run_path():
     f = [q.frequency_hz for q in db.device.qubits]
     t = np.linspace(0.0, 2e-9, 5)
     freqs = TWO_PI * (abs(f[0] - f[1]) + np.array([-4e6, 0.0, 4e6]))
-    background = (calibration.CouplerDrive(2, 0.01, TWO_PI * abs(f[1] - f[2])),)
-    for bg in ((), background):
-        np.testing.assert_array_equal(
-            db.run_pair_scan((1, 2), 0.01, freqs, t, bg),
-            _reference_run_pair_scan(db, (1, 2), 0.01, freqs, t, bg))
+    np.testing.assert_array_equal(
+        db.run_pair_scan((1, 2), 0.01, freqs, t),
+        _reference_run_pair_scan(db, (1, 2), 0.01, freqs, t))
     drives = calibration.DriveSettings(
         (0.01, 0.012), (TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2])))
     for initial in (1, 2, 3):

@@ -191,10 +191,10 @@ def test_parity_single_inner(tmp_path):
 @pytest.mark.parametrize("model", ["relax", "zz+relax"])
 def test_parity_relax_scenario(tmp_path, model):
     config = tmp_path / "scenario.json"
+    zeta = {"zeta_hz": [-100e3] * 3} if "zz" in model else {}
     config.write_text(json.dumps({
         "schema_version": 1, "kind": "parity", "n": 4, "tau_s": 640e-9,
-        "model": model, "zeta_hz": [-100e3] * 3,
-        "t1_s": [20e-6, 30e-6, 10e-6, 40e-6]}))
+        "model": model, **zeta, "t1_s": [20e-6, 30e-6, 10e-6, 40e-6]}))
     assert _run(tmp_path, "parity", "--config", config) == 0
     data = _load(tmp_path, "parity.json")
     assert data["model"] == model
@@ -210,10 +210,10 @@ def test_parity_relax_scenario(tmp_path, model):
     [
         ("parity", "--n", "2"),
         ("parity", "--n", "6", "--inner", "101"),
-        ("parity", "--n", "4", "--model", "zz"),
+        ("parity",),
         ("parity", "--n", "4", "--inputs", "up"),
-        ("parity", "--n", "4", "--model", "relax"),
-        ("parity", "--config", "configs/scenario_parity_zz.json", "--model", "zz+relax"),
+        ("parity", "--n", "4", "--inner", "1x"),
+        ("parity", "--config", "configs/scenario_parity_zz.json", "--inner", "01"),
         ("parity", "--n", "5", "--config", "configs/scenario_parity_zz.json"),
     ],
 )
@@ -221,6 +221,18 @@ def test_parity_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         _run(tmp_path, *argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("model, fields", [
+    ("zz", {}),
+    ("relax", {"zeta_hz": [-100e3] * 3, "t1_s": [20e-6] * 4}),
+])
+def test_parity_model_contradicting_inputs_exits_2(tmp_path, capsys, model, fields):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"schema_version": 1, "kind": "parity", "n": 4,
+                                  "tau_s": 640e-9, "model": model, **fields}))
+    assert _run(tmp_path, "parity", "--config", config) == 2
+    assert "config error: /model: " in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------- ghz

@@ -135,6 +135,10 @@ def test_drive_outside_subset_rejected(dev):
         dv.DeviceSubsetModel(
             dev, (1, 2), (1,),
             drives=(dv.DriveConfig(coupler=3, amplitude=0.01, frequency_hz=1e8),))
+    with pytest.raises(ValueError, match="amplitude"):
+        dv.DeviceSubsetModel(
+            dev, (1, 2), (1,),
+            drives=(dv.DriveConfig(coupler=1, amplitude=-0.01, frequency_hz=1e8),))
 
 
 def test_dispersive_bias_keeps_qubits_bare(dev):
@@ -167,8 +171,8 @@ def test_evolve_columns_unitary_and_deterministic(dev):
     np.testing.assert_array_equal(first, model.evolve_columns(psi0, short, freqs, 1, 0.01))
 
 
-def test_evolve_columns_step_size_converged(dev):
-    # the default step rule (see evolve_columns) against half of it over
+def test_evolve_columns_step_size_converged(dev, monkeypatch):
+    # the step rule (see evolve_columns) against half of its step over
     # 10 ns, on resonance and 8 MHz off
     model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
     psi0 = np.zeros(model.dim, dtype=complex)
@@ -176,9 +180,10 @@ def test_evolve_columns_step_size_converged(dev):
     times = np.linspace(0.0, 10e-9, 3)
     bare = dev.qubits[0].frequency_hz - dev.qubits[1].frequency_hz
     freqs = bare + np.array([0.0, 8e6])
-    dt = 2 * np.pi / (50.0 * np.max(np.abs(model.hamiltonian(0.0))))
     coarse = model.evolve_columns(psi0, times, freqs, 1, 0.01)
-    fine = model.evolve_columns(psi0, times, freqs, 1, 0.01, dt=dt / 2)
+    assert dv._STEPS_PER_PERIOD == 50
+    monkeypatch.setattr(dv, "_STEPS_PER_PERIOD", 100)
+    fine = model.evolve_columns(psi0, times, freqs, 1, 0.01)
     np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-6)
     assert np.max(np.abs(coarse.sum(axis=1) - 1.0)) < 1e-5
 

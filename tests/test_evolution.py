@@ -105,25 +105,25 @@ def test_krylov_matches_dense_on_sparse_chain():
     np.testing.assert_allclose(krylov.states, dense.states, rtol=0, atol=1e-10)
 
 
-def test_dense_guard_trips():
+def test_dense_guard_trips(monkeypatch):
     # the guard bounds the largest block that is diagonalised, so it needs
     # a connected matrix: np.eye(16) is sixteen 1x1 blocks
-    opts = evolution.EvolutionOptions(method="dense-expm", dense_guard=8)
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
     H = _random_hermitian(np.random.default_rng(2), 16)
     with pytest.raises(evolution.ResourceError):
-        evolution.evolve(H, _basis(16), [0.0, 1e-9], opts)
+        evolution.evolve(H, _basis(16), [0.0, 1e-9])
     with pytest.raises(evolution.ResourceError):
-        evolution.propagator(H, 1e-9, dense_guard=8)
+        evolution.propagator(H, 1e-9)
 
 
-def test_dense_guard_counts_only_touched_blocks():
+def test_dense_guard_counts_only_touched_blocks(monkeypatch):
     # 5 sites: the one-excitation sector has 5 states, the two-excitation 10
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
     H = chains.chain_hamiltonian(chains.ChainSpec.pst(5, 640e-9))
-    opts = evolution.EvolutionOptions(dense_guard=8)
-    traj = evolution.evolve(H, _basis(32, 0b10000), [0.0, 640e-9], opts)
+    traj = evolution.evolve(H, _basis(32, 0b10000), [0.0, 640e-9])
     assert abs(traj.states[-1, 0b00001]) ** 2 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(evolution.ResourceError):
-        evolution.evolve(H, _basis(32, 0b11000), [0.0, 640e-9], opts)
+        evolution.evolve(H, _basis(32, 0b11000), [0.0, 640e-9])
 
 
 # ------------------------------------------------ block propagation vs expm
@@ -178,7 +178,7 @@ def test_imaginary_couplings_and_duplicate_entries(form):
     np.testing.assert_allclose(evolution.propagator(Hin, 1e-6), expm(-1j * H * 1e-6),
                                rtol=0, atol=1e-10)
     # sites 0-2 form one block, site 3 its own
-    assert sorted(len(idx) for idx, _ in evolution._blocks(Hin, 8)) == [1, 3]
+    assert sorted(len(idx) for idx, _ in evolution._blocks(Hin)) == [1, 3]
 
 
 def test_exceptional_point_falls_back_to_expm(monkeypatch):
@@ -229,6 +229,13 @@ def test_only_evolution_uses_expm():
     assert offenders == []
 
 
+# the package, the scripts, the benchmark and the acceptance criteria: the code
+# that runs the package for a user; unit tests alone do not count as a caller
+_CALLERS = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+            *sorted((ROOT / "perfbench").glob("*.py")),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_public_name_has_a_caller():
     # each top-level public def/class of the package is used, outside its own
     # definition, by the package, a script, the benchmark or an acceptance
@@ -240,11 +247,8 @@ def test_every_public_name_has_a_caller():
                     and not node.name.startswith("_")):
                 spans.setdefault(node.name, []).append(
                     (path, node.lineno, node.end_lineno))
-    callers = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
-               *sorted((ROOT / "perfbench").glob("*.py")),
-               ROOT / "tests" / "test_acceptance.py"]
     used = set()
-    for path in callers:
+    for path in _CALLERS:
         with open(path, "rb") as fh:
             for tok in tokenize.tokenize(fh.readline):
                 if tok.type == tokenize.NAME and tok.string in spans and not any(
@@ -252,6 +256,93 @@ def test_every_public_name_has_a_caller():
                         for p, lo, hi in spans[tok.string]):
                     used.add(tok.string)
     assert sorted(set(spans) - used) == []
+
+
+def _params(fn, skip: int):
+    """Positional parameters of a def after the first ``skip``, and those with a default."""
+    a = fn.args
+    positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+    defaulted = positional[len(positional) - len(a.defaults):]
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional[skip:], defaulted
+
+
+def _fields(cls):
+    """Fields of a dataclass in constructor order, and those with a default."""
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+              and "ClassVar" not in ast.unparse(s.annotation)]
+    # a bare field(repr=False) declares no default
+    defaulted = [s for s in fields if s.value is not None and not (
+        isinstance(s.value, ast.Call) and ast.unparse(s.value.func).endswith("field")
+        and not {k.arg for k in s.value.keywords} & {"default", "default_factory"})]
+    return [s.target.id for s in fields], [s.target.id for s in defaulted]
+
+
+def _option_signatures():
+    """Callee name -> [(positional parameters, {defaulted parameter: option})].
+
+    A public function is called by its name, a public method by the method
+    name, and a public class (its ``__init__`` or its dataclass fields) by
+    the class name.  Options read "function.p", "Class.method.p" or "Class.p".
+    """
+    signatures = {}
+
+    def add(callee, owner, params):
+        positional, defaulted = params
+        signatures.setdefault(callee, []).append(
+            (positional, {p: f"{owner}.{p}" for p in defaulted}))
+
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                add(node.name, node.name, _params(node, 0))
+                continue
+            if any(ast.unparse(d).split("(")[0].endswith("dataclass")
+                   for d in node.decorator_list):
+                add(node.name, node.name, _fields(node))
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("_") and fn.name != "__init__"):
+                    continue
+                static = "staticmethod" in map(ast.unparse, fn.decorator_list)
+                params = _params(fn, 0 if static else 1)
+                if fn.name == "__init__":
+                    add(node.name, node.name, params)
+                else:
+                    add(fn.name, f"{node.name}.{fn.name}", params)
+    return signatures
+
+
+# the one option only unit tests set: they run the device model at 2 levels
+# to stay fast, every other caller at its datasheet 3 levels
+_OPTIONS_SET_ONLY_BY_TESTS = {"DeviceBackend.levels"}
+
+
+def test_every_option_has_a_caller():
+    # every defaulted parameter of a public function, method or __init__, and
+    # every defaulted field of a public dataclass, is passed by keyword, by
+    # position or through a * or ** splat in some call of that name by one of
+    # the callers above
+    signatures = _option_signatures()
+    options = {o for sigs in signatures.values() for _, opts in sigs for o in opts.values()}
+    passed = set()
+    for path in _CALLERS:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            splat = (any(isinstance(a, ast.Starred) for a in call.args)
+                     or any(k.arg is None for k in call.keywords))
+            for positional, opts in signatures.get(name, ()):
+                given = (set(opts) if splat else
+                         {*positional[:len(call.args)], *(k.arg for k in call.keywords)})
+                passed.update(opts[p] for p in given & set(opts))
+    assert sorted(options - passed - _OPTIONS_SET_ONLY_BY_TESTS) == []
+    # and the allowlist names only options that still need it
+    assert _OPTIONS_SET_ONLY_BY_TESTS <= options - passed
 
 
 def test_evolve_rejects_callable_or_mismatched_h():
@@ -278,17 +369,6 @@ def test_trajectory_to_csv_round_trip(tmp_path):
     # identical evolution, identical bytes
     traj.to_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
-
-
-def test_trajectory_as_dict_complex_pairs():
-    spec = chains.ChainSpec.pst(2, 1e-6)
-    H = chains.chain_hamiltonian(spec)
-    traj = evolution.evolve(H, _basis(4, 0b10), np.array([0.0, 5e-7]),
-                            occupations=statespace.occupation_matrix(2))
-    d = traj.as_dict(include_states=True)
-    assert "states" in d
-    entry = d["states"][0][2]
-    assert isinstance(entry, list) and len(entry) == 2
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,6 +1,5 @@
 """Tests for gate sequences, parity experiments, and GHZ preparation."""
 
-import dataclasses
 import itertools
 from math import pi
 
@@ -193,7 +192,7 @@ def test_ideal_parity_deviation_vanishes_for_every_n(n):
 
 def test_parity_zz_deviation_grows_with_count():
     zeta = (-2.0 * pi * 100e3,) * 5
-    rows = protocols.parity_phase_table(6, model="zz", zeta=zeta)
+    rows = protocols.parity_phase_table(6, zeta=zeta)
     dev = {}
     for row in rows:
         k = row.inner.count("1")
@@ -218,8 +217,8 @@ def test_parity_errors():
         protocols.parity_phase_experiment(5, "102", "+x")
     with pytest.raises(ValueError):
         protocols.parity_phase_experiment(5, "101", "up")
-    with pytest.raises(ValueError):
-        protocols.parity_phase_experiment(5, "101", "+x", model="zz")
+    with pytest.raises(ValueError, match="zz values"):
+        protocols.parity_phase_experiment(5, "101", "+x", zeta=(1.0,))
 
 
 # -------------------------------------------------------------------- run_pst
@@ -235,13 +234,28 @@ def test_run_pst_site_and_bitstring_agree():
     np.testing.assert_allclose(a.populations, b.populations, atol=1e-12)
 
 
+def _with_and_without_zz():
+    ideal = chains.ChainSpec.pst(4, 640e-9)
+    return ideal.with_zz((-2.0 * pi * 150e3,) * 3), ideal
+
+
 def test_single_excitation_ignores_zz():
-    zeta = (-2.0 * pi * 150e3,) * 3
-    spec = dataclasses.replace(chains.ChainSpec.pst(4, 640e-9), zz=zeta)
+    spec, ideal = _with_and_without_zz()
     times = np.linspace(0.0, spec.tau, 17)
-    ideal = protocols.run_pst(spec, 1, times, model="ideal")
-    zz = protocols.run_pst(spec, 1, times, model="zz")
-    np.testing.assert_allclose(ideal.populations, zz.populations, atol=1e-10)
+    np.testing.assert_allclose(protocols.run_pst(spec, 1, times).populations,
+                               protocols.run_pst(ideal, 1, times).populations, atol=1e-10)
+
+
+def test_two_excitations_feel_the_spec_zz():
+    # ZZ acts whenever the spec carries it: no separate switch turns it on
+    spec, ideal = _with_and_without_zz()
+    times = np.linspace(0.0, spec.tau, 17)
+    psi0 = np.zeros(16)
+    psi0[statespace.basis_index([1, 1, 0, 0])] = 1.0
+    zz = protocols.run_pst(spec, psi0, times)
+    plain = protocols.run_pst(ideal, psi0, times)
+    assert np.max(np.abs(zz.populations - plain.populations)) > 1e-3
+    np.testing.assert_allclose(zz.norm, 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- double FST
@@ -264,8 +278,7 @@ def test_graph_state_edges_cover_complete_graph(n):
     complete = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     assert rep.union() == complete
     assert not set(rep.iswap_edges) & set(rep.cz_edges)
-    for edge in rep.iswap_edges:
-        assert rep.edge_transfer_index[edge] >= 1
+    assert all(a < b for a, b in rep.iswap_edges + rep.cz_edges)
 
 
 # -------------------------------------------------------------------- run_ghz

@@ -116,15 +116,33 @@ def test_parity_scenario_parse():
     parsed = serialize.parse_scenario(data)
     assert parsed["kind"] == "parity"
     assert parsed["n"] == 6
-    assert parsed["model"] == "zz"
     np.testing.assert_allclose(parsed["zeta"], [-2 * pi * 100e3] * 5, rtol=1e-15)
     assert parsed["noise"] is None
-    relax = dict(data, model="relax", t1_s=[20e-6] * 6, decay_convention="rate-2pi")
+    # the model label is optional: zeta_hz and t1_s decide what acts
+    del data["model"]
+    assert serialize.parse_scenario(data) == parsed
+    relax = dict(data, model="zz+relax", t1_s=[20e-6] * 6, decay_convention="rate-2pi")
     noise = serialize.parse_scenario(relax)["noise"]
     assert noise.t1 == (20e-6,) * 6
     assert noise.decay_convention == "rate-2pi"
     with pytest.raises(serialize.ConfigError, match="/t1_s"):
         serialize.parse_scenario(dict(relax, t1_s=[20e-6] * 5))
+
+
+@pytest.mark.parametrize("model, fields", [
+    ("zz", {}),
+    ("zz", {"zeta_hz": [0.0] * 3}),
+    ("ideal", {"zeta_hz": [-100e3] * 3}),
+    ("relax", {"zeta_hz": [-100e3] * 3, "t1_s": [20e-6] * 4}),
+    ("zz+relax", {"zeta_hz": [-100e3] * 3}),
+    ("relax", {}),
+    ("bogus", {}),
+])
+def test_parity_scenario_model_must_match_inputs(model, fields):
+    data = {"schema_version": 1, "kind": "parity", "n": 4, "tau_s": 640e-9,
+            "model": model, **fields}
+    with pytest.raises(serialize.ConfigError, match="^/model: "):
+        serialize.parse_scenario(data)
 
 
 # -------------------------------------------------------------------- errors

@@ -37,7 +37,8 @@ def pauli_expectation(state: np.ndarray, label: str) -> float:
 
 
 def test_full_settings_count():
-    s = tomography.TomographySettings.full(3)
+    s = tomography.TomographySettings(3)
+    assert s.settings == tuple("".join(p) for p in itertools.product("XYZ", repeat=3))
     assert len(s.settings) == 27
     assert s.n_sites == 3
     assert s.shots == 0
@@ -45,19 +46,11 @@ def test_full_settings_count():
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        tomography.TomographySettings(())
+        tomography.TomographySettings(2, shots=-1)
     with pytest.raises(ValueError):
-        tomography.TomographySettings(("XY", "X"))
+        tomography.TomographySettings(2, seed=-2)
     with pytest.raises(ValueError):
-        tomography.TomographySettings(("XQ",))
-    with pytest.raises(ValueError):
-        tomography.TomographySettings(("XX", "XX"))
-    with pytest.raises(ValueError):
-        tomography.TomographySettings(("XX",), shots=-1)
-    with pytest.raises(ValueError):
-        tomography.TomographySettings(("XX",), seed=-2)
-    with pytest.raises(ValueError):
-        tomography.TomographySettings.full(0)
+        tomography.TomographySettings(0)
 
 
 # ------------------------------------------------------------- exact tables
@@ -67,27 +60,27 @@ def test_exact_table_matches_pauli_expectation():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    table = tomography.simulate_tomography(psi, tomography.TomographySettings.full(2))
+    table = tomography.simulate_tomography(psi, tomography.TomographySettings(2))
     assert table.shots == 0
     for label in ("".join(p) for p in itertools.product("IXYZ", repeat=2)):
-        assert table[label] == pytest.approx(
+        assert table.values[label] == pytest.approx(
             pauli_expectation(psi, label), abs=1e-12
         )
-    assert table["II"] == pytest.approx(1.0, abs=1e-12)
+    assert table.values["II"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subnormalized_state_measured_as_conditional():
     psi = 0.5 * _ghz3()
-    a = tomography.simulate_tomography(psi, tomography.TomographySettings.full(3))
-    b = tomography.simulate_tomography(_ghz3(), tomography.TomographySettings.full(3))
+    a = tomography.simulate_tomography(psi, tomography.TomographySettings(3))
+    b = tomography.simulate_tomography(_ghz3(), tomography.TomographySettings(3))
     for label, value in a.values.items():
-        assert value == pytest.approx(b[label], abs=1e-12)
+        assert value == pytest.approx(b.values[label], abs=1e-12)
 
 
 def test_zero_state_rejected():
     with pytest.raises(ValueError):
         tomography.simulate_tomography(
-            np.zeros(8), tomography.TomographySettings.full(3)
+            np.zeros(8), tomography.TomographySettings(3)
         )
 
 
@@ -96,7 +89,7 @@ def test_zero_state_rejected():
 
 def test_reconstruct_exact_round_trip():
     psi = _ghz3()
-    table = tomography.simulate_tomography(psi, tomography.TomographySettings.full(3))
+    table = tomography.simulate_tomography(psi, tomography.TomographySettings(3))
     rho = tomography.reconstruct(table)
     np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
     assert tomography.fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
@@ -104,7 +97,7 @@ def test_reconstruct_exact_round_trip():
 
 def test_reconstruct_missing_label():
     table = tomography.simulate_tomography(
-        _ghz3(), tomography.TomographySettings.full(3)
+        _ghz3(), tomography.TomographySettings(3)
     )
     del table.values["XYZ"]
     with pytest.raises(ValueError, match="incomplete Pauli basis"):
@@ -113,7 +106,7 @@ def test_reconstruct_missing_label():
 
 def test_reconstruction_is_physical():
     table = tomography.simulate_tomography(
-        _ghz3(), tomography.TomographySettings.full(3, shots=2000, seed=3)
+        _ghz3(), tomography.TomographySettings(3, shots=2000, seed=3)
     )
     rho = tomography.reconstruct(table)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -129,12 +122,12 @@ def _state2():
 
 
 def test_sampling_deterministic_per_seed():
-    plan = tomography.TomographySettings.full(2, shots=500, seed=11)
+    plan = tomography.TomographySettings(2, shots=500, seed=11)
     a = tomography.simulate_tomography(_state2(), plan)
     b = tomography.simulate_tomography(_state2(), plan)
     assert a.values == b.values
     other = tomography.simulate_tomography(
-        _state2(), tomography.TomographySettings.full(2, shots=500, seed=12)
+        _state2(), tomography.TomographySettings(2, shots=500, seed=12)
     )
     assert a.values != other.values
 
@@ -145,7 +138,7 @@ def test_sampled_ghz_fidelity_mean():
     fids = []
     for seed in range(20):
         table = tomography.simulate_tomography(
-            psi, tomography.TomographySettings.full(3, shots=10000, seed=seed)
+            psi, tomography.TomographySettings(3, shots=10000, seed=seed)
         )
         fids.append(tomography.fidelity(tomography.reconstruct(table), psi))
     assert np.mean(fids) >= 0.98
@@ -301,7 +294,7 @@ def _assert_matches_loop(psi, plan):
     assert table.shots == plan.shots
     assert set(table.values) == set(ref.values)
     for label, value in ref.values.items():
-        assert table[label] == pytest.approx(value, abs=1e-12), label
+        assert table.values[label] == pytest.approx(value, abs=1e-12), label
     freqs = tomography._frequencies(psi / np.linalg.norm(psi), plan)
     assert len(freqs) == len(record)
     for freq, want in zip(freqs, record):
@@ -313,18 +306,7 @@ def _assert_matches_loop(psi, plan):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_estimator_matches_loop_reference(n, kind, shots):
     psi = protocols.ghz_state(n) if kind == "ghz" else 0.7 * _random_state(n, n)
-    _assert_matches_loop(psi, tomography.TomographySettings.full(n, shots=shots, seed=7))
-
-
-@pytest.mark.parametrize("shots", [0, 500])
-@pytest.mark.parametrize("kind", ["ghz", "random"])
-def test_estimator_matches_loop_reference_partial_plan(kind, shots):
-    # out of order, with shared prefixes, repeated suffixes and no X on site 3
-    plan = tomography.TomographySettings(
-        ("ZZXY", "ZZYY", "XYZZ", "ZXZY", "YYYY", "ZZZX", "XYZX", "YXZZ"),
-        shots=shots, seed=4)
-    psi = protocols.ghz_state(4) if kind == "ghz" else _random_state(4, 9)
-    _assert_matches_loop(psi, plan)
+    _assert_matches_loop(psi, tomography.TomographySettings(n, shots=shots, seed=7))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -346,13 +328,12 @@ def test_fidelity_opt_z_matches_sweep(n):
     for seed in range(5):
         rho = _random_rho(n, 100 * n + seed)
         target = _random_state(n, seed) if seed % 2 else protocols.ghz_state(n)
-        for site in range(1, n + 1):
-            new = tomography.fidelity_opt_z(rho, target, site=site)
-            ref = _sweep_fidelity_opt_z(rho, target, site=site)
-            assert new.fidelity == ref.fidelity
-            assert new.fidelity_opt == pytest.approx(ref.fidelity_opt, abs=1e-12)
-            assert abs(wrap_phase(new.phi_opt - ref.phi_opt)) < 1e-6
-            assert -pi < new.phi_opt <= pi
+        new = tomography.fidelity_opt_z(rho, target)
+        ref = _sweep_fidelity_opt_z(rho, target)
+        assert new.fidelity == ref.fidelity
+        assert new.fidelity_opt == pytest.approx(ref.fidelity_opt, abs=1e-12)
+        assert abs(wrap_phase(new.phi_opt - ref.phi_opt)) < 1e-6
+        assert -pi < new.phi_opt <= pi
 
 
 def test_fidelity_opt_z_without_coherence_keeps_zero_angle():
