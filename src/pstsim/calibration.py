@@ -284,31 +284,27 @@ class DeviceBackend:
     def pair_coupler(self, pair) -> int:
         return _bridging_coupler(self.device, pair)
 
-    def _populations(self, qubits, couplers, static, coupler, amplitude,
-                     frequencies, times, start, readout) -> np.ndarray:
-        """Level-one populations (len(times), len(readout), len(frequencies)).
+    def _populations(self, qubits, couplers, columns, times, start, readout) -> np.ndarray:
+        """Level-one populations (len(times), len(readout), len(columns)).
 
-        One excitation starts on qubit ``start``.  ``coupler`` is driven at
-        ``amplitude`` and, column by column, at each angular frequency;
-        the ``static`` DriveConfigs run alongside.  The order of
+        One excitation starts on qubit ``start``; ``columns`` holds one
+        sequence of DriveConfigs per output column.  The order of
         ``qubits`` and ``couplers`` fixes the model's mode order.
         """
-        model = device_models.DeviceSubsetModel(
-            self.device, qubits, couplers, drives=static, levels=self.levels)
+        model = device_models.DeviceSubsetModel(self.device, qubits, couplers, self.levels)
         psi0 = np.zeros(model.dim, dtype=complex)
         psi0[model.bare_index({("q", start): 1})] = 1.0
-        probs = model.evolve_columns(psi0, np.asarray(times, dtype=float),
-                                     np.asarray(frequencies, dtype=float) / math.tau,
-                                     coupler, amplitude)
+        probs = model.evolve_columns(psi0, np.asarray(times, dtype=float), columns)
         occ = model.occupations()
         return np.stack([probs[:, occ[:, qubits.index(q)] == 1, :].sum(axis=1)
                          for q in readout], axis=1)
 
     def run_pair_scan(self, pair, amplitude: float, frequencies, times) -> np.ndarray:
         j = self.pair_coupler(pair)
-        qubits = self.device.coupler_qubits(j)
-        pops = self._populations(qubits, [j], [], j, amplitude,
-                                 frequencies, times, pair[0], [pair[1]])
+        columns = [[device_models.DriveConfig(j, amplitude, f)]
+                   for f in np.asarray(frequencies, dtype=float) / math.tau]
+        pops = self._populations(self.device.coupler_qubits(j), [j], columns, times,
+                                 pair[0], [pair[1]])
         return pops[:, 0, :].T
 
     def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
@@ -320,13 +316,10 @@ class DeviceBackend:
             raise ValueError(f"initial site {initial} outside chain of {n}")
         couplers = [_bridging_coupler(self.device, (qubits[k], qubits[k + 1]))
                     for k in range(n - 1)]
-        static = [device_models.DriveConfig(
-                      coupler=couplers[k], amplitude=drives.amplitudes[k],
-                      frequency_hz=drives.frequencies[k] / math.tau)
-                  for k in range(n - 2)]
-        pops = self._populations(qubits, couplers, static, couplers[-1],
-                                 drives.amplitudes[-1], [drives.frequencies[-1]],
-                                 times, qubits[initial - 1], qubits)
+        column = [device_models.DriveConfig(j, a, f / math.tau)
+                  for j, a, f in zip(couplers, drives.amplitudes, drives.frequencies)]
+        pops = self._populations(qubits, couplers, [column], times,
+                                 qubits[initial - 1], qubits)
         return pops[:, :, 0]
 
 

@@ -171,14 +171,11 @@ def sector_hamiltonian(spec: ChainSpec, k: int) -> np.ndarray:
     return H
 
 
-def single_excitation_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """n x n block on the one-excitation sector, ordered by site."""
-    n = spec.n_sites
-    H = np.diag(np.array(spec.detunings, dtype=complex))
-    for k in range(n - 1):
-        H[k, k + 1] = spec.couplings[k]
-        H[k + 1, k] = spec.couplings[k]
-    return H
+def single_excitation_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
+    """n x n tridiagonal block on the one-excitation sector, ordered by site."""
+    c = np.array(spec.couplings, dtype=complex)
+    return sparse.diags([np.array(spec.detunings, dtype=complex), c, c], [0, 1, -1],
+                        format="csr")
 
 
 def transfer_phase(n: int) -> complex:

@@ -156,7 +156,7 @@ def run_pst(spec: chains.ChainSpec, initial, times, noise=None) -> evolution.Tra
     if isinstance(initial, (int, np.integer)):
         if not 1 <= initial <= n:
             raise ValueError(f"start site {initial} outside 1..{n}")
-        H = chains.single_excitation_hamiltonian(spec).astype(complex)
+        H = chains.single_excitation_hamiltonian(spec)
         if noise is not None:
             H = evolution.add_relaxation(H, noise, np.eye(n))
         psi0 = np.zeros(n, dtype=complex)

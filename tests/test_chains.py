@@ -98,7 +98,7 @@ def test_sector_hamiltonian_is_the_restriction(n, seed, data):
 
 def test_single_excitation_hamiltonian_matches_sector_one():
     spec = chains.ChainSpec.pst(5, TAU)
-    np.testing.assert_array_equal(chains.single_excitation_hamiltonian(spec),
+    np.testing.assert_array_equal(chains.single_excitation_hamiltonian(spec).toarray(),
                                   chains.sector_hamiltonian(spec, 1))
 
 
@@ -150,7 +150,7 @@ def test_fst_profile_bounds():
 
 def _transfer_fraction(n, theta):
     spec = chains.ChainSpec.fst(n, TAU, theta)
-    H = chains.single_excitation_hamiltonian(spec)
+    H = chains.single_excitation_hamiltonian(spec).toarray()
     w, v = np.linalg.eigh(H)
     psi = (v * np.exp(-1j * w * TAU)) @ (v.conj().T @ np.eye(n)[:, 0])
     return abs(psi[-1]) ** 2

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import time
 
 import numpy as np
 import pytest
@@ -342,6 +343,16 @@ def test_lattice_usage_errors(tmp_path):
 
 
 # ------------------------------------------------------------------- general
+
+
+@pytest.mark.parametrize("argv", [("pst", "--n", 100000, "--tau", "1us"),
+                                  ("lattice", "--nx", 1000, "--ny", 1000)])
+def test_large_problem_fails_fast(tmp_path, capsys, argv):
+    # sparse Hamiltonians let the dense guard trip before any n x n matrix exists
+    start = time.perf_counter()
+    assert _run(tmp_path, *argv) == 1
+    assert time.perf_counter() - start < 2.0
+    assert "above dense guard 4096" in capsys.readouterr().err
 
 
 def test_out_dir_environment_default(tmp_path, monkeypatch):

@@ -112,7 +112,7 @@ def test_effective_coupling_estimate_scale_and_sign(dev):
 def test_subset_model_basics(dev):
     model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=3)
     assert model.dim == 27
-    H = model.hamiltonian(0.0)
+    H = model.hamiltonian()
     np.testing.assert_allclose(H, H.conj().T, atol=1e-6)
     occ = model.occupations()
     assert occ.shape == (27, 3)
@@ -130,15 +130,26 @@ def test_subset_model_guard(dev):
     assert model.dim == 3**5
 
 
+def _pair_model(dev):
+    """Pair (1, 2) with coupler 1 at two levels, and one excitation on qubit 1."""
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[model.bare_index({("q", 1): 1})] = 1.0
+    return model, psi0
+
+
+def _columns(coupler, amplitude, freqs):
+    return [[dv.DriveConfig(coupler=coupler, amplitude=amplitude, frequency_hz=f)]
+            for f in freqs]
+
+
 def test_drive_outside_subset_rejected(dev):
-    with pytest.raises(ValueError):
-        dv.DeviceSubsetModel(
-            dev, (1, 2), (1,),
-            drives=(dv.DriveConfig(coupler=3, amplitude=0.01, frequency_hz=1e8),))
+    model, psi0 = _pair_model(dev)
+    t = np.array([0.0, 1e-9])
+    with pytest.raises(ValueError, match="outside the subset"):
+        model.evolve_columns(psi0, t, _columns(3, 0.01, [1e8]))
     with pytest.raises(ValueError, match="amplitude"):
-        dv.DeviceSubsetModel(
-            dev, (1, 2), (1,),
-            drives=(dv.DriveConfig(coupler=1, amplitude=-0.01, frequency_hz=1e8),))
+        model.evolve_columns(psi0, t, _columns(1, -0.01, [1e8]))
 
 
 def test_dispersive_bias_keeps_qubits_bare(dev):
@@ -147,7 +158,7 @@ def test_dispersive_bias_keeps_qubits_bare(dev):
     for j in range(1, 6):
         qa, qb = j, j + 1
         model = dv.DeviceSubsetModel(dev, (qa, qb), (j,), levels=2)
-        w, v = np.linalg.eigh(model.hamiltonian(0.0))
+        w, v = np.linalg.eigh(model.hamiltonian())
         for qi in (qa, qb):
             idx = model.bare_index({("q", qi): 1})
             overlap = np.max(np.abs(v[idx, :]) ** 2)
@@ -155,46 +166,61 @@ def test_dispersive_bias_keeps_qubits_bare(dev):
 
 
 def test_evolve_columns_unitary_and_deterministic(dev):
-    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[model.bare_index({("q", 1): 1})] = 1.0
+    model, psi0 = _pair_model(dev)
     times = np.linspace(0.0, 50e-9, 6)
-    freqs = np.array([430e6, 445e6])
-    pops = model.evolve_columns(psi0, times, freqs, 1, 0.01)
+    columns = _columns(1, 0.01, [430e6, 445e6])
+    pops = model.evolve_columns(psi0, times, columns)
     assert pops.shape == (6, model.dim, 2)
     # returned values are populations; closed system keeps them summing to 1
     # (up to the integrator's norm drift)
     np.testing.assert_allclose(np.sum(pops, axis=1), 1.0, atol=1e-5)
     # reruns are bit-identical; a 5 ns grid takes the same code path
     short = np.array([0.0, 5e-9])
-    first = model.evolve_columns(psi0, short, freqs, 1, 0.01)
-    np.testing.assert_array_equal(first, model.evolve_columns(psi0, short, freqs, 1, 0.01))
+    first = model.evolve_columns(psi0, short, columns)
+    np.testing.assert_array_equal(first, model.evolve_columns(psi0, short, columns))
 
 
 def test_evolve_columns_step_size_converged(dev, monkeypatch):
     # the step rule (see evolve_columns) against half of its step over
     # 10 ns, on resonance and 8 MHz off
-    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[model.bare_index({("q", 1): 1})] = 1.0
+    model, psi0 = _pair_model(dev)
     times = np.linspace(0.0, 10e-9, 3)
     bare = dev.qubits[0].frequency_hz - dev.qubits[1].frequency_hz
-    freqs = bare + np.array([0.0, 8e6])
-    coarse = model.evolve_columns(psi0, times, freqs, 1, 0.01)
+    columns = _columns(1, 0.01, bare + np.array([0.0, 8e6]))
+    coarse = model.evolve_columns(psi0, times, columns)
     assert dv._STEPS_PER_PERIOD == 50
     monkeypatch.setattr(dv, "_STEPS_PER_PERIOD", 100)
-    fine = model.evolve_columns(psi0, times, freqs, 1, 0.01)
+    fine = model.evolve_columns(psi0, times, columns)
     np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-6)
     assert np.max(np.abs(coarse.sum(axis=1) - 1.0)) < 1e-5
 
 
-def test_flux_composition(dev):
-    d1 = dv.DriveConfig(coupler=1, amplitude=0.02, frequency_hz=1e8)
-    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), drives=(d1,), levels=2)
-    bias = dev.couplers[0].phi_dc
-    assert model.flux(1, 0.0) == pytest.approx(bias + 0.02)
-    quarter = 1.0 / (4 * 1e8)
-    assert model.flux(1, quarter) == pytest.approx(bias, abs=1e-9)
+def test_drive_table_validation(dev):
+    model, psi0 = _pair_model(dev)
+    t = np.array([0.0, 1e-9])
+    twice = [dv.DriveConfig(coupler=1, amplitude=0.01, frequency_hz=f) for f in (1e8, 2e8)]
+    with pytest.raises(ValueError, match="two drives on one coupler in column 1"):
+        model.evolve_columns(psi0, t, [[], twice])
+    # a drive of zero amplitude leaves its coupler at the bias, like no drive
+    driven = _columns(1, 0.01, [440e6])[0]
+    zero = model.evolve_columns(psi0, t, [_columns(1, 0.0, [440e6])[0], driven])
+    empty = model.evolve_columns(psi0, t, [[], driven])
+    np.testing.assert_array_equal(zero, empty)
+    assert not np.array_equal(empty[:, :, 0], empty[:, :, 1])
+
+
+def test_evolve_columns_chain_column_keeps_norm(dev):
+    # two couplers driven at once in every column: the chain (q1, q2, q3)
+    model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=2)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[model.bare_index({("q", 1): 1})] = 1.0
+    f = [q.frequency_hz for q in dev.qubits]
+    columns = [[dv.DriveConfig(coupler=1, amplitude=0.01, frequency_hz=abs(f[0] - f[1]) + df),
+                dv.DriveConfig(coupler=2, amplitude=0.012, frequency_hz=abs(f[1] - f[2]) - df)]
+               for df in (0.0, 4e6)]
+    pops = model.evolve_columns(psi0, np.linspace(0.0, 5e-9, 3), columns)
+    assert pops.shape == (3, model.dim, 2)
+    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-6
 
 
 def test_spec_validation(dev):
@@ -203,5 +229,5 @@ def test_spec_validation(dev):
     with pytest.raises(ValueError):
         dv.DeviceSpec(qubits=dev.qubits, couplers=dev.couplers,
                       qubit_qubit_g_hz=(None, 6e6))
-    with pytest.raises(ValueError):
-        dv.DeviceSpec(qubits=dev.qubits, couplers=dev.couplers, levels=1)
+    with pytest.raises(ValueError, match="two levels"):
+        dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=1)

@@ -321,11 +321,46 @@ def _option_signatures():
 _OPTIONS_SET_ONLY_BY_TESTS = {"DeviceBackend.levels"}
 
 
+def _passed_arguments(call):
+    """Positional count and keyword names a call is known to pass.
+
+    A * splat of a tuple or list literal counts by its length and a **
+    splat of a dict literal by its constant keys; the arguments of any
+    other splat are unknown, so it passes nothing, and no positional
+    argument after it is counted either.
+    """
+    n_positional = 0
+    for a in call.args:
+        if isinstance(a, ast.Starred):
+            if not isinstance(a.value, (ast.Tuple, ast.List)):
+                break
+            n_positional += len(a.value.elts)
+        else:
+            n_positional += 1
+    keywords = set()
+    for k in call.keywords:
+        if k.arg is not None:
+            keywords.add(k.arg)
+        elif isinstance(k.value, ast.Dict):
+            keywords.update(key.value for key in k.value.keys
+                            if isinstance(key, ast.Constant))
+    return n_positional, keywords
+
+
+def test_passed_arguments_reads_literal_splats():
+    def passed(src):
+        return _passed_arguments(ast.parse(src, mode="eval").body)
+
+    assert passed("f(a, *(b, c), d=1)") == (3, {"d"})
+    assert passed("f(*[a], **{'x': 1, **rest})") == (1, {"x"})
+    assert passed("f(a, *args, b, **kwargs)") == (1, set())
+
+
 def test_every_option_has_a_caller():
     # every defaulted parameter of a public function, method or __init__, and
-    # every defaulted field of a public dataclass, is passed by keyword, by
-    # position or through a * or ** splat in some call of that name by one of
-    # the callers above
+    # every defaulted field of a public dataclass, is passed by keyword or by
+    # position (literal splats included, see _passed_arguments) in some call
+    # of that name by one of the callers above
     signatures = _option_signatures()
     options = {o for sigs in signatures.values() for _, opts in sigs for o in opts.values()}
     passed = set()
@@ -334,11 +369,9 @@ def test_every_option_has_a_caller():
             if not isinstance(call, ast.Call):
                 continue
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            splat = (any(isinstance(a, ast.Starred) for a in call.args)
-                     or any(k.arg is None for k in call.keywords))
+            n_positional, keywords = _passed_arguments(call)
             for positional, opts in signatures.get(name, ()):
-                given = (set(opts) if splat else
-                         {*positional[:len(call.args)], *(k.arg for k in call.keywords)})
+                given = {*positional[:n_positional], *keywords}
                 passed.update(opts[p] for p in given & set(opts))
     assert sorted(options - passed - _OPTIONS_SET_ONLY_BY_TESTS) == []
     # and the allowlist names only options that still need it

@@ -29,17 +29,17 @@ def test_spec_validation():
 
 def test_hamiltonian_is_kron_sum_of_chains():
     spec = lattice.LatticeSpec(nx=3, ny=4, tau=1e-6)
-    H = lattice.build_lattice_hamiltonian(spec)
-    hx = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(3, 1e-6))
-    hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(4, 1e-6))
+    H = lattice.build_lattice_hamiltonian(spec).toarray()
+    hx = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(3, 1e-6)).toarray()
+    hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(4, 1e-6)).toarray()
     expect = np.kron(hx, np.eye(4)) + np.kron(np.eye(3), hy)
     np.testing.assert_allclose(H, expect, atol=1e-6)
 
 
 def test_single_column_grid_is_a_chain():
     spec = lattice.LatticeSpec(nx=1, ny=5, tau=1e-6)
-    H = lattice.build_lattice_hamiltonian(spec)
-    hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(5, 1e-6))
+    H = lattice.build_lattice_hamiltonian(spec).toarray()
+    hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(5, 1e-6)).toarray()
     np.testing.assert_allclose(H, hy, atol=1e-6)
 
 
