@@ -4,9 +4,9 @@ Subpackages cover the excitation-conserving chain models and their
 closed-form transfer unitaries, a flux-tunable transmon-coupler device
 model, one time-evolution layer (each excitation sector diagonalised
 once with eigh, or eig under relaxation; scipy's expm_multiply for
-matrix-free stepping; RK4 for driven models), the transfer protocols and
-GHZ circuit, simulated tomography, and the chevron / closed-loop
-calibration pipeline.
+matrix-free stepping; commutator-free exponentials for driven models),
+the transfer protocols and GHZ circuit, simulated tomography, and the
+chevron / closed-loop calibration pipeline.
 """
 
 __version__ = "0.1.0"

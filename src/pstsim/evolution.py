@@ -1,19 +1,19 @@
-"""Time evolution: the one place where a static Hamiltonian is exponentiated.
+"""Time evolution: the one place where a Hamiltonian is exponentiated.
 
 Static Hamiltonians are split into the connected components of their
 nonzero pattern.  For the excitation-conserving chains these are the
 excitation sectors (finer where a coupling vanishes), so no sector
 bookkeeping is passed in.  Each block the initial state touches is
-diagonalised once, with ``eigh`` when it is Hermitian and ``eig`` when
-relaxation makes it non-Hermitian (``expm`` near an exceptional point,
-where the eigenvectors are ill-conditioned), and every requested time is
-then evaluated exactly; a block above ``DENSE_GUARD`` raises
-ResourceError before any work.  ``method="krylov"`` steps with scipy's
-``expm_multiply`` without forming a dense matrix.  Time-dependent
-Hamiltonians are not handled here: the flux-driven device model steps
-its own H(t) with ``_rk4_step``.  Relaxation enters as non-Hermitian
-diagonal terms; the survival norm of the propagated state is tracked
-alongside per-site populations.
+diagonalised once, with ``eigh`` when it is Hermitian (real ``eigh``
+for a real block) and ``eig`` when relaxation makes it non-Hermitian
+(``expm`` near an exceptional point, where the eigenvectors are
+ill-conditioned), and every requested time is then evaluated exactly; a
+block above ``DENSE_GUARD`` raises ResourceError before any work.
+``method="krylov"`` steps with scipy's ``expm_multiply``.  The
+flux-driven device model steps its H(t) through the same block kernel,
+two static exponentials per commutator-free step.  Relaxation enters as
+non-Hermitian diagonal terms; the survival norm of the propagated state
+is tracked alongside per-site populations.
 """
 
 from dataclasses import dataclass
@@ -90,10 +90,9 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     """H minus i times the per-site decay rates weighted by occupation.
 
     ``occupations`` maps basis states to per-site excitation numbers,
-    shape (dim, n_sites); it defines what "excitation at site s" means
-    in whatever basis H is expressed.
+    shape (dim, n_sites), dense or sparse; it defines what "excitation
+    at site s" means in whatever basis H is expressed.
     """
-    occupations = np.asarray(occupations)
     if len(noise.t1) != occupations.shape[1]:
         raise ValueError("one T1 per site required")
     gam = decay_rates(noise)
@@ -160,9 +159,18 @@ def _blocks(H, psi0: np.ndarray | None = None):
         idx = np.flatnonzero(labels == label)
         local[idx] = np.arange(len(idx))
         mine = entry_labels == label
-        block = np.zeros((len(idx), len(idx)), dtype=complex)
+        block = np.zeros((len(idx), len(idx)), dtype=val.dtype)
         block[local[row[mine]], local[col[mine]]] = val[mine]
         yield idx, block
+
+
+def _ascending_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a non-empty 1d sequence")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be ascending")
+    return times
 
 
 def propagator(H, t: float) -> np.ndarray:
@@ -171,14 +179,6 @@ def propagator(H, t: float) -> np.ndarray:
     for idx, h in _blocks(H):
         U[np.ix_(idx, idx)] = _block_states(h, np.eye(len(idx)), [t])[0]
     return U
-
-
-def _rk4_step(f, t, y, dt):
-    k1 = f(t, y)
-    k2 = f(t + dt / 2, y + dt / 2 * k1)
-    k3 = f(t + dt / 2, y + dt / 2 * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 @dataclass
@@ -216,11 +216,7 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     with ``expm_multiply``.
     """
     options = options or EvolutionOptions()
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a non-empty 1d sequence")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be ascending")
+    times = _ascending_times(times)
     psi0 = np.asarray(psi0, dtype=complex)
     if np.shape(H) != (len(psi0), len(psi0)):
         raise ValueError("H must be a static square matrix matching psi0")

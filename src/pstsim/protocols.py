@@ -10,6 +10,7 @@ from math import pi
 import cmath
 
 import numpy as np
+from scipy import sparse
 
 from . import evolution, statespace
 from .models import chains, lattice
@@ -158,7 +159,7 @@ def run_pst(spec: chains.ChainSpec, initial, times, noise=None) -> evolution.Tra
             raise ValueError(f"start site {initial} outside 1..{n}")
         H = chains.single_excitation_hamiltonian(spec)
         if noise is not None:
-            H = evolution.add_relaxation(H, noise, np.eye(n))
+            H = evolution.add_relaxation(H, noise, sparse.identity(n, format="csr"))
         psi0 = np.zeros(n, dtype=complex)
         psi0[initial - 1] = 1.0
         return evolution.evolve(H, psi0, times)

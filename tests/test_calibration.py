@@ -436,149 +436,95 @@ def test_device_backend_pair_run_deterministic():
     assert a[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
-# The device model before its drives moved into evolve_columns' per-column
-# table: static drives fixed at construction and read through flux() and
-# hamiltonian(t), plus one coupler whose frequency evolve_columns sweeps.
-# Its flux, hamiltonian and evolve_columns are kept verbatim (module names
-# qualified) as the reference the drive table must reproduce.
+# The RK4 integrator and step rule that fourth-order commutator-free steps
+# replaced in DeviceSubsetModel.evolve_columns, kept verbatim (module names
+# qualified, the step constant local) as the reference those steps must
+# reproduce.
 
-class _ReferenceDeviceModel(device_models.DeviceSubsetModel):
-    def __init__(self, device, qubit_indices, coupler_indices, drives, levels):
-        super().__init__(device, qubit_indices, coupler_indices, levels)
-        self.drives = tuple(drives)
-        # the coupler number operators' diagonals, as the old _build kept them
-        occ = self.occupations()
-        self._coupler_n = {cj: occ[:, len(self.qubits) + k].copy()
-                           for k, cj in enumerate(self.couplers)}
-
-    def flux(self, cj: int, t) -> np.ndarray:
-        """Flux on coupler ``cj`` at time(s) t, bias plus all its drives."""
-        acc = 0.0
-        for d in self.drives:
-            if d.coupler == cj:
-                acc = acc + d.amplitude * np.cos(2 * pi * d.frequency_hz * np.asarray(t))
-        return self.device.couplers[cj - 1].phi_dc + acc
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """Dense H(t) in angular-frequency units (Hermitian)."""
-        H = self.H_fixed.copy()
-        for cj in self.couplers:
-            w = device_models.coupler_frequency(self.device.couplers[cj - 1],
-                                                self.flux(cj, t))
-            H += np.diag(2 * pi * w * self._coupler_n[cj])
-        return H
-
-    def evolve_columns(self, psi0: np.ndarray, times: np.ndarray,
-                       frequencies_hz: np.ndarray, coupler: int,
-                       amplitude: float) -> np.ndarray:
-        if any(d.coupler == coupler for d in self.drives):
-            raise ValueError("driven coupler must not also carry a static drive")
-        c = self.device.couplers[coupler - 1]
-        ncol = len(frequencies_hz)
-        w_ang = 2 * pi * np.asarray(frequencies_hz)
-
-        others = [j for j in self.couplers if j != coupler]
-
-        def f(t, psi):              # -i H(t) psi, column by column
-            out = self.H_fixed @ psi
-            for oj in others:
-                w = device_models.coupler_frequency(self.device.couplers[oj - 1],
-                                                    self.flux(oj, t))
-                out += (2 * pi * w) * (self._coupler_n[oj][:, None] * psi)
-            phi_cols = c.phi_dc + amplitude * np.cos(w_ang * t)
-            w_cols = device_models.coupler_frequency(c, phi_cols)
-            out += self._coupler_n[coupler][:, None] * (psi * (2 * pi * w_cols)[None, :])
-            return -1j * out
-
-        times = np.asarray(times, dtype=float)
-        hmax = np.max(np.abs(self.hamiltonian(0.0)))
-        dt = 1.0 / (device_models._STEPS_PER_PERIOD * hmax / (2 * pi))
-        psi = np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, ncol))
-        out = np.zeros((len(times), self.dim, ncol))
-        t_now = 0.0
-        for i, t_out in enumerate(times):
-            while t_now < t_out - 1e-18:
-                step = min(dt, t_out - t_now)
-                psi = evolution._rk4_step(f, t_now, psi, step)
-                t_now += step
-            out[i] = np.abs(psi) ** 2
-        return out
+_REFERENCE_STEPS_PER_PERIOD = 50.0    # RK4 steps per period of the fastest frequency in H
 
 
-def _reference_level_one_masks(self, model, qubit_positions):
-    occ = model.occupations()
-    return [occ[:, pos] == 1 for pos in qubit_positions]
+def _rk4_step(f, t, y, dt):
+    k1 = f(t, y)
+    k2 = f(t + dt / 2, y + dt / 2 * k1)
+    k3 = f(t + dt / 2, y + dt / 2 * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _reference_pair_probs(self, pair, amplitude, frequencies, times):
-    """Full-space probabilities for a driven pair, plus the model."""
-    freqs = np.asarray(frequencies, dtype=float)
-    t = np.asarray(times, dtype=float)
-    j = self.pair_coupler(pair)
-    qubits = list(self.device.coupler_qubits(j))
-    couplers = [j]
-    static = []
-    model = _ReferenceDeviceModel(self.device, qubits, couplers, static, self.levels)
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[model.bare_index({("q", pair[0]): 1})] = 1.0
-    base = device_models.DriveConfig(coupler=j, amplitude=amplitude,
-                                     frequency_hz=1.0)
-    probs = model.evolve_columns(psi0, t, freqs / math.tau, base.coupler,
-                                 base.amplitude)
-    return probs, model, qubits
+def _reference_evolve_columns(self, psi0: np.ndarray, times: np.ndarray, columns) -> np.ndarray:
+    """RK4-propagate one initial state under each column's drives.
+
+    ``columns`` holds one sequence of DriveConfigs per output column;
+    a coupler with no drive in a column sits at its bias.  Each step
+    reuses the fixed part and adjusts every coupler's diagonal per
+    column.  The step is dt = 2 pi / (_STEPS_PER_PERIOD max|H|) with H
+    at the bias point.  Returns |amplitudes|^2 with shape
+    (len(times), dim, len(columns)).
+    """
+    ncol = len(columns)
+    amps = np.zeros((len(self.couplers), ncol))
+    w_ang = np.zeros((len(self.couplers), ncol))
+    for col, drives in enumerate(columns):
+        if len({d.coupler for d in drives}) < len(drives):
+            raise ValueError(f"two drives on one coupler in column {col}")
+        for d in drives:
+            if d.coupler not in self.couplers:
+                raise ValueError(f"drive on coupler {d.coupler} outside the subset")
+            if d.amplitude < 0:
+                raise ValueError("drive amplitude must be >= 0")
+            k = self.couplers.index(d.coupler)
+            amps[k, col] = d.amplitude
+            w_ang[k, col] = 2 * pi * d.frequency_hz
+
+    # coupler_frequency's constants (w_max + E_C, d^2, E_C) as (couplers, 1)
+    # columns, once per call: calling it in every RK4 stage costs 15-20 %
+    specs = [self.device.couplers[cj - 1] for cj in self.couplers]
+    ec = np.array([[-c.anharmonicity_hz] for c in specs])
+    top = np.array([[c.omega_max_hz] for c in specs]) + ec
+    d = np.array([[device_models.flux_asymmetry(c)] for c in specs])
+    d2 = d * d
+    phi_dc = np.array([[c.phi_dc] for c in specs])
+
+    def f(t, psi):              # -i H(t) psi, column by column
+        c2 = np.cos(pi * (phi_dc + amps * np.cos(w_ang * t))) ** 2
+        w = top * (d2 + (1 - d2) * c2) ** 0.25 - ec
+        return -1j * (self.H_fixed @ psi + (self._coupler_occ @ (2 * pi * w)) * psi)
+
+    times = np.asarray(times, dtype=float)
+    hmax = np.max(np.abs(self.hamiltonian()))
+    dt = 1.0 / (_REFERENCE_STEPS_PER_PERIOD * hmax / (2 * pi))
+    psi = np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, ncol))
+    out = np.zeros((len(times), self.dim, ncol))
+    t_now = 0.0
+    for i, t_out in enumerate(times):
+        while t_now < t_out - 1e-18:
+            step = min(dt, t_out - t_now)
+            psi = _rk4_step(f, t_now, psi, step)
+            t_now += step
+        out[i] = np.abs(psi) ** 2
+    return out
 
 
-def _reference_run_pair_scan(self, pair, amplitude, frequencies, times):
-    probs, model, qubits = _reference_pair_probs(self, pair, amplitude, frequencies,
-                                                 times)
-    mask = _reference_level_one_masks(self, model, [qubits.index(pair[1])])[0]
-    return probs[:, mask, :].sum(axis=1).T
-
-
-def _reference_run_chain(self, drives, initial, times):
-    qubits = self.chain_qubits
-    n = len(qubits)
-    if drives.n_drives != n - 1:
-        raise ValueError(f"expected {n - 1} drives for {n} qubits")
-    if not 1 <= initial <= n:
-        raise ValueError(f"initial site {initial} outside chain of {n}")
-    t = np.asarray(times, dtype=float)
-    couplers = [calibration._bridging_coupler(self.device, (qubits[k], qubits[k + 1]))
-                for k in range(n - 1)]
-    static = [device_models.DriveConfig(coupler=couplers[k],
-                                        amplitude=drives.amplitudes[k],
-                                        frequency_hz=drives.frequencies[k] / math.tau)
-              for k in range(n - 2)]
-    model = _ReferenceDeviceModel(self.device, qubits, couplers, static, self.levels)
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[model.bare_index({("q", qubits[initial - 1]): 1})] = 1.0
-    base = device_models.DriveConfig(coupler=couplers[-1],
-                                     amplitude=drives.amplitudes[-1],
-                                     frequency_hz=1.0)
-    probs = model.evolve_columns(
-        psi0, t, np.array([drives.frequencies[-1]]) / math.tau, base.coupler,
-        base.amplitude)
-    masks = _reference_level_one_masks(self, model, range(n))
-    return np.column_stack([probs[:, m, :].sum(axis=1)[:, 0] for m in masks])
-
-
-def test_device_backend_matches_reference_run_path():
-    # pair scans bit for bit at 2 and 3 levels; the chain within 1e-8, since
-    # its step now comes from H at the bias point (0.5 % shorter) and its
-    # first coupler is swept per column like the second
-    for levels in (2, 3):
+def test_device_backend_matches_reference_run_path(monkeypatch):
+    # within 1e-6 of the RK4 reference: pair scans over 10 ns at 2 and 3
+    # levels, the two-tone chain from site 1 over 10 ns at 2 levels and
+    # 4 ns at 3
+    for levels, chain_window in ((2, 10e-9), (3, 4e-9)):
         db = calibration.DeviceBackend(levels=levels)
         f = [q.frequency_hz for q in db.device.qubits]
-        t = np.linspace(0.0, 2e-9, 5)
         freqs = TWO_PI * (abs(f[0] - f[1]) + np.array([-4e6, 0.0, 4e6]))
-        np.testing.assert_array_equal(
-            db.run_pair_scan((1, 2), 0.01, freqs, t),
-            _reference_run_pair_scan(db, (1, 2), 0.01, freqs, t))
-    t = np.linspace(0.0, 5e-9, 3)
-    drives = calibration.DriveSettings(
-        (0.01, 0.012), (TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2])))
-    db = calibration.DeviceBackend(levels=2)
-    for initial in (1, 2, 3):
-        np.testing.assert_allclose(
-            db.run_chain(drives, initial, t),
-            _reference_run_chain(db, drives, initial, t), rtol=0, atol=1e-8)
+        drives = calibration.DriveSettings(
+            (0.01, 0.012), (TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2])))
+
+        def runs():
+            scan = db.run_pair_scan((1, 2), 0.01, freqs, np.linspace(0.0, 10e-9, 5))
+            return scan, db.run_chain(drives, 1, np.linspace(0.0, chain_window, 3))
+
+        cf4 = runs()
+        with monkeypatch.context() as m:
+            m.setattr(device_models.DeviceSubsetModel, "evolve_columns",
+                      _reference_evolve_columns)
+            rk4 = runs()
+        for got, want in zip(cf4, rk4):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)

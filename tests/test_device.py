@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pstsim import evolution
 from pstsim.models import device as dv
 
 
@@ -171,9 +174,9 @@ def test_evolve_columns_unitary_and_deterministic(dev):
     columns = _columns(1, 0.01, [430e6, 445e6])
     pops = model.evolve_columns(psi0, times, columns)
     assert pops.shape == (6, model.dim, 2)
-    # returned values are populations; closed system keeps them summing to 1
-    # (up to the integrator's norm drift)
-    np.testing.assert_allclose(np.sum(pops, axis=1), 1.0, atol=1e-5)
+    # returned values are populations; every step is unitary on its block,
+    # so they keep summing to 1 up to rounding
+    np.testing.assert_allclose(np.sum(pops, axis=1), 1.0, atol=1e-9)
     # reruns are bit-identical; a 5 ns grid takes the same code path
     short = np.array([0.0, 5e-9])
     first = model.evolve_columns(psi0, short, columns)
@@ -188,11 +191,11 @@ def test_evolve_columns_step_size_converged(dev, monkeypatch):
     bare = dev.qubits[0].frequency_hz - dev.qubits[1].frequency_hz
     columns = _columns(1, 0.01, bare + np.array([0.0, 8e6]))
     coarse = model.evolve_columns(psi0, times, columns)
-    assert dv._STEPS_PER_PERIOD == 50
-    monkeypatch.setattr(dv, "_STEPS_PER_PERIOD", 100)
+    assert dv._STEPS_PER_PERIOD == 64
+    monkeypatch.setattr(dv, "_STEPS_PER_PERIOD", 128)
     fine = model.evolve_columns(psi0, times, columns)
-    np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-6)
-    assert np.max(np.abs(coarse.sum(axis=1) - 1.0)) < 1e-5
+    np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-8)
+    assert np.max(np.abs(coarse.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_drive_table_validation(dev):
@@ -220,7 +223,42 @@ def test_evolve_columns_chain_column_keeps_norm(dev):
                for df in (0.0, 4e6)]
     pops = model.evolve_columns(psi0, np.linspace(0.0, 5e-9, 3), columns)
     assert pops.shape == (3, model.dim, 2)
-    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-6
+    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_undriven_columns_match_static_evolve(dev, levels):
+    # without a drive, or at frequency 0, H is static: evolve_columns must
+    # agree with evolution.evolve on the same H
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=levels)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[model.bare_index({("q", 1): 1})] = 1.0
+    times = np.linspace(0.0, 20e-9, 5)
+    static = evolution.evolve(model.hamiltonian(), psi0, times).populations
+    pops = model.evolve_columns(psi0, times, [[], _columns(1, 0.0, [440e6])[0]])
+    for col in range(2):
+        np.testing.assert_allclose(pops[:, :, col], static, rtol=0, atol=1e-12)
+    amp = 0.02
+    dc = dev.couplers[0]
+    moved = dataclasses.replace(dev, couplers=(dataclasses.replace(dc, phi_dc=dc.phi_dc + amp),
+                                               *dev.couplers[1:]))
+    shifted = dv.DeviceSubsetModel(moved, (1, 2), (1,), levels=levels)
+    expected = evolution.evolve(shifted.hamiltonian(), psi0, times).populations
+    held = model.evolve_columns(psi0, times, _columns(1, amp, [0.0]))
+    np.testing.assert_allclose(held[:, :, 0], expected, rtol=0, atol=1e-12)
+    assert not np.allclose(expected, static, atol=1e-3)
+
+
+def test_evolve_columns_rejects_bad_times(dev):
+    model, psi0 = _pair_model(dev)
+    columns = _columns(1, 0.01, [440e6])
+    with pytest.raises(ValueError, match="times must be ascending"):
+        model.evolve_columns(psi0, [5e-9, 0.0], columns)
+    with pytest.raises(ValueError, match="times must be non-negative"):
+        model.evolve_columns(psi0, [-1e-9], columns)
+    for bad in ([], [[0.0, 1e-9]]):
+        with pytest.raises(ValueError, match="non-empty 1d"):
+            model.evolve_columns(psi0, bad, columns)
 
 
 def test_spec_validation(dev):

@@ -1,6 +1,7 @@
 """Tests for gate sequences, parity experiments, and GHZ preparation."""
 
 import itertools
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pstsim import protocols, statespace
+from pstsim import evolution, protocols, statespace
 from pstsim.models import chains
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -232,6 +233,22 @@ def test_run_pst_site_and_bitstring_agree():
     vec[statespace.basis_index([0, 1, 0, 0])] = 1.0
     b = protocols.run_pst(spec, vec, times)
     np.testing.assert_allclose(a.populations, b.populations, atol=1e-12)
+
+
+def test_noisy_single_excitation_guard_trips_without_dense_occupations():
+    # the relaxation occupations of the n-site sector must not be a dense
+    # n x n array: at n = 5000 that alone is 200 MB before the guard trips
+    n = 5000
+    spec = chains.ChainSpec.pst(n, 1e-6)
+    noise = evolution.NoiseSpec(t1=(1e-5,) * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(evolution.ResourceError, match="above dense guard"):
+            protocols.run_pst(spec, 1, [0.0, 1e-6], noise=noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def _with_and_without_zz():
