@@ -93,6 +93,8 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     shape (dim, n_sites), dense or sparse; it defines what "excitation
     at site s" means in whatever basis H is expressed.
     """
+    if not sparse.issparse(occupations):
+        occupations = np.asarray(occupations)
     if len(noise.t1) != occupations.shape[1]:
         raise ValueError("one T1 per site required")
     gam = decay_rates(noise)

@@ -508,9 +508,9 @@ def _reference_evolve_columns(self, psi0: np.ndarray, times: np.ndarray, columns
 
 def test_device_backend_matches_reference_run_path(monkeypatch):
     # within 1e-6 of the RK4 reference: pair scans over 10 ns at 2 and 3
-    # levels, the two-tone chain from site 1 over 10 ns at 2 levels and
-    # 4 ns at 3
-    for levels, chain_window in ((2, 10e-9), (3, 4e-9)):
+    # levels, the two-tone chain from sites 1-3 over 10 ns at 2 levels and
+    # from site 1 over 4 ns at 3
+    for levels, starts, chain_window in ((2, (1, 2, 3), 10e-9), (3, (1,), 4e-9)):
         db = calibration.DeviceBackend(levels=levels)
         f = [q.frequency_hz for q in db.device.qubits]
         freqs = TWO_PI * (abs(f[0] - f[1]) + np.array([-4e6, 0.0, 4e6]))
@@ -519,7 +519,8 @@ def test_device_backend_matches_reference_run_path(monkeypatch):
 
         def runs():
             scan = db.run_pair_scan((1, 2), 0.01, freqs, np.linspace(0.0, 10e-9, 5))
-            return scan, db.run_chain(drives, 1, np.linspace(0.0, chain_window, 3))
+            t = np.linspace(0.0, chain_window, 3)
+            return [scan] + [db.run_chain(drives, s, t) for s in starts]
 
         cf4 = runs()
         with monkeypatch.context() as m:
