@@ -295,7 +295,7 @@ class DeviceBackend:
         psi0 = np.zeros(model.dim, dtype=complex)
         psi0[model.bare_index({("q", start): 1})] = 1.0
         probs = model.evolve_columns(psi0, np.asarray(times, dtype=float), columns)
-        occ = model.occupations()
+        occ = model.occupations
         return np.stack([probs[:, occ[:, qubits.index(q)] == 1, :].sum(axis=1)
                          for q in readout], axis=1)
 

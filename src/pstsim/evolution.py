@@ -11,9 +11,13 @@ ill-conditioned), and every requested time is then evaluated exactly; a
 block above ``DENSE_GUARD`` raises ResourceError before any work.
 ``method="krylov"`` steps with scipy's ``expm_multiply``.  The
 flux-driven device model steps its H(t) through the same block kernel,
-two static exponentials per commutator-free step.  Relaxation enters as
-non-Hermitian diagonal terms; the survival norm of the propagated state
-is tracked alongside per-site populations.
+two static exponentials per commutator-free step.  For a column driven
+at one nonzero frequency whose period T fits in the time window, it
+takes those steps over one period only, applied to the block identity;
+later times reuse that period propagator and its substep propagators
+and add one short step, with no further decomposition.  Relaxation
+enters as non-Hermitian diagonal terms; the survival norm of the
+propagated state is tracked alongside per-site populations.
 """
 
 from dataclasses import dataclass
@@ -100,7 +104,9 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     gam = decay_rates(noise)
     diag = occupations @ gam
     if sparse.issparse(H):
-        return (H - 1j * sparse.diags(diag.astype(complex))).tocsr()
+        n = H.shape[0]
+        return H.tocsr() - sparse.csr_matrix((1j * diag, np.arange(n), np.arange(n + 1)),
+                                             shape=H.shape)
     return np.asarray(H, dtype=complex) - 1j * np.diag(diag)
 
 

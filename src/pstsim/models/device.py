@@ -163,7 +163,9 @@ class DeviceSubsetModel:
     Splits H(t) = H_fixed + sum_j w_cj(phi_j(t)) N_j so time stepping
     only re-evaluates the coupler frequencies.  Modes are ordered as the
     given qubits followed by the given couplers, each with ``levels``
-    states.  The flux drives are passed per run to :meth:`evolve_columns`.
+    states; ``occupations`` holds the (dim, n_modes) excitation numbers
+    of the basis states in that order.  The flux drives are passed per
+    run to :meth:`evolve_columns`.
     """
 
     def __init__(self, device: DeviceSpec, qubit_indices, coupler_indices, levels: int):
@@ -222,21 +224,15 @@ class DeviceSubsetModel:
             H += 2 * pi * g / 2 * (da @ db)
         self.H_fixed = H
         self._specs = [dev.couplers[cj - 1] for cj in self.couplers]
-        self._coupler_occ = self.occupations()[:, len(self.qubits):]
+        # the base-`levels` digits of each basis index, most significant first
+        place = self.levels ** np.arange(len(self.qubits) + len(self.couplers) - 1, -1, -1)
+        self.occupations = (np.arange(self.dim)[:, None] // place % self.levels).astype(float)
+        self._coupler_occ = self.occupations[:, len(self.qubits):]
 
     def hamiltonian(self) -> np.ndarray:
         """Dense H with every coupler at its bias, in angular-frequency units."""
         bias = np.array([coupler_frequency(c, c.phi_dc) for c in self._specs])
         return self.H_fixed + np.diag(self._coupler_occ @ (2 * pi * bias))
-
-    def occupations(self) -> np.ndarray:
-        """(dim, n_modes) excitation numbers, qubit modes first."""
-        n_modes = len(self.qubits) + len(self.couplers)
-        out = np.zeros((self.dim, n_modes))
-        a, nop = _mode_ops(self.levels)
-        for m in range(n_modes):
-            out[:, m] = np.diag(self._embed(nop, m)).real
-        return out
 
     def bare_index(self, occupation: dict) -> int:
         """Basis index for a product state, e.g. {("q", 1): 1} for one excitation."""
@@ -259,7 +255,14 @@ class DeviceSubsetModel:
         a coupler with no drive in a column sits at its bias.  Steps are
         fourth-order commutator-free exponentials (Blanes & Moan 2006), at
         most 2 pi / (_STEPS_PER_PERIOD max|w|) long over the driven
-        couplers, or one per output interval when H is static.  Returns
+        couplers of all columns, or one per output interval when H is
+        static.  A column whose driven couplers share one nonzero
+        frequency has period T = 2 pi / |w|; when T <= times[-1] it is not
+        stepped through the window (Shirley 1965).  Its one-period
+        propagator U_T is built from _STEPS_PER_PERIOD steps of
+        h = T / _STEPS_PER_PERIOD, keeping every substep's propagator, and
+        the state at t = k T + r is one short step from floor(r / h) h to
+        r after that substep's propagator, applied to U_T^k psi0.  Returns
         |amplitudes|^2 with shape (len(times), dim, len(columns)).
         """
         times = _ascending_times(times)
@@ -282,7 +285,7 @@ class DeviceSubsetModel:
 
         phi_dc = np.array([[c.phi_dc] for c in self._specs])
 
-        def coupler_diag(t):        # diagonal of H(t) - H_fixed, (dim, ncol)
+        def coupler_diag(t):        # diagonal of H(t) - H_fixed, (dim, ncol); t may be per column
             phi = phi_dc + amps * np.cos(w_ang * t)
             w = [coupler_frequency(c, p) for c, p in zip(self._specs, phi)]
             return self._coupler_occ @ (2 * pi * np.reshape(w, phi.shape))
@@ -292,20 +295,66 @@ class DeviceSubsetModel:
         r = 3**0.5 / 6
         c1, c2, a1, a2 = 0.5 - r, 0.5 + r, 0.25 + r, 0.25 - r
         halves = [(idx, block / 2) for idx, block in _blocks(self.H_fixed, psi0)]
+
+        def cf4_step(states, cols, t0, k, h):
+            """Step states[col], one vector or matrix per block, from t0 + k h to t0 + (k + 1) h.
+
+            ``t0`` and ``h`` are scalars or per-column arrays."""
+            if len(cols) == 0:
+                return
+            d1, d2 = coupler_diag(t0 + (k + c1) * h), coupler_diag(t0 + (k + c2) * h)
+            h = np.broadcast_to(h, ncol)
+            for d in (a1 * d1 + a2 * d2, a2 * d1 + a1 * d2):
+                for col in cols:
+                    states[col] = [_block_states(half + np.diag(d[idx, col]), s, [h[col]])[0]
+                                   for (idx, half), s in zip(halves, states[col])]
+
+        tones = [np.unique(np.abs(w_ang[amps[:, col] > 0, col])) for col in range(ncol)]
+        period = np.array([2 * pi / w[0] if len(w) == 1 and w[0] > 0 else np.inf for w in tones])
+        periodic = np.flatnonzero(period <= times[-1])
+        plain = np.flatnonzero(period > times[-1])
+
+        sub = np.where(period <= times[-1], period, 0.0) / _STEPS_PER_PERIOD
+
+        def split(t, col):          # t = k T + j h + rest with h = sub[col], 0 <= rest < h
+            k, into = divmod(t, period[col])
+            j = int(into // sub[col])
+            return int(k), j, into - j * sub[col]
+
+        # U_T, and the substep propagators U(jh) that the output times need
+        build = {col: [np.eye(len(idx), dtype=complex) for idx, _ in halves] for col in periodic}
+        kept = {col: {0: build[col]} for col in periodic}
+        need = {col: {split(t, col)[1] for t in times} for col in periodic}
+        for k in range(_STEPS_PER_PERIOD):
+            cf4_step(build, periodic, 0.0, k, sub)
+            for col in periodic:
+                if k + 1 in need[col]:
+                    kept[col][k + 1] = build[col]
+
         psi = np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, ncol))
+        states = {col: [psi[idx, col] for idx, _ in halves] for col in range(ncol)}
+        held = {col: states[col] for col in periodic}       # the state at n_held[col] periods
+        n_held = dict.fromkeys(periodic, 0)
         out = np.zeros((len(times), self.dim, ncol))
         t_now = 0.0
         for i, t_out in enumerate(times):
-            n = max(int(np.ceil((t_out - t_now) * rate)), int(t_out > t_now))
-            for k in range(n):
-                h = (t_out - t_now) / n
-                d1, d2 = coupler_diag(t_now + (k + c1) * h), coupler_diag(t_now + (k + c2) * h)
-                for d in (a1 * d1 + a2 * d2, a2 * d1 + a1 * d2):
-                    for col in range(ncol):
-                        for idx, half in halves:
-                            psi[idx, col] = _block_states(half + np.diag(d[idx, col]),
-                                                          psi[idx, col], [h])[0]
+            if len(plain):
+                n = max(int(np.ceil((t_out - t_now) * rate)), int(t_out > t_now))
+                for k in range(n):
+                    cf4_step(states, plain, t_now, k, (t_out - t_now) / n)
             t_now = t_out
+            t0, rest = np.zeros(ncol), np.zeros(ncol)
+            for col in periodic:
+                k, j, rest[col] = split(t_out, col)
+                for _ in range(k - n_held[col]):
+                    held[col] = [u @ s for u, s in zip(build[col], held[col])]
+                n_held[col] = k
+                t0[col] = j * sub[col]
+                states[col] = [u @ s for u, s in zip(kept[col][j], held[col])]
+            cf4_step(states, periodic[rest[periodic] > 0], t0, 0, rest)
+            for col in range(ncol):
+                for (idx, _), s in zip(halves, states[col]):
+                    psi[idx, col] = s
             out[i] = np.abs(psi) ** 2
         return out
 

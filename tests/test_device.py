@@ -1,4 +1,5 @@
 import dataclasses
+from math import pi
 
 import numpy as np
 import pytest
@@ -117,12 +118,24 @@ def test_subset_model_basics(dev):
     assert model.dim == 27
     H = model.hamiltonian()
     np.testing.assert_allclose(H, H.conj().T, atol=1e-6)
-    occ = model.occupations()
+    occ = model.occupations
     assert occ.shape == (27, 3)
     idx = model.bare_index({("q", 2): 1})
     assert occ[idx].tolist() == [0, 1, 0]
     idx2 = model.bare_index({("q", 1): 1, ("c", 1): 2})
     assert occ[idx2].tolist() == [1, 0, 2]
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_occupations_match_kron_form(dev, levels):
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=levels)
+    n_modes = 3
+    number = np.diag(np.arange(levels, dtype=float))
+    for m in range(n_modes):
+        op = np.array([[1.0]])
+        for k in range(n_modes):
+            op = np.kron(op, number if k == m else np.eye(levels))
+        np.testing.assert_array_equal(model.occupations[:, m], np.diag(op))
 
 
 def test_subset_model_guard(dev):
@@ -133,12 +146,17 @@ def test_subset_model_guard(dev):
     assert model.dim == 3**5
 
 
+def _excited(model):
+    """One excitation on qubit 1."""
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[model.bare_index({("q", 1): 1})] = 1.0
+    return psi0
+
+
 def _pair_model(dev):
     """Pair (1, 2) with coupler 1 at two levels, and one excitation on qubit 1."""
     model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[model.bare_index({("q", 1): 1})] = 1.0
-    return model, psi0
+    return model, _excited(model)
 
 
 def _columns(coupler, amplitude, freqs):
@@ -184,8 +202,8 @@ def test_evolve_columns_unitary_and_deterministic(dev):
 
 
 def test_evolve_columns_step_size_converged(dev, monkeypatch):
-    # the step rule (see evolve_columns) against half of its step over
-    # 10 ns, on resonance and 8 MHz off
+    # the one-period path (see evolve_columns) against half of its substep
+    # over 10 ns, on resonance and 8 MHz off
     model, psi0 = _pair_model(dev)
     times = np.linspace(0.0, 10e-9, 3)
     bare = dev.qubits[0].frequency_hz - dev.qubits[1].frequency_hz
@@ -224,6 +242,156 @@ def test_evolve_columns_chain_column_keeps_norm(dev):
     pops = model.evolve_columns(psi0, np.linspace(0.0, 5e-9, 3), columns)
     assert pops.shape == (3, model.dim, 2)
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-9
+
+
+def _plain_steps(model, psi0, times, columns):
+    """evolve_columns as it was before the one-period path: every column
+    stepped through the whole window, 2 pi / (_STEPS_PER_PERIOD max|w|)
+    at most per step over the driven couplers of all columns."""
+    times = np.asarray(times, dtype=float)
+    ncol = len(columns)
+    amps = np.zeros((len(model.couplers), ncol))
+    w_ang = np.zeros((len(model.couplers), ncol))
+    for col, drives in enumerate(columns):
+        for d in drives:
+            k = model.couplers.index(d.coupler)
+            amps[k, col] = d.amplitude
+            w_ang[k, col] = 2 * pi * d.frequency_hz
+
+    phi_dc = np.array([[c.phi_dc] for c in model._specs])
+
+    def coupler_diag(t):
+        phi = phi_dc + amps * np.cos(w_ang * t)
+        w = [dv.coupler_frequency(c, p) for c, p in zip(model._specs, phi)]
+        return model._coupler_occ @ (2 * pi * np.reshape(w, phi.shape))
+
+    rate = dv._STEPS_PER_PERIOD * np.abs(w_ang[amps > 0]).max(initial=0.0) / (2 * pi)
+    r = 3**0.5 / 6
+    c1, c2, a1, a2 = 0.5 - r, 0.5 + r, 0.25 + r, 0.25 - r
+    halves = [(idx, block / 2) for idx, block in evolution._blocks(model.H_fixed, psi0)]
+    psi = np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, ncol))
+    out = np.zeros((len(times), model.dim, ncol))
+    t_now = 0.0
+    for i, t_out in enumerate(times):
+        n = max(int(np.ceil((t_out - t_now) * rate)), int(t_out > t_now))
+        for k in range(n):
+            h = (t_out - t_now) / n
+            d1, d2 = coupler_diag(t_now + (k + c1) * h), coupler_diag(t_now + (k + c2) * h)
+            for d in (a1 * d1 + a2 * d2, a2 * d1 + a1 * d2):
+                for col in range(ncol):
+                    for idx, half in halves:
+                        psi[idx, col] = evolution._block_states(half + np.diag(d[idx, col]),
+                                                                psi[idx, col], [h])[0]
+        t_now = t_out
+        out[i] = np.abs(psi) ** 2
+    return out
+
+
+def _pair_tones(dev, offsets):
+    bare = dev.qubits[0].frequency_hz - dev.qubits[1].frequency_hz
+    return _columns(1, 0.01, bare + np.asarray(offsets))
+
+
+def _chain_tones(dev):
+    f = [q.frequency_hz for q in dev.qubits]
+    return abs(f[0] - f[1]), abs(f[1] - f[2])
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_one_period_path_matches_plain_steps(dev, levels):
+    # 100 ns is 44 periods: U_T^k psi0 and the substep propagators against
+    # CF4 steps through the whole window, on resonance and 8 MHz off
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=levels)
+    psi0 = _excited(model)
+    times = np.linspace(0.0, 100e-9, 21)
+    columns = _pair_tones(dev, [0.0, 8e6])
+    got = model.evolve_columns(psi0, times, columns)
+    np.testing.assert_allclose(got, _plain_steps(model, psi0, times, columns), rtol=0, atol=1e-8)
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["period beyond the window", "two tones", "frequency 0"])
+def test_plain_columns_unchanged(dev, case):
+    f01, f12 = _chain_tones(dev)
+    if case == "two tones":
+        model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=2)
+        columns = [[dv.DriveConfig(1, 0.01, f01), dv.DriveConfig(2, 0.012, f12)]]
+        times = np.linspace(0.0, 5e-9, 3)
+    else:
+        model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=3)
+        # a 30 MHz tone has a 33 ns period
+        columns = _columns(1, 0.02, [30e6 if case == "period beyond the window" else 0.0])
+        times = np.linspace(0.0, 20e-9, 5)
+    psi0 = _excited(model)
+    np.testing.assert_array_equal(model.evolve_columns(psi0, times, columns),
+                                  _plain_steps(model, psi0, times, columns))
+
+
+def test_one_period_path_at_multiples_of_the_period(dev):
+    model, psi0 = _pair_model(dev)
+    columns = _pair_tones(dev, [0.0])
+    period = 2 * pi / (2 * pi * columns[0][0].frequency_hz)      # as evolve_columns has it
+    times = period * np.arange(41)
+    rests = [divmod(t, period)[1] for t in times[1:]]
+    # rounding leaves r = 0 at some multiples and r just below T at others
+    assert 0.0 in rests and max(rests) > period / 2
+    got = model.evolve_columns(psi0, times, columns)
+    np.testing.assert_allclose(got, _plain_steps(model, psi0, times, columns), rtol=0, atol=1e-8)
+
+
+def test_mixed_call_keeps_plain_columns_exact(dev):
+    model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=2)
+    psi0 = _excited(model)
+    f01, f12 = _chain_tones(dev)
+    # two tones, one tone, undriven, one tone (A = 0 is no drive), frequency 0
+    columns = [
+        [dv.DriveConfig(1, 0.01, f01), dv.DriveConfig(2, 0.012, f12)],
+        [dv.DriveConfig(1, 0.01, f01)],
+        [],
+        [dv.DriveConfig(2, 0.012, f12), dv.DriveConfig(1, 0.0, f01)],
+        [dv.DriveConfig(1, 0.01, 0.0)],
+    ]
+    times = np.linspace(0.0, 10e-9, 5)
+    got = model.evolve_columns(psi0, times, columns)
+    want = _plain_steps(model, psi0, times, columns)
+    plain, periodic = [0, 2, 4], [1, 3]
+    np.testing.assert_array_equal(got[:, :, plain], want[:, :, plain])
+    np.testing.assert_allclose(got[:, :, periodic], want[:, :, periodic], rtol=0, atol=1e-8)
+    assert not np.array_equal(got[:, :, periodic], want[:, :, periodic])
+
+
+def test_one_period_path_kernel_calls(dev, monkeypatch):
+    # 600 ns is about 264 periods: the period build and one remainder step
+    # per output time, where stepping the window took about 34 000 calls
+    model, psi0 = _pair_model(dev)
+    calls = []
+    kernel = dv._block_states
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(dv, "_block_states", counted)
+    times = np.linspace(0.0, 600e-9, 31)
+    columns = _pair_tones(dev, [0.0, 8e6])
+    pops = model.evolve_columns(psi0, times, columns)
+    blocks = len(list(evolution._blocks(model.H_fixed, psi0)))
+    assert 0 < len(calls) <= 2 * (dv._STEPS_PER_PERIOD + len(times)) * len(columns) * blocks
+    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-9
+
+
+def test_plain_steps_step_size_converged(dev, monkeypatch):
+    # two tones always take the plain steps: the step rule against half of
+    # its step over 10 ns
+    model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=2)
+    psi0 = _excited(model)
+    f01, f12 = _chain_tones(dev)
+    columns = [[dv.DriveConfig(1, 0.01, f01), dv.DriveConfig(2, 0.012, f12)]]
+    times = np.linspace(0.0, 10e-9, 3)
+    coarse = model.evolve_columns(psi0, times, columns)
+    monkeypatch.setattr(dv, "_STEPS_PER_PERIOD", 128)
+    np.testing.assert_allclose(coarse, model.evolve_columns(psi0, times, columns),
+                               rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("levels", [2, 3])

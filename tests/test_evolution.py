@@ -94,6 +94,26 @@ def test_add_relaxation_shapes_and_signs():
                                  statespace.occupation_matrix(3))
 
 
+def test_add_relaxation_sparse_matches_diags_form():
+    # the rates enter through one CSR diagonal; the result must be the
+    # matrix the sparse.diags form built, entry for entry and sign of zero
+    noise = evolution.NoiseSpec(t1=(1e-6, 2e-6, 3e-6))
+    occ = statespace.occupation_matrix(3)
+    rates = occ @ evolution.decay_rates(noise)
+    spec = chains.ChainSpec.pst(3, 1e-6)
+    bare = chains.chain_hamiltonian(spec)
+    assert not bare.diagonal().any()                # no stored diagonal
+    with_diagonal = chains.chain_hamiltonian(spec.with_zz((2e5, 3e5)))
+    assert with_diagonal.diagonal().any()
+    for H in (bare, bare.tocoo(), with_diagonal, with_diagonal.real.tocsr()):
+        got = evolution.add_relaxation(H, noise, occ)
+        want = (H - 1j * sparse.diags(rates.astype(complex))).tocsr()
+        assert got.format == "csr" and got.dtype == complex
+        assert (got != want).nnz == 0
+        np.testing.assert_array_equal(np.signbit(got.toarray().real),
+                                      np.signbit(want.toarray().real))
+
+
 def test_krylov_matches_dense_on_sparse_chain():
     spec = chains.ChainSpec.pst(10, 640e-9)
     H = chains.chain_hamiltonian(spec)
