@@ -344,6 +344,9 @@ class ChevronDataset:
         expected = (self.amplitudes.size, self.frequencies.size, self.times.size)
         if self.populations.shape != expected:
             raise ValueError(f"population grid {self.populations.shape} != {expected}")
+        for name in ("amplitudes", "frequencies", "times", "populations"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite {name}")
         if self.populations.min() < -1e-9 or self.populations.max() > 1 + 1e-9:
             raise ValueError("populations outside [0, 1]")
 
@@ -380,11 +383,16 @@ def fit_chevron(dataset: ChevronDataset, residual_threshold: float = 0.1) -> Che
 
     The model is P(t) = C * J^2/(J^2 + d^2/4) * sin^2(sqrt(J^2 + d^2/4) t)
     with d the detuning from the resonance; the fit returns the coupling
-    and the frequency of maximal contrast.  A root-mean-square residual
-    above ``residual_threshold`` raises FitError with diagnostics.
+    and the frequency of maximal contrast.  It starts from the rate of
+    the first antinode; only when that fit's root-mean-square residual
+    is above ``residual_threshold`` does it restart from twice and half
+    that rate and keep the lowest cost of the three.  A residual still
+    above the threshold raises FitError with diagnostics.
     """
     if dataset.amplitudes.size != 1:
         raise ValueError("chevron fits take a dataset with a single amplitude")
+    if not (math.isfinite(residual_threshold) and residual_threshold > 0):
+        raise ValueError("residual_threshold must be finite and positive")
     pops = dataset.populations[0]
     freqs = dataset.frequencies
     t = dataset.times
@@ -415,12 +423,13 @@ def fit_chevron(dataset: ChevronDataset, residual_threshold: float = 0.1) -> Che
         model = c * (coupling * coupling / rabi2) * np.sin(np.sqrt(rabi2) * t[None, :]) ** 2
         return (model - pops).ravel()
 
-    best = None
-    for j_start in (j0 * span, 2.0 * j0 * span, 0.5 * j0 * span):
-        sol = least_squares(residuals, x0=(j_start, 0.0, c0),
-                            bounds=((1e-9, -e_span, 0.0), (50.0 * j_start + 50.0, e_span, 1.2)))
-        if best is None or sol.cost < best.cost:
-            best = sol
+    def fit(j_start):
+        return least_squares(residuals, x0=(j_start, 0.0, c0),
+                             bounds=((1e-9, -e_span, 0.0), (50.0 * j_start + 50.0, e_span, 1.2)))
+
+    best = fit(j0 * span)
+    if math.sqrt(np.mean(best.fun ** 2)) > residual_threshold:
+        best = min((best, fit(2.0 * j0 * span), fit(0.5 * j0 * span)), key=lambda sol: sol.cost)
     rms = math.sqrt(np.mean(best.fun ** 2))
     if rms > residual_threshold:
         raise FitError(
