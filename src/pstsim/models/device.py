@@ -12,6 +12,7 @@ Spec data (frequencies, couplings) is stored in Hz as it would appear on
 a datasheet; every Hamiltonian builder returns angular-frequency units.
 """
 
+import itertools
 from dataclasses import dataclass
 from math import pi
 
@@ -68,6 +69,8 @@ class DeviceSpec:
 
     def __post_init__(self):
         n = len(self.qubits)
+        if n < 2:           # one qubit would bridge, and couple to, itself
+            raise ValueError("ring layout needs at least two qubits")
         if len(self.couplers) != n:
             raise ValueError("ring layout needs one coupler per qubit")
         gqq = tuple(self.qubit_qubit_g_hz) or (None,) * n
@@ -82,6 +85,8 @@ class DeviceSpec:
     def coupler_qubits(self, j: int):
         """Indices (1-based) of the two qubits bridged by coupler j."""
         n = self.n_qubits
+        if not 1 <= j <= n:
+            raise ValueError(f"coupler {j} outside 1..{n}")
         return j, j % n + 1
 
 
@@ -151,12 +156,6 @@ def effective_coupling_estimate(device: DeviceSpec, pair, drive: DriveConfig) ->
 _STEPS_PER_PERIOD = 64      # steps per period of the fastest drive
 
 
-def _mode_ops(levels: int):
-    a = np.diag(np.sqrt(np.arange(1, levels)), 1)
-    n = np.diag(np.arange(levels, dtype=float))
-    return a, n
-
-
 class DeviceSubsetModel:
     """Hamiltonian of a subset of qubits and couplers at their bias points.
 
@@ -164,7 +163,8 @@ class DeviceSubsetModel:
     only re-evaluates the coupler frequencies.  Modes are ordered as the
     given qubits followed by the given couplers, each with ``levels``
     states; ``occupations`` holds the (dim, n_modes) excitation numbers
-    of the basis states in that order.  The flux drives are passed per
+    of the basis states in that order, the base-``levels`` digits of the
+    basis index, most significant first.  The flux drives are passed per
     run to :meth:`evolve_columns`.
     """
 
@@ -174,59 +174,57 @@ class DeviceSubsetModel:
         self.device = device
         self.qubits = tuple(qubit_indices)
         self.couplers = tuple(coupler_indices)
+        n = device.n_qubits
+        for kind, idx in (("qubit", self.qubits), ("coupler", self.couplers)):
+            if len(set(idx)) < len(idx) or not set(idx) <= set(range(1, n + 1)):
+                raise ValueError(f"{kind} indices {idx} must be distinct and in 1..{n}")
         self.levels = levels
-        n_modes = len(self.qubits) + len(self.couplers)
-        self.dim = self.levels**n_modes
+        self._modes = {key: m for m, key in enumerate(
+            [("q", qi) for qi in self.qubits] + [("c", cj) for cj in self.couplers])}
+        self.dim = self.levels**len(self._modes)
         if self.dim > DENSE_GUARD:
             raise ResourceError(f"{self.dim} basis states above guard {DENSE_GUARD}")
         self._build()
 
-    def _mode_index(self, kind: str, idx: int) -> int:
-        if kind == "q":
-            return self.qubits.index(idx)
-        return len(self.qubits) + self.couplers.index(idx)
-
-    def _embed(self, op: np.ndarray, mode: int) -> np.ndarray:
-        n_modes = len(self.qubits) + len(self.couplers)
-        out = np.array([[1.0]])
-        for m in range(n_modes):
-            out = np.kron(out, op if m == mode else np.eye(self.levels))
-        return out
-
     def _build(self):
-        dev = self.device
-        a, nop = _mode_ops(self.levels)
-        duff = 0.5 * (nop @ nop - nop)           # a+ a+ a a / 2 on the diagonal
+        dev, levels = self.device, self.levels
+        self._place = levels ** np.arange(len(self._modes) - 1, -1, -1)
+        occ = np.arange(self.dim)[:, None] // self._place % levels
+        self.occupations = n = occ.astype(float)
+        duff = n * (n - 1) / 2                   # a+ a+ a a / 2 on the diagonal
+        diag = np.zeros(self.dim)
         H = np.zeros((self.dim, self.dim))     # real: its blocks take the real eigh
+
+        def ladder(m, s):       # rows where (a - a+) moves mode m by s, and its elements there:
+            ok = (0 <= occ[:, m] + s) & (occ[:, m] + s < levels)    # sqrt(n) down, -sqrt(n+1) up
+            return ok, -s * np.sqrt(np.maximum(n[:, m], n[:, m] + s))
+
+        def flux(a, b, g):      # (g/2)(a - a+)(b - b+): the index hops by +-place[a] +-place[b]
+            p, q = self._modes[a], self._modes[b]
+            for sp, sq in itertools.product((-1, 1), repeat=2):
+                (ok_p, el_p), (ok_q, el_q) = ladder(p, sp), ladder(q, sq)
+                src = np.flatnonzero(ok_p & ok_q)
+                dst = src + sp * self._place[p] + sq * self._place[q]
+                H[dst, src] += 2 * pi * g / 2 * (el_p[src] * el_q[src])
+
         for qi in self.qubits:
-            q = dev.qubits[qi - 1]
-            H += 2 * pi * q.frequency_hz * self._embed(nop, self._mode_index("q", qi))
-            H += 2 * pi * q.anharmonicity_hz * self._embed(duff, self._mode_index("q", qi))
+            q, m = dev.qubits[qi - 1], self._modes["q", qi]
+            diag += 2 * pi * q.frequency_hz * n[:, m]
+            diag += 2 * pi * q.anharmonicity_hz * duff[:, m]
         for cj in self.couplers:
             c = dev.couplers[cj - 1]
-            m = self._mode_index("c", cj)
             # the w_c(t) a+a part stays out of H_fixed; anharmonicity is static
-            H += 2 * pi * c.anharmonicity_hz * self._embed(duff, m)
-            qa, qb = dev.coupler_qubits(cj)
-            for qi, g in ((qa, c.g_left_hz), (qb, c.g_right_hz)):
+            diag += 2 * pi * c.anharmonicity_hz * duff[:, self._modes["c", cj]]
+            for qi, g in zip(dev.coupler_qubits(cj), (c.g_left_hz, c.g_right_hz)):
                 if qi in self.qubits:
-                    da = self._embed(a - a.T, self._mode_index("q", qi))   # (a - a+), real
-                    dc = self._embed(a - a.T, m)
-                    H += 2 * pi * g / 2 * (da @ dc)
-        n_q = dev.n_qubits
-        for p in range(1, n_q + 1):
-            g = dev.qubit_qubit_g_hz[p - 1]
-            qa, qb = p, p % n_q + 1
-            if g is None or qa not in self.qubits or qb not in self.qubits:
-                continue
-            da = self._embed(a - a.T, self._mode_index("q", qa))
-            db = self._embed(a - a.T, self._mode_index("q", qb))
-            H += 2 * pi * g / 2 * (da @ db)
+                    flux(("q", qi), ("c", cj), g)
+        for p, g in enumerate(dev.qubit_qubit_g_hz, start=1):
+            pair = ("q", p), ("q", p % dev.n_qubits + 1)
+            if g is not None and set(pair) <= self._modes.keys():
+                flux(*pair, g)
+        np.fill_diagonal(H, diag)
         self.H_fixed = H
         self._specs = [dev.couplers[cj - 1] for cj in self.couplers]
-        # the base-`levels` digits of each basis index, most significant first
-        place = self.levels ** np.arange(len(self.qubits) + len(self.couplers) - 1, -1, -1)
-        self.occupations = (np.arange(self.dim)[:, None] // place % self.levels).astype(float)
         self._coupler_occ = self.occupations[:, len(self.qubits):]
 
     def hamiltonian(self) -> np.ndarray:
@@ -236,17 +234,14 @@ class DeviceSubsetModel:
 
     def bare_index(self, occupation: dict) -> int:
         """Basis index for a product state, e.g. {("q", 1): 1} for one excitation."""
-        digits = []
-        for qi in self.qubits:
-            digits.append(occupation.get(("q", qi), 0))
-        for cj in self.couplers:
-            digits.append(occupation.get(("c", cj), 0))
-        idx = 0
-        for d in digits:
+        digits = np.zeros(len(self._modes), dtype=int)
+        for key, d in occupation.items():
+            if key not in self._modes:
+                raise ValueError(f"{key!r} names no mode of the subset")
             if not 0 <= d < self.levels:
                 raise ValueError("occupation outside the level truncation")
-            idx = idx * self.levels + d
-        return idx
+            digits[self._modes[key]] = d
+        return int(digits @ self._place)
 
     def evolve_columns(self, psi0: np.ndarray, times: np.ndarray, columns) -> np.ndarray:
         """Propagate one initial state under each column's drives.

@@ -126,16 +126,113 @@ def test_subset_model_basics(dev):
     assert occ[idx2].tolist() == [1, 0, 2]
 
 
+# the kron-embedding builder that H_fixed replaced, kept as its reference
+def _mode_ops(levels: int):
+    a = np.diag(np.sqrt(np.arange(1, levels)), 1)
+    n = np.diag(np.arange(levels, dtype=float))
+    return a, n
+
+
+def _mode_index(self, kind: str, idx: int) -> int:
+    if kind == "q":
+        return self.qubits.index(idx)
+    return len(self.qubits) + self.couplers.index(idx)
+
+
+def _embed(self, op: np.ndarray, mode: int) -> np.ndarray:
+    n_modes = len(self.qubits) + len(self.couplers)
+    out = np.array([[1.0]])
+    for m in range(n_modes):
+        out = np.kron(out, op if m == mode else np.eye(self.levels))
+    return out
+
+
+def kron_H_fixed(self) -> np.ndarray:
+    """H_fixed of a DeviceSubsetModel from embedded mode operators."""
+    dev = self.device
+    a, nop = _mode_ops(self.levels)
+    duff = 0.5 * (nop @ nop - nop)           # a+ a+ a a / 2 on the diagonal
+    H = np.zeros((self.dim, self.dim))     # real: its blocks take the real eigh
+    for qi in self.qubits:
+        q = dev.qubits[qi - 1]
+        H += 2 * pi * q.frequency_hz * _embed(self, nop, _mode_index(self, "q", qi))
+        H += 2 * pi * q.anharmonicity_hz * _embed(self, duff, _mode_index(self, "q", qi))
+    for cj in self.couplers:
+        c = dev.couplers[cj - 1]
+        m = _mode_index(self, "c", cj)
+        # the w_c(t) a+a part stays out of H_fixed; anharmonicity is static
+        H += 2 * pi * c.anharmonicity_hz * _embed(self, duff, m)
+        qa, qb = dev.coupler_qubits(cj)
+        for qi, g in ((qa, c.g_left_hz), (qb, c.g_right_hz)):
+            if qi in self.qubits:
+                da = _embed(self, a - a.T, _mode_index(self, "q", qi))   # (a - a+), real
+                dc = _embed(self, a - a.T, m)
+                H += 2 * pi * g / 2 * (da @ dc)
+    n_q = dev.n_qubits
+    for p in range(1, n_q + 1):
+        g = dev.qubit_qubit_g_hz[p - 1]
+        qa, qb = p, p % n_q + 1
+        if g is None or qa not in self.qubits or qb not in self.qubits:
+            continue
+        da = _embed(self, a - a.T, _mode_index(self, "q", qa))
+        db = _embed(self, a - a.T, _mode_index(self, "q", qb))
+        H += 2 * pi * g / 2 * (da @ db)
+    return H
+
+
+# (qubits, couplers, highest levels): the ring wrap (6, 1), and residual
+# qubit-qubit g on the pairs (2, 3), (3, 4) and (4, 5)
+_KRON_SUBSETS = [((1, 2), (1,), 3), ((1, 2, 3), (1, 2), 3), ((6, 1), (6,), 3),
+                 ((2, 3, 4, 5), (2, 3, 4), 2)]
+
+
 @pytest.mark.parametrize("levels", [2, 3])
 def test_occupations_match_kron_form(dev, levels):
-    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=levels)
-    n_modes = 3
-    number = np.diag(np.arange(levels, dtype=float))
-    for m in range(n_modes):
-        op = np.array([[1.0]])
-        for k in range(n_modes):
-            op = np.kron(op, number if k == m else np.eye(levels))
-        np.testing.assert_array_equal(model.occupations[:, m], np.diag(op))
+    for qubits, couplers, top in _KRON_SUBSETS:
+        if levels > top:
+            continue
+        model = dv.DeviceSubsetModel(dev, qubits, couplers, levels=levels)
+        n_modes = len(qubits) + len(couplers)
+        number = np.diag(np.arange(levels, dtype=float))
+        for m in range(n_modes):
+            op = np.array([[1.0]])
+            for k in range(n_modes):
+                op = np.kron(op, number if k == m else np.eye(levels))
+            np.testing.assert_array_equal(model.occupations[:, m], np.diag(op))
+        assert np.array_equal(model.H_fixed, kron_H_fixed(model)), (qubits, couplers)
+    # a two-qubit ring couples its one pair twice, through both couplers and both g_qq
+    ring = dv.DeviceSpec(qubits=dev.qubits[:2], couplers=dev.couplers[:2],
+                         qubit_qubit_g_hz=(5e6, 7e6))
+    model = dv.DeviceSubsetModel(ring, (2, 1), (1, 2), levels=levels)
+    assert np.array_equal(model.H_fixed, kron_H_fixed(model))
+
+
+def test_bare_index_rejects_unknown_modes(dev):
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
+    assert model.bare_index({}) == 0
+    for key in (("q", 4), ("c", 2), ("Q", 1), "q1"):
+        with pytest.raises(ValueError, match="names no mode"):
+            model.bare_index({key: 1})
+    with pytest.raises(ValueError, match="level truncation"):
+        model.bare_index({("c", 1): 2})
+
+
+@pytest.mark.parametrize("qubits, couplers", [
+    ((0, 1), (1,)), ((1, 2), (0,)), ((1, 1), (1,)), ((1, 2), (1, 1)), ((6, 7), (6,)),
+    ((1, 2), (7,)), ((-1, 1), (6,))],
+    ids=["qubit0", "coupler0", "qubit_twice", "coupler_twice", "qubit7", "coupler7",
+         "qubit_negative"])
+def test_subset_model_rejects_bad_indices(dev, qubits, couplers):
+    with pytest.raises(ValueError, match="must be distinct and in 1..6"):
+        dv.DeviceSubsetModel(dev, qubits, couplers, levels=2)
+
+
+def test_coupler_qubits_rejects_unknown_coupler(dev):
+    for j in (0, 7, 9, -1):
+        with pytest.raises(ValueError, match="outside 1..6"):
+            dev.coupler_qubits(j)
+    with pytest.raises(ValueError, match="outside 1..6"):
+        dv.effective_coupling_estimate(dev, (0, 1), dv.DriveConfig(0, 0.01, 440e6))
 
 
 def test_subset_model_guard(dev):
@@ -432,6 +529,8 @@ def test_evolve_columns_rejects_bad_times(dev):
 def test_spec_validation(dev):
     with pytest.raises(ValueError):
         dv.DeviceSpec(qubits=dev.qubits, couplers=dev.couplers[:3])
+    with pytest.raises(ValueError, match="at least two qubits"):
+        dv.DeviceSpec(qubits=dev.qubits[:1], couplers=dev.couplers[:1])
     with pytest.raises(ValueError):
         dv.DeviceSpec(qubits=dev.qubits, couplers=dev.couplers,
                       qubit_qubit_g_hz=(None, 6e6))

@@ -235,16 +235,19 @@ def test_uniform_grid_matches_stepped_expm():
         psi = step @ psi
 
 
-def test_only_evolution_uses_expm():
-    # evolution is the one place that exponentiates a static Hamiltonian
+@pytest.mark.parametrize("name, allowed", [
+    ("expm", {"evolution.py"}),   # evolution exponentiates every static Hamiltonian
+    ("kron", set()),              # the device basis is built from its digits, not embedded
+], ids=["expm", "kron"])
+def test_forbidden_name_stays_out(name, allowed):
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "evolution.py":
+        if path.name in allowed:
             continue
         with open(path, "rb") as fh:
             names = {tok.string for tok in tokenize.tokenize(fh.readline)
                      if tok.type == tokenize.NAME}
-        if "expm" in names:
+        if name in names:
             offenders.append(str(path.relative_to(SRC)))
     assert offenders == []
 
