@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass
 from math import pi
 from pathlib import Path
@@ -46,6 +47,15 @@ def test_config_validation():
         calibration.EffectiveChainConfig(1e-6, (1.0,), (1.0,), stark=((1.0, 2.0),))
     with pytest.raises(ValueError):
         calibration.EffectiveChainConfig(1e-6, (1.0,), (1.0,), noise=-0.1)
+
+
+@pytest.mark.parametrize("field", ["tau", "noise"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, value):
+    kwargs = {"tau": 1e-6, "noise": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        calibration.EffectiveChainConfig(coupling_slopes=(1.0,), bare_resonances=(1.0,),
+                                         **kwargs)
 
 
 # ------------------------------------------------------- pair physics
@@ -117,6 +127,57 @@ def test_transfer_objective_penalizes_miscalibration():
     assert calibration.transfer_error_objective(be, scaled) > 0.1
     off = calibration.DriveSettings((0.0,) * 5, ideal.frequencies)
     assert calibration.transfer_error_objective(be, off) == pytest.approx(0.2, abs=1e-9)
+
+
+def _random_drives(config, rows, seed):
+    """(rows, n_drives) amplitudes and frequencies across the optimizer's search box."""
+    ideal = calibration.ideal_drive_settings(config)
+    rng = np.random.default_rng(seed)
+    amps = np.array(ideal.amplitudes) * (1.0 + 0.35 * rng.uniform(-1, 1, (rows, 5)))
+    freqs = np.array(ideal.frequencies) + TWO_PI * 600e3 * rng.uniform(-1, 1, (rows, 5))
+    return amps, freqs
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_run_chains_equals_run_chain_row_by_row(noise, rows):
+    be = _backend(noise=noise, seed=3)
+    t = np.linspace(0.0, 5 * be.tau, 7)
+    for seed in range(20):
+        amps, freqs = _random_drives(be.config, rows, seed)
+        got = be.run_chains(amps, freqs, 2, t)
+        assert got.shape == (rows, 7, 6)
+        for a, f, pops in zip(amps, freqs, got):
+            np.testing.assert_array_equal(
+                pops, be.run_chain(calibration.DriveSettings(a, f), 2, t))
+
+
+def test_run_chains_rejects_bad_rows():
+    be = _backend()
+    amps, freqs = _random_drives(be.config, 2, 0)
+    for a, f in ((amps[:, :4], freqs[:, :4]), (amps, freqs[:1]), (amps[0], freqs[0])):
+        with pytest.raises(ValueError):
+            be.run_chains(a, f, 1, [0.0])
+
+
+def test_transfer_objective_block_equals_single_settings():
+    be = _backend(noise=0.01, seed=2)
+    amps, freqs = _random_drives(be.config, 5, 7)
+    block = [calibration.DriveSettings(a, f) for a, f in zip(amps, freqs)]
+    values = calibration.transfer_error_objective(be, block)
+    assert values == [calibration.transfer_error_objective(be, d) for d in block]
+    assert all(type(v) is float for v in values)
+
+
+def test_device_run_chains_equals_run_chain():
+    db = calibration.DeviceBackend(levels=2)
+    f = [q.frequency_hz for q in db.device.qubits]
+    amps = [(0.01, 0.012), (0.008, 0.01)]
+    freqs = [(TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2]))] * 2
+    t = np.linspace(0.0, 1e-9, 3)
+    got = db.run_chains(amps, freqs, 1, t)
+    for a, fr, pops in zip(amps, freqs, got):
+        np.testing.assert_array_equal(pops, db.run_chain(calibration.DriveSettings(a, fr), 1, t))
 
 
 # -------------------------------------------------------- chevron fits
@@ -345,6 +406,14 @@ def test_perturb_drives_bounds_and_determinism():
         assert df.max() <= TWO_PI * 200e3
 
 
+@pytest.mark.parametrize("scale", [math.nan, -0.5, 2.0])
+def test_perturb_drives_rejects_bad_scale(scale):
+    # nan used to overflow, -0.5 to fail inside numpy, 2 to flip amplitude signs
+    ideal = calibration.ideal_drive_settings(calibration.default_effective_config())
+    with pytest.raises(ValueError, match="amplitude_scale"):
+        calibration.perturb_drives(ideal, 7, amplitude_scale=scale)
+
+
 # ----------------------------------------------------------- optimizer
 
 
@@ -377,9 +446,9 @@ class _ReplayChain:
     def n_sites(self):
         return self.populations.shape[1]
 
-    def run_chain(self, drives, initial, times):
+    def run_chains(self, amplitudes, frequencies, initial, times):
         assert initial == 1 and len(times) == len(self.populations)
-        return self.populations
+        return np.broadcast_to(self.populations, (len(amplitudes), *self.populations.shape))
 
 
 def _mirror_one_hot(n):
@@ -399,6 +468,17 @@ def test_optimizer_stops_at_target():
     assert not r.budget_exhausted
     assert r.best_objective == 0.0
     assert r.amplitudes == guess.amplitudes
+
+
+def test_optimizer_draws_proposals_lazily():
+    # a zero objective stops after one evaluation, whatever the budget
+    guess = calibration.DriveSettings((0.01, 0.01, 0.01), (1e9, 2e9, 3e9))
+    start = time.perf_counter()
+    r = calibration.optimize_simultaneous_drives(
+        _ReplayChain(1e-6, _mirror_one_hot(4)), guess,
+        calibration.OptimizerConfig(budget=10**12, seed=0))
+    assert time.perf_counter() - start < 1.0
+    assert r.evaluations == 1 and not r.budget_exhausted
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -562,7 +642,9 @@ def _reference_optimize(backend, guess, config):
 
 @pytest.mark.parametrize("noise", [0.0, 0.01])
 def test_optimizer_matches_reference_search(noise):
-    for budget, seeds in ((1, (0, 3)), (60, (0, 3, 9)), (500, (2, 7))):
+    # 8 ends on a block edge, 9 just past one, 37 inside a block
+    for budget, seeds in ((1, (0, 3)), (8, (0, 4)), (9, (1, 5)), (37, (2, 6)),
+                          (60, (0, 3, 9)), (500, (2, 7))):
         for seed in seeds:
             be = _backend(noise=noise, seed=seed)
             guess = calibration.perturb_drives(

@@ -310,6 +310,15 @@ def test_calibrate_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--perturb", "nan"),
+                                         ("--perturb", "-0.5"), ("--perturb", "2")])
+def test_calibrate_rejects_bad_noise_and_perturb(tmp_path, capsys, flag, value):
+    assert _run(tmp_path, "calibrate", "--budget", 5, flag, value) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "calibration.json").exists()
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_calibrate_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for target in (a, b):
