@@ -61,6 +61,9 @@ def parse_times(text: str, tau: float) -> np.ndarray:
         raise ValueError("--times must look like start:stop:num")
     start = _time_token(parts[0], tau)
     stop = _time_token(parts[1], tau)
+    for t in (start, stop):
+        if not math.isfinite(t):
+            raise UsageError(f"--times endpoint {t} is not finite")
     num = int(parts[2])
     if num < 2:
         raise ValueError("--times needs at least two points")

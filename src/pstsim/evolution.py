@@ -9,7 +9,9 @@ for a real block) and ``eig`` when relaxation makes it non-Hermitian
 (``expm`` near an exceptional point, where the eigenvectors are
 ill-conditioned), and every requested time is then evaluated exactly; a
 block above ``DENSE_GUARD`` raises ResourceError before any work.
-``method="krylov"`` steps with scipy's ``expm_multiply``.  The
+``method="krylov"`` splits H the same way and steps scipy's
+``expm_multiply`` on each touched block, a sparse slice of H that is
+never made dense, so it runs above the guard.  The
 flux-driven device model steps its H(t) through the same block kernel,
 two static exponentials per commutator-free step.  For a column driven
 at one nonzero frequency whose period T fits in the time window, it
@@ -131,12 +133,30 @@ def _block_states(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     return (v * phases[:, None, :]) @ c
 
 
-def _blocks(H, psi0: np.ndarray | None = None):
-    """Dense diagonal blocks of H over the components of its nonzero pattern.
+def _krylov_states(h, psi0: np.ndarray, times) -> np.ndarray:
+    """exp(-i h t) psi0 for every t in ``times``, stepping ``expm_multiply`` between them.
 
-    Yields ``(indices, block)`` for every component, or only for those
-    where ``psi0`` has support.  Raises ResourceError before any work if
-    a block to be diagonalised is larger than ``DENSE_GUARD``.
+    ``h`` is sparse or dense and is never densified; the result has shape
+    (len(times), d).
+    """
+    A = -1j * h
+    states = np.empty((len(times), len(psi0)), dtype=complex)
+    psi = psi0
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        if t != t_prev:
+            psi = expm_multiply(A * (t - t_prev), psi)
+        states[i] = psi
+        t_prev = t
+    return states
+
+
+def _components(H, psi0: np.ndarray | None = None):
+    """The nonzero entries of H and the connected components of their pattern.
+
+    Returns ``((row, col, val), labels, wanted)``: every nonzero entry once,
+    rows ascending; the component label of every basis state; and the
+    labels of the components where ``psi0`` has support, or all of them.
     """
     if sparse.issparse(H):
         A = H.tocsr()
@@ -158,11 +178,22 @@ def _blocks(H, psi0: np.ndarray | None = None):
     pattern = sparse.csr_matrix((np.ones(len(row)), col, indptr), shape=(dim, dim))
     n_comp, labels = connected_components(pattern, directed=False)
     wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
+    return (row, col, val), labels, wanted
+
+
+def _blocks(H, psi0: np.ndarray | None = None):
+    """Dense diagonal blocks of H over the components of its nonzero pattern.
+
+    Yields ``(indices, block)`` for every component, or only for those
+    where ``psi0`` has support.  Raises ResourceError before any work if
+    a block to be diagonalised is larger than ``DENSE_GUARD``.
+    """
+    (row, col, val), labels, wanted = _components(H, psi0)
     largest = np.bincount(labels)[wanted].max(initial=0)
     if largest > DENSE_GUARD:
         raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
     entry_labels = labels[row]
-    local = np.empty(dim, dtype=np.int64)        # position of each state in its block
+    local = np.empty(len(labels), dtype=np.int64)   # position of each state in its block
     for label in wanted:
         idx = np.flatnonzero(labels == label)
         local[idx] = np.arange(len(idx))
@@ -176,6 +207,9 @@ def _ascending_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1d sequence")
+    bad = times[~np.isfinite(times)]
+    if len(bad):
+        raise ValueError(f"times must be finite, got {bad[0]}")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
     return times
@@ -220,8 +254,11 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     omitted each basis state is reported as its own column.  The default
     method decomposes each block of H that ``psi0`` touches once and
     raises ResourceError when one is larger than ``DENSE_GUARD`` (read
-    at call time); ``method="krylov"`` steps between the requested times
-    with ``expm_multiply``.
+    at call time); ``method="krylov"`` steps ``expm_multiply`` between
+    the requested times on each touched block, taken as a slice of H
+    (sparse when H is) with no size guard.  Components ``psi0`` does not
+    touch stay exactly zero under both methods.  Raises ValueError for
+    times that are not finite, not ascending or empty.
     """
     options = options or EvolutionOptions()
     times = _ascending_times(times)
@@ -231,17 +268,14 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
     if options.method == "dense-expm":
-        for idx, h in _blocks(H, psi0):
-            states[:, idx] = _block_states(h, psi0[idx], times)
+        blocks, kernel = _blocks(H, psi0), _block_states
     else:
-        A = -1j * (H.tocsr() if sparse.issparse(H) else np.asarray(H, dtype=complex))
-        psi = psi0
-        t_prev = 0.0
-        for i, t in enumerate(times):
-            if t != t_prev:
-                psi = expm_multiply(A * (t - t_prev), psi)
-            states[i] = psi
-            t_prev = t
+        A = H.tocsr() if sparse.issparse(H) else np.asarray(H)
+        _, labels, wanted = _components(A, psi0)
+        blocks = ((idx, A[idx][:, idx]) for idx in (np.flatnonzero(labels == k) for k in wanted))
+        kernel = _krylov_states
+    for idx, h in blocks:
+        states[:, idx] = kernel(h, psi0[idx], times)
 
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite amplitudes during evolution")

@@ -157,6 +157,15 @@ def test_trajectory_manifest_model(tmp_path, zz_hz, noise, model):
     assert _load(tmp_path, f"{argv[0]}_manifest.json")["config"]["model"] == model
 
 
+@pytest.mark.parametrize("times", ["0:nantau:3", "0:inftau:3", "nantau:1tau:3"])
+def test_non_finite_times_are_usage_errors(tmp_path, capsys, times):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "pst", "--n", 4, "--tau", "640ns", "--times", times)
+    assert exc.value.code == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "pst_trajectory.csv").exists()
+
+
 def test_evolve_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, "couplings_hz": 3, "tau_s": 1e-6}\n')

@@ -524,6 +524,9 @@ def test_evolve_columns_rejects_bad_times(dev):
     for bad in ([], [[0.0, 1e-9]]):
         with pytest.raises(ValueError, match="non-empty 1d"):
             model.evolve_columns(psi0, bad, columns)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"times must be finite, got {bad}"):
+            model.evolve_columns(psi0, [0.0, bad], columns)
 
 
 def test_spec_validation(dev):

@@ -125,6 +125,64 @@ def test_krylov_matches_dense_on_sparse_chain():
     np.testing.assert_allclose(krylov.states, dense.states, rtol=0, atol=1e-10)
 
 
+def _record_expm_multiply(monkeypatch):
+    operands = []
+    kernel = evolution.expm_multiply
+    monkeypatch.setattr(evolution, "expm_multiply",
+                        lambda A, v: operands.append(A) or kernel(A, v))
+    return operands
+
+
+def test_krylov_steps_only_the_touched_sector(monkeypatch):
+    # |110000000000> lives in the 66-state two-excitation sector of 4096 states
+    operands = _record_expm_multiply(monkeypatch)
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(12, 640e-9))
+    psi0 = _basis(2**12, 0b110000000000)
+    times = np.linspace(0.0, 2 * 640e-9, 9)
+    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
+    assert len(operands) == len(times) - 1
+    assert {A.shape for A in operands} == {(66, 66)}
+    np.testing.assert_allclose(krylov.states, evolution.evolve(H, psi0, times).states,
+                               rtol=0, atol=1e-10)
+
+
+def test_krylov_matches_eigen_on_relaxed_chain():
+    # non-Hermitian blocks, and a state with support in all seven sectors
+    noise = serialize.load_noise(CONFIGS / "noise_t1.json")
+    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)),
+                                 noise, statespace.occupation_matrix(6))
+    psi0 = _spread_state(np.random.default_rng(9), 64)
+    times = np.linspace(0.0, 2 * 640e-9, 7)
+    eigen = evolution.evolve(H, psi0, times)
+    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
+    np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
+    assert krylov.norm[-1] < 1 - 1e-3
+
+
+def test_krylov_runs_above_dense_guard(monkeypatch):
+    # the 10-state two-excitation block of 5 sites is above a guard of 8:
+    # the eigen path refuses it, Krylov steps it as a sparse slice
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
+    operands = _record_expm_multiply(monkeypatch)
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(5, 640e-9))
+    psi0 = _basis(32, 0b11000)
+    times = np.linspace(0.0, 640e-9, 5)
+    traj = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
+    assert operands and all(sparse.issparse(A) and A.shape == (10, 10) for A in operands)
+    for t, state in zip(times, traj.states):
+        np.testing.assert_allclose(state, expm(-1j * H.toarray() * t) @ psi0,
+                                   rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["dense-expm", "krylov"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolve_rejects_non_finite_times(method, bad):
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(4, 640e-9))
+    with pytest.raises(ValueError, match=f"times must be finite, got {bad}"):
+        evolution.evolve(H, _basis(16, 0b1000), [0.0, bad],
+                         evolution.EvolutionOptions(method=method))
+
+
 def test_dense_guard_trips(monkeypatch):
     # the guard bounds the largest block that is diagonalised, so it needs
     # a connected matrix: np.eye(16) is sixteen 1x1 blocks
