@@ -58,17 +58,20 @@ def parse_times(text: str, tau: float) -> np.ndarray:
     """'start:stop:num' grid; endpoints take unit or 'tau' suffixes."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("--times must look like start:stop:num")
-    start = _time_token(parts[0], tau)
-    stop = _time_token(parts[1], tau)
+        raise UsageError("--times must look like start:stop:num")
+    try:
+        start = _time_token(parts[0], tau)
+        stop = _time_token(parts[1], tau)
+        num = int(parts[2])
+    except ValueError as exc:
+        raise UsageError(f"--times {text!r}: {exc}") from None
     for t in (start, stop):
         if not math.isfinite(t):
             raise UsageError(f"--times endpoint {t} is not finite")
-    num = int(parts[2])
     if num < 2:
-        raise ValueError("--times needs at least two points")
+        raise UsageError("--times needs at least two points")
     if stop <= start:
-        raise ValueError("--times stop must exceed start")
+        raise UsageError("--times stop must exceed start")
     return np.linspace(start, stop, num)
 
 

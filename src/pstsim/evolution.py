@@ -8,7 +8,8 @@ diagonalised once, with ``eigh`` when it is Hermitian (real ``eigh``
 for a real block) and ``eig`` when relaxation makes it non-Hermitian
 (``expm`` near an exceptional point, where the eigenvectors are
 ill-conditioned), and every requested time is then evaluated exactly; a
-block above ``DENSE_GUARD`` raises ResourceError before any work.
+block above ``DENSE_GUARD`` raises ResourceError before any work, and so
+does a dense propagator of an H above it.
 ``method="krylov"`` splits H the same way and steps scipy's
 ``expm_multiply`` on each touched block, a sparse slice of H that is
 never made dense, so it runs above the guard.  The
@@ -216,7 +217,13 @@ def _ascending_times(times) -> np.ndarray:
 
 
 def propagator(H, t: float) -> np.ndarray:
-    """exp(-i H t) as a dense matrix, assembled block by block."""
+    """exp(-i H t) as a dense matrix, assembled block by block.
+
+    Raises ResourceError before any work when H itself is larger than
+    ``DENSE_GUARD``: the dense result alone would not fit.
+    """
+    if H.shape[0] > DENSE_GUARD:
+        raise ResourceError(f"propagator dimension {H.shape[0]} above dense guard {DENSE_GUARD}")
     U = np.zeros(H.shape, dtype=complex)
     for idx, h in _blocks(H):
         U[np.ix_(idx, idx)] = _block_states(h, np.eye(len(idx)), [t])[0]

@@ -28,7 +28,6 @@ __all__ = [
     "pst_couplings",
     "fst_profile",
     "chain_hamiltonian",
-    "sector_hamiltonian",
     "single_excitation_hamiltonian",
     "pst_state_map",
     "pst_unitary",
@@ -131,44 +130,29 @@ def fst_profile(n: int, tau: float, theta: float):
     return J, delta
 
 
-def _hamiltonian_entries(spec: ChainSpec, states: np.ndarray):
-    """Chain Hamiltonian restricted to ``states`` (ascending basis indices).
+def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
+    """Full 2**n Hamiltonian of the chain (sparse, angular frequency).
 
-    Returns ``(diag, rows, cols, vals)``: the diagonal and the hopping
-    entries, indexed by position in ``states``.  Every hop conserves the
-    excitation number, so the states of whole sectors suffice.
+    Read off the occupation bits of every basis state: detunings and ZZ
+    shifts on the diagonal, and for each coupling a hop of an excitation
+    to its empty neighbour, whose target flips both bits of the pair.
     """
     n = spec.n_sites
-    occ = statespace.occupation_rows(states, n)
+    dim = 2**n
+    occ = statespace.occupation_rows(np.arange(dim), n)
     diag = occ @ np.array(spec.detunings) + (occ[:, :-1] * occ[:, 1:]) @ np.array(spec.zz)
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    d = np.flatnonzero(diag)
+    rows, cols, vals = [], [], []
     for k, j in enumerate(spec.couplings):
         # hop an excitation from site k+1 to site k+2
         src = np.flatnonzero((occ[:, k] == 1) & (occ[:, k + 1] == 0))
-        dst = np.searchsorted(states, states[src] ^ (3 << (n - 2 - k)))
+        dst = src ^ (3 << (n - 2 - k))
         rows += [src, dst]
         cols += [dst, src]
         vals.append(np.full(2 * len(src), j))
-    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
-    """Full 2**n Hamiltonian of the chain (sparse, angular frequency)."""
-    dim = 2**spec.n_sites
-    diag, rows, cols, vals = _hamiltonian_entries(spec, np.arange(dim))
-    d = np.flatnonzero(diag)
-    return sparse.csr_matrix((np.concatenate([vals, diag[d]]),
-                              (np.concatenate([rows, d]), np.concatenate([cols, d]))),
+    return sparse.csr_matrix((np.concatenate([*vals, diag[d]]),
+                              (np.concatenate([*rows, d]), np.concatenate([*cols, d]))),
                              shape=(dim, dim), dtype=complex)
-
-
-def sector_hamiltonian(spec: ChainSpec, k: int) -> np.ndarray:
-    """Hamiltonian block on the k-excitation sector (dense)."""
-    states = statespace.sector_states(spec.n_sites, k)
-    diag, rows, cols, vals = _hamiltonian_entries(spec, states)
-    H = np.diag(diag.astype(complex))
-    H[rows, cols] += vals
-    return H
 
 
 def single_excitation_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:

@@ -200,15 +200,6 @@ class ParityExperimentResult:
                 "phase_rad": self.phase, "parity": self.parity}
 
 
-def _sector_transfer(spec, k: int, noise):
-    """States of the k-excitation sector and its one-period propagator."""
-    n = spec.n_sites
-    H = chains.sector_hamiltonian(spec, k)
-    if noise is not None:
-        H = evolution.add_relaxation(H, noise, statespace.sector_occupation_matrix(n, k))
-    return statespace.sector_states(n, k), evolution.propagator(H, spec.tau)
-
-
 def _parity_spec(n: int, zeta, tau):
     """Chain spec of a parity experiment (shared by a table)."""
     if n < 3:
@@ -216,33 +207,38 @@ def _parity_spec(n: int, zeta, tau):
     return chains.ChainSpec.pst(n, 640e-9 if tau is None else tau).with_zz(zeta)
 
 
-def _parity_experiment(spec, noise, inner: str, input_state: str,
-                       transfers: dict) -> ParityExperimentResult:
-    """One parity experiment; ``transfers`` holds the sector propagators by k."""
-    n = spec.n_sites
+def _parity_hamiltonian(spec, noise):
+    H = chains.chain_hamiltonian(spec)
+    if noise is None:
+        return H
+    return evolution.add_relaxation(H, noise, statespace.occupation_matrix(spec.n_sites))
+
+
+def _parity_input(n: int, inner: str, input_state: str):
+    """Basis indices of the two input branches and the weight of the second.
+
+    Without site 1's excitation the input is ``low``, with it ``high``;
+    each branch carries 1/sqrt(2) and ``high`` the input phase on top.
+    """
     if len(inner) != n - 2 or set(inner) - {"0", "1"}:
         raise ValueError(f"inner must be a bitstring of length {n - 2}")
     if input_state not in INPUT_PHASES:
         raise ValueError(f"input_state must be one of {sorted(INPUT_PHASES)}")
     low = int(inner, 2) << 1                  # sites 2..n-1; site n empty
-    high = low | 1 << (n - 1)                 # site 1 excited as well
-    phi_in = INPUT_PHASES[input_state]
-    full = np.zeros(2**n, dtype=complex)
-    for bits, weight in ((low, 1.0), (high, np.exp(1j * phi_in))):
-        k = statespace.excitation_number(bits)
-        if k not in transfers:
-            transfers[k] = _sector_transfer(spec, k, noise)
-        states, U = transfers[k]
-        full[states] += weight * U[:, statespace.sector_rank(bits, n)] / np.sqrt(2.0)
+    return low, low | 1 << (n - 1), np.exp(1j * INPUT_PHASES[input_state])
 
-    rho = statespace.reduced_density_matrix(full, [n], n)
+
+def _parity_readout(state: np.ndarray, n: int, inner: str,
+                    input_state: str) -> ParityExperimentResult:
+    """The x-y angle of site n after the transfer, minus the input phase."""
+    rho = statespace.reduced_density_matrix(state, [n], n)
     coher = 2.0 * rho[1, 0]                      # <X> + i<Y>
     if abs(coher) < 1e-9:
         raise RuntimeError("transferred state has no x-y coherence; phase undefined")
-    phi_out = cmath.phase(coher)
     parity = -1 if inner.count("1") % 2 else 1
-    return ParityExperimentResult(inner=inner, input_state=input_state,
-                                  phase=wrap_phase(phi_in - phi_out), parity=parity)
+    return ParityExperimentResult(
+        inner=inner, input_state=input_state, parity=parity,
+        phase=wrap_phase(INPUT_PHASES[input_state] - cmath.phase(coher)))
 
 
 def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
@@ -254,22 +250,39 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     one transfer the x-y angle of site n's reduced state is read out and
     the prepared input phase subtracted; the result is wrapped to
     (-pi, pi].  Nonzero ``zeta`` (rad/s per adjacent pair) adds ZZ terms
-    during the transfer, and ``noise`` relaxation.
+    during the transfer, and ``noise`` relaxation.  Only the two
+    excitation sectors the input touches are diagonalised.
     """
-    return _parity_experiment(_parity_spec(n, zeta, tau), noise, inner, input_state, {})
+    spec = _parity_spec(n, zeta, tau)
+    low, high, weight = _parity_input(n, inner, input_state)
+    psi = np.zeros(2**n, dtype=complex)
+    psi[low] = 1.0 / np.sqrt(2.0)
+    psi[high] = weight / np.sqrt(2.0)
+    state = evolution.evolve(_parity_hamiltonian(spec, noise), psi, [spec.tau]).states[0]
+    return _parity_readout(state, n, inner, input_state)
 
 
 def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
                        tau: float | None = None):
     """All 2^(n-2) inner bitstrings for the given input states.
 
-    Each sector's propagator is built once per table and shared by its rows.
+    One transfer propagator U of the full chain is built per table, and
+    each row reads the transferred state off two of its columns:
+    U[:, low] / sqrt(2) + e^(i phi) U[:, high] / sqrt(2).  U is dense, so
+    above ``evolution.DENSE_GUARD`` basis states (n >= 13) the table
+    raises ResourceError before U is allocated; single experiments still
+    run there.
     """
     spec = _parity_spec(n, zeta, tau)
-    transfers = {}
-    return [_parity_experiment(spec, noise, format(code, f"0{n - 2}b"), inp,
-                               transfers)
-            for code in range(2 ** (n - 2)) for inp in input_states]
+    U = evolution.propagator(_parity_hamiltonian(spec, noise), spec.tau)
+    rows = []
+    for code in range(2 ** (n - 2)):
+        inner = format(code, f"0{n - 2}b")
+        for inp in input_states:
+            low, high, weight = _parity_input(n, inner, inp)
+            state = U[:, low] / np.sqrt(2.0) + weight * U[:, high] / np.sqrt(2.0)
+            rows.append(_parity_readout(state, n, inner, inp))
+    return rows
 
 
 def parity_deviation_fit(results) -> dict:

@@ -3,26 +3,17 @@
 Basis states of an ``n``-site chain are integers in ``[0, 2**n)`` whose
 binary digits are the site occupations with site 1 as the most
 significant bit, i.e. the bitstring reads left to right along the chain.
-All chain Hamiltonians here conserve total excitation number, so states
-are also addressed inside a fixed-excitation sector through the
-combinadic ranking of its occupation patterns in ascending integer
-order.
 """
 
-from math import comb, pi
+from math import pi
 
 import numpy as np
 
 __all__ = [
     "wrap_phase",
     "basis_index",
-    "occupations",
     "occupation_rows",
-    "excitation_number",
-    "sector_states",
-    "sector_rank",
     "occupation_matrix",
-    "sector_occupation_matrix",
     "apply_single_qubit",
     "reduced_density_matrix",
 ]
@@ -44,46 +35,15 @@ def basis_index(bits) -> int:
     return x
 
 
-def occupations(index: int, n: int) -> tuple:
-    """Occupation tuple (site 1 first) of basis state ``index``."""
-    return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def occupation_rows(states, n: int) -> np.ndarray:
     """(len(states), n) integer occupations (site 1 first) of an index array."""
     states = np.asarray(states, dtype=np.int64)
     return (states[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def excitation_number(index: int) -> int:
-    return bin(index).count("1")
-
-
-def sector_states(n: int, k: int) -> np.ndarray:
-    """All basis indices with ``k`` excitations, ascending."""
-    states = np.arange(2**n, dtype=np.int64)
-    return states[occupation_rows(states, n).sum(axis=1) == k]
-
-
-def sector_rank(index: int, n: int) -> int:
-    """Position of ``index`` within its excitation sector (ascending integer order).
-
-    Uses the combinadic: with set-bit positions p_1 > ... > p_k counted
-    from the least significant bit, rank = sum_i C(p_i, k+1-i).
-    """
-    positions = [p for p in range(n - 1, -1, -1) if (index >> p) & 1]
-    k = len(positions)
-    return sum(comb(p, k - i) for i, p in enumerate(positions))
-
-
 def occupation_matrix(n: int) -> np.ndarray:
     """(2**n, n) matrix of per-site occupations over the full basis."""
     return occupation_rows(np.arange(2**n), n).astype(float)
-
-
-def sector_occupation_matrix(n: int, k: int) -> np.ndarray:
-    """(C(n,k), n) occupations over the k-excitation sector basis."""
-    return occupation_rows(sector_states(n, k), n).astype(float)
 
 
 def apply_single_qubit(psi: np.ndarray, op: np.ndarray, site: int, n: int) -> np.ndarray:

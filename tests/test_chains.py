@@ -85,21 +85,15 @@ def test_chain_hamiltonian_matches_operator_sum(n, seed):
                                rtol=0, atol=1e-9 * np.abs(H).max())
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 2**31 - 1), st.data())
-def test_sector_hamiltonian_is_the_restriction(n, seed, data):
-    k = data.draw(st.integers(0, n))
-    spec = _random_spec(np.random.default_rng(seed), n)
-    H = chains.chain_hamiltonian(spec).toarray()
-    states = statespace.sector_states(n, k)
-    Hk = chains.sector_hamiltonian(spec, k)
-    np.testing.assert_allclose(Hk, H[np.ix_(states, states)], atol=1e-6)
-
-
 def test_single_excitation_hamiltonian_matches_sector_one():
-    spec = chains.ChainSpec.pst(5, TAU)
+    # site i alone excited is basis index 1 << (n-1-i), listed by site
+    n = 5
+    spec = chains.ChainSpec(couplings=chains.pst_couplings(n, TAU), tau=TAU,
+                            detunings=np.linspace(-1e6, 1e6, n), zz=np.full(n - 1, -2e5))
+    sites = [1 << (n - 1 - i) for i in range(n)]
+    H = chains.chain_hamiltonian(spec).toarray()
     np.testing.assert_array_equal(chains.single_excitation_hamiltonian(spec).toarray(),
-                                  chains.sector_hamiltonian(spec, 1))
+                                  H[np.ix_(sites, sites)])
 
 
 @pytest.mark.parametrize("n", range(2, 7))

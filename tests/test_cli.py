@@ -166,6 +166,15 @@ def test_non_finite_times_are_usage_errors(tmp_path, capsys, times):
     assert not (tmp_path / "pst_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("times", ["0:1tau:1", "1tau:0:3", "0:1tau:x", "0:abc:3",
+                                   "0:1tau"])
+def test_malformed_times_are_usage_errors(tmp_path, times):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "pst", "--n", 4, "--tau", "640ns", "--times", times)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, "couplings_hz": 3, "tau_s": 1e-6}\n')

@@ -317,25 +317,87 @@ _CALLERS = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))
             ROOT / "tests" / "test_acceptance.py"]
 
 
+def _module_name(path):
+    """Dotted module name of a package file, or the file stem elsewhere."""
+    if SRC not in path.parents:
+        return path.stem
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _import_aliases(nodes, path):
+    """Local name -> dotted target for every import among ``nodes`` of ``path``.
+
+    ``import a.b`` binds ``a``; ``import a.b as x`` binds ``x`` to ``a.b``;
+    ``from m import y as z`` binds ``z`` to ``m.y``, with a relative ``m``
+    resolved against the package of ``path``.
+    """
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    aliases = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                local = a.asname or a.name.split(".")[0]
+                aliases[local] = a.name if a.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(package[:len(package) + 1 - node.level]
+                                + ([base] if base else []))
+            for a in node.names:
+                aliases[a.asname or a.name] = f"{base}.{a.name}"
+    return aliases
+
+
+def _qualified_uses(tree, aliases, reexports):
+    """(dotted name, line) of every name or attribute chain rooted in an import alias."""
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            target = aliases.get(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            target = base and f"{base}.{node.attr}"
+        else:
+            return None
+        return reexports.get(target, target)
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = resolve(node)
+            if name:
+                yield name, node.lineno
+
+
 def test_every_public_name_has_a_caller():
     # each top-level public def/class of the package is used, outside its own
     # definition, by the package, a script, the benchmark or an acceptance
-    # criterion; unit tests alone do not count, and neither do __all__ strings
-    spans = {}
+    # criterion; unit tests alone do not count, and neither do __all__
+    # strings.  A use must name the defining module: through an import
+    # alias, or bare inside that module; a like-named attribute of some
+    # other object or a keyword argument is no use
+    spans, reexports, own = {}, {}, {}
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                spans.setdefault(node.name, []).append(
-                    (path, node.lineno, node.end_lineno))
+        module = _module_name(path)
+        tree = ast.parse(path.read_text())
+        own[path] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own[path][node.name] = f"{module}.{node.name}"
+                if not node.name.startswith("_"):
+                    spans[f"{module}.{node.name}"] = (path, node.lineno, node.end_lineno)
+        # a module-level import is also an attribute of the module
+        for local, target in _import_aliases(tree.body, path).items():
+            reexports[f"{module}.{local}"] = target
     used = set()
     for path in _CALLERS:
-        with open(path, "rb") as fh:
-            for tok in tokenize.tokenize(fh.readline):
-                if tok.type == tokenize.NAME and tok.string in spans and not any(
-                        path == p and lo <= tok.start[0] <= hi
-                        for p, lo, hi in spans[tok.string]):
-                    used.add(tok.string)
+        tree = ast.parse(path.read_text())
+        aliases = {**own.get(path, {}), **_import_aliases(ast.walk(tree), path)}
+        for name, line in _qualified_uses(tree, aliases, reexports):
+            if name in spans and not (spans[name][0] == path
+                                      and spans[name][1] <= line <= spans[name][2]):
+                used.add(name)
     assert sorted(set(spans) - used) == []
 
 

@@ -1,6 +1,7 @@
 """Tests for gate sequences, parity experiments, and GHZ preparation."""
 
 import itertools
+import time
 import tracemalloc
 from math import pi
 
@@ -207,6 +208,32 @@ def test_parity_zz_deviation_grows_with_count():
     np.testing.assert_allclose(fit["mean_deviation_rad"], means, rtol=1e-12)
     assert fit["slope_rad"] == pytest.approx(0.129011, abs=1e-6)
     assert fit["r_squared"] > 0.999
+
+
+@pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_parity_table_matches_single_experiments(n, model):
+    # the table reads columns of one propagator; a single experiment evolves
+    # its input through the two sectors it touches
+    zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
+    noise = (evolution.NoiseSpec(t1=tuple(np.linspace(10e-6, 40e-6, n)))
+             if "relax" in model else None)
+    rows = protocols.parity_phase_table(n, tuple(protocols.INPUT_PHASES), zeta=zeta,
+                                        noise=noise)
+    assert len(rows) == 4 * 2 ** (n - 2)
+    # every inner bitstring once, the input state cycling through all four
+    for row in (rows[4 * code + code % 4] for code in range(2 ** (n - 2))):
+        single = protocols.parity_phase_experiment(n, row.inner, row.input_state,
+                                                   zeta=zeta, noise=noise)
+        assert abs(protocols.wrap_phase(row.phase - single.phase)) < 1e-12
+
+
+def test_parity_table_above_dense_guard_fails_fast():
+    # 2^13 states: the dense propagator alone would take 1 GiB
+    start = time.perf_counter()
+    with pytest.raises(evolution.ResourceError):
+        protocols.parity_phase_table(13)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parity_errors():
