@@ -48,14 +48,14 @@ class DriveSettings:
 class ExperimentBackend(Protocol):
     """What chevron scans and the drive optimizer read from a backend.
 
-    Both measurements are pure functions of their arguments and the
-    backend's configuration, so repeated calls return bit-identical data
-    and may run concurrently.  A pair scan drives one coupler alone; a
-    chain run drives every coupler of the chain at once.
+    ``tau`` is the transfer time the objective samples at.  Both
+    measurements are pure functions of their arguments and the backend's
+    configuration, so repeated calls return bit-identical data and may
+    run concurrently.  A pair scan drives one coupler alone; a chain run
+    drives every coupler of the chain at once, for each row of drives.
     """
 
     tau: float
-    n_sites: int
 
     def pair_coupler(self, pair) -> int:
         """Coupler bridging an adjacent pair; ValueError for any other pair."""
@@ -63,11 +63,8 @@ class ExperimentBackend(Protocol):
     def run_pair_scan(self, pair, amplitude: float, frequencies, times) -> np.ndarray:
         """Target-site population (len(frequencies), len(times)) of a driven pair."""
 
-    def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
-        """All-site populations (len(times), n_sites) under simultaneous drives."""
-
     def run_chains(self, amplitudes, frequencies, initial: int, times) -> np.ndarray:
-        """``run_chain`` of every row of (B, n_drives) drives: (B, len(times), n_sites)."""
+        """All-site populations (B, len(times), n_sites) of (B, n_drives) drive rows."""
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +169,6 @@ class EffectiveBackend:
     def tau(self) -> float:
         return self.config.tau
 
-    @property
-    def n_sites(self) -> int:
-        return self.config.n_sites
-
     def pair_coupler(self, pair) -> int:
         a, b = pair
         if b != a + 1 or not 1 <= a <= self.config.n_drives:
@@ -210,8 +203,8 @@ class EffectiveBackend:
         """Populations (B, len(times), n_sites) from one stacked ``eigh``.
 
         Row b of the (B, n_drives) ``amplitudes`` and ``frequencies`` is one
-        drive setting; its populations equal ``run_chain`` on that row bit
-        for bit, measurement noise included.
+        drive setting; its populations equal those of a one-row block of that
+        setting bit for bit, measurement noise included.
         """
         n, m = self.config.n_sites, self.config.n_drives
         if not 1 <= initial <= n:
@@ -234,9 +227,6 @@ class EffectiveBackend:
             for b, (a, f) in enumerate(zip(amps.tolist(), freqs.tolist())):
                 pops[b] += self._noise(pops[b].shape, "chain", tuple(a), tuple(f), initial, t)
         return np.clip(pops, 0.0, 1.0)
-
-    def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
-        return self.run_chains([drives.amplitudes], [drives.frequencies], initial, times)[0]
 
 
 def ideal_drive_settings(config: EffectiveChainConfig) -> DriveSettings:
@@ -285,10 +275,6 @@ class DeviceBackend:
 
     def __post_init__(self):
         self.device = device_models.default_device()
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.chain_qubits)
 
     def pair_coupler(self, pair) -> int:
         return _bridging_coupler(self.device, pair)

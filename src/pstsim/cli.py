@@ -157,8 +157,8 @@ def _chain_flags(n: int, tau_text: str, theta_text: str | None = None):
     if n < 2:
         raise UsageError("--n must be at least 2")
     tau = parse_time(tau_text)
-    if tau <= 0:
-        raise UsageError("--tau must be positive")
+    if not 0 < tau < math.inf:
+        raise UsageError("--tau must be positive and finite")
     theta = parse_angle(theta_text) if theta_text is not None else None
     if theta is not None and not 0.0 <= theta <= math.pi:
         raise UsageError("--theta must lie in [0, pi]")
@@ -398,8 +398,8 @@ def cmd_lattice(args) -> int:
         fractions = sorted(float(tok) for tok in args.snapshots.split(","))
     except ValueError:
         raise UsageError("--snapshots must be a comma list of numbers")
-    if not fractions or any(f < 0 for f in fractions):
-        raise UsageError("--snapshots must be non-negative fractions of tau")
+    if not fractions or any(not 0 <= f < math.inf for f in fractions):
+        raise UsageError("--snapshots must be finite non-negative fractions of tau")
     out = _Outputs(args, "lattice")
     times = np.array(fractions) * tau
     traj = protocols.lattice_pst(spec, (x0, y0), times)

@@ -16,12 +16,12 @@ angular-frequency units; evolution is exp(-i H t).
 """
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 from scipy import sparse
 
-from .. import evolution, statespace
+from .. import statespace
 
 __all__ = [
     "ChainSpec",
@@ -32,9 +32,6 @@ __all__ = [
     "pst_state_map",
     "pst_unitary",
     "transfer_phase",
-    "fst_effective_hamiltonian",
-    "fst_dressing_angles",
-    "fst_effective_propagator",
 ]
 
 
@@ -61,8 +58,8 @@ class ChainSpec:
             raise ValueError(f"need {n} detunings, got {len(dets)}")
         if len(zz) != n - 1:
             raise ValueError(f"need {n - 1} zz values, got {len(zz)}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < inf:
+            raise ValueError("tau must be positive and finite")
         object.__setattr__(self, "detunings", dets)
         object.__setattr__(self, "zz", zz)
 
@@ -87,8 +84,8 @@ def pst_couplings(n: int, tau: float) -> np.ndarray:
     """Mirror-symmetric profile J_k = (pi/2 tau) sqrt(k (n-k)), k = 1..n-1."""
     if n < 2:
         raise ValueError("need at least two sites")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < inf:
+        raise ValueError("tau must be positive and finite")
     # k (n-k) is computed as an integer so J_k == J_{n-k} bit for bit
     return np.array([pi / (2 * tau) * sqrt(k * (n - k)) for k in range(1, n)])
 
@@ -105,8 +102,8 @@ def fst_profile(n: int, tau: float, theta: float):
     """
     if n < 2:
         raise ValueError("need at least two sites")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < inf:
+        raise ValueError("tau must be positive and finite")
     if not 0 <= theta <= pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     x = theta / pi
@@ -214,54 +211,3 @@ def pst_unitary(n: int) -> np.ndarray:
     U[targets, np.arange(dim)] = phases
     return U
 
-
-def fst_effective_hamiltonian(n: int, tau: float, theta: float) -> np.ndarray:
-    """Effective mirror-pair Hamiltonian generating one fractional transfer.
-
-    H_eff = (theta / 2 tau) sum over mirror pairs (k, k~) of the
-    pair-swap term conditioned on the excitations in between:
-    (prod of sigma_z strictly between) (s-_k s+_k~ + s+_k s-_k~).
-    exp(-i H_eff tau) reproduces the chain propagator up to local Z
-    rotations, see :func:`fst_dressing_angles`.
-    """
-    if not 0 <= theta <= pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    dim = 2**n
-    bits = statespace.occupation_rows(np.arange(dim), n)
-    H = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, n // 2 + 1):
-        kt = n + 1 - k
-        # swap the pair; amplitude carries the inner sigma_z parity
-        src = np.flatnonzero(bits[:, k - 1] != bits[:, kt - 1])
-        inner = bits[src, k:kt - 1].sum(axis=1)
-        H[src ^ (1 << (n - k)) ^ (1 << (n - kt)), src] += theta / (2 * tau) * (-1.0) ** inner
-    return H
-
-
-def fst_dressing_angles(n: int, theta: float) -> np.ndarray:
-    """Per-site Z angles relating the chain and effective propagators.
-
-    exp(-i H_chain tau) = exp(-i H_eff tau) * D up to a global phase,
-    where D applies diag(1, exp(i angle)) on each site.  Mirror-paired
-    sites share one angle fixed by n mod 4 (0, -pi/2, pi, +pi/2 for
-    n mod 4 = 2, 3, 0, 1); the odd-n centre angle is lowered from it by
-    theta/2.  Only for n mod 4 == 2 is the dressing trivial and the two
-    propagators equal up to global phase alone.
-    """
-    paired = {2: 0.0, 3: -pi / 2, 0: pi, 1: pi / 2}[n % 4]
-    angles = np.full(n, paired)
-    if n % 2 == 1:
-        angles[(n - 1) // 2] = paired - theta / 2
-    return angles
-
-
-def fst_effective_propagator(n: int, tau: float, theta: float) -> np.ndarray:
-    """exp(-i H_eff tau) combined with the local Z dressing.
-
-    Matches the chain propagator built from :func:`fst_profile` up to a
-    single global phase (and exactly reduces to :func:`pst_unitary` at
-    theta = pi up to that phase).
-    """
-    U = evolution.propagator(fst_effective_hamiltonian(n, tau, theta), tau)
-    occupied = statespace.occupation_rows(np.arange(2**n), n)
-    return U * np.exp(1j * (occupied @ fst_dressing_angles(n, theta)))[np.newaxis, :]

@@ -34,8 +34,8 @@ class LatticeSpec:
             raise ValueError("lattice dimensions must be positive")
         if self.nx * self.ny < 2:
             raise ValueError("lattice needs at least two sites")
-        if not self.tau > 0:
-            raise ValueError("transfer time must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("transfer time must be positive and finite")
 
     @property
     def n_sites(self) -> int:

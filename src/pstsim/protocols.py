@@ -61,12 +61,11 @@ def _ry(angle: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One circuit element.
+    """One local gate, applied to each of its target sites.
 
-    ``kind`` is one of Hadamard, X90, Y90, Zphi, Xpi, PST, FST.  For
-    X90/Y90 ``param`` overrides the rotation angle (default +pi/2); for
-    Zphi it is the phase, for FST the transfer angle theta.  PST and FST
-    always act on the whole register and take ``targets=()``.
+    ``kind`` is one of Hadamard, X90, Y90, Zphi, Xpi.  For X90/Y90
+    ``param`` overrides the rotation angle (default +pi/2); for Zphi it
+    is the phase.  Transfers are not gates: the chain is evolved instead.
     """
 
     kind: str
@@ -74,14 +73,10 @@ class GateOp:
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("Hadamard", "X90", "Y90", "Zphi", "Xpi", "PST", "FST"):
+        if self.kind not in ("Hadamard", "X90", "Y90", "Zphi", "Xpi"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ("PST", "FST") and self.targets:
-            raise ValueError(f"{self.kind} acts on the whole chain; targets must be empty")
         if self.kind == "Zphi" and self.param is None:
             raise ValueError("Zphi needs a phase parameter")
-        if self.kind == "FST" and self.param is None:
-            raise ValueError("FST needs a transfer angle parameter")
 
 
 def _single_qubit_matrix(gate: GateOp) -> np.ndarray:
@@ -93,9 +88,7 @@ def _single_qubit_matrix(gate: GateOp) -> np.ndarray:
         return _ry(pi / 2 if gate.param is None else gate.param)
     if gate.kind == "Zphi":
         return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * gate.param)]])
-    if gate.kind == "Xpi":
-        return _X
-    raise ValueError(f"{gate.kind} is not a single-qubit gate")
+    return _X                               # Xpi, the last kind GateOp admits
 
 
 def apply_gate(state: np.ndarray, gate: GateOp, n_sites: int | None = None) -> np.ndarray:
@@ -104,14 +97,6 @@ def apply_gate(state: np.ndarray, gate: GateOp, n_sites: int | None = None) -> n
     n = n_sites if n_sites is not None else int(round(np.log2(state.size)))
     if state.size != 2**n:
         raise ValueError("state dimension is not 2^n")
-    if gate.kind == "PST":
-        targets, phases = chains.pst_state_map(n)
-        out = np.empty_like(state)
-        out[targets] = phases * state
-        return out
-    if gate.kind == "FST":
-        # tau cancels against the 1/tau coupling scale
-        return chains.fst_effective_propagator(n, 1.0, gate.param) @ state
     if not gate.targets:
         raise ValueError(f"{gate.kind} needs explicit target sites")
     u = _single_qubit_matrix(gate)
@@ -188,11 +173,11 @@ class ParityExperimentResult:
         """Phase minus its ideal value, wrapped to (-pi, pi].
 
         Ideally the phase is parity * pi/2 plus an offset fixed by n mod 4
-        (pi, -pi/2, 0, +pi/2 for n mod 4 = 0, 1, 2, 3): minus the
-        mirror-pair dressing angle of :func:`chains.fst_dressing_angles`.
+        (pi, -pi/2, 0, +pi/2 for n mod 4 = 0, 1, 2, 3): minus the Z angle
+        one transfer puts on every mirror-paired site.
         """
         n = len(self.inner) + 2
-        paired_angle = chains.fst_dressing_angles(n, pi)[0]
+        paired_angle = (pi, pi / 2, 0.0, -pi / 2)[n % 4]
         return wrap_phase(self.phase - self.parity * pi / 2 + paired_angle)
 
     def as_dict(self) -> dict:
@@ -336,29 +321,21 @@ def double_fst_parity_experiment(middle_excited_first_leg: bool) -> np.ndarray:
 # GHZ circuit
 
 def ghz_circuit(n: int):
-    """Gate list turning |0...0> into the n-qubit GHZ state.
+    """Local rotation layer that completes the n-qubit GHZ state.
 
-    Hadamards everywhere, one transfer, then a local rotation layer that
-    depends on n mod 4.  For odd n the final layer is X90 on every site;
-    for even n every site gets Y90 except site 1, whose axis is fixed up
-    with a Z(+-pi/2) before an X(+-90).
+    It acts after Hadamards on every site of |0...0> and one transfer of
+    the chain, and depends on n mod 4.  For odd n it is X90 on every
+    site; for even n every site gets Y90 except site 1, whose axis is
+    fixed up with a Z(+-pi/2) before an X(+-90).
     """
     if n < 2:
         raise ValueError("GHZ circuit needs n >= 2")
-    ops = [GateOp("Hadamard", tuple(range(1, n + 1)))]
-    ops.append(GateOp("PST"))
     rest = tuple(range(2, n + 1))
     if n % 2 == 1:
-        ops.append(GateOp("X90", tuple(range(1, n + 1))))
-    elif n % 4 == 0:
-        ops.append(GateOp("Zphi", (1,), -pi / 2))
-        ops.append(GateOp("X90", (1,)))
-        ops.append(GateOp("Y90", rest))
-    else:
-        ops.append(GateOp("Zphi", (1,), pi / 2))
-        ops.append(GateOp("X90", (1,), -pi / 2))
-        ops.append(GateOp("Y90", rest))
-    return ops
+        return [GateOp("X90", (1, *rest))]
+    if n % 4 == 0:
+        return [GateOp("Zphi", (1,), -pi / 2), GateOp("X90", (1,)), GateOp("Y90", rest)]
+    return [GateOp("Zphi", (1,), pi / 2), GateOp("X90", (1,), -pi / 2), GateOp("Y90", rest)]
 
 
 def ghz_state(n: int) -> np.ndarray:
@@ -435,9 +412,11 @@ class GHZReport:
 def run_ghz(scenario: GHZScenario) -> GHZReport:
     """Simulate the GHZ sequence under the scenario's noise terms.
 
-    Relaxation enters as a non-Hermitian term during the transfer; the
-    surviving (no-jump) amplitude is compared against the GHZ target
-    without renormalization, so population leak counts as infidelity.
+    Hadamards on every site, one transfer of the chain, then the
+    :func:`ghz_circuit` layer.  Relaxation enters as a non-Hermitian term
+    during the transfer; the surviving (no-jump) amplitude is compared
+    against the GHZ target without renormalization, so population leak
+    counts as infidelity.
     ``fidelity_opt`` maximizes over a virtual Z rotation of site 1.
     """
     n = scenario.n
@@ -451,7 +430,7 @@ def run_ghz(scenario: GHZScenario) -> GHZReport:
     if noise is not None:
         H = evolution.add_relaxation(H, noise, occ)
     state = evolution.evolve(H, state, [scenario.tau]).states[0]
-    for g in ghz_circuit(n)[2:]:
+    for g in ghz_circuit(n):
         state = apply_gate(state, g, n)
     if scenario.zeta and scenario.zz_application == "end":
         pair_term = np.zeros(2**n)

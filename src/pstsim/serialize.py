@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,6 @@ def canonical(value):
         return {str(k): canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [canonical(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [canonical(v) for v in value.tolist()]
     if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, (bool, np.bool_)):
@@ -69,7 +68,7 @@ def load_json(path) -> dict:
     return data
 
 
-def _get(data: dict, key: str, kind, pointer: str, required: bool = True,
+def _get(data: dict, key, kind, pointer: str, required: bool = True,
          default=None):
     if key not in data:
         if required:
@@ -77,27 +76,20 @@ def _get(data: dict, key: str, kind, pointer: str, required: bool = True,
         return default
     value = data[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        # an integer beyond the float range reads as infinite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{pointer}/{key}", f"expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{pointer}/{key}", "must be finite")
     return value
 
 
 def _number_list(data: dict, key: str, pointer: str, required: bool = True):
-    if key not in data:
-        if required:
-            raise ConfigError(f"{pointer}/{key}", "missing required field")
+    raw = _get(data, key, list, pointer, required)
+    if raw is None:
         return None
-    raw = data[key]
-    if not isinstance(raw, list):
-        raise ConfigError(f"{pointer}/{key}", "expected list")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(float(v))
-        else:
-            raise ConfigError(f"{pointer}/{key}/{i}", "expected number")
-    return out
+    return [_get(dict(enumerate(raw)), i, float, f"{pointer}/{key}") for i in range(len(raw))]
 
 
 def _check_version(data: dict, pointer: str = "") -> None:

@@ -199,15 +199,6 @@ def reconstruct(expectations) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a density matrix with a pure target."""
-    rho = np.asarray(rho, dtype=complex)
-    psi = np.asarray(target, dtype=complex).ravel()
-    if rho.shape != (psi.size, psi.size):
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {psi.size}")
-    return float(np.real(psi.conj() @ rho @ psi))
-
-
 @dataclass(frozen=True)
 class FidelityReport:
     """Raw fidelity, its optimum over one virtual Z, and the optimal angle."""

@@ -148,8 +148,7 @@ def test_run_chains_equals_run_chain_row_by_row(noise, rows):
         got = be.run_chains(amps, freqs, 2, t)
         assert got.shape == (rows, 7, 6)
         for a, f, pops in zip(amps, freqs, got):
-            np.testing.assert_array_equal(
-                pops, be.run_chain(calibration.DriveSettings(a, f), 2, t))
+            np.testing.assert_array_equal(pops, be.run_chains([a], [f], 2, t)[0])
 
 
 def test_run_chains_rejects_bad_rows():
@@ -441,10 +440,6 @@ class _ReplayChain:
 
     tau: float
     populations: np.ndarray
-
-    @property
-    def n_sites(self):
-        return self.populations.shape[1]
 
     def run_chains(self, amplitudes, frequencies, initial, times):
         assert initial == 1 and len(times) == len(self.populations)

@@ -35,6 +35,17 @@ def test_pst_peak_coupling_grows_linearly(n):
     assert J.max() == pytest.approx(peak, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda tau: chains.ChainSpec(couplings=(1.0,), tau=tau),
+    lambda tau: chains.ChainSpec.pst(4, tau),
+    lambda tau: chains.fst_profile(4, tau, 0.6 * np.pi),
+])
+def test_tau_must_be_positive_and_finite(build, tau):
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        build(tau)
+
+
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
         chains.ChainSpec(couplings=(1.0,), tau=-1.0)
@@ -164,18 +175,62 @@ def test_fst_population_split_point_six_pi():
     assert round(frac, 4) == 0.6545
 
 
+# The paper's parity-dependent effective interaction, kept as a reference
+# for the chain propagator: each mirror pair swaps with an amplitude signed
+# by the parity of the excitations strictly between it, dressed by local Z
+# rotations.
+
+
+def _fst_effective_hamiltonian(n, tau, theta):
+    """Effective mirror-pair Hamiltonian generating one fractional transfer.
+
+    H_eff = (theta / 2 tau) sum over mirror pairs (k, k~) of the
+    pair-swap term conditioned on the excitations in between:
+    (prod of sigma_z strictly between) (s-_k s+_k~ + s+_k s-_k~).
+    """
+    dim = 2**n
+    bits = statespace.occupation_rows(np.arange(dim), n)
+    H = np.zeros((dim, dim), dtype=complex)
+    for k in range(1, n // 2 + 1):
+        kt = n + 1 - k
+        # swap the pair; amplitude carries the inner sigma_z parity
+        src = np.flatnonzero(bits[:, k - 1] != bits[:, kt - 1])
+        inner = bits[src, k:kt - 1].sum(axis=1)
+        H[src ^ (1 << (n - k)) ^ (1 << (n - kt)), src] += theta / (2 * tau) * (-1.0) ** inner
+    return H
+
+
+def _fst_dressing_angles(n, theta):
+    """Per-site Z angles relating the chain and effective propagators.
+
+    exp(-i H_chain tau) = exp(-i H_eff tau) * D up to a global phase,
+    where D applies diag(1, exp(i angle)) on each site.  Mirror-paired
+    sites share one angle fixed by n mod 4 (0, -pi/2, pi, +pi/2 for
+    n mod 4 = 2, 3, 0, 1); the odd-n centre angle is lowered from it by
+    theta/2.  Only for n mod 4 == 2 is the dressing trivial and the two
+    propagators equal up to global phase alone.
+    """
+    paired = {2: 0.0, 3: -np.pi / 2, 0: np.pi, 1: np.pi / 2}[n % 4]
+    angles = np.full(n, paired)
+    if n % 2 == 1:
+        angles[(n - 1) // 2] = paired - theta / 2
+    return angles
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_fst_effective_propagator_matches_full_evolution(n):
     theta = 0.6 * np.pi
     spec = chains.ChainSpec.fst(n, TAU, theta)
     H = chains.chain_hamiltonian(spec).toarray()
     U = expm(-1j * H * TAU)
-    np.testing.assert_allclose(chains.fst_effective_propagator(n, TAU, theta),
-                               U, atol=1e-8)
+    occupied = statespace.occupation_rows(np.arange(2**n), n)
+    effective = (expm(-1j * _fst_effective_hamiltonian(n, TAU, theta) * TAU)
+                 * np.exp(1j * (occupied @ _fst_dressing_angles(n, theta)))[np.newaxis, :])
+    np.testing.assert_allclose(effective, U, atol=1e-8)
 
 
 def test_fst_dressing_angles_by_residue():
     # the mirror-pair rotation axis angle depends only on n mod 4
     for n, expect in ((6, 0.0), (3, -np.pi / 2), (4, np.pi), (5, np.pi / 2)):
-        ang = chains.fst_dressing_angles(n, 0.6 * np.pi)
+        ang = _fst_dressing_angles(n, 0.6 * np.pi)
         assert ang[0] == pytest.approx(expect, abs=1e-12)

@@ -74,6 +74,8 @@ def test_couplings_fractional_angle(tmp_path):
         # pst and fst share the chain-flag checks of couplings
         ("pst", "--n", "4", "--tau", "0ns"),
         ("fst", "--n", "4", "--tau=-2ns", "--theta", "0.6pi"),
+        # 1e400 parses as inf
+        ("couplings", "--n", "4", "--tau", "1e400s"),
     ],
 )
 def test_couplings_usage_errors(tmp_path, argv):
@@ -173,6 +175,16 @@ def test_malformed_times_are_usage_errors(tmp_path, times):
         _run(tmp_path, "pst", "--n", 4, "--tau", "640ns", "--times", times)
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tau", ["NaN", "Infinity", "-Infinity"])
+def test_evolve_non_finite_config_exits_2(tmp_path, capsys, tau):
+    # json reads these non-standard literals as floats
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"schema_version": 1, "couplings_hz": [1e6], "tau_s": {tau}}}\n')
+    assert _run(tmp_path, "evolve", "--config", bad, "--times", "0:1us:3") == 2
+    assert "/tau_s: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "evolve_trajectory.csv").exists()
 
 
 def test_evolve_bad_config_exits_2(tmp_path):
@@ -358,6 +370,15 @@ def test_lattice_refocus(tmp_path):
     header, rows = _csv_rows(tmp_path, "lattice.csv")
     assert header == ["fraction", "t_s", "x", "y", "population"]
     assert len(rows) == 27
+
+
+@pytest.mark.parametrize("flags", [("--tau", "1e400s"), ("--snapshots", "nan"),
+                                   ("--snapshots", "inf"), ("--snapshots", "0,0.5,inf")])
+def test_lattice_non_finite_flags_are_usage_errors(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "lattice", "--nx", 2, "--ny", 2, *flags)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lattice_usage_errors(tmp_path):

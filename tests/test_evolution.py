@@ -364,7 +364,8 @@ def _qualified_uses(tree, aliases, reexports):
         return reexports.get(target, target)
 
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Name, ast.Attribute)):
+        # a store, such as a dataclass field named like a function, is no use
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
             name = resolve(node)
             if name:
                 yield name, node.lineno

@@ -18,6 +18,12 @@ def test_site_index_x_major():
         lattice.site_index(spec, 0, 2)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="positive and finite"):
+        lattice.LatticeSpec(nx=2, ny=2, tau=tau)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         lattice.LatticeSpec(nx=0, ny=3, tau=1e-6)

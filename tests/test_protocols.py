@@ -64,25 +64,6 @@ def test_gate_unitarity_and_composition():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pst_gate_matches_state_map():
-    n = 5
-    targets, phases = chains.pst_state_map(n)
-    psi = _random_state(n, 7)
-    out = protocols.apply_gate(psi, protocols.GateOp("PST"))
-    ref = np.empty_like(psi)
-    ref[targets] = phases * psi
-    np.testing.assert_allclose(out, ref, atol=1e-12)
-
-
-def test_fst_gate_matches_propagator():
-    n = 4
-    theta = 0.3 * pi
-    psi = _random_state(n, 9)
-    out = protocols.apply_gate(psi, protocols.GateOp("FST", param=theta))
-    ref = chains.fst_effective_propagator(n, 1.0, theta) @ psi
-    np.testing.assert_allclose(out, ref, atol=1e-10)
-
-
 def test_apply_gate_errors():
     psi = _random_state(2, 0)
     with pytest.raises(ValueError):
@@ -100,8 +81,9 @@ def test_apply_gate_errors():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ghz_circuit_prepares_ghz(n):
-    psi = np.zeros(2**n, dtype=complex)
-    psi[0] = 1.0
+    # Hadamards, one transfer period of the chain, then the rotation layer
+    psi = protocols.simulate_gates(n, [protocols.GateOp("Hadamard", tuple(range(1, n + 1)))])
+    psi = chains.pst_unitary(n) @ psi
     for op in protocols.ghz_circuit(n):
         psi = protocols.apply_gate(psi, op)
     target = protocols.ghz_state(n)

@@ -92,7 +92,7 @@ def test_reconstruct_exact_round_trip():
     table = tomography.simulate_tomography(psi, tomography.TomographySettings(3))
     rho = tomography.reconstruct(table)
     np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
-    assert tomography.fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
+    assert tomography.fidelity_opt_z(rho, psi).fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reconstruct_missing_label():
@@ -140,7 +140,7 @@ def test_sampled_ghz_fidelity_mean():
         table = tomography.simulate_tomography(
             psi, tomography.TomographySettings(3, shots=10000, seed=seed)
         )
-        fids.append(tomography.fidelity(tomography.reconstruct(table), psi))
+        fids.append(tomography.fidelity_opt_z(tomography.reconstruct(table), psi).fidelity)
     assert np.mean(fids) >= 0.98
     assert min(fids) > 0.95
 
@@ -149,7 +149,7 @@ def test_sampled_ghz_fidelity_mean():
 
 
 def test_fidelity_maximally_mixed():
-    assert tomography.fidelity(np.eye(8) / 8.0, _ghz3()) == pytest.approx(
+    assert tomography.fidelity_opt_z(np.eye(8) / 8.0, _ghz3()).fidelity == pytest.approx(
         0.125, abs=1e-12
     )
 
