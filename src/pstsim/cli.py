@@ -152,30 +152,40 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
     return 0
 
 
-def _chain_flags(n: int, tau_text: str, theta_text: str | None = None):
-    """Checked (tau, theta) of a chain command; theta is None when not given."""
+def _parse_tau(text: str) -> float:
+    try:
+        return parse_time(text)
+    except ValueError as exc:
+        raise UsageError(f"--tau: {exc}") from None
+
+
+def _chain_spec(n: int, tau_text: str, theta_text: str | None = None):
+    """Checked (spec, theta) of a chain command: FST when theta is given, else PST."""
     if n < 2:
         raise UsageError("--n must be at least 2")
-    tau = parse_time(tau_text)
+    tau = _parse_tau(tau_text)
     if not 0 < tau < math.inf:
         raise UsageError("--tau must be positive and finite")
-    theta = parse_angle(theta_text) if theta_text is not None else None
+    try:
+        theta = parse_angle(theta_text) if theta_text is not None else None
+    except ValueError as exc:
+        raise UsageError(f"--theta: {exc}") from None
     if theta is not None and not 0.0 <= theta <= math.pi:
         raise UsageError("--theta must lie in [0, pi]")
-    return tau, theta
+    try:
+        spec = chains.ChainSpec.pst(n, tau) if theta is None else chains.ChainSpec.fst(n, tau, theta)
+    except ValueError as exc:               # a tau so short that the couplings overflow
+        raise UsageError(f"--tau: {exc}") from None
+    return spec, theta
 
 
 def cmd_couplings(args) -> int:
-    tau, theta = _chain_flags(args.n, args.tau, args.theta)
-    if theta is None:
-        spec = chains.ChainSpec.pst(args.n, tau)
-    else:
-        spec = chains.ChainSpec.fst(args.n, tau, theta)
+    spec, theta = _chain_spec(args.n, args.tau, args.theta)
     out = _Outputs(args, "couplings")
     payload = {
         "schema_version": serialize.SCHEMA_VERSION,
         "n": args.n,
-        "tau_s": tau,
+        "tau_s": spec.tau,
         "units": {"couplings_hz": "Hz", "detunings_hz": "Hz", "tau_s": "s"},
         "couplings_hz": [j / math.tau for j in spec.couplings],
     }
@@ -206,14 +216,12 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_pst(args) -> int:
-    tau, _ = _chain_flags(args.n, args.tau)
-    spec = chains.ChainSpec.pst(args.n, tau)
+    spec, _ = _chain_spec(args.n, args.tau)
     return _run_trajectory(args, "pst", spec, {"n": args.n, "tau": args.tau})
 
 
 def cmd_fst(args) -> int:
-    tau, theta = _chain_flags(args.n, args.tau, args.theta)
-    spec = chains.ChainSpec.fst(args.n, tau, theta)
+    spec, _ = _chain_spec(args.n, args.tau, args.theta)
     return _run_trajectory(args, "fst", spec,
                            {"n": args.n, "tau": args.tau, "theta": args.theta})
 
@@ -383,7 +391,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    tau = parse_time(args.tau)
+    tau = _parse_tau(args.tau)
     try:
         spec = lattice.LatticeSpec(nx=args.nx, ny=args.ny, tau=tau)
     except ValueError as exc:

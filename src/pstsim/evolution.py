@@ -9,10 +9,10 @@ for a real block) and ``eig`` when relaxation makes it non-Hermitian
 (``expm`` near an exceptional point, where the eigenvectors are
 ill-conditioned), and every requested time is then evaluated exactly; a
 block above ``DENSE_GUARD`` raises ResourceError before any work, and so
-does a dense propagator of an H above it.
-``method="krylov"`` splits H the same way and steps scipy's
-``expm_multiply`` on each touched block, a sparse slice of H that is
-never made dense, so it runs above the guard.  The
+does a dense propagator of an H above it.  ``method="krylov"`` changes
+only what happens to a touched block above the guard: it is stepped
+with scipy's ``expm_multiply`` as a slice of H (sparse when H is) that
+is never made dense.  The
 flux-driven device model steps its H(t) through the same block kernel,
 two static exponentials per commutator-free step.  For a column driven
 at one nonzero frequency whose period T fits in the time window, it
@@ -56,7 +56,8 @@ class ResourceError(RuntimeError):
 
 @dataclass
 class EvolutionOptions:
-    method: str = "dense-expm"          # dense-expm | krylov
+    # dense-expm | krylov (also steps touched blocks above DENSE_GUARD)
+    method: str = "dense-expm"
 
     def __post_init__(self):
         if self.method not in ("dense-expm", "krylov"):
@@ -152,22 +153,20 @@ def _krylov_states(h, psi0: np.ndarray, times) -> np.ndarray:
     return states
 
 
-def _components(H, psi0: np.ndarray | None = None):
-    """The nonzero entries of H and the connected components of their pattern.
+def _components(A, psi0: np.ndarray | None = None):
+    """The nonzero entries of A (CSR or ndarray) and the connected components of their pattern.
 
     Returns ``((row, col, val), labels, wanted)``: every nonzero entry once,
     rows ascending; the component label of every basis state; and the
     labels of the components where ``psi0`` has support, or all of them.
     """
-    if sparse.issparse(H):
-        A = H.tocsr()
+    if sparse.issparse(A):
         if not A.has_canonical_format:          # the block fill assigns each entry once
             A = A.copy()
             A.sum_duplicates()
         row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         col, val = A.indices, A.data
     else:
-        A = np.asarray(H)
         row, col = np.nonzero(A)
         val = A[row, col]
     dim = A.shape[0]
@@ -182,21 +181,27 @@ def _components(H, psi0: np.ndarray | None = None):
     return (row, col, val), labels, wanted
 
 
-def _blocks(H, psi0: np.ndarray | None = None):
-    """Dense diagonal blocks of H over the components of its nonzero pattern.
+def _blocks(H, psi0: np.ndarray | None = None, slice_above_guard: bool = False):
+    """Diagonal blocks of H over the components of its nonzero pattern.
 
     Yields ``(indices, block)`` for every component, or only for those
-    where ``psi0`` has support.  Raises ResourceError before any work if
-    a block to be diagonalised is larger than ``DENSE_GUARD``.
+    where ``psi0`` has support.  A block of at most ``DENSE_GUARD`` states
+    is a dense array.  A larger one raises ResourceError before any work,
+    or, with ``slice_above_guard``, is yielded as a slice of H (sparse
+    when H is) that is never made dense.
     """
-    (row, col, val), labels, wanted = _components(H, psi0)
+    A = H.tocsr() if sparse.issparse(H) else np.asarray(H)
+    (row, col, val), labels, wanted = _components(A, psi0)
     largest = np.bincount(labels)[wanted].max(initial=0)
-    if largest > DENSE_GUARD:
+    if largest > DENSE_GUARD and not slice_above_guard:
         raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
     entry_labels = labels[row]
     local = np.empty(len(labels), dtype=np.int64)   # position of each state in its block
     for label in wanted:
         idx = np.flatnonzero(labels == label)
+        if len(idx) > DENSE_GUARD:
+            yield idx, A[idx][:, idx]
+            continue
         local[idx] = np.arange(len(idx))
         mine = entry_labels == label
         block = np.zeros((len(idx), len(idx)), dtype=val.dtype)
@@ -258,14 +263,15 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
 
     ``H`` is a static matrix, dense or sparse.  ``occupations``
     (dim, n_sites) converts amplitudes to per-site populations; when
-    omitted each basis state is reported as its own column.  The default
-    method decomposes each block of H that ``psi0`` touches once and
-    raises ResourceError when one is larger than ``DENSE_GUARD`` (read
-    at call time); ``method="krylov"`` steps ``expm_multiply`` between
-    the requested times on each touched block, taken as a slice of H
-    (sparse when H is) with no size guard.  Components ``psi0`` does not
-    touch stay exactly zero under both methods.  Raises ValueError for
-    times that are not finite, not ascending or empty.
+    omitted each basis state is reported as its own column.  Each block
+    of H that ``psi0`` touches and that has at most ``DENSE_GUARD``
+    states (read at call time) is decomposed once, whatever the method.
+    A larger touched block raises ResourceError before any work under
+    the default method; ``method="krylov"`` instead steps
+    ``expm_multiply`` between the requested times on it, as a slice of
+    H (sparse when H is).  Components ``psi0`` does not touch stay
+    exactly zero under both methods.  Raises ValueError for times that
+    are not finite, not ascending or empty.
     """
     options = options or EvolutionOptions()
     times = _ascending_times(times)
@@ -274,14 +280,8 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
         raise ValueError("H must be a static square matrix matching psi0")
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
-    if options.method == "dense-expm":
-        blocks, kernel = _blocks(H, psi0), _block_states
-    else:
-        A = H.tocsr() if sparse.issparse(H) else np.asarray(H)
-        _, labels, wanted = _components(A, psi0)
-        blocks = ((idx, A[idx][:, idx]) for idx in (np.flatnonzero(labels == k) for k in wanted))
-        kernel = _krylov_states
-    for idx, h in blocks:
+    for idx, h in _blocks(H, psi0, slice_above_guard=options.method == "krylov"):
+        kernel = _block_states if len(idx) <= DENSE_GUARD else _krylov_states
         states[:, idx] = kernel(h, psi0[idx], times)
 
     if not np.all(np.isfinite(states)):

@@ -87,7 +87,9 @@ def pst_couplings(n: int, tau: float) -> np.ndarray:
     if not 0 < tau < inf:
         raise ValueError("tau must be positive and finite")
     # k (n-k) is computed as an integer so J_k == J_{n-k} bit for bit
-    return np.array([pi / (2 * tau) * sqrt(k * (n - k)) for k in range(1, n)])
+    J = np.array([pi / (2 * tau) * sqrt(k * (n - k)) for k in range(1, n)])
+    _check_finite_profile(tau, J)
+    return J
 
 
 def fst_profile(n: int, tau: float, theta: float):
@@ -124,7 +126,14 @@ def fst_profile(n: int, tau: float, theta: float):
                 pi / (2 * tau) * (x - 1) * (n / 2)
                 * (1.0 / (2 * k - n) - 1.0 / (2 * k - 2 - n))
             )
+    _check_finite_profile(tau, J, delta)
     return J, delta
+
+
+def _check_finite_profile(tau: float, *profile) -> None:
+    """Raise ValueError when tau is so short that a coupling ~ pi / (2 tau) overflowed."""
+    if not all(np.isfinite(a).all() for a in profile):
+        raise ValueError(f"tau {tau!r} s is too short: its couplings overflow")
 
 
 def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:

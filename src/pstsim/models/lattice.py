@@ -36,6 +36,7 @@ class LatticeSpec:
             raise ValueError("lattice needs at least two sites")
         if not 0 < self.tau < np.inf:
             raise ValueError("transfer time must be positive and finite")
+        chains.pst_couplings(max(self.nx, self.ny), self.tau)   # the longer axis overflows first
 
     @property
     def n_sites(self) -> int:

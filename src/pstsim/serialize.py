@@ -113,6 +113,7 @@ def parse_chain(data: dict) -> chains.ChainSpec:
     detunings = _number_list(data, "detunings_hz", "", required=False) or ()
     zz = _number_list(data, "zz_hz", "", required=False) or ()
     n = len(couplings) + 1
+    _check_transfer_time(n, tau)
     if detunings and len(detunings) != n:
         raise ConfigError("/detunings_hz", f"expected {n} entries, got {len(detunings)}")
     if zz and len(zz) != n - 1:
@@ -127,6 +128,14 @@ def parse_chain(data: dict) -> chains.ChainSpec:
         )
     except ValueError as exc:
         raise ConfigError("", str(exc)) from exc
+
+
+def _check_transfer_time(n: int, tau: float) -> None:
+    """A tau_s too short for the transfer couplings of n sites fails at /tau_s."""
+    try:
+        chains.pst_couplings(n, tau)
+    except ValueError as exc:
+        raise ConfigError("/tau_s", str(exc)) from None
 
 
 def load_chain(path) -> chains.ChainSpec:
@@ -146,6 +155,7 @@ def parse_scenario(data: dict) -> dict:
     tau = _get(data, "tau_s", float, "")
     if tau <= 0:
         raise ConfigError("/tau_s", "must be positive")
+    _check_transfer_time(n, tau)
     zeta_hz = _number_list(data, "zeta_hz", "", required=False) or []
     if zeta_hz and len(zeta_hz) != n - 1:
         raise ConfigError("/zeta_hz", f"expected {n - 1} entries, got {len(zeta_hz)}")

@@ -46,6 +46,20 @@ def test_tau_must_be_positive_and_finite(build, tau):
         build(tau)
 
 
+@pytest.mark.parametrize("tau", [1e-320, 5e-309, 1e-308])
+@pytest.mark.parametrize("build", [
+    lambda tau: chains.pst_couplings(4, tau),
+    lambda tau: chains.ChainSpec.pst(4, tau),
+    lambda tau: chains.fst_profile(4, tau, 0.5 * np.pi),
+    lambda tau: chains.fst_profile(5, tau, 0.5 * np.pi),
+])
+def test_tau_whose_couplings_overflow_is_rejected(build, tau):
+    # pi / (2 tau) overflows for a subnormal tau; at 1e-308 the sqrt(k (n-k))
+    # factor of 2 does
+    with pytest.raises(ValueError, match="couplings overflow"):
+        build(tau)
+
+
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
         chains.ChainSpec(couplings=(1.0,), tau=-1.0)

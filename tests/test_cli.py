@@ -84,6 +84,37 @@ def test_couplings_usage_errors(tmp_path, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tau", ["1e-320s", "5e-309s"])
+@pytest.mark.parametrize("command", [
+    ("couplings", "--n", "4"),
+    ("couplings", "--n", "4", "--theta", "0.5pi"),
+    ("pst", "--n", "4"),
+    ("fst", "--n", "4", "--theta", "0.5pi"),
+    ("lattice", "--nx", "2", "--ny", "2"),
+])
+def test_tau_whose_couplings_overflow_is_a_usage_error(tmp_path, capsys, command, tau):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, *command, "--tau", tau)
+    assert exc.value.code == 2
+    assert "couplings overflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("couplings", "--n", "4", "--tau", "abc"),
+    ("pst", "--n", "4", "--tau", "abc"),
+    ("fst", "--n", "4", "--tau", "abc", "--theta", "0.5pi"),
+    ("lattice", "--nx", "2", "--ny", "2", "--tau", "abc"),
+    ("couplings", "--n", "4", "--tau", "640ns", "--theta", "abc"),
+    ("fst", "--n", "4", "--tau", "640ns", "--theta", "abc"),
+])
+def test_unparsable_tau_or_theta_is_a_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------------- trajectories
 
 

@@ -114,14 +114,18 @@ def test_add_relaxation_sparse_matches_diags_form():
                                       np.signbit(want.toarray().real))
 
 
-def test_krylov_matches_dense_on_sparse_chain():
+def test_krylov_matches_dense_on_sparse_chain(monkeypatch):
     spec = chains.ChainSpec.pst(10, 640e-9)
     H = chains.chain_hamiltonian(spec)
     psi0 = _spread_state(np.random.default_rng(5), 2**10)
     times = np.linspace(0.0, 2 * 640e-9, 9)
     dense = evolution.evolve(H, psi0, times)
+    # a guard of 0 puts every touched block, all eleven sectors, above it
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 0)
+    operands = _record_expm_multiply(monkeypatch)
     krylov = evolution.evolve(H, psi0, times,
                               evolution.EvolutionOptions(method="krylov"))
+    assert len(operands) == 11 * (len(times) - 1)
     np.testing.assert_allclose(krylov.states, dense.states, rtol=0, atol=1e-10)
 
 
@@ -135,18 +139,47 @@ def _record_expm_multiply(monkeypatch):
 
 def test_krylov_steps_only_the_touched_sector(monkeypatch):
     # |110000000000> lives in the 66-state two-excitation sector of 4096 states
-    operands = _record_expm_multiply(monkeypatch)
     H = chains.chain_hamiltonian(chains.ChainSpec.pst(12, 640e-9))
     psi0 = _basis(2**12, 0b110000000000)
     times = np.linspace(0.0, 2 * 640e-9, 9)
+    eigen = evolution.evolve(H, psi0, times)
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 65)
+    operands = _record_expm_multiply(monkeypatch)
     krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
     assert len(operands) == len(times) - 1
     assert {A.shape for A in operands} == {(66, 66)}
-    np.testing.assert_allclose(krylov.states, evolution.evolve(H, psi0, times).states,
-                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
 
 
-def test_krylov_matches_eigen_on_relaxed_chain():
+def test_krylov_below_dense_guard_is_the_eigen_path(monkeypatch):
+    # under the default guard the 66-state sector takes the exact kernel
+    operands = _record_expm_multiply(monkeypatch)
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(12, 640e-9))
+    psi0 = _basis(2**12, 0b110000000000)
+    times = np.linspace(0.0, 2 * 640e-9, 41)
+    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
+    assert operands == []
+    np.testing.assert_array_equal(krylov.states, evolution.evolve(H, psi0, times).states)
+
+
+def test_krylov_steps_only_blocks_above_a_lowered_guard(monkeypatch):
+    # 6 sites, one state in every sector: blocks of 1, 6, 15, 20, 15, 6 and 1
+    # states; a guard of 6 steps the 15-, 20- and 15-state blocks only
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9))
+    psi0 = _spread_state(np.random.default_rng(4), 64)
+    times = np.linspace(0.0, 640e-9, 5)
+    eigen = evolution.evolve(H, psi0, times)
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 6)
+    operands = _record_expm_multiply(monkeypatch)
+    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
+    assert sorted(A.shape[0] for A in operands) == sorted([15, 20, 15] * (len(times) - 1))
+    assert all(sparse.issparse(A) for A in operands)
+    np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
+    small = np.array([bin(k).count("1") in (0, 1, 5, 6) for k in range(64)])
+    np.testing.assert_array_equal(krylov.states[:, small], eigen.states[:, small])
+
+
+def test_krylov_matches_eigen_on_relaxed_chain(monkeypatch):
     # non-Hermitian blocks, and a state with support in all seven sectors
     noise = serialize.load_noise(CONFIGS / "noise_t1.json")
     H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)),
@@ -154,7 +187,10 @@ def test_krylov_matches_eigen_on_relaxed_chain():
     psi0 = _spread_state(np.random.default_rng(9), 64)
     times = np.linspace(0.0, 2 * 640e-9, 7)
     eigen = evolution.evolve(H, psi0, times)
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 0)
+    operands = _record_expm_multiply(monkeypatch)
     krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
+    assert len(operands) == 7 * (len(times) - 1)
     np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
     assert krylov.norm[-1] < 1 - 1e-3
 

@@ -24,6 +24,13 @@ def test_spec_rejects_non_finite_tau(tau):
         lattice.LatticeSpec(nx=2, ny=2, tau=tau)
 
 
+@pytest.mark.parametrize("nx, ny", [(2, 2), (1, 4), (4, 1)])
+@pytest.mark.parametrize("tau", [1e-320, 5e-309])
+def test_spec_rejects_tau_whose_couplings_overflow(nx, ny, tau):
+    with pytest.raises(ValueError, match="couplings overflow"):
+        lattice.LatticeSpec(nx=nx, ny=ny, tau=tau)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         lattice.LatticeSpec(nx=0, ny=3, tau=1e-6)

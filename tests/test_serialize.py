@@ -174,6 +174,17 @@ def test_config_numbers_must_be_finite(key, value, pointer):
         serialize.parse_chain(data)
 
 
+@pytest.mark.parametrize("tau", [1e-320, 5e-309])
+@pytest.mark.parametrize("parse, data", [
+    (serialize.parse_chain, {"couplings_hz": [1e6, 2e6]}),
+    (serialize.parse_scenario, {"kind": "ghz", "n": 3, "t1_s": [1e-5] * 3}),
+    (serialize.parse_scenario, {"kind": "parity", "n": 4}),
+])
+def test_tau_whose_couplings_overflow_fails_at_its_pointer(parse, data, tau):
+    with pytest.raises(serialize.ConfigError, match="^/tau_s: .*couplings overflow"):
+        parse({"schema_version": 1, "tau_s": tau, **data})
+
+
 def test_schema_version_mismatch():
     with pytest.raises(serialize.ConfigError, match="/schema_version"):
         serialize.parse_chain(
