@@ -300,15 +300,11 @@ def cmd_ghz(args) -> int:
     if args.shots < 0:
         raise UsageError("--shots must be >= 0")
     noise_name = args.noise or "none"
+    scenario = None
     if noise_name == "none":
         if args.n is None:
             raise UsageError("--n is required without --noise")
-        if args.n < 2:
-            raise UsageError("--n must be at least 2")
         n = args.n
-        state = protocols.ghz_state(n)
-        scenario_info = "none"
-        report = None
     else:
         if noise_name == "paper":
             scenario = protocols.paper_ghz_scenario()
@@ -320,11 +316,15 @@ def cmd_ghz(args) -> int:
         if args.n is not None and args.n != scenario.n:
             raise UsageError(f"--n {args.n} conflicts with scenario n={scenario.n}")
         n = scenario.n
-        report = protocols.run_ghz(scenario)
-        state = report.state
-        scenario_info = scenario.label or noise_name
+    if n < 2:
+        raise UsageError("--n must be at least 2")
     if n > 8:
         raise UsageError("tomography beyond 8 sites is not supported")
+    if scenario is None:
+        report, state, scenario_info = None, protocols.ghz_state(n), "none"
+    else:
+        report = protocols.run_ghz(scenario)
+        state, scenario_info = report.state, scenario.label or noise_name
     out = _Outputs(args, "ghz")
     target = protocols.ghz_state(n)
     if args.shots > 0:

@@ -8,13 +8,12 @@ diagonalised once, with ``eigh`` when it is Hermitian (real ``eigh``
 for a real block) and ``eig`` when relaxation makes it non-Hermitian
 (``expm`` near an exceptional point, where the eigenvectors are
 ill-conditioned), and every requested time is then evaluated exactly; a
-block above ``DENSE_GUARD`` raises ResourceError before any work, and so
-does a dense propagator of an H above it.  ``method="krylov"`` changes
-only what happens to a touched block above the guard: it is stepped
-with scipy's ``expm_multiply`` as a slice of H (sparse when H is) that
-is never made dense.  The
-flux-driven device model steps its H(t) through the same block kernel,
-two static exponentials per commutator-free step.  For a column driven
+block above ``DENSE_GUARD`` raises ResourceError before any work.
+``method="krylov"`` changes only what happens to a touched block above
+the guard: it is stepped with scipy's ``expm_multiply`` as a slice of H
+(sparse when H is) that is never made dense.  The flux-driven device
+model steps its H(t) through the same block kernel, two static
+exponentials per commutator-free step.  For a column driven
 at one nonzero frequency whose period T fits in the time window, it
 takes those steps over one period only, applied to the block identity;
 later times reuse that period propagator and its substep propagators
@@ -36,7 +35,6 @@ __all__ = [
     "EvolutionOptions",
     "NoiseSpec",
     "Trajectory",
-    "propagator",
     "evolve",
     "add_relaxation",
     "decay_rates",
@@ -219,20 +217,6 @@ def _ascending_times(times) -> np.ndarray:
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
     return times
-
-
-def propagator(H, t: float) -> np.ndarray:
-    """exp(-i H t) as a dense matrix, assembled block by block.
-
-    Raises ResourceError before any work when H itself is larger than
-    ``DENSE_GUARD``: the dense result alone would not fit.
-    """
-    if H.shape[0] > DENSE_GUARD:
-        raise ResourceError(f"propagator dimension {H.shape[0]} above dense guard {DENSE_GUARD}")
-    U = np.zeros(H.shape, dtype=complex)
-    for idx, h in _blocks(H):
-        U[np.ix_(idx, idx)] = _block_states(h, np.eye(len(idx)), [t])[0]
-    return U
 
 
 @dataclass

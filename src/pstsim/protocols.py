@@ -251,21 +251,33 @@ def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
                        tau: float | None = None):
     """All 2^(n-2) inner bitstrings for the given input states.
 
-    One transfer propagator U of the full chain is built per table, and
-    each row reads the transferred state off two of its columns:
-    U[:, low] / sqrt(2) + e^(i phi) U[:, high] / sqrt(2).  U is dense, so
-    above ``evolution.DENSE_GUARD`` basis states (n >= 13) the table
-    raises ResourceError before U is allocated; single experiments still
-    run there.
+    The transfer propagator of every excitation-sector block is built
+    once per table, and each row reads the transferred state off two
+    block columns, one per input branch: U[:, low] / sqrt(2) +
+    e^(i phi) U[:, high] / sqrt(2).  A block above
+    ``evolution.DENSE_GUARD`` states (n >= 15) raises ResourceError before
+    any propagator is built; single experiments evolve only the two
+    sectors their input touches.
     """
     spec = _parity_spec(n, zeta, tau)
-    U = evolution.propagator(_parity_hamiltonian(spec, noise), spec.tau)
+    H = _parity_hamiltonian(spec, noise)
+    columns = {}            # basis state -> its block and its column of the block propagator
+    for idx, h in evolution._blocks(H):
+        u = evolution._block_states(h, np.eye(len(idx)), [spec.tau])[0]
+        columns.update((state, (idx, u[:, k])) for k, state in enumerate(idx.tolist()))
+
+    def column(state):
+        idx, u = columns[state]
+        out = np.zeros(H.shape[0], dtype=complex)
+        out[idx] = u
+        return out
+
     rows = []
     for code in range(2 ** (n - 2)):
         inner = format(code, f"0{n - 2}b")
         for inp in input_states:
             low, high, weight = _parity_input(n, inner, inp)
-            state = U[:, low] / np.sqrt(2.0) + weight * U[:, high] / np.sqrt(2.0)
+            state = column(low) / np.sqrt(2.0) + weight * column(high) / np.sqrt(2.0)
             rows.append(_parity_readout(state, n, inner, inp))
     return rows
 
@@ -305,14 +317,14 @@ def double_fst_parity_experiment(middle_excited_first_leg: bool) -> np.ndarray:
     """
     tau = 350e-9
     spec = chains.ChainSpec.fst(3, tau, pi / 2)
-    U = evolution.propagator(chains.chain_hamiltonian(spec), tau)
+    H = chains.chain_hamiltonian(spec)
     state = np.zeros(8, dtype=complex)
     bits = 0b100 | (0b010 if middle_excited_first_leg else 0)
     state[bits] = 1.0
-    state = U @ state
+    state = evolution.evolve(H, state, [tau]).states[0]
     if middle_excited_first_leg:
         state = apply_gate(state, GateOp("Xpi", (2,)), 3)
-    state = U @ state
+    state = evolution.evolve(H, state, [tau]).states[0]
     occ = statespace.occupation_matrix(3)
     return (np.abs(state) ** 2) @ occ
 

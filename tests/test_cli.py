@@ -341,6 +341,25 @@ def test_ghz_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("source", ["scenario", "flag"])
+def test_ghz_above_8_sites_is_refused_before_simulating(tmp_path, monkeypatch, source):
+    def no_simulation(*args):
+        raise AssertionError("simulated a GHZ scenario that tomography refuses")
+
+    monkeypatch.setattr(cli.protocols, "run_ghz", no_simulation)
+    monkeypatch.setattr(cli.protocols, "ghz_state", no_simulation)
+    if source == "scenario":
+        path = tmp_path / "ghz9.json"
+        path.write_text(json.dumps({"schema_version": 1, "kind": "ghz", "n": 9,
+                                    "tau_s": 640e-9, "t1_s": [20e-6] * 9}))
+        args = ("ghz", "--noise", path)
+    else:
+        args = ("ghz", "--n", 40)              # a 2^40 state would not fit
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, *args)
+    assert exc.value.code == 2
+
+
 # ------------------------------------------------------------------ calibrate
 
 

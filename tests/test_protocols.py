@@ -195,8 +195,8 @@ def test_parity_zz_deviation_grows_with_count():
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_parity_table_matches_single_experiments(n, model):
-    # the table reads columns of one propagator; a single experiment evolves
-    # its input through the two sectors it touches
+    # the table reads columns of block propagators; a single experiment
+    # evolves its input through the two sectors it touches
     zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
     noise = (evolution.NoiseSpec(t1=tuple(np.linspace(10e-6, 40e-6, n)))
              if "relax" in model else None)
@@ -210,11 +210,51 @@ def test_parity_table_matches_single_experiments(n, model):
         assert abs(protocols.wrap_phase(row.phase - single.phase)) < 1e-12
 
 
+def _dense_parity_table(n, input_states, zeta, noise):
+    """The table as it was first built: two columns of one dense 2^n x 2^n U per row."""
+    spec = protocols._parity_spec(n, zeta, None)
+    H = protocols._parity_hamiltonian(spec, noise)
+    U = np.zeros(H.shape, dtype=complex)
+    for idx, h in evolution._blocks(H):
+        U[np.ix_(idx, idx)] = evolution._block_states(h, np.eye(len(idx)), [spec.tau])[0]
+    rows = []
+    for code in range(2 ** (n - 2)):
+        inner = format(code, f"0{n - 2}b")
+        for inp in input_states:
+            low, high, weight = protocols._parity_input(n, inner, inp)
+            state = U[:, low] / np.sqrt(2.0) + weight * U[:, high] / np.sqrt(2.0)
+            rows.append(protocols._parity_readout(state, n, inner, inp))
+    return rows
+
+
+@pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
+@pytest.mark.parametrize("n", [6, 9])
+def test_parity_table_equals_dense_propagator_table(n, model):
+    zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
+    noise = (evolution.NoiseSpec(t1=tuple(np.linspace(10e-6, 40e-6, n)))
+             if "relax" in model else None)
+    inputs = tuple(protocols.INPUT_PHASES)
+    assert (protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
+            == _dense_parity_table(n, inputs, zeta, noise))
+
+
+def test_parity_table_peaks_below_one_dense_propagator():
+    # one dense 2^10 complex U alone takes 16 MiB; the block propagators
+    # of all eleven excitation sectors take 2.8 MiB together
+    tracemalloc.start()
+    try:
+        protocols.parity_phase_table(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_parity_table_above_dense_guard_fails_fast():
-    # 2^13 states: the dense propagator alone would take 1 GiB
+    # C(15, 7) = 6435 states in the largest excitation sector
     start = time.perf_counter()
     with pytest.raises(evolution.ResourceError):
-        protocols.parity_phase_table(13)
+        protocols.parity_phase_table(15)
     assert time.perf_counter() - start < 1.0
 
 
