@@ -299,6 +299,8 @@ def _rho_corner_svg(rho: np.ndarray, path: str, title: str) -> None:
 def cmd_ghz(args) -> int:
     if args.shots < 0:
         raise UsageError("--shots must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     noise_name = args.noise or "none"
     scenario = None
     if noise_name == "none":
@@ -364,6 +366,8 @@ def cmd_ghz(args) -> int:
 def cmd_calibrate(args) -> int:
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     config = calibration.default_effective_config(noise=args.noise)
     backend = calibration.EffectiveBackend(config, seed=args.seed)
     guess = calibration.perturb_drives(calibration.ideal_drive_settings(config),

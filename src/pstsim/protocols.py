@@ -17,7 +17,6 @@ from .models import chains, lattice
 from .statespace import wrap_phase
 
 __all__ = [
-    "GateOp",
     "GraphStateReport",
     "ParityExperimentResult",
     "GHZScenario",
@@ -25,7 +24,6 @@ __all__ = [
     "wrap_phase",
     "noise_label",
     "apply_gate",
-    "simulate_gates",
     "run_pst",
     "parity_phase_experiment",
     "parity_phase_table",
@@ -59,60 +57,14 @@ def _ry(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """One local gate, applied to each of its target sites.
-
-    ``kind`` is one of Hadamard, X90, Y90, Zphi, Xpi.  For X90/Y90
-    ``param`` overrides the rotation angle (default +pi/2); for Zphi it
-    is the phase.  Transfers are not gates: the chain is evolved instead.
-    """
-
-    kind: str
-    targets: tuple = ()
-    param: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("Hadamard", "X90", "Y90", "Zphi", "Xpi"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "Zphi" and self.param is None:
-            raise ValueError("Zphi needs a phase parameter")
+def _rz(phase: float) -> np.ndarray:
+    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * phase)]])
 
 
-def _single_qubit_matrix(gate: GateOp) -> np.ndarray:
-    if gate.kind == "Hadamard":
-        return _H
-    if gate.kind == "X90":
-        return _rx(pi / 2 if gate.param is None else gate.param)
-    if gate.kind == "Y90":
-        return _ry(pi / 2 if gate.param is None else gate.param)
-    if gate.kind == "Zphi":
-        return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * gate.param)]])
-    return _X                               # Xpi, the last kind GateOp admits
-
-
-def apply_gate(state: np.ndarray, gate: GateOp, n_sites: int | None = None) -> np.ndarray:
-    """Apply one gate to a full-register state vector."""
-    state = np.asarray(state, dtype=complex)
-    n = n_sites if n_sites is not None else int(round(np.log2(state.size)))
-    if state.size != 2**n:
-        raise ValueError("state dimension is not 2^n")
-    if not gate.targets:
-        raise ValueError(f"{gate.kind} needs explicit target sites")
-    u = _single_qubit_matrix(gate)
-    for site in gate.targets:
-        if not 1 <= site <= n:
-            raise ValueError(f"target site {site} outside 1..{n}")
+def apply_gate(state: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
+    """Apply the 2x2 unitary ``u`` to each listed site of an n-site state."""
+    for site in sites:
         state = statespace.apply_single_qubit(state, u, site, n)
-    return state
-
-
-def simulate_gates(n: int, gates) -> np.ndarray:
-    """Run a gate list on |0...0> and return the state."""
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    for g in gates:
-        state = apply_gate(state, g, n)
     return state
 
 
@@ -323,7 +275,7 @@ def double_fst_parity_experiment(middle_excited_first_leg: bool) -> np.ndarray:
     state[bits] = 1.0
     state = evolution.evolve(H, state, [tau]).states[0]
     if middle_excited_first_leg:
-        state = apply_gate(state, GateOp("Xpi", (2,)), 3)
+        state = apply_gate(state, _X, (2,), 3)
     state = evolution.evolve(H, state, [tau]).states[0]
     occ = statespace.occupation_matrix(3)
     return (np.abs(state) ** 2) @ occ
@@ -336,18 +288,20 @@ def ghz_circuit(n: int):
     """Local rotation layer that completes the n-qubit GHZ state.
 
     It acts after Hadamards on every site of |0...0> and one transfer of
-    the chain, and depends on n mod 4.  For odd n it is X90 on every
-    site; for even n every site gets Y90 except site 1, whose axis is
-    fixed up with a Z(+-pi/2) before an X(+-90).
+    the chain, and depends on n mod 4.  Returns ``(u, sites)`` pairs, in
+    order: each 2x2 unitary ``u`` acts on every listed site (see
+    :func:`apply_gate`).  For odd n it is X(pi/2) on every site; for even
+    n every site gets Y(pi/2) except site 1, whose axis is fixed up with
+    a Z(-+pi/2) before an X(+-pi/2).
     """
     if n < 2:
         raise ValueError("GHZ circuit needs n >= 2")
     rest = tuple(range(2, n + 1))
     if n % 2 == 1:
-        return [GateOp("X90", (1, *rest))]
+        return [(_rx(pi / 2), (1, *rest))]
     if n % 4 == 0:
-        return [GateOp("Zphi", (1,), -pi / 2), GateOp("X90", (1,)), GateOp("Y90", rest)]
-    return [GateOp("Zphi", (1,), pi / 2), GateOp("X90", (1,), -pi / 2), GateOp("Y90", rest)]
+        return [(_rz(-pi / 2), (1,)), (_rx(pi / 2), (1,)), (_ry(pi / 2), rest)]
+    return [(_rz(pi / 2), (1,)), (_rx(-pi / 2), (1,)), (_ry(pi / 2), rest)]
 
 
 def ghz_state(n: int) -> np.ndarray:
@@ -424,8 +378,9 @@ class GHZReport:
 def run_ghz(scenario: GHZScenario) -> GHZReport:
     """Simulate the GHZ sequence under the scenario's noise terms.
 
-    Hadamards on every site, one transfer of the chain, then the
-    :func:`ghz_circuit` layer.  Relaxation enters as a non-Hermitian term
+    A Hadamard on every site of |0...0> gives |+...+>; one transfer of
+    the chain follows, then the :func:`ghz_circuit` layer, each pair
+    through :func:`apply_gate`.  Relaxation enters as a non-Hermitian term
     during the transfer; the surviving (no-jump) amplitude is compared
     against the GHZ target without renormalization, so population leak
     counts as infidelity.
@@ -435,15 +390,17 @@ def run_ghz(scenario: GHZScenario) -> GHZReport:
     spec = chains.ChainSpec.pst(n, scenario.tau)
     if scenario.zeta and scenario.zz_application == "transfer":
         spec = spec.with_zz(scenario.zeta)
-    state = simulate_gates(n, [GateOp("Hadamard", tuple(range(1, n + 1)))])
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    state = apply_gate(state, _H, range(1, n + 1), n)
     H = chains.chain_hamiltonian(spec)
     occ = statespace.occupation_matrix(n)
     noise = scenario.noise()
     if noise is not None:
         H = evolution.add_relaxation(H, noise, occ)
     state = evolution.evolve(H, state, [scenario.tau]).states[0]
-    for g in ghz_circuit(n):
-        state = apply_gate(state, g, n)
+    for u, sites in ghz_circuit(n):
+        state = apply_gate(state, u, sites, n)
     if scenario.zeta and scenario.zz_application == "end":
         pair_term = np.zeros(2**n)
         for k, z in enumerate(scenario.zeta, start=1):

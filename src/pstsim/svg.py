@@ -19,6 +19,10 @@ _STOPS = (
 )
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
+# every chart draws its plot area at the same place and size
+_LEFT, _TOP = 70, 36
+_PLOT_W, _PLOT_H = 560, 360
+_HEIGHT = _TOP + _PLOT_H + 50
 
 
 def _color(x: float) -> str:
@@ -44,10 +48,10 @@ def _text(x, y, s, size=11, anchor="middle", rotate=None) -> str:
             f'font-size="{size}" text-anchor="{anchor}"{extra}>{s}</text>')
 
 
-def _document(width: int, height: int, parts) -> str:
+def _document(width: int, parts) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
-    return "\n".join([head, f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'height="{_HEIGHT}" viewBox="0 0 {width} {_HEIGHT}">')
+    return "\n".join([head, f'<rect width="{width}" height="{_HEIGHT}" fill="white"/>',
                       *parts, "</svg>"]) + "\n"
 
 
@@ -58,9 +62,36 @@ def _write(path, markup: str) -> str:
     return markup
 
 
+def _title(title: str) -> list:
+    return [_text(_LEFT + _PLOT_W / 2, 20, title, size=13)] if title else []
+
+
+def _axes(x_ticks, y_ticks, x_label="", y_label="") -> list:
+    """Plot frame, tick marks and axis labels; ticks are (pixel, text) pairs."""
+    bottom = _TOP + _PLOT_H
+    parts = [f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
+             f'fill="none" stroke="black"/>']
+    for x, text in x_ticks:
+        parts.append(f'<line x1="{_num(x)}" y1="{bottom}" x2="{_num(x)}" '
+                     f'y2="{bottom + 5}" stroke="black"/>')
+        parts.append(_text(x, bottom + 18, text))
+    for y, text in y_ticks:
+        parts.append(f'<line x1="{_LEFT - 5}" y1="{_num(y)}" x2="{_LEFT}" '
+                     f'y2="{_num(y)}" stroke="black"/>')
+        parts.append(_text(_LEFT - 10, y + 4, text, anchor="end"))
+    if x_label:
+        parts.append(_text(_LEFT + _PLOT_W / 2, bottom + 36, x_label))
+    if y_label:
+        parts.append(_text(22, _TOP + _PLOT_H / 2, y_label, rotate=True))
+    return parts
+
+
 def heatmap(values, path=None, *, title="", x_label="", y_label="",
             x_ticks=None, y_ticks=None, vmin=None, vmax=None) -> str:
-    """Colour-mapped matrix; row 0 is drawn at the top."""
+    """Colour-mapped matrix; row 0 is drawn at the top.
+
+    ``x_ticks`` and ``y_ticks`` are (fraction of the axis, text) pairs.
+    """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("heatmap needs a 2d array")
@@ -68,46 +99,29 @@ def heatmap(values, path=None, *, title="", x_label="", y_label="",
     lo = float(grid.min() if vmin is None else vmin)
     hi = float(grid.max() if vmax is None else vmax)
     span = hi - lo if hi > lo else 1.0
-    left, top = 70, 36
-    plot_w, plot_h = 560, 360
-    cw, ch = plot_w / cols, plot_h / rows
-    parts = []
-    if title:
-        parts.append(_text(left + plot_w / 2, 20, title, size=13))
+    cw, ch = _PLOT_W / cols, _PLOT_H / rows
+    parts = _title(title)
     for i in range(rows):
         for j in range(cols):
             parts.append(
-                f'<rect x="{_num(left + j * cw)}" y="{_num(top + i * ch)}" '
+                f'<rect x="{_num(_LEFT + j * cw)}" y="{_num(_TOP + i * ch)}" '
                 f'width="{_num(cw + 0.5)}" height="{_num(ch + 0.5)}" '
                 f'fill="{_color((grid[i, j] - lo) / span)}"/>')
-    parts.append(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-                 f'fill="none" stroke="black"/>')
-    for frac, text in (x_ticks or ()):
-        x = left + frac * plot_w
-        parts.append(f'<line x1="{_num(x)}" y1="{top + plot_h}" x2="{_num(x)}" '
-                     f'y2="{top + plot_h + 5}" stroke="black"/>')
-        parts.append(_text(x, top + plot_h + 18, text))
-    for frac, text in (y_ticks or ()):
-        y = top + frac * plot_h
-        parts.append(f'<line x1="{left - 5}" y1="{_num(y)}" x2="{left}" '
-                     f'y2="{_num(y)}" stroke="black"/>')
-        parts.append(_text(left - 10, y + 4, text, anchor="end"))
-    if x_label:
-        parts.append(_text(left + plot_w / 2, top + plot_h + 36, x_label))
-    if y_label:
-        parts.append(_text(22, top + plot_h / 2, y_label, rotate=True))
-    bar_x = left + plot_w + 24
+    parts += _axes([(_LEFT + frac * _PLOT_W, text) for frac, text in x_ticks or ()],
+                   [(_TOP + frac * _PLOT_H, text) for frac, text in y_ticks or ()],
+                   x_label, y_label)
+    bar_x = _LEFT + _PLOT_W + 24
     steps = 32
     for k in range(steps):
         frac = 1.0 - (k + 1) / steps
         parts.append(
-            f'<rect x="{bar_x}" y="{_num(top + k * plot_h / steps)}" width="16" '
-            f'height="{_num(plot_h / steps + 0.5)}" fill="{_color(frac + 1.0 / steps)}"/>')
-    parts.append(f'<rect x="{bar_x}" y="{top}" width="16" height="{plot_h}" '
+            f'<rect x="{bar_x}" y="{_num(_TOP + k * _PLOT_H / steps)}" width="16" '
+            f'height="{_num(_PLOT_H / steps + 0.5)}" fill="{_color(frac + 1.0 / steps)}"/>')
+    parts.append(f'<rect x="{bar_x}" y="{_TOP}" width="16" height="{_PLOT_H}" '
                  f'fill="none" stroke="black"/>')
-    parts.append(_text(bar_x + 20, top + 10, _label(hi), anchor="start", size=10))
-    parts.append(_text(bar_x + 20, top + plot_h, _label(lo), anchor="start", size=10))
-    return _write(path, _document(760, top + plot_h + 50, parts))
+    parts.append(_text(bar_x + 20, _TOP + 10, _label(hi), anchor="start", size=10))
+    parts.append(_text(bar_x + 20, _TOP + _PLOT_H, _label(lo), anchor="start", size=10))
+    return _write(path, _document(760, parts))
 
 
 def _axis_ticks(lo: float, hi: float, count: int = 5):
@@ -122,8 +136,6 @@ def line_chart(xs, series: dict, path=None, *, title="", x_label="", y_label="",
     xs = np.asarray(xs, dtype=float)
     if not len(series):
         raise ValueError("no series to plot")
-    left, top = 70, 36
-    plot_w, plot_h = 560, 360
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     if log_y:
         all_y = all_y[all_y > 0]
@@ -139,15 +151,13 @@ def line_chart(xs, series: dict, path=None, *, title="", x_label="", y_label="",
         xhi = xlo + 1.0
 
     def sx(x):
-        return left + (x - xlo) / (xhi - xlo) * plot_w
+        return _LEFT + (x - xlo) / (xhi - xlo) * _PLOT_W
 
     def sy(y):
         v = math.log10(y) if log_y else y
-        return top + plot_h - (v - ylo) / (yhi - ylo) * plot_h
+        return _TOP + _PLOT_H - (v - ylo) / (yhi - ylo) * _PLOT_H
 
-    parts = []
-    if title:
-        parts.append(_text(left + plot_w / 2, 20, title, size=13))
+    parts = _title(title)
     for k, (name, ys) in enumerate(series.items()):
         ys = np.asarray(ys, dtype=float)
         pts = []
@@ -158,28 +168,15 @@ def line_chart(xs, series: dict, path=None, *, title="", x_label="", y_label="",
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<line x1="{left + plot_w + 8}" y1="{top + 10 + 16 * k}" '
-                     f'x2="{left + plot_w + 26}" y2="{top + 10 + 16 * k}" '
+        parts.append(f'<line x1="{_LEFT + _PLOT_W + 8}" y1="{_TOP + 10 + 16 * k}" '
+                     f'x2="{_LEFT + _PLOT_W + 26}" y2="{_TOP + 10 + 16 * k}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(_text(left + plot_w + 32, top + 14 + 16 * k, name,
+        parts.append(_text(_LEFT + _PLOT_W + 32, _TOP + 14 + 16 * k, name,
                            anchor="start", size=10))
-    parts.append(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-                 f'fill="none" stroke="black"/>')
-    for tick in _axis_ticks(xlo, xhi):
-        parts.append(f'<line x1="{_num(sx(tick))}" y1="{top + plot_h}" '
-                     f'x2="{_num(sx(tick))}" y2="{top + plot_h + 5}" stroke="black"/>')
-        parts.append(_text(sx(tick), top + plot_h + 18, _label(tick)))
-    for tick in _axis_ticks(ylo, yhi):
-        value = 10.0 ** tick if log_y else tick
-        y = sy(value)
-        parts.append(f'<line x1="{left - 5}" y1="{_num(y)}" x2="{left}" '
-                     f'y2="{_num(y)}" stroke="black"/>')
-        parts.append(_text(left - 10, y + 4, _label(value), anchor="end"))
-    if x_label:
-        parts.append(_text(left + plot_w / 2, top + plot_h + 36, x_label))
-    if y_label:
-        parts.append(_text(22, top + plot_h / 2, y_label, rotate=True))
-    return _write(path, _document(780, top + plot_h + 50, parts))
+    y_values = [10.0 ** t if log_y else t for t in _axis_ticks(ylo, yhi)]
+    parts += _axes([(sx(t), _label(t)) for t in _axis_ticks(xlo, xhi)],
+                   [(sy(v), _label(v)) for v in y_values], x_label, y_label)
+    return _write(path, _document(780, parts))
 
 
 def bar_chart(labels, values, path=None, *, title="", y_label="",
@@ -192,32 +189,21 @@ def bar_chart(labels, values, path=None, *, title="", y_label="",
     hi = float(values.max() if vmax is None else vmax)
     if hi <= lo:
         hi = lo + 1.0
-    left, top = 70, 36
-    plot_w, plot_h = 560, 360
-    bw = plot_w / values.size
+    bw = _PLOT_W / values.size
 
     def sy(y):
-        return top + plot_h - (y - lo) / (hi - lo) * plot_h
+        return _TOP + _PLOT_H - (y - lo) / (hi - lo) * _PLOT_H
 
-    parts = []
-    if title:
-        parts.append(_text(left + plot_w / 2, 20, title, size=13))
+    parts = _title(title)
     for k, v in enumerate(values):
         y0, y1 = sorted((sy(v), sy(0.0) if lo <= 0.0 <= hi else sy(lo)))
-        parts.append(f'<rect x="{_num(left + k * bw + 0.15 * bw)}" y="{_num(y0)}" '
+        parts.append(f'<rect x="{_num(_LEFT + k * bw + 0.15 * bw)}" y="{_num(y0)}" '
                      f'width="{_num(0.7 * bw)}" height="{_num(max(y1 - y0, 0.5))}" '
                      f'fill="#1f77b4"/>')
-        parts.append(_text(left + (k + 0.5) * bw, top + plot_h + 14,
+        parts.append(_text(_LEFT + (k + 0.5) * bw, _TOP + _PLOT_H + 14,
                            str(labels[k]), size=9))
     if lo <= 0.0 <= hi:
-        parts.append(f'<line x1="{left}" y1="{_num(sy(0.0))}" '
-                     f'x2="{left + plot_w}" y2="{_num(sy(0.0))}" stroke="black"/>')
-    parts.append(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-                 f'fill="none" stroke="black"/>')
-    for tick in _axis_ticks(lo, hi):
-        parts.append(f'<line x1="{left - 5}" y1="{_num(sy(tick))}" x2="{left}" '
-                     f'y2="{_num(sy(tick))}" stroke="black"/>')
-        parts.append(_text(left - 10, sy(tick) + 4, _label(tick), anchor="end"))
-    if y_label:
-        parts.append(_text(22, top + plot_h / 2, y_label, rotate=True))
-    return _write(path, _document(700, top + plot_h + 50, parts))
+        parts.append(f'<line x1="{_LEFT}" y1="{_num(sy(0.0))}" '
+                     f'x2="{_LEFT + _PLOT_W}" y2="{_num(sy(0.0))}" stroke="black"/>')
+    parts += _axes((), [(sy(t), _label(t)) for t in _axis_ticks(lo, hi)], y_label=y_label)
+    return _write(path, _document(700, parts))

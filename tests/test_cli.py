@@ -341,6 +341,14 @@ def test_ghz_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+def test_ghz_negative_seed_is_usage_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(out, "ghz", "--n", 3, "--seed", -1)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["scenario", "flag"])
 def test_ghz_above_8_sites_is_refused_before_simulating(tmp_path, monkeypatch, source):
     def no_simulation(*args):
@@ -388,6 +396,14 @@ def test_calibrate_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(tmp_path, "calibrate", "--budget", 0)
     assert exc.value.code == 2
+
+
+def test_calibrate_negative_seed_is_usage_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(out, "calibrate", "--seed", -1)
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--perturb", "nan"),

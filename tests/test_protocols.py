@@ -42,38 +42,58 @@ def _random_state(n, seed):
     return psi / np.linalg.norm(psi)
 
 
-def test_hadamard_matches_kron():
+def _rot(axis, angle):
+    """exp(-i angle sigma / 2) for the Pauli matrix ``axis``."""
+    return (np.cos(angle / 2) * np.eye(2)
+            - 1j * np.sin(angle / 2) * np.asarray(axis, dtype=complex))
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Y = np.array([[0.0, -1j], [1j, 0.0]])
+# every matrix the GHZ layer and the double-FST flip apply, by name
+_GATES = {
+    "H": _H,
+    "X": _X,
+    "rx(+pi/2)": _rot(_X, pi / 2),
+    "rx(-pi/2)": _rot(_X, -pi / 2),
+    "ry(+pi/2)": _rot(_Y, pi / 2),
+    "rz(+pi/2)": np.diag([1.0, np.exp(0.5j * pi)]),
+    "rz(-pi/2)": np.diag([1.0, np.exp(-0.5j * pi)]),
+}
+
+
+@pytest.mark.parametrize("site", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_GATES))
+def test_apply_gate_matches_kron(name, site):
     psi = _random_state(3, 11)
-    out = protocols.apply_gate(psi, protocols.GateOp("Hadamard", (2,)))
-    ref = np.kron(np.kron(np.eye(2), _H), np.eye(2)) @ psi
+    u = _GATES[name]
+    out = protocols.apply_gate(psi, u, (site,), 3)
+    factors = [u if k == site else np.eye(2) for k in (1, 2, 3)]
+    ref = np.kron(np.kron(factors[0], factors[1]), factors[2]) @ psi
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
 def test_gate_unitarity_and_composition():
     psi = _random_state(4, 3)
     ops = [
-        protocols.GateOp("Hadamard", (1, 2, 3, 4)),
-        protocols.GateOp("X90", (2,)),
-        protocols.GateOp("Y90", (3,), -pi / 2),
-        protocols.GateOp("Zphi", (4,), 0.7),
-        protocols.GateOp("Xpi", (1,)),
+        (_H, (1, 2, 3, 4)),
+        (_rot(_X, pi / 2), (2,)),
+        (_rot(_Y, -pi / 2), (3,)),
+        (np.diag([1.0, np.exp(0.7j)]), (4,)),
+        (_X, (1,)),
     ]
     out = psi
-    for op in ops:
-        out = protocols.apply_gate(out, op)
+    for u, sites in ops:
+        out = protocols.apply_gate(out, u, sites, 4)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_gate_errors():
     psi = _random_state(2, 0)
     with pytest.raises(ValueError):
-        protocols.apply_gate(psi, protocols.GateOp("Hadamard"))
+        protocols.apply_gate(psi, _H, (3,), 2)
     with pytest.raises(ValueError):
-        protocols.apply_gate(psi, protocols.GateOp("Hadamard", (3,)))
-    with pytest.raises(ValueError):
-        protocols.apply_gate(psi, protocols.GateOp("Swap", (1, 2)))
-    with pytest.raises(ValueError):
-        protocols.apply_gate(np.ones(3), protocols.GateOp("Hadamard", (1,)))
+        protocols.apply_gate(np.ones(3), _H, (1,), 2)
 
 
 # ----------------------------------------------------------------- GHZ circuit
@@ -82,10 +102,12 @@ def test_apply_gate_errors():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ghz_circuit_prepares_ghz(n):
     # Hadamards, one transfer period of the chain, then the rotation layer
-    psi = protocols.simulate_gates(n, [protocols.GateOp("Hadamard", tuple(range(1, n + 1)))])
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+    psi = protocols.apply_gate(psi, _H, range(1, n + 1), n)
     psi = chains.pst_unitary(n) @ psi
-    for op in protocols.ghz_circuit(n):
-        psi = protocols.apply_gate(psi, op)
+    for u, sites in protocols.ghz_circuit(n):
+        psi = protocols.apply_gate(psi, u, sites, n)
     target = protocols.ghz_state(n)
     assert abs(np.vdot(target, psi)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
