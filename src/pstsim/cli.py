@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, calibration, protocols, serialize, svg, tomography
+from . import __version__, calibration, evolution, protocols, serialize, svg, tomography
 from .models import chains, lattice
 
 ENV_OUT_DIR = "PSTSIM_OUT"
@@ -70,6 +70,9 @@ def parse_times(text: str, tau: float) -> np.ndarray:
             raise UsageError(f"--times endpoint {t} is not finite")
     if num < 2:
         raise UsageError("--times needs at least two points")
+    if num > evolution.OUTPUT_GUARD:
+        raise UsageError(f"--times asks for {num} points, above the output guard of "
+                         f"{evolution.OUTPUT_GUARD}")
     if stop <= start:
         raise UsageError("--times stop must exceed start")
     return np.linspace(start, stop, num)
@@ -132,8 +135,8 @@ def _trajectory_svg(traj, tau: float, path: str, title: str) -> None:
 
 def _run_trajectory(args, command: str, spec: chains.ChainSpec,
                     config: dict) -> int:
-    out = _Outputs(args, command)
     times = parse_times(args.times, spec.tau)
+    out = _Outputs(args, command)
     initial = initial_state(args.initial, spec.n_sites)
     noise = serialize.load_noise(args.noise) if args.noise else None
     if noise is not None and len(noise.t1) != spec.n_sites:

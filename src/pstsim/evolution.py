@@ -13,17 +13,22 @@ block above ``DENSE_GUARD`` raises ResourceError before any work.
 the guard: it is stepped with scipy's ``expm_multiply`` as a slice of H
 (sparse when H is) that is never made dense.  The flux-driven device
 model steps its H(t) through the same block kernel, two static
-exponentials per commutator-free step.  For a column driven
+exponentials per commutator-free step; a step of one state vector,
+where that costs less than the decomposition, sums a Chebyshev series
+instead (Tal-Ezer & Kosloff 1984): about twenty matrix-vector products
+on the device's largest blocks.  For a column driven
 at one nonzero frequency whose period T fits in the time window, it
 takes those steps over one period only, applied to the block identity;
 later times reuse that period propagator and its substep propagators
 and add one short step, with no further decomposition.  Relaxation
 enters as non-Hermitian diagonal terms; the survival norm of the
-propagated state is tracked alongside per-site populations.
+propagated state is tracked alongside per-site populations.  A
+trajectory of more than ``OUTPUT_GUARD`` amplitudes raises
+ResourceError before it is allocated.
 """
 
 from dataclasses import dataclass
-from math import pi
+from math import exp, lgamma, log, pi
 
 import numpy as np
 from scipy import sparse
@@ -42,14 +47,20 @@ __all__ = [
 ]
 
 DENSE_GUARD = 4096
+# amplitudes in one trajectory, len(times) * dim; fixed here, so lowering
+# DENSE_GUARD leaves it alone
+OUTPUT_GUARD = DENSE_GUARD**2
 
 # eig-based propagation loses about cond(V) * eps; above this the block
 # is exponentiated directly instead
 _EIG_COND_LIMIT = 1e6
 
+# the Chebyshev series drops the terms whose coefficient is below this
+_EPS = np.finfo(float).eps
+
 
 class ResourceError(RuntimeError):
-    """Problem size above the configured dense guard."""
+    """Problem size above the dense guard or the output guard."""
 
 
 @dataclass
@@ -133,6 +144,70 @@ def _block_states(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     return (v * phases[:, None, :]) @ c
 
 
+def _gershgorin(h: np.ndarray, low=0.0, high=0.0):
+    """Centre and half-width of an interval that holds the spectrum of
+    the Hermitian h + diag(s) for every shift low <= s <= high (Gershgorin)."""
+    diag = np.diag(h).real
+    radius = np.abs(h).sum(axis=1) - np.abs(diag)
+    lo, hi = np.min(diag + low - radius), np.max(diag + high + radius)
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+def _chebyshev_terms(x: float) -> int:
+    """Terms K after which every coefficient 2 |J_k(x)| of the series of
+    exp(-i x y) is below ``_EPS``, from the bound |J_k(x)| <= (x/2)^k / k!."""
+    k, bound = 0, 2.0
+    while bound >= _EPS:
+        k += 1
+        bound *= x / (2 * k)
+    return k
+
+
+def _chebyshev_reach(d: int) -> float:
+    """The x = h r below which a step of h on a d-state block of Gershgorin
+    half-width r needs 2 K < d terms (see _chebyshev_terms), so that its
+    matrix-vector products cost less than an eigendecomposition.
+
+    The bound on 2 |J_m(x)| grows with x, so K <= m = (d - 1) // 2 exactly
+    when x < 2 (eps m! / 2)^(1/m)."""
+    m = (d - 1) // 2
+    return 2 * exp((log(_EPS / 2) + lgamma(m + 1)) / m) if m else 0.0
+
+
+def _chebyshev_state(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) psi0 for a Hermitian h and one state, from a Chebyshev series.
+
+    With [c - r, c + r] the Gershgorin interval of h and X = (h - c) / r,
+    exp(-i h t) = exp(-i c t) sum_k (2 - [k = 0]) (-i)^k J_k(r t) T_k(X)
+    (Tal-Ezer & Kosloff 1984).  The coefficients are the Fourier
+    coefficients of exp(-i r t cos theta), from an FFT, and the series
+    stops after the last one above ``_EPS``; T_k(X) psi0 follows from
+    T_{k+1} = 2 X T_k - T_{k-1}.
+    """
+    mid, r = _gershgorin(h)
+    x = r * t
+    n = 2 * _chebyshev_terms(x)
+    coef = np.fft.fft(np.exp(-1j * x * np.cos(2 * pi / n * np.arange(n))))[:n // 2] / n
+    coef[1:] *= 2
+    coef = coef[:np.flatnonzero(np.abs(coef) >= _EPS)[-1] + 1]
+    v = np.ascontiguousarray(psi0, dtype=complex)
+    if np.isrealobj(h):         # a real h steps the real and imaginary parts as two columns
+        v = v.view(float).reshape(-1, 2)
+    terms = np.empty((len(coef), *v.shape), dtype=v.dtype)
+    terms[0] = v
+    if len(coef) > 1:
+        x2 = h * (2 / r)                        # 2 X
+        x2.flat[::len(h) + 1] -= 2 * mid / r
+        np.matmul(x2, v, out=terms[1])
+        terms[1] /= 2
+        for k in range(2, len(coef)):
+            np.matmul(x2, terms[k - 1], out=terms[k])
+            terms[k] -= terms[k - 2]
+    if terms.dtype == float:
+        terms = terms.view(complex)[..., 0]
+    return np.exp(-1j * mid * t) * (coef @ terms)
+
+
 def _krylov_states(h, psi0: np.ndarray, times) -> np.ndarray:
     """exp(-i h t) psi0 for every t in ``times``, stepping ``expm_multiply`` between them.
 
@@ -182,11 +257,12 @@ def _components(A, psi0: np.ndarray | None = None):
 def _blocks(H, psi0: np.ndarray | None = None, slice_above_guard: bool = False):
     """Diagonal blocks of H over the components of its nonzero pattern.
 
-    Yields ``(indices, block)`` for every component, or only for those
-    where ``psi0`` has support.  A block of at most ``DENSE_GUARD`` states
-    is a dense array.  A larger one raises ResourceError before any work,
-    or, with ``slice_above_guard``, is yielded as a slice of H (sparse
-    when H is) that is never made dense.
+    Returns an iterator of ``(indices, block)`` for every component, or
+    only for those where ``psi0`` has support.  A block of at most
+    ``DENSE_GUARD`` states is a dense array.  A larger one raises
+    ResourceError here, before any block is built, or, with
+    ``slice_above_guard``, is yielded as a slice of H (sparse when H
+    is) that is never made dense.
     """
     A = H.tocsr() if sparse.issparse(H) else np.asarray(H)
     (row, col, val), labels, wanted = _components(A, psi0)
@@ -195,16 +271,18 @@ def _blocks(H, psi0: np.ndarray | None = None, slice_above_guard: bool = False):
         raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
     entry_labels = labels[row]
     local = np.empty(len(labels), dtype=np.int64)   # position of each state in its block
-    for label in wanted:
+
+    def block(label):
         idx = np.flatnonzero(labels == label)
         if len(idx) > DENSE_GUARD:
-            yield idx, A[idx][:, idx]
-            continue
+            return idx, A[idx][:, idx]
         local[idx] = np.arange(len(idx))
         mine = entry_labels == label
-        block = np.zeros((len(idx), len(idx)), dtype=val.dtype)
-        block[local[row[mine]], local[col[mine]]] = val[mine]
-        yield idx, block
+        dense = np.zeros((len(idx), len(idx)), dtype=val.dtype)
+        dense[local[row[mine]], local[col[mine]]] = val[mine]
+        return idx, dense
+
+    return map(block, wanted)
 
 
 def _ascending_times(times) -> np.ndarray:
@@ -255,16 +333,21 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     ``expm_multiply`` between the requested times on it, as a slice of
     H (sparse when H is).  Components ``psi0`` does not touch stay
     exactly zero under both methods.  Raises ValueError for times that
-    are not finite, not ascending or empty.
+    are not finite, not ascending or empty, and ResourceError, before
+    any work, when len(times) * dim is above ``OUTPUT_GUARD``.
     """
     options = options or EvolutionOptions()
     times = _ascending_times(times)
     psi0 = np.asarray(psi0, dtype=complex)
     if np.shape(H) != (len(psi0), len(psi0)):
         raise ValueError("H must be a static square matrix matching psi0")
+    blocks = _blocks(H, psi0, slice_above_guard=options.method == "krylov")
+    if len(times) * len(psi0) > OUTPUT_GUARD:
+        raise ResourceError(f"{len(times)} times x {len(psi0)} states above the output "
+                            f"guard of {OUTPUT_GUARD} amplitudes")
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
-    for idx, h in _blocks(H, psi0, slice_above_guard=options.method == "krylov"):
+    for idx, h in blocks:
         kernel = _block_states if len(idx) <= DENSE_GUARD else _krylov_states
         states[:, idx] = kernel(h, psi0[idx], times)
 

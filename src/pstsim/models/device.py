@@ -18,7 +18,8 @@ from math import pi
 
 import numpy as np
 
-from ..evolution import DENSE_GUARD, ResourceError, _ascending_times, _block_states, _blocks
+from ..evolution import (DENSE_GUARD, ResourceError, _ascending_times, _block_states, _blocks,
+                         _chebyshev_reach, _chebyshev_state, _gershgorin)
 
 __all__ = [
     "QubitSpec",
@@ -290,6 +291,21 @@ class DeviceSubsetModel:
         r = 3**0.5 / 6
         c1, c2, a1, a2 = 0.5 - r, 0.5 + r, 0.25 + r, 0.25 - r
         halves = [(idx, block / 2) for idx, block in _blocks(self.H_fixed, psi0)]
+        # a vector step of h takes the Chebyshev kernel when h r is below
+        # _chebyshev_reach(d), with r a Gershgorin half-width of every step's
+        # block: each coupler anywhere in its tuning range, and a1 > 0 > a2
+        # keep the step's diagonal shift a1 w1 + a2 w2 between a1 lo + a2 hi
+        # and a2 lo + a1 hi
+        tuning = self._coupler_occ @ (2 * pi * np.reshape(
+            [(c.omega_min_hz, c.omega_max_hz) for c in self._specs], (-1, 2)))
+        shift = tuning @ np.array([[a1, a2], [a2, a1]])
+        limits = [(_gershgorin(half, *shift[idx].T)[1], _chebyshev_reach(len(idx)))
+                  for idx, half in halves]
+
+        def block_step(block, s, h, width, reach):
+            if s.ndim == 1 and h * width < reach:
+                return _chebyshev_state(block, s, h)
+            return _block_states(block, s, [h])[0]
 
         def cf4_step(states, cols, t0, k, h):
             """Step states[col], one vector or matrix per block, from t0 + k h to t0 + (k + 1) h.
@@ -301,8 +317,8 @@ class DeviceSubsetModel:
             h = np.broadcast_to(h, ncol)
             for d in (a1 * d1 + a2 * d2, a2 * d1 + a1 * d2):
                 for col in cols:
-                    states[col] = [_block_states(half + np.diag(d[idx, col]), s, [h[col]])[0]
-                                   for (idx, half), s in zip(halves, states[col])]
+                    states[col] = [block_step(half + np.diag(d[idx, col]), s, h[col], *limit)
+                                   for (idx, half), limit, s in zip(halves, limits, states[col])]
 
         tones = [np.unique(np.abs(w_ang[amps[:, col] > 0, col])) for col in range(ncol)]
         period = np.array([2 * pi / w[0] if len(w) == 1 and w[0] > 0 else np.inf for w in tones])

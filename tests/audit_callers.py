@@ -77,7 +77,6 @@ KEEP = [
     ("svg.py", "line_chart", "continue", "non-positive values on a log axis"),
     ("svg.py", "bar_chart", "hi = lo + 1.0", "all bars at the axis floor"),
     # error reporting; unit tests own the errors
-    ("cli.py", "main", "except UsageError", "usage errors exit 2 through argparse"),
     ("cli.py", "main", "except serialize.ConfigError", "config errors exit 2"),
     ("serialize.py", "ConfigError.__init__", "", "built only to be raised"),
     # numerical safety

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from pstsim import cli
+from pstsim import cli, evolution
 
 _COUPLINGS_HZ_N6 = [
     873464.0537108553,
@@ -206,6 +206,21 @@ def test_malformed_times_are_usage_errors(tmp_path, times):
         _run(tmp_path, "pst", "--n", 4, "--tau", "640ns", "--times", times)
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_oversized_time_grid_is_usage_error(tmp_path, capsys):
+    # one point above the output guard fails before the grid or the output
+    # directory exists; 10^8 points (about 5 GB of states) is the CI case
+    points = evolution.OUTPUT_GUARD + 1
+    for num in (points, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pst", "--n", "3", "--tau", "640ns", "--times", f"0:1tau:{num}",
+                      "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"asks for {num} points, above the output guard" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tau", ["NaN", "Infinity", "-Infinity"])

@@ -477,6 +477,74 @@ def test_one_period_path_kernel_calls(dev, monkeypatch):
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-9
 
 
+def _counted_kernels(monkeypatch):
+    """Block dimensions of the eigen and Chebyshev kernel calls, and the state's rank."""
+    calls = {"_block_states": [], "_chebyshev_state": []}
+    for name, seen in calls.items():
+        kernel = getattr(dv, name)
+
+        def counted(h, s, *args, kernel=kernel, seen=seen):
+            seen.append((len(h), np.ndim(s)))
+            return kernel(h, s, *args)
+
+        monkeypatch.setattr(dv, name, counted)
+    return calls
+
+
+def _two_tones(dev):
+    f01, f12 = _chain_tones(dev)
+    return [[dv.DriveConfig(1, 0.01, f01), dv.DriveConfig(2, 0.012, f12)]]
+
+
+@pytest.mark.parametrize("levels, kernel", [(3, "_chebyshev_state"), (2, "_block_states")])
+def test_two_tone_chain_kernel(dev, monkeypatch, levels, kernel):
+    # the 121-state block of the levels-3 chain takes Chebyshev vector
+    # steps (2K < d); the 16-state blocks at two levels keep eigh
+    model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=levels)
+    calls = _counted_kernels(monkeypatch)
+    model.evolve_columns(_excited(model), np.linspace(0.0, 2e-9, 5), _two_tones(dev))
+    assert len(calls[kernel]) > 100
+    assert set(calls[kernel]) == {(121 if levels == 3 else 16, 1)}
+    assert [c for name, c in calls.items() if name != kernel] == [[]]
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_pair_scan_keeps_the_eigen_kernel(dev, monkeypatch, levels):
+    # 13/14-state (levels 3) and 4-state (levels 2) blocks: every step, the
+    # one-period build's matrix steps and the remainder's vector steps, is eigh
+    model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=levels)
+    calls = _counted_kernels(monkeypatch)
+    model.evolve_columns(_excited(model), np.linspace(0.0, 8e-9, 5), _pair_tones(dev, [2e6, 8e6]))
+    assert calls["_chebyshev_state"] == []
+    assert {rank for _, rank in calls["_block_states"]} == {1, 2}
+
+
+def test_one_tone_chain_builds_its_period_with_eigh(dev, monkeypatch):
+    # the one-period build steps the block identity: matrix steps stay on
+    # eigh, while the remainder step of each output time is a vector step
+    model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=3)
+    calls = _counted_kernels(monkeypatch)
+    f01, _ = _chain_tones(dev)
+    times = np.linspace(0.0, 5e-9, 4)
+    model.evolve_columns(_excited(model), times, _columns(1, 0.01, [f01]))
+    assert calls["_block_states"] == [(121, 2)] * (2 * dv._STEPS_PER_PERIOD)
+    assert set(calls["_chebyshev_state"]) == {(121, 1)}
+    assert len(calls["_chebyshev_state"]) <= 2 * (len(times) - 1)
+
+
+def test_two_tone_chain_chebyshev_matches_eigen_steps(dev):
+    # the calibration chain column: populations keep their sum and agree
+    # with CF4 steps taken by eigh
+    model = dv.DeviceSubsetModel(dev, (1, 2, 3), (1, 2), levels=3)
+    psi0 = _excited(model)
+    times = np.linspace(0.0, 2e-9, 5)
+    got = model.evolve_columns(psi0, times, _two_tones(dev))
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) < 1e-12
+    np.testing.assert_allclose(got, _plain_steps(model, psi0, times, _two_tones(dev)),
+                               rtol=0, atol=1e-12)
+    assert got[-1, model.bare_index({("q", 1): 1}), 0] < 0.999
+
+
 def test_plain_steps_step_size_converged(dev, monkeypatch):
     # two tones always take the plain steps: the step rule against half of
     # its step over 10 ns

@@ -238,6 +238,84 @@ def test_dense_guard_counts_only_touched_blocks(monkeypatch):
         evolution.evolve(H, _basis(32, 0b11000), [0.0, 640e-9])
 
 
+def test_output_guard_trips_before_allocating(monkeypatch):
+    # 4097 one-state blocks at 4097 times: 16 785 409 amplitudes, one above
+    # the guard; the guard is fixed at import, so a lowered DENSE_GUARD
+    # leaves it alone
+    assert evolution.OUTPUT_GUARD == 4096**2
+    H = sparse.diags(np.arange(4097.0)).tocsr()
+    times = np.linspace(0.0, 1e-6, 4097)
+    with pytest.raises(evolution.ResourceError, match="above the output guard of 16777216"):
+        evolution.evolve(H, _basis(4097), times)
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
+    traj = evolution.evolve(H[:16, :16], _basis(16), times[:10])
+    assert traj.states.shape == (10, 16) and 10 * 16 > 8**2
+    np.testing.assert_allclose(traj.norm, 1.0, rtol=0, atol=1e-12)
+
+
+def test_dense_guard_trips_before_the_output_guard():
+    # both guards fail: the largest block is the cause worth reporting
+    H = sparse.diags(np.ones(4999), 1, shape=(5000, 5000)).tocsr()
+    with pytest.raises(evolution.ResourceError, match="above dense guard 4096"):
+        evolution.evolve(H + H.T, _basis(5000), np.linspace(0.0, 1e-6, 5000))
+
+
+# ------------------------------------------- Chebyshev steps vs the eigen kernel
+
+def _symmetric_block(rng, d, scale=1e9):
+    """Real symmetric d x d block with couplings of order ``scale`` on a spread diagonal."""
+    A = rng.normal(size=(d, d)) * scale
+    return (A + A.T) / 2 + np.diag(rng.normal(size=d) * 10 * scale + 30 * scale)
+
+
+@pytest.mark.parametrize("d", [16, 40, 121, 200])
+def test_chebyshev_state_matches_eigen_kernel(d):
+    # h r from 0.01 to 50 on real symmetric blocks, and on a Hermitian one
+    rng = np.random.default_rng(d)
+    for x in (0.01, 0.1, 1.0, 3.0, 10.0, 50.0):
+        for h in (_symmetric_block(rng, d), _random_hermitian(rng, d, scale=1e9)):
+            t = x / evolution._gershgorin(h)[1]
+            psi = _spread_state(rng, d)
+            np.testing.assert_allclose(evolution._chebyshev_state(h, psi, t),
+                                       evolution._block_states(h, psi, [t])[0],
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_chebyshev_state_on_a_multiple_of_the_identity(d):
+    # r = 0: the series is its first term and the step only turns the phase
+    h = 7e9 * np.eye(d)
+    assert evolution._gershgorin(h) == (7e9, 0.0)
+    psi = _spread_state(np.random.default_rng(d), d)
+    np.testing.assert_allclose(evolution._chebyshev_state(h, psi, 3e-10),
+                               evolution._block_states(h, psi, [3e-10])[0], rtol=0, atol=1e-13)
+
+
+def test_chebyshev_terms_bound_the_bessel_coefficients():
+    # every coefficient 2 |J_k(x)| from K on is below eps, and K is at most
+    # a tenth above the true count
+    from scipy.special import jv
+
+    for x in (0.0, 1e-3, 0.5, 2.0, 7.0, 30.0, 50.0):
+        k = evolution._chebyshev_terms(x)
+        above = 2 * np.abs(jv(np.arange(k + 40), x)) >= evolution._EPS
+        true = np.flatnonzero(above)[-1] + 1
+        assert true <= k <= 1.1 * true, x
+
+
+def test_chebyshev_reach_is_the_cost_rule():
+    # h r < _chebyshev_reach(d) exactly when the bound's term count K has 2K < d
+    for d in (1, 2, 3, 14, 16, 121, 122, 400):
+        reach = evolution._chebyshev_reach(d)
+        for x in np.geomspace(1e-4, 200.0, 400):
+            if abs(x - reach) > 1e-9 * reach:
+                assert (x < reach) == (2 * evolution._chebyshev_terms(x) < d), (d, x)
+    assert evolution._chebyshev_reach(2) == 0.0
+    # the device model's blocks: 14 states need h r below about 0.01, 121 below about 25
+    assert 0.005 < evolution._chebyshev_reach(14) < 0.02
+    assert 20.0 < evolution._chebyshev_reach(121) < 30.0
+
+
 # ------------------------------------------------ block propagation vs expm
 
 def _block_propagator(H, t):
