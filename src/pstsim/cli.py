@@ -302,6 +302,9 @@ def _rho_corner_svg(rho: np.ndarray, path: str, title: str) -> None:
 def cmd_ghz(args) -> int:
     if args.shots < 0:
         raise UsageError("--shots must be >= 0")
+    if args.shots > np.iinfo(np.int64).max:
+        # the multinomial draws count shots in a 64-bit integer
+        raise UsageError("--shots must be at most 2**63 - 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     noise_name = args.noise or "none"

@@ -29,27 +29,63 @@ class ConfigError(ValueError):
         self.pointer = pointer
 
 
-def canonical(value):
-    """Restrict a payload tree to JSON types; complex becomes [re, im]."""
-    if isinstance(value, dict):
-        return {str(k): canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if value is None or isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def dump_json(payload) -> str:
-    return json.dumps(canonical(payload), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text of a payload tree, ending in a newline.
+
+    The text is exactly ``json.dumps(x, sort_keys=True, indent=2) + "\\n"``
+    of the tree ``x`` restricted to JSON types: a complex number becomes
+    ``[re, im]``, a tuple a list, a numpy scalar the Python number (bool,
+    int or float) it holds, and a dict key ``str(key)``; any other type
+    raises TypeError.  NaN and the infinities are written as ``json``
+    writes them.  The tree is walked once; a list of only floats, or of
+    only complex numbers, is formatted in bulk.
+    """
+    floatstr = float.__repr__
+    encode = json.encoder.encode_basestring_ascii
+
+    def spelled(floats: str) -> str:
+        # float reprs hold no letters but those of nan and inf, which json
+        # spells NaN and Infinity
+        return floats.replace("nan", "NaN").replace("inf", "Infinity")
+
+    def emit(value, indent: str) -> str:
+        is_complex = isinstance(value, (complex, np.complexfloating))
+        if is_complex or isinstance(value, (dict, list, tuple)):
+            items = [value.real, value.imag] if is_complex else value
+            if not items:
+                return "{}" if isinstance(items, dict) else "[]"
+            inner = indent + "  "
+            sep = ",\n" + inner
+            if isinstance(items, dict):
+                keyed = {str(k): v for k, v in items.items()}
+                body = sep.join(encode(k) + ": " + emit(keyed[k], inner) for k in sorted(keyed))
+                return "{\n" + inner + body + "\n" + indent + "}"
+            kinds = set(map(type, items))
+            if all(issubclass(k, (complex, np.complexfloating)) for k in kinds):
+                # re0, im0, re1, im1, ... each pair an [re, im] list one level in
+                flat = map(floatstr, np.array(items, dtype=complex).view(float).tolist())
+                deeper = "\n  " + inner
+                pairs = map(("," + deeper).join, zip(flat, flat))
+                body = spelled("[" + deeper + ("\n" + inner + "]" + sep + "[" + deeper).join(pairs)
+                               + "\n" + inner + "]")
+            elif all(issubclass(k, (float, np.floating)) for k in kinds):
+                body = spelled(sep.join(map(floatstr, map(float, items))))
+            else:
+                body = sep.join(emit(v, inner) for v in items)
+            return "[\n" + inner + body + "\n" + indent + "]"
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return int.__repr__(int(value))
+        if isinstance(value, (float, np.floating)):
+            return spelled(floatstr(float(value)))
+        if value is None:
+            return "null"
+        if isinstance(value, str):
+            return encode(value)
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    return emit(payload, "") + "\n"
 
 
 def write_json(path, payload) -> None:

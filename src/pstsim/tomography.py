@@ -5,7 +5,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,8 @@ _TO_Z = {
     "X": _H,
     "Y": _H @ np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex),
 }
+# one site's rotation for each measured axis, in the X, Y, Z order of the settings
+_AXIS_STACK = np.stack([_TO_Z["X"], _TO_Z["Y"], PAULI["I"]])
 
 
 @dataclass(frozen=True)
@@ -106,32 +107,31 @@ def _label_indices(settings: tuple, n: int) -> np.ndarray:
 def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
     """(S, 2^n) outcome frequencies of a normalized state, one row per setting.
 
-    The settings are visited in order and the rotated state of each
-    prefix of axes is kept on a stack, so a setting only rotates the
-    sites after the prefix it shares with the previous one.  Every
-    rotation is the same ``apply_single_qubit`` call on the same input
-    as when each setting is rotated from scratch, so the probabilities,
-    and the multinomial draws from each setting's own stream, are too.
+    Each site is rotated once for all settings: contracting it with the
+    stacked (3, 2, 2) X, Y and Z rotations turns the amplitudes of the
+    S settings of the sites before it into those of 3 S settings, with
+    the new axis as the least significant digit.  So the rows come out
+    in ``settings.settings`` order.  A row's amplitudes are the same
+    two-term sums as rotating that setting's sites one at a time, Z
+    being the identity rotation.  So the probabilities, and the
+    multinomial draws from each setting's own stream, equal those of the
+    per-setting rotations wherever BLAS rounds the stacked and the
+    single 2x2 products alike (``tests/test_tomography.py`` compares
+    them for n = 1..7).
     """
     n = settings.n_sites
-    labels = settings.settings
-    freqs = np.empty((len(labels), 2**n))
-    # rotated[k]: psi with the current setting's first k axes rotated onto Z
-    rotated = [psi] + [None] * n
-    previous = ""
-    for idx, s in enumerate(labels):
-        for depth in range(len(os.path.commonprefix((previous, s))), n):
-            below = rotated[depth]
-            rotated[depth + 1] = (below if s[depth] == "Z" else
-                                  statespace.apply_single_qubit(below, _TO_Z[s[depth]],
-                                                                depth + 1, n))
-        previous = s
-        probs = np.abs(rotated[n]) ** 2
-        if settings.shots:
-            rng = np.random.default_rng([settings.seed, idx])
-            freqs[idx] = rng.multinomial(settings.shots, probs / probs.sum()) / settings.shots
-        else:
-            freqs[idx] = probs
+    amps = psi
+    for site in range(1, n + 1):
+        t = amps.reshape(-1, 2 ** (site - 1), 2, 2 ** (n - site))
+        # (3, 2, S, 2^(site-1), rest) -> (S, 3, 2^(site-1), 2, rest)
+        amps = np.tensordot(_AXIS_STACK, t, axes=([2], [2])).transpose(2, 0, 3, 1, 4)
+    probs = np.abs(amps.reshape(3**n, 2**n)) ** 2
+    if not settings.shots:
+        return probs
+    freqs = np.empty_like(probs)
+    for idx, p in enumerate(probs):
+        rng = np.random.default_rng([settings.seed, idx])
+        freqs[idx] = rng.multinomial(settings.shots, p / p.sum()) / settings.shots
     return freqs
 
 
@@ -145,10 +145,11 @@ def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> Expe
     match it on its non-identity sites) and averaging, which uses all
     the data collected for the lower-weight strings.
 
-    Settings sharing a prefix of axes share its rotated state.  One
-    Walsh-Hadamard transform of all settings' outcome frequencies gives
-    every compatible string's marginal at once, in O(n 2^n) per setting,
-    and the marginals are averaged per string by base-4 label index.
+    The state is rotated into all 3^n settings at once, by one stacked
+    contraction per site (``_frequencies``).  One Walsh-Hadamard
+    transform of all settings' outcome frequencies gives every
+    compatible string's marginal at once, in O(n 2^n) per setting, and
+    the marginals are averaged per string by base-4 label index.
 
     The state is normalized before measurement — a sub-normalized
     (no-jump) vector is measured as the conditional state it represents.

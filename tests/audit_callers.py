@@ -96,7 +96,7 @@ KEEP = [
      "the protocol member the objective is typed against, so both backends satisfy it"),
     ("models/device.py", "DeviceSubsetModel.hamiltonian", "",
      "reference that the device tests and tests/record_device_reference.py compare against"),
-    ("tomography.py", "_frequencies", "freqs[idx] = probs",
+    ("tomography.py", "_frequencies", "return probs",
      "exact frequencies (shots = 0), the noiseless reference of the reconstruction tests"),
 ]
 

@@ -364,6 +364,18 @@ def test_ghz_negative_seed_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_ghz_shots_beyond_int64_is_usage_error(tmp_path, monkeypatch):
+    def no_tomography(*args):
+        raise AssertionError("sampled a shot count that does not fit in int64")
+
+    monkeypatch.setattr(cli.tomography, "simulate_tomography", no_tomography)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(out, "ghz", "--n", 3, "--shots", 2**63)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["scenario", "flag"])
 def test_ghz_above_8_sites_is_refused_before_simulating(tmp_path, monkeypatch, source):
     def no_simulation(*args):

@@ -1,16 +1,40 @@
 """Tests for JSON payloads, config parsing, and run manifests."""
 
 import json
+import os
 from math import pi
 
 import numpy as np
 import pytest
 
-from pstsim import protocols, serialize
+from pstsim import cli, protocols, serialize
 from pstsim.models import chains
 
 
-# ----------------------------------------------------------------- canonical
+# ------------------------------------------------------------- JSON emitter
+
+
+def canonical(value):
+    """Reference: restrict a payload tree to JSON types; complex becomes [re, im]."""
+    if isinstance(value, dict):
+        return {str(k): canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_json(payload) -> str:
+    return json.dumps(canonical(payload), sort_keys=True, indent=2) + "\n"
 
 
 def test_canonical_types():
@@ -23,8 +47,9 @@ def test_canonical_types():
         "g": None,
         "h": "text",
     }
-    out = serialize.canonical(tree)
-    assert out == {
+    text = serialize.dump_json(tree)
+    assert text == _reference_json(tree)
+    assert json.loads(text) == {
         "a": 1.5,
         "b": 3,
         "c": True,
@@ -33,13 +58,14 @@ def test_canonical_types():
         "g": None,
         "h": "text",
     }
-    assert type(out["b"]) is int
-    assert type(out["c"]) is bool
+    assert '"b": 3,' in text
+    assert '"c": true,' in text
 
 
 def test_canonical_rejects_unknown():
-    with pytest.raises(TypeError):
-        serialize.canonical(object())
+    for payload in (object(), {"a": [1.0, object()]}, np.zeros(2), [1j, np.zeros(1)], {1, 2}):
+        with pytest.raises(TypeError):
+            serialize.dump_json(payload)
 
 
 def test_dump_json_deterministic():
@@ -48,6 +74,77 @@ def test_dump_json_deterministic():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [1.0, [0.0, 2.0]], "z": 1}
+
+
+_EDGE_PAYLOADS = {
+    "non-finite floats": [float("nan"), float("inf"), float("-inf"), 1.0, np.float64("nan")],
+    "non-finite scalars": {"a": float("nan"), "b": float("inf"), "c": -float("inf")},
+    "non-finite complex": [complex(float("nan"), 1.0), complex(0.0, float("-inf"))],
+    "negative zero": {"x": -0.0, "row": [-0.0, 0.0], "z": [complex(-0.0, -0.0)]},
+    "empty containers": {"list": [], "dict": {}, "tuple": (), "nested": [[], {}, [[]]]},
+    "empty top level list": [],
+    "empty top level dict": {},
+    "tuples": ((1, 2.5), (3.0, 4.0), ("a", None)),
+    "int dict keys": {3: "c", 1: "a", 10: "b", np.int64(2): [1, 2]},
+    "numpy scalars": [np.int32(-7), np.int64(2**62), np.uint8(255), np.bool_(False),
+                      np.float32(0.1), np.float16(1.5), np.complex64(1.5 - 0.25j),
+                      np.complex128(0.1 + 0.2j)],
+    "numpy float32 list": [np.float32(0.1), np.float32(1e-8), np.float64(0.1)],
+    "complex rows": [[1 + 2j, 0.5j, -3.0 + 0j], [np.complex128(1e-300 + 1e300j)] * 2],
+    "complex mixed with floats": [1j, 2.0],
+    "mixed int and float list": [1, 2.0, 3, 4.5],
+    "True inside a float list": [1.0, True, 2.0],
+    "bools": [True, False, np.bool_(True)],
+    "non-ASCII string": {"name": "\u03c1 \u00e9t\u00e9 \U0001f600", "\u00fc": "\"q\"\\\n\t"},
+    "big and small ints": [0, -1, 10**30, -(10**30)],
+    "float reprs": [1e16, 1e-7, 123456789.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2],
+    "top level null": None,
+    "top level string": "s",
+    "top level int": 3,
+    "top level float": 2.5,
+    "top level complex": np.complex64(1j),
+    "deep nesting": {"a": {"b": {"c": [{"d": [1.0, 2.0]}, [1j, 2j]]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_PAYLOADS))
+def test_dump_json_equals_json_dumps_on_edge_payloads(name):
+    payload = _EDGE_PAYLOADS[name]
+    assert serialize.dump_json(payload) == _reference_json(payload)
+
+
+def test_dump_json_equals_json_dumps_on_cli_payloads(tmp_path, monkeypatch):
+    # every JSON file each command writes, captured on its way to write_json
+    payloads = []
+    write = serialize.write_json
+
+    def capture(path, payload):
+        payloads.append((os.path.basename(path), payload))
+        write(path, payload)
+
+    monkeypatch.setattr(serialize, "write_json", capture)
+    commands = [
+        ["couplings", "--n", "6", "--tau", "640ns"],
+        ["couplings", "--n", "3", "--tau", "640ns", "--theta", "0.6pi", "--format", "csv"],
+        ["pst", "--n", "4", "--tau", "640ns", "--times", "0:2tau:21"],
+        ["fst", "--n", "3", "--tau", "640ns", "--theta", "0.6pi", "--times", "0:1tau:11"],
+        ["evolve", "--config", "configs/chain_n6.json", "--initial", "site1",
+         "--times", "0:2tau:11", "--noise", "configs/noise_t1.json"],
+        ["parity", "--config", "configs/scenario_parity_zz.json"],
+        ["parity", "--n", "4", "--inner", "10", "--inputs", "+x"],
+        ["ghz", "--n", "3"],
+        ["ghz", "--n", "4", "--shots", "200", "--seed", "3"],
+        ["ghz", "--noise", "configs/scenario_ghz_paper.json", "--shots", "200", "--seed", "7"],
+        ["calibrate", "--seed", "5", "--budget", "12"],
+        ["lattice", "--nx", "3", "--ny", "2", "--start", "1,1"],
+    ]
+    for i, argv in enumerate(commands):
+        assert cli.main([*argv, "--out-dir", str(tmp_path / str(i))]) == 0, argv
+    names = {name for name, _ in payloads}
+    assert {"couplings.json", "parity.json", "ghz.json", "ghz_rho.json", "calibration.json",
+            "lattice.json", "pst_manifest.json", "calibrate_manifest.json"} <= names
+    for name, payload in payloads:
+        assert serialize.dump_json(payload) == _reference_json(payload), name
 
 
 # ------------------------------------------------------------- config files
@@ -213,7 +310,9 @@ def test_manifest_payload_excludes_duration(tmp_path):
     assert d["outputs"] == ["a.json", "b.csv"]
     path = tmp_path / "manifest.json"
     manifest.write(path)
-    assert json.loads(path.read_text()) == serialize.canonical(d)
+    text = path.read_text()
+    assert text == _reference_json(d)
+    assert json.loads(text) == canonical(d)
 
 
 def test_manifest_bytes_stable(tmp_path):

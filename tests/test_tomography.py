@@ -205,6 +205,7 @@ def _loop_simulate_tomography(state, settings, record=None):
     psi = psi / np.linalg.norm(psi)
     sums = {}
     hits = {}
+    signs = {}                  # label -> _signs(n, label), built once per label
     for idx, s in enumerate(settings.settings):
         rotated = psi
         for site, axis in enumerate(s, start=1):
@@ -224,7 +225,9 @@ def _loop_simulate_tomography(state, settings, record=None):
                 for k in drop:
                     label[k] = "I"
                 label = "".join(label)
-                sums[label] = sums.get(label, 0.0) + float(np.dot(_signs(n, label), freq))
+                if label not in signs:
+                    signs[label] = _signs(n, label)
+                sums[label] = sums.get(label, 0.0) + float(np.dot(signs[label], freq))
                 hits[label] = hits.get(label, 0) + 1
     values = {label: sums[label] / hits[label] for label in sums}
     return tomography.ExpectationTable(n, settings.shots, values)
@@ -303,7 +306,7 @@ def _assert_matches_loop(psi, plan):
 
 @pytest.mark.parametrize("shots", [0, 300])
 @pytest.mark.parametrize("kind", ["ghz", "random"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_estimator_matches_loop_reference(n, kind, shots):
     psi = protocols.ghz_state(n) if kind == "ghz" else 0.7 * _random_state(n, n)
     _assert_matches_loop(psi, tomography.TomographySettings(n, shots=shots, seed=7))
