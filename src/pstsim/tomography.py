@@ -108,16 +108,13 @@ def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
     """(S, 2^n) outcome frequencies of a normalized state, one row per setting.
 
     Each site is rotated once for all settings: contracting it with the
-    stacked (3, 2, 2) X, Y and Z rotations turns the amplitudes of the
-    S settings of the sites before it into those of 3 S settings, with
-    the new axis as the least significant digit.  So the rows come out
-    in ``settings.settings`` order.  A row's amplitudes are the same
-    two-term sums as rotating that setting's sites one at a time, Z
-    being the identity rotation.  So the probabilities, and the
-    multinomial draws from each setting's own stream, equal those of the
-    per-setting rotations wherever BLAS rounds the stacked and the
-    single 2x2 products alike (``tests/test_tomography.py`` compares
-    them for n = 1..7).
+    stacked X, Y and Z rotations turns S settings' amplitudes into 3 S,
+    the new axis the least significant digit, so rows come out in
+    ``settings.settings`` order.  Each amplitude is the same two-term sum
+    as rotating the setting's sites one at a time (Z is the identity), so
+    the probabilities, and the multinomial draws from each setting's own
+    stream, match those rotations wherever BLAS rounds both products
+    alike (``tests/test_tomography.py`` compares n = 1..7).
     """
     n = settings.n_sites
     amps = psi

@@ -49,8 +49,6 @@ KEEP = [
     ("cli.py", "parse_angle", "return float(t)",
      "--theta in radians, a documented form next to multiples of pi"),
     ("cli.py", "cmd_parity", "if args.svg:", "parity --svg, a documented flag"),
-    ("cli.py", "cmd_ghz", "if args.svg:", "ghz --svg, a documented flag"),
-    ("cli.py", "_rho_corner_svg", "", "the ghz --svg plot"),
     ("cli.py", "cmd_calibrate", "if args.svg:", "calibrate --svg, a documented flag"),
     ("calibration.py", "EffectiveBackend.run_chains", "for b, (a, f) in enumerate(",
      "calibrate --noise, a documented flag: measurement noise on each row of a block"),
