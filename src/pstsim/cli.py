@@ -9,6 +9,7 @@ same flags and seed; no wall-clock time is measured or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -78,8 +79,17 @@ def parse_times(text: str, tau: float) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-def initial_state(text: str, n: int):
-    """'site<k>' -> site index, or an n-bit occupation string -> vector."""
+def initial_state(text: str, spec: chains.ChainSpec, n_times: int):
+    """'site<k>' -> site index, or an n-bit occupation string -> vector.
+
+    A bitstring whose run of ``n_times`` times would trip a guard of
+    ``evolution`` (read at call time) raises ResourceError before its
+    2^n vector exists: the chain block it touches above ``DENSE_GUARD``,
+    or n_times x 2^n amplitudes above ``OUTPUT_GUARD``.  Hops keep the
+    excitation number of each run of sites joined by nonzero couplings,
+    so that block is the product of C(run length, run excitations).
+    """
+    n = spec.n_sites
     m = re.fullmatch(r"site(\d+)", text.strip())
     if m:
         site = int(m.group(1))
@@ -91,6 +101,16 @@ def initial_state(text: str, n: int):
         raise ValueError(f"initial state {text!r} is neither site<k> nor a bitstring")
     if len(bits) != n:
         raise ValueError(f"bitstring length {len(bits)} does not match {n} sites")
+    block, start = 1, 0
+    for end in [k + 1 for k, j in enumerate(spec.couplings) if j == 0] + [n]:
+        block *= math.comb(end - start, bits.count("1", start, end))
+        start = end
+    if block > evolution.DENSE_GUARD:
+        raise evolution.ResourceError(f"block dimension {block} above dense guard "
+                                      f"{evolution.DENSE_GUARD}")
+    if n_times * 2**n > evolution.OUTPUT_GUARD:
+        raise evolution.ResourceError(f"{n_times} times x {2**n} states above the output "
+                                      f"guard of {evolution.OUTPUT_GUARD} amplitudes")
     psi = np.zeros(2**n, dtype=complex)
     psi[int(bits, 2)] = 1.0
     return psi
@@ -137,7 +157,7 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
                     config: dict) -> int:
     times = parse_times(args.times, spec.tau)
     out = _Outputs(args, command)
-    initial = initial_state(args.initial, spec.n_sites)
+    initial = initial_state(args.initial, spec, len(times))
     noise = serialize.load_noise(args.noise) if args.noise else None
     if noise is not None and len(noise.t1) != spec.n_sites:
         raise ValueError(f"noise table has {len(noise.t1)} entries for "
@@ -272,11 +292,11 @@ def cmd_parity(args) -> int:
         payload["fit"] = protocols.parity_deviation_fit(
             [res for res in results if res.input_state == inputs[0]])
     serialize.write_json(out.path("parity.json"), payload)
+    cells = [r[k] for r in rows
+             for k in ("inner", "input_state", "parity", "phase_rad", "deviation_rad")]
     with open(out.path("parity.csv"), "w", encoding="ascii", newline="\n") as fh:
         fh.write("inner,input_state,parity,phase_rad,deviation_rad\n")
-        for r in rows:
-            fh.write(f"{r['inner']},{r['input_state']},{r['parity']},"
-                     f"{r['phase_rad']:.12e},{r['deviation_rad']:.12e}\n")
+        fh.write("%s,%s,%s,%.12e,%.12e\n" * len(rows) % tuple(cells))
     if args.svg:
         first = [r for r in rows if r["input_state"] == inputs[0]]
         svg.bar_chart([r["inner"] for r in first],
@@ -429,14 +449,15 @@ def cmd_lattice(args) -> int:
     serialize.write_json(out.path("lattice.json"), {
         "schema_version": serialize.SCHEMA_VERSION, "nx": spec.nx,
         "ny": spec.ny, "tau_s": tau, "start": [x0, y0], "frames": frames})
+    # the cells of one frame in x-major order: x, y and population
+    x, y = np.divmod(np.arange(spec.nx * spec.ny), spec.ny)
     with open(out.path("lattice.csv"), "w", encoding="ascii", newline="\n") as fh:
         fh.write("fraction,t_s,x,y,population\n")
         for k, frac in enumerate(fractions):
-            grid = traj.populations[k].reshape(spec.nx, spec.ny)
-            for ix in range(spec.nx):
-                for iy in range(spec.ny):
-                    fh.write(f"{frac:g},{times[k]:.12e},{ix + 1},{iy + 1},"
-                             f"{grid[ix, iy]:.12e}\n")
+            cells = np.column_stack([x + 1, y + 1, traj.populations[k]])
+            # the frame's prefix is digits, signs, '.' and 'e': no '%' to escape
+            line = f"{frac:g},{times[k]:.12e},%d,%d,%.12e\n"
+            fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
     if args.svg:
         for k, frac in enumerate(fractions):
             grid = traj.populations[k].reshape(spec.nx, spec.ny)
@@ -470,7 +491,14 @@ def _add_trajectory_flags(p) -> None:
     _add_out_flags(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pstsim`` parser, built on the first call and shared by later ones.
+
+    ``parse_args`` leaves a parser unchanged, so one parser serves every
+    ``main`` call of a process.  It holds the ``cmd_*`` functions as they
+    were at that first call, which is made by ``main``, never at import.
+    """
     parser = argparse.ArgumentParser(
         prog="pstsim",
         description="State transfer on coupled qubit chains: trajectories, "

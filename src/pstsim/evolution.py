@@ -55,6 +55,9 @@ OUTPUT_GUARD = DENSE_GUARD**2
 # is exponentiated directly instead
 _EIG_COND_LIMIT = 1e6
 
+# lines of a trajectory CSV formatted at once
+_CSV_BLOCK = 4096
+
 # the Chebyshev series drops the terms whose coefficient is below this
 _EPS = np.finfo(float).eps
 
@@ -311,12 +314,20 @@ class Trajectory:
         return self.populations.shape[1]
 
     def to_csv(self, path):
+        """Header, then one line per time: time_s, pop_site_1..n and norm as %.12e.
+
+        The stacked columns are formatted by one ``%`` per block of
+        ``_CSV_BLOCK`` lines, so a long trajectory never holds its whole
+        text at once.
+        """
         cols = ["time_s"] + [f"pop_site_{s + 1}" for s in range(self.n_sites)] + ["norm"]
+        table = np.column_stack([self.times, self.populations, self.norm])
+        line = ",".join(["%.12e"] * len(cols)) + "\n"
         with open(path, "w", encoding="ascii", newline="\n") as f:
             f.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t] + list(self.populations[i]) + [self.norm[i]]
-                f.write(",".join("%.12e" % v for v in row) + "\n")
+            for start in range(0, len(table), _CSV_BLOCK):
+                block = table[start:start + _CSV_BLOCK]
+                f.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,

@@ -7,16 +7,17 @@ figure scripts, not a plotting library.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-_STOPS = (
+_STOPS = np.array((
     (0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
     (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
     (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
     (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
-)
+))
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 # every chart draws its plot area at the same place and size
@@ -25,13 +26,22 @@ _PLOT_W, _PLOT_H = 560, 360
 _HEIGHT = _TOP + _PLOT_H + 50
 
 
-def _color(x: float) -> str:
-    x = min(max(float(x), 0.0), 1.0)
+def _colors(values) -> list:
+    """Colour-map hex strings of ``values`` clamped to [0, 1], flattened in C order.
+
+    Per value: ``pos = 10 x``, the stop pair ``i = min(int(pos), 9)``, the
+    blend ``(1 - f) a + f b`` of its channels and ``round(255 c)`` (half
+    to even); a NaN raises ValueError.
+    """
+    x = np.clip(np.asarray(values, dtype=float).ravel(), 0.0, 1.0)
+    if np.isnan(x).any():
+        raise ValueError("cannot colour a NaN value")
     pos = x * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    f = pos - i
-    rgb = tuple((1 - f) * a + f * b for a, b in zip(_STOPS[i], _STOPS[i + 1]))
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
+    i = np.minimum(pos.astype(np.int64), len(_STOPS) - 2)
+    f = (pos - i)[:, None]
+    rgb = (1 - f) * _STOPS[i] + f * _STOPS[i + 1]
+    packed = np.rint(255 * rgb).astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
+    return [f"#{c:06x}" for c in packed.tolist()]
 
 
 def _num(v: float) -> str:
@@ -91,6 +101,11 @@ def heatmap(values, path=None, *, title="", x_label="", y_label="",
     """Colour-mapped matrix; row 0 is drawn at the top.
 
     ``x_ticks`` and ``y_ticks`` are (fraction of the axis, text) pairs.
+    The cells, scaled to [0, 1] by ``vmin`` and ``vmax`` (the grid's own
+    range when omitted), are coloured in one array pass, and each
+    column's x, each row's y and the cell size are formatted once.  A
+    NaN cell, or an infinite one under the grid's own range, raises
+    ValueError.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
@@ -100,23 +115,22 @@ def heatmap(values, path=None, *, title="", x_label="", y_label="",
     hi = float(grid.max() if vmax is None else vmax)
     span = hi - lo if hi > lo else 1.0
     cw, ch = _PLOT_W / cols, _PLOT_H / rows
+    xs = [_num(_LEFT + j * cw) for j in range(cols)]
+    ys = [_num(_TOP + i * ch) for i in range(rows)]
+    size = f'width="{_num(cw + 0.5)}" height="{_num(ch + 0.5)}"'
+    fills = _colors((grid - lo) / span)
     parts = _title(title)
-    for i in range(rows):
-        for j in range(cols):
-            parts.append(
-                f'<rect x="{_num(_LEFT + j * cw)}" y="{_num(_TOP + i * ch)}" '
-                f'width="{_num(cw + 0.5)}" height="{_num(ch + 0.5)}" '
-                f'fill="{_color((grid[i, j] - lo) / span)}"/>')
+    parts += [f'<rect x="{x}" y="{y}" {size} fill="{fill}"/>'
+              for (y, x), fill in zip(itertools.product(ys, xs), fills)]
     parts += _axes([(_LEFT + frac * _PLOT_W, text) for frac, text in x_ticks or ()],
                    [(_TOP + frac * _PLOT_H, text) for frac, text in y_ticks or ()],
                    x_label, y_label)
     bar_x = _LEFT + _PLOT_W + 24
     steps = 32
-    for k in range(steps):
-        frac = 1.0 - (k + 1) / steps
-        parts.append(
-            f'<rect x="{bar_x}" y="{_num(_TOP + k * _PLOT_H / steps)}" width="16" '
-            f'height="{_num(_PLOT_H / steps + 0.5)}" fill="{_color(frac + 1.0 / steps)}"/>')
+    bar_fills = _colors([1.0 - (k + 1) / steps + 1.0 / steps for k in range(steps)])
+    bar_size = f'width="16" height="{_num(_PLOT_H / steps + 0.5)}"'
+    parts += [f'<rect x="{bar_x}" y="{_num(_TOP + k * _PLOT_H / steps)}" {bar_size} '
+              f'fill="{fill}"/>' for k, fill in enumerate(bar_fills)]
     parts.append(f'<rect x="{bar_x}" y="{_TOP}" width="16" height="{_PLOT_H}" '
                  f'fill="none" stroke="black"/>')
     parts.append(_text(bar_x + 20, _TOP + 10, _label(hi), anchor="start", size=10))

@@ -5,11 +5,13 @@ import math
 import os
 import shlex
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pstsim import cli, evolution
+from pstsim import cli, evolution, protocols
+from pstsim.models import chains
 
 _COUPLINGS_HZ_N6 = [
     873464.0537108553,
@@ -256,6 +258,22 @@ def test_parity_scenario_table(tmp_path):
     assert len(rows) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ("--config", "configs/scenario_parity_zz.json"),
+    ("--n", 5, "--inputs", "+y,-x"),
+    ("--n", 4, "--inner", "01", "--inputs=-y"),
+])
+def test_parity_csv_bytes_equal_a_per_row_writer(tmp_path, argv):
+    assert _run(tmp_path, "parity", *argv) == 0
+    # the per-row writer the CSV had before, fed from the JSON rows (floats
+    # round-trip through JSON exactly)
+    want = "inner,input_state,parity,phase_rad,deviation_rad\n"
+    for r in _load(tmp_path, "parity.json")["rows"]:
+        want += (f"{r['inner']},{r['input_state']},{r['parity']},"
+                 f"{r['phase_rad']:.12e},{r['deviation_rad']:.12e}\n")
+    assert (tmp_path / "parity.csv").read_bytes() == want.encode("ascii")
+
+
 def test_parity_single_inner(tmp_path):
     assert _run(tmp_path, "parity", "--n", 4, "--inner", "10",
                 "--inputs", "+x") == 0
@@ -465,6 +483,29 @@ def test_lattice_refocus(tmp_path):
     assert len(rows) == 27
 
 
+@pytest.mark.parametrize("argv", [
+    ("--nx", 3, "--ny", 4, "--start", "2,3"),
+    # fractions that ':g' prints in exponent form
+    ("--nx", 2, "--ny", 5, "--snapshots", "0,0.00001,1e-7,0.5,123456789"),
+    ("--nx", 2, "--ny", 1, "--tau", "0.5us", "--snapshots", "0.3"),
+])
+def test_lattice_csv_bytes_equal_a_per_cell_writer(tmp_path, argv):
+    assert _run(tmp_path, "lattice", *argv) == 0
+    data = _load(tmp_path, "lattice.json")
+    # the per-cell writer the CSV had before, fed from the JSON frames
+    want = "fraction,t_s,x,y,population\n"
+    for frame in data["frames"]:
+        grid = np.array(frame["populations"])
+        for ix in range(data["nx"]):
+            for iy in range(data["ny"]):
+                want += (f"{frame['fraction']:g},{frame['t_s']:.12e},{ix + 1},{iy + 1},"
+                         f"{grid[ix, iy]:.12e}\n")
+    text = (tmp_path / "lattice.csv").read_text(encoding="ascii")
+    assert text == want
+    if "0.00001" in argv:
+        assert "\n1e-05," in text and "\n1.23457e+08," in text
+
+
 @pytest.mark.parametrize("flags", [("--tau", "1e400s"), ("--snapshots", "nan"),
                                    ("--snapshots", "inf"), ("--snapshots", "0,0.5,inf")])
 def test_lattice_non_finite_flags_are_usage_errors(tmp_path, flags):
@@ -494,6 +535,79 @@ def test_large_problem_fails_fast(tmp_path, capsys, argv):
     assert _run(tmp_path, *argv) == 1
     assert time.perf_counter() - start < 2.0
     assert "above dense guard 4096" in capsys.readouterr().err
+
+
+def test_full_space_start_above_the_guards_fails_before_it_allocates(tmp_path, capsys):
+    # 2^40 amplitudes would be 16 TiB; the guards are checked on the bitstring
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert _run(tmp_path, "pst", "--n", 40, "--tau", "640ns",
+                    "--initial", "1" * 20 + "0" * 20) == 1
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20
+    err = capsys.readouterr().err
+    assert "block dimension 137846528820 above dense guard 4096" in err
+    assert not (tmp_path / "pst_trajectory.csv").exists()
+
+
+def test_full_space_output_above_the_guard_fails_before_it_allocates(tmp_path, capsys):
+    # one excitation on 17 sites is a 17-state block, but 241 x 2^17 amplitudes
+    assert _run(tmp_path, "pst", "--n", 17, "--tau", "640ns",
+                "--initial", "1" + "0" * 16) == 1
+    assert "241 times x 131072 states above the output guard" in capsys.readouterr().err
+
+
+def test_bitstring_guard_agrees_with_evolve(monkeypatch):
+    # a zero coupling splits the chain in two runs; each keeps its excitations,
+    # so the block is smaller than C(n, excitations), as evolve finds it
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
+    spec = chains.ChainSpec(couplings=(1e6, 2e6, 0.0, 2e6, 1e6), tau=640e-9,
+                            zz=(0.0, 3e5, 0.0, 3e5, 0.0))
+    times = np.linspace(0.0, 640e-9, 3)
+    outcomes = []
+    for bits in ("111000", "110100", "100000", "111100", "010110", "000111"):
+        try:
+            psi = cli.initial_state(bits, spec, len(times))
+        except evolution.ResourceError as exc:
+            psi = np.zeros(64)
+            psi[int(bits, 2)] = 1.0
+            with pytest.raises(evolution.ResourceError) as evolved:
+                protocols.run_pst(spec, psi, times)
+            assert str(evolved.value) == str(exc)
+            outcomes.append(False)
+        else:
+            protocols.run_pst(spec, psi, times)
+            outcomes.append(True)
+    # blocks of 1, 9, 3, 3, 9 and 1 states; C(6, k) is above 8 for all but 100000
+    assert outcomes == [True, False, True, True, False, True]
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a flag of one call leaves no trace in the next
+    assert _run(tmp_path / "a", "pst", "--n", 3, "--tau", "640ns", "--times", "0:1tau:3",
+                "--svg") == 0
+    assert _run(tmp_path / "b", "pst", "--n", 3, "--tau", "640ns", "--times", "0:1tau:3") == 0
+    assert (tmp_path / "a" / "pst_trajectory.svg").exists()
+    assert sorted(os.listdir(tmp_path / "b")) == ["pst_manifest.json", "pst_trajectory.csv"]
+    # usage errors after a successful call still exit 2
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path / "c", "pst", "--n", 3)
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path / "c", "pst", "--n", 1, "--tau", "640ns")
+    assert exc.value.code == 2
+    assert "--n must be at least 2" in capsys.readouterr().err
+    # the output directory default is read on each call
+    for name in ("d", "e"):
+        monkeypatch.setenv("PSTSIM_OUT", str(tmp_path / name))
+        assert cli.main(["couplings", "--n", "2", "--tau", "1us"]) == 0
+        assert (tmp_path / name / "couplings.json").exists()
 
 
 def test_out_dir_environment_default(tmp_path, monkeypatch):

@@ -666,6 +666,29 @@ def test_trajectory_to_csv_round_trip(tmp_path):
     # identical evolution, identical bytes
     traj.to_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    assert path.read_bytes() == _per_row_csv(traj)
+
+
+def _per_row_csv(traj) -> bytes:
+    """The trajectory CSV as the per-row writer it replaced wrote it."""
+    cols = ["time_s"] + [f"pop_site_{s + 1}" for s in range(traj.n_sites)] + ["norm"]
+    text = ",".join(cols) + "\n"
+    for i, t in enumerate(traj.times):
+        row = [t] + list(traj.populations[i]) + [traj.norm[i]]
+        text += ",".join("%.12e" % v for v in row) + "\n"
+    return text.encode("ascii")
+
+
+@pytest.mark.parametrize("n_times", [1, evolution._CSV_BLOCK, evolution._CSV_BLOCK + 3])
+def test_trajectory_csv_bytes_across_line_blocks(tmp_path, n_times):
+    # relaxation: norms below 1; a grid from 0 with tiny populations in exponent form
+    spec = chains.ChainSpec.pst(4, 1e-6)
+    H = evolution.add_relaxation(chains.single_excitation_hamiltonian(spec),
+                                 evolution.NoiseSpec(t1=(2e-6, 3e-6, 1e-6, 4e-6)),
+                                 np.eye(4))
+    traj = evolution.evolve(H, _basis(4, 0), np.linspace(0.0, 3e-6, n_times))
+    traj.to_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == _per_row_csv(traj)
 
 
 @settings(max_examples=10, deadline=None)
