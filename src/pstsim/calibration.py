@@ -8,7 +8,6 @@ at the device-model and file boundaries.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -593,16 +592,17 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
 
 
 def write_convergence_csv(result: CalibrationResult, path) -> None:
-    """Per-evaluation CSV: objective, running minimum, and parameters."""
+    """Per-evaluation CSV: objective, running minimum, and parameters.
+
+    Every row is formatted by one ``%`` over the whole history.
+    """
     m = len(result.amplitudes)
-    running = result.running_minimum()
+    header = (["evaluation", "objective", "running_min"]
+              + [f"amplitude_{b+1}" for b in range(m)] + [f"frequency_{b+1}" for b in range(m)])
+    line = "%d," + ",".join(["%.12g"] * (2 + 2 * m)) + "\n"
+    cells = [x for entry, run in zip(result.history, result.running_minimum())
+             for x in (entry["evaluation"], entry["objective"], run,
+                       *entry["amplitudes"], *entry["frequencies"])]
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["evaluation", "objective", "running_min"]
-                        + [f"amplitude_{b+1}" for b in range(m)]
-                        + [f"frequency_{b+1}" for b in range(m)])
-        for entry, run in zip(result.history, running):
-            writer.writerow([entry["evaluation"],
-                             f"{entry['objective']:.12g}", f"{run:.12g}"]
-                            + [f"{a:.12g}" for a in entry["amplitudes"]]
-                            + [f"{f:.12g}" for f in entry["frequencies"]])
+        fh.write(",".join(header) + "\n")
+        fh.write(line * len(result.history) % tuple(cells))

@@ -12,8 +12,9 @@ block above ``DENSE_GUARD`` raises ResourceError before any work.
 ``method="krylov"`` changes only what happens to a touched block above
 the guard: it is stepped with scipy's ``expm_multiply`` as a slice of H
 (sparse when H is) that is never made dense.  The flux-driven device
-model steps its H(t) through the same block kernel, two static
-exponentials per commutator-free step; a step of one state vector,
+model steps its H(t) as two static exponentials per commutator-free
+step, all the columns of a block in one stacked ``eigh`` whose items
+are bit-identical to the block kernel's; a step of one state vector,
 where that costs less than the decomposition, sums a Chebyshev series
 instead (Tal-Ezer & Kosloff 1984): about twenty matrix-vector products
 on the device's largest blocks.  For a column driven
@@ -24,7 +25,8 @@ and add one short step, with no further decomposition.  Relaxation
 enters as non-Hermitian diagonal terms; the survival norm of the
 propagated state is tracked alongside per-site populations.  A
 trajectory of more than ``OUTPUT_GUARD`` amplitudes raises
-ResourceError before it is allocated.
+ResourceError before it is allocated, and so does a device run of more
+than ``STEP_GUARD`` steps and period products before its first step.
 """
 
 from dataclasses import dataclass
@@ -50,6 +52,9 @@ DENSE_GUARD = 4096
 # amplitudes in one trajectory, len(times) * dim; fixed here, so lowering
 # DENSE_GUARD leaves it alone
 OUTPUT_GUARD = DENSE_GUARD**2
+# time steps of one driven device run: its CF4 steps plus its products
+# with a one-period propagator
+STEP_GUARD = 10**5
 
 # eig-based propagation loses about cond(V) * eps; above this the block
 # is exponentiated directly instead
@@ -63,7 +68,7 @@ _EPS = np.finfo(float).eps
 
 
 class ResourceError(RuntimeError):
-    """Problem size above the dense guard or the output guard."""
+    """Problem size above the dense, output or step guard."""
 
 
 @dataclass
@@ -144,6 +149,28 @@ def _block_states(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     phases = np.exp(-1j * np.outer(times, w))
     if c.ndim == 1:
         return phases * c @ v.T
+    return (v * phases[:, None, :]) @ c
+
+
+def _block_steps(hs: np.ndarray, states: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i h t) s for each item of a stack, from one stacked ``eigh``.
+
+    ``hs`` holds Hermitian blocks (c, d, d), ``t`` one step per block and
+    ``states`` one state (c, d) or one matrix of states (c, d, m) per
+    block.  Each item is exactly ``_block_states(h, s, [t])[0]``: the
+    same products in the same order, stacked.
+    """
+    w, v = np.linalg.eigh(hs)
+    vector = states.ndim == 2
+    c = v.conj().swapaxes(1, 2) @ (states[..., None] if vector else states)
+    phases = np.exp(-1j * (t[:, None] * w))
+    if vector:
+        c = c[..., 0]
+        # numpy fuses the multiply-adds of a complex product in its vector
+        # loop, but not for the one-element rows of 1-state blocks
+        (a, b), (x, y) = (phases.real, phases.imag), (c.real, c.imag)
+        pc = phases * c if w.shape[1] > 1 else a * x - b * y + 1j * (a * y + b * x)
+        return (pc[:, None] @ v.swapaxes(1, 2))[:, 0]
     return (v * phases[:, None, :]) @ c
 
 

@@ -18,8 +18,8 @@ from math import pi
 
 import numpy as np
 
-from ..evolution import (DENSE_GUARD, ResourceError, _ascending_times, _block_states, _blocks,
-                         _chebyshev_reach, _chebyshev_state, _gershgorin)
+from ..evolution import (DENSE_GUARD, STEP_GUARD, ResourceError, _ascending_times, _block_steps,
+                         _blocks, _chebyshev_reach, _chebyshev_state, _gershgorin)
 
 __all__ = [
     "QubitSpec",
@@ -258,8 +258,15 @@ class DeviceSubsetModel:
         propagator U_T is built from _STEPS_PER_PERIOD steps of
         h = T / _STEPS_PER_PERIOD, keeping every substep's propagator, and
         the state at t = k T + r is one short step from floor(r / h) h to
-        r after that substep's propagator, applied to U_T^k psi0.  Returns
-        |amplitudes|^2 with shape (len(times), dim, len(columns)).
+        r after that substep's propagator, applied to U_T^k psi0.  Each
+        step takes the columns it moves together: one stacked
+        eigendecomposition per block, or a Chebyshev series per column for
+        a vector step that costs less that way.  Returns |amplitudes|^2
+        with shape (len(times), dim, len(columns)).
+
+        Raises ValueError for a non-finite drive and ResourceError, before
+        the first step, when the CF4 steps plus the U_T products the
+        window needs are above ``STEP_GUARD``.
         """
         times = _ascending_times(times)
         if times[0] < 0:
@@ -273,13 +280,15 @@ class DeviceSubsetModel:
             for d in drives:
                 if d.coupler not in self.couplers:
                     raise ValueError(f"drive on coupler {d.coupler} outside the subset")
+                if not np.isfinite([d.amplitude, d.frequency_hz]).all():
+                    raise ValueError(f"non-finite drive on coupler {d.coupler} in column {col}")
                 if d.amplitude < 0:
                     raise ValueError("drive amplitude must be >= 0")
                 k = self.couplers.index(d.coupler)
                 amps[k, col] = d.amplitude
                 w_ang[k, col] = 2 * pi * d.frequency_hz
 
-        phi_dc = np.array([[c.phi_dc] for c in self._specs])
+        phi_dc = np.array([c.phi_dc for c in self._specs])[:, None]     # (n_couplers, 1)
 
         def coupler_diag(t):        # diagonal of H(t) - H_fixed, (dim, ncol); t may be per column
             phi = phi_dc + amps * np.cos(w_ang * t)
@@ -302,23 +311,37 @@ class DeviceSubsetModel:
         limits = [(_gershgorin(half, *shift[idx].T)[1], _chebyshev_reach(len(idx)))
                   for idx, half in halves]
 
-        def block_step(block, s, h, width, reach):
-            if s.ndim == 1 and h * width < reach:
-                return _chebyshev_state(block, s, h)
-            return _block_states(block, s, [h])[0]
-
         def cf4_step(states, cols, t0, k, h):
-            """Step states[col], one vector or matrix per block, from t0 + k h to t0 + (k + 1) h.
+            """``states``, one stack over ``cols`` per block, stepped from
+            t0 + k h to t0 + (k + 1) h; new arrays, the old ones untouched.
 
-            ``t0`` and ``h`` are scalars or per-column arrays."""
+            ``t0`` and ``h`` are scalars or per-column arrays.  Vector steps
+            within reach take the Chebyshev kernel one at a time, and every
+            other column of a block is stepped in one stack."""
             if len(cols) == 0:
-                return
+                return states
             d1, d2 = coupler_diag(t0 + (k + c1) * h), coupler_diag(t0 + (k + c2) * h)
-            h = np.broadcast_to(h, ncol)
+            d1, d2 = d1[:, cols].T, d2[:, cols].T
+            h = np.broadcast_to(h, ncol)[cols]
+            cheb = [np.flatnonzero(h * width < reach) if s.ndim == 2 else ()
+                    for s, (width, reach) in zip(states, limits)]
             for d in (a1 * d1 + a2 * d2, a2 * d1 + a1 * d2):
-                for col in cols:
-                    states[col] = [block_step(half + np.diag(d[idx, col]), s, h[col], *limit)
-                                   for (idx, half), limit, s in zip(halves, limits, states[col])]
+                stepped = []
+                for (idx, half), s, within in zip(halves, states, cheb):
+                    hs = np.repeat(half[None], len(cols), axis=0)
+                    hs.reshape(len(cols), -1)[:, ::len(idx) + 1] += d[:, idx]
+                    if len(within) == 0:        # the whole stack, with no copy in or out
+                        stepped.append(_block_steps(hs, s, h))
+                        continue
+                    new = np.empty_like(s)
+                    for col in within:
+                        new[col] = _chebyshev_state(hs[col], s[col], h[col])
+                    if len(within) < len(cols):
+                        eig = np.setdiff1d(np.arange(len(cols)), within)
+                        new[eig] = _block_steps(hs[eig], s[eig], h[eig])
+                    stepped.append(new)
+                states = stepped
+            return states
 
         tones = [np.unique(np.abs(w_ang[amps[:, col] > 0, col])) for col in range(ncol)]
         period = np.array([2 * pi / w[0] if len(w) == 1 and w[0] > 0 else np.inf for w in tones])
@@ -332,40 +355,69 @@ class DeviceSubsetModel:
             j = int(into // sub[col])
             return int(k), j, into - j * sub[col]
 
-        # U_T, and the substep propagators U(jh) that the output times need
-        build = {col: [np.eye(len(idx), dtype=complex) for idx, _ in halves] for col in periodic}
-        kept = {col: {0: build[col]} for col in periodic}
-        need = {col: {split(t, col)[1] for t in times} for col in periodic}
-        for k in range(_STEPS_PER_PERIOD):
-            cf4_step(build, periodic, 0.0, k, sub)
-            for col in periodic:
-                if k + 1 in need[col]:
-                    kept[col][k + 1] = build[col]
+        # CF4 steps of the plain columns per output interval, and products
+        # with U_T that bring the periodic columns to their last time
+        gaps = np.diff(times, prepend=0.0)
+        steps = np.maximum(np.ceil(gaps * rate), gaps > 0) * (len(plain) > 0)
+        periods = np.max(times[-1] // period[periodic], initial=0)
+        if steps.sum() + periods > STEP_GUARD:
+            raise ResourceError(f"{steps.sum():.3g} CF4 steps and {periods:.3g} period "
+                                f"products above the step guard of {STEP_GUARD}")
 
-        psi = np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, ncol))
-        states = {col: [psi[idx, col] for idx, _ in halves] for col in range(ncol)}
-        held = {col: states[col] for col in periodic}       # the state at n_held[col] periods
-        n_held = dict.fromkeys(periodic, 0)
+        def stacks(x, cols):        # x[idx] of each block, repeated for each of cols
+            return [np.repeat(x[None, idx], len(cols), axis=0) for idx, _ in halves]
+
+        # U_T of every periodic column, and a copy of each column's substep
+        # propagators U(jh) that its own output times need; the stacked
+        # identities start as zeros, as np.eye would allocate a block
+        # identity even when no column is periodic
+        build = [np.zeros((len(periodic), len(idx), len(idx)), dtype=complex) for idx, _ in halves]
+        for u in build:
+            diagonal = np.arange(u.shape[1])
+            u[:, diagonal, diagonal] = 1.0
+        need = [{split(t, col)[1] for t in times} for col in periodic]
+        kept = {}                   # (j, p) -> U(jh) of periodic[p], one array per block
+
+        def keep(j):
+            for p, js in enumerate(need):
+                if j in js:
+                    kept[j, p] = [u[p].copy() for u in build]
+
+        keep(0)
+        for k in range(_STEPS_PER_PERIOD):
+            build = cf4_step(build, periodic, 0.0, k, sub)
+            keep(k + 1)
+
+        psi0 = np.asarray(psi0, dtype=complex)
+        states = stacks(psi0, plain)
+        held = stacks(psi0, periodic)           # the states at n_held periods
+        psi = np.tile(psi0[:, None], (1, ncol))
+        n_held = np.zeros(len(periodic))
         out = np.zeros((len(times), self.dim, ncol))
         t_now = 0.0
         for i, t_out in enumerate(times):
-            if len(plain):
-                n = max(int(np.ceil((t_out - t_now) * rate)), int(t_out > t_now))
-                for k in range(n):
-                    cf4_step(states, plain, t_now, k, (t_out - t_now) / n)
+            n = int(steps[i])
+            for k in range(n):
+                states = cf4_step(states, plain, t_now, k, (t_out - t_now) / n)
             t_now = t_out
-            t0, rest = np.zeros(ncol), np.zeros(ncol)
-            for col in periodic:
-                k, j, rest[col] = split(t_out, col)
-                for _ in range(k - n_held[col]):
-                    held[col] = [u @ s for u, s in zip(build[col], held[col])]
-                n_held[col] = k
-                t0[col] = j * sub[col]
-                states[col] = [u @ s for u, s in zip(kept[col][j], held[col])]
-            cf4_step(states, periodic[rest[periodic] > 0], t0, 0, rest)
-            for col in range(ncol):
-                for (idx, _), s in zip(halves, states[col]):
-                    psi[idx, col] = s
+            for (idx, _), s in zip(halves, states):
+                psi[idx[:, None], plain] = s.T
+            if len(periodic):
+                k, j, r = np.array([split(t_out, col) for col in periodic]).T
+                for m in range(int(np.max(k - n_held))):
+                    go = np.flatnonzero(k - n_held > m)
+                    for s, u in zip(held, build):
+                        s[go] = (u[go] @ s[go, :, None])[..., 0]
+                n_held = k
+                now = [(np.stack([kept[x, p][b] for p, x in enumerate(j.astype(int))])
+                        @ s[..., None])[..., 0] for b, s in enumerate(held)]
+                t0, rest = np.zeros(ncol), np.zeros(ncol)
+                t0[periodic], rest[periodic] = j * sub[periodic], r
+                moving = r > 0
+                moved = cf4_step([s[moving] for s in now], periodic[moving], t0, 0, rest)
+                for (idx, _), s, m in zip(halves, now, moved):
+                    s[moving] = m
+                    psi[idx[:, None], periodic] = s.T
             out[i] = np.abs(psi) ** 2
         return out
 

@@ -38,10 +38,53 @@ def dump_json(payload) -> str:
     int or float) it holds, and a dict key ``str(key)``; any other type
     raises TypeError.  NaN and the infinities are written as ``json``
     writes them.  The tree is walked once; a list of only floats, or of
-    only complex numbers, is formatted in bulk.
+    only complex numbers, is formatted in bulk, and so is a table of
+    records (see ``records``).
     """
     floatstr = float.__repr__
     encode = json.encoder.encode_basestring_ascii
+
+    def records(rows: list, indent: str) -> str | None:
+        """A list of dicts as one row template filled by one ``%``, or None.
+
+        Applies when every row has the same non-empty set of str keys and
+        each column holds only ints (not bools), only finite floats, only
+        strs, or only non-empty lists of finite floats of one length;
+        ``%r`` of an exact int or float is its ``json`` spelling.
+        """
+        keys = rows[0].keys()
+        # with a missing key read as None below, rows of one length share
+        # one key set; the caller passes no rows whose first one is empty,
+        # so the loop below always runs and checks this
+        same = all(len(r) == len(keys) for r in rows)
+        inner, deeper = indent + "  ", indent + "    "
+        fields, columns = [], []
+        for key in sorted(keys, key=str):
+            column = [r.get(key) for r in rows]
+            kind = set(map(type, column))
+            width, field = 1, "%r"
+            if kind == {list}:
+                width = len(column[0])
+                column = [x for v in column if len(v) == width for x in v]
+                kind = {list, *map(type, column)}
+                field = "[\n" + deeper + (",\n" + deeper).join(["%r"] * width) + "\n" + inner + "]"
+            if kind == {str}:
+                column, field = list(map(encode, column)), "%s"
+            if not (same and type(key) is str and kind in ({int}, {float}, {str}, {list, float})
+                    and width and len(column) == width * len(rows)
+                    and (float not in kind or all(map(math.isfinite, column)))):
+                return None
+            fields.append(encode(key).replace("%", "%%") + ": " + field)
+            columns.append((width, column))
+        stride = sum(width for width, _ in columns)
+        cells = [None] * (stride * len(rows))
+        start = 0
+        for width, column in columns:
+            for k in range(width):
+                cells[start + k::stride] = column[k::width]
+            start += width
+        row = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+        return (",\n" + indent).join([row] * len(rows)) % tuple(cells)
 
     def spelled(floats: str) -> str:
         # float reprs hold no letters but those of nan and inf, which json
@@ -71,7 +114,8 @@ def dump_json(payload) -> str:
             elif all(issubclass(k, (float, np.floating)) for k in kinds):
                 body = spelled(sep.join(map(floatstr, map(float, items))))
             else:
-                body = sep.join(emit(v, inner) for v in items)
+                body = kinds == {dict} and items[0] and records(items, inner) or sep.join(
+                    emit(v, inner) for v in items)
             return "[\n" + inner + body + "\n" + indent + "]"
         if isinstance(value, (bool, np.bool_)):
             return "true" if value else "false"

@@ -49,7 +49,6 @@ KEEP = [
     ("cli.py", "parse_angle", "return float(t)",
      "--theta in radians, a documented form next to multiples of pi"),
     ("cli.py", "cmd_parity", "if args.svg:", "parity --svg, a documented flag"),
-    ("cli.py", "cmd_calibrate", "if args.svg:", "calibrate --svg, a documented flag"),
     ("calibration.py", "EffectiveBackend.run_chains", "for b, (a, f) in enumerate(",
      "calibrate --noise, a documented flag: measurement noise on each row of a block"),
     ("calibration.py", "EffectiveBackend._noise", "return 0.0",

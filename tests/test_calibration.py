@@ -1,5 +1,6 @@
 """Tests for the effective/device backends, chevron fits, and the optimizer."""
 
+import csv
 import hashlib
 import json
 import math
@@ -533,6 +534,33 @@ def test_convergence_csv(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw and raw.count(b"\n") == 41
     raw.decode("ascii")
+
+
+def _reference_write_convergence_csv(result, path) -> None:
+    """The per-row writer that one ``%`` over the history replaced, kept verbatim."""
+    m = len(result.amplitudes)
+    running = result.running_minimum()
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["evaluation", "objective", "running_min"]
+                        + [f"amplitude_{b+1}" for b in range(m)]
+                        + [f"frequency_{b+1}" for b in range(m)])
+        for entry, run in zip(result.history, running):
+            writer.writerow([entry["evaluation"],
+                             f"{entry['objective']:.12g}", f"{run:.12g}"]
+                            + [f"{a:.12g}" for a in entry["amplitudes"]]
+                            + [f"{f:.12g}" for f in entry["frequencies"]])
+
+
+@pytest.mark.parametrize("budget, noise", [(1, 0.0), (37, 0.01), (500, 0.0)])
+def test_convergence_csv_bytes_equal_the_row_writer(tmp_path, budget, noise):
+    be = _backend(noise=noise, seed=4)
+    guess = calibration.perturb_drives(calibration.ideal_drive_settings(be.config), 5)
+    r = calibration.optimize_simultaneous_drives(
+        be, guess, calibration.OptimizerConfig(budget=budget, seed=4))
+    calibration.write_convergence_csv(r, tmp_path / "bulk.csv")
+    _reference_write_convergence_csv(r, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # ------------------------------------------------------------ strategy

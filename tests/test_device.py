@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from math import pi
 
 import numpy as np
@@ -270,6 +271,16 @@ def test_drive_outside_subset_rejected(dev):
         model.evolve_columns(psi0, t, _columns(1, -0.01, [1e8]))
 
 
+@pytest.mark.parametrize("amplitude, frequency", [(np.nan, 1e8), (0.01, np.nan),
+                                                  (0.01, np.inf), (np.inf, 1e8)])
+def test_non_finite_drive_rejected(dev, amplitude, frequency):
+    # named with its column before any step, not from inside eigh or divmod
+    model, psi0 = _pair_model(dev)
+    columns = _columns(1, 0.01, [1e8]) + _columns(1, amplitude, [frequency])
+    with pytest.raises(ValueError, match="non-finite drive on coupler 1 in column 1"):
+        model.evolve_columns(psi0, np.array([0.0, 1e-9]), columns)
+
+
 def test_dispersive_bias_keeps_qubits_bare(dev):
     # at every operating point the single-excitation eigenstates stay
     # mostly on their bare qubit (the couplers are parked dispersively)
@@ -462,13 +473,13 @@ def test_one_period_path_kernel_calls(dev, monkeypatch):
     # per output time, where stepping the window took about 34 000 calls
     model, psi0 = _pair_model(dev)
     calls = []
-    kernel = dv._block_states
+    kernel = dv._block_steps
 
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counted(hs, *args):
+        calls.extend([None] * len(hs))          # one per block of the stack
+        return kernel(hs, *args)
 
-    monkeypatch.setattr(dv, "_block_states", counted)
+    monkeypatch.setattr(dv, "_block_steps", counted)
     times = np.linspace(0.0, 600e-9, 31)
     columns = _pair_tones(dev, [0.0, 8e6])
     pops = model.evolve_columns(psi0, times, columns)
@@ -478,13 +489,16 @@ def test_one_period_path_kernel_calls(dev, monkeypatch):
 
 
 def _counted_kernels(monkeypatch):
-    """Block dimensions of the eigen and Chebyshev kernel calls, and the state's rank."""
-    calls = {"_block_states": [], "_chebyshev_state": []}
+    """Block dimension and state rank of every block the eigen and Chebyshev
+    kernels step: one entry per Chebyshev call, and one per block of an
+    eigen call's stack."""
+    calls = {"_block_steps": [], "_chebyshev_state": []}
     for name, seen in calls.items():
         kernel = getattr(dv, name)
 
-        def counted(h, s, *args, kernel=kernel, seen=seen):
-            seen.append((len(h), np.ndim(s)))
+        def counted(h, s, *args, kernel=kernel, seen=seen, stacked=name == "_block_steps"):
+            depth = len(h) if stacked else 1
+            seen.extend([(np.shape(h)[-1], np.ndim(s) - stacked)] * depth)
             return kernel(h, s, *args)
 
         monkeypatch.setattr(dv, name, counted)
@@ -496,7 +510,7 @@ def _two_tones(dev):
     return [[dv.DriveConfig(1, 0.01, f01), dv.DriveConfig(2, 0.012, f12)]]
 
 
-@pytest.mark.parametrize("levels, kernel", [(3, "_chebyshev_state"), (2, "_block_states")])
+@pytest.mark.parametrize("levels, kernel", [(3, "_chebyshev_state"), (2, "_block_steps")])
 def test_two_tone_chain_kernel(dev, monkeypatch, levels, kernel):
     # the 121-state block of the levels-3 chain takes Chebyshev vector
     # steps (2K < d); the 16-state blocks at two levels keep eigh
@@ -516,7 +530,7 @@ def test_pair_scan_keeps_the_eigen_kernel(dev, monkeypatch, levels):
     calls = _counted_kernels(monkeypatch)
     model.evolve_columns(_excited(model), np.linspace(0.0, 8e-9, 5), _pair_tones(dev, [2e6, 8e6]))
     assert calls["_chebyshev_state"] == []
-    assert {rank for _, rank in calls["_block_states"]} == {1, 2}
+    assert {rank for _, rank in calls["_block_steps"]} == {1, 2}
 
 
 def test_one_tone_chain_builds_its_period_with_eigh(dev, monkeypatch):
@@ -527,7 +541,7 @@ def test_one_tone_chain_builds_its_period_with_eigh(dev, monkeypatch):
     f01, _ = _chain_tones(dev)
     times = np.linspace(0.0, 5e-9, 4)
     model.evolve_columns(_excited(model), times, _columns(1, 0.01, [f01]))
-    assert calls["_block_states"] == [(121, 2)] * (2 * dv._STEPS_PER_PERIOD)
+    assert calls["_block_steps"] == [(121, 2)] * (2 * dv._STEPS_PER_PERIOD)
     assert set(calls["_chebyshev_state"]) == {(121, 1)}
     assert len(calls["_chebyshev_state"]) <= 2 * (len(times) - 1)
 
@@ -580,6 +594,55 @@ def test_undriven_columns_match_static_evolve(dev, levels):
     held = model.evolve_columns(psi0, times, _columns(1, amp, [0.0]))
     np.testing.assert_allclose(held[:, :, 0], expected, rtol=0, atol=1e-12)
     assert not np.allclose(expected, static, atol=1e-3)
+
+
+def test_model_without_couplers_evolves_under_its_static_h(dev):
+    # qubits 1 and 2 share no residual coupling: every block is one state,
+    # and two undriven columns step their 1-state blocks as one stack
+    model = dv.DeviceSubsetModel(dev, (1, 2), (), levels=3)
+    psi0 = np.full(model.dim, 1 / 3, dtype=complex)
+    times = np.linspace(0.0, 5e-9, 4)
+    pops = model.evolve_columns(psi0, times, [[], []])
+    static = evolution.evolve(model.hamiltonian(), psi0, times).populations
+    for col in range(2):
+        np.testing.assert_allclose(pops[:, :, col], static, rtol=0, atol=1e-15)
+
+
+def test_evolve_columns_without_columns(dev):
+    model, psi0 = _pair_model(dev)
+    assert model.evolve_columns(psi0, np.linspace(0.0, 5e-9, 3), []).shape == (3, model.dim, 0)
+
+
+def test_long_windows_fail_before_the_first_step(dev, monkeypatch):
+    # 1 ms of the two-tone chain is about 2.8e7 CF4 steps, and 1 s of a pair
+    # scan about 4.4e8 products with U_T: both stop at the step guard
+    from pstsim import calibration
+
+    calls = []
+    monkeypatch.setattr(dv, "_block_steps", lambda *args: calls.append(None))
+    f01, f12 = _chain_tones(dev)
+    chain = calibration.DriveSettings((0.01, 0.01), (2 * pi * f01, 2 * pi * f12))
+    start = time.perf_counter()
+    with pytest.raises(dv.ResourceError, match=r"2\.82e\+07 CF4 steps .* step guard of 100000"):
+        calibration.DeviceBackend(levels=2).run_chain(chain, 1, [0.0, 1e-3])
+    with pytest.raises(dv.ResourceError, match=r"4\.4e\+08 period products"):
+        calibration.chevron_scan(calibration.DeviceBackend(), (1, 2), [0.01], [2 * pi * f01],
+                                 [0.0, 1.0])
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+
+
+def test_step_guard_counts_steps_and_periods(dev, monkeypatch):
+    # the guard is on the sum: a window that passes alone fails with a
+    # plain column beside its periodic one
+    model, psi0 = _pair_model(dev)
+    times = np.linspace(0.0, 20e-9, 3)
+    columns = _pair_tones(dev, [0.0])
+    periods = int(times[-1] * columns[0][0].frequency_hz)
+    monkeypatch.setattr(dv, "STEP_GUARD", periods)
+    model.evolve_columns(psi0, times, columns)
+    with pytest.raises(dv.ResourceError, match="step guard"):
+        model.evolve_columns(psi0, times, columns + [[]])
 
 
 def test_evolve_columns_rejects_bad_times(dev):

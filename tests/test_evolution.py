@@ -260,6 +260,24 @@ def test_dense_guard_trips_before_the_output_guard():
         evolution.evolve(H + H.T, _basis(5000), np.linspace(0.0, 1e-6, 5000))
 
 
+# ------------------------------------------- stacked steps vs the eigen kernel
+
+@pytest.mark.parametrize("d", [1, 4, 13, 14, 16])
+@pytest.mark.parametrize("m", [None, 1, 3])
+def test_block_steps_equal_the_eigen_kernel(d, m):
+    # each item of a stack of 1 to 7 blocks, one state or a matrix of m
+    # states each, is bit for bit a one-time _block_states call
+    rng = np.random.default_rng(10 * d + (m or 0))
+    for c in range(1, 8):
+        hs = np.array([_symmetric_block(rng, d) for _ in range(c)])
+        t = rng.uniform(1e-12, 1e-10, c)
+        shape = (c, d) if m is None else (c, d, m)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = evolution._block_steps(hs, states, t)
+        want = [evolution._block_states(h, s, [x])[0] for h, s, x in zip(hs, states, t)]
+        np.testing.assert_array_equal(got, want)
+
+
 # ------------------------------------------- Chebyshev steps vs the eigen kernel
 
 def _symmetric_block(rng, d, scale=1e9):

@@ -104,6 +104,33 @@ _EDGE_PAYLOADS = {
     "top level float": 2.5,
     "top level complex": np.complex64(1j),
     "deep nesting": {"a": {"b": {"c": [{"d": [1.0, 2.0]}, [1j, 2j]]}}},
+    # lists of dicts: the regular ones take the bulk record table
+    "records": {"rows": [{"evaluation": k, "objective": 0.1 * k, "label": f"r{k}",
+                          "amplitudes": [0.01 * k, -0.0, 5e-324], "frequencies": [1e9, 2e9]}
+                         for k in range(1, 6)]},
+    "records with % and non-ASCII keys": [
+        {"a%d": 1, "b%%s": 2.5, "%": "x%s\u00e9", "\u03c1": [1.0, 2.0], "\U0001f600": -3}] * 3,
+    "records in any key order": [{"a": 1, "b": 2.0}, {"b": 3.0, "a": -(10**30)}],
+    "records of one row": [{"a": 1, "b": 2.5, "c": "\"q\"\\\n", "d": [1.0]}],
+    "records with a bool column": [{"a": True, "b": 1.0}, {"a": False, "b": 2.0}],
+    "records of numpy scalars": [{"a": np.float64(0.1), "b": np.int64(3), "c": [np.float64(1.0)]},
+                                 {"a": np.float64(0.2), "b": np.int64(4), "c": [np.float64(2.0)]}],
+    "records mixing numpy and float": [{"a": np.float64(0.1)}, {"a": 0.2}],
+    "records with non-finite cells": [{"a": 1.0, "b": [0.5]}, {"a": float("nan"), "b": [1.0]},
+                                      {"a": -float("inf"), "b": [float("inf")]}],
+    "records with ragged float lists": [{"a": [1.0, 2.0]}, {"a": [3.0]}],
+    "records with empty float lists": [{"a": [], "b": 1}, {"a": [], "b": 2}],
+    "records of int lists": [{"a": [1, 2]}, {"a": [3, 4]}],
+    "records mixing int and float": [{"a": 1}, {"a": 2.0}],
+    "records with a null": [{"a": None}, {"a": 1}],
+    "records with different keys": [{"a": 1}, {"b": 2}],
+    "records with extra keys": [{"a": 1}, {"a": 2, "b": 3}],
+    "records of empty dicts": [{}, {}],
+    "records after an empty dict": [{}, {"a": 1}],
+    "records of empty dicts then a key": [{}, {}, {"b": 2.0}],
+    "records with int keys": [{1: 2, 3: 4.0}, {1: 5, 3: 6.0}],
+    "records of nested dicts": [{"a": {"b": 1.0}}, {"a": {"b": 2.0}}],
+    "records after a dict": [{"a": 1}, [{"a": 2}], {"rows": []}],
 }
 
 
@@ -111,6 +138,21 @@ _EDGE_PAYLOADS = {
 def test_dump_json_equals_json_dumps_on_edge_payloads(name):
     payload = _EDGE_PAYLOADS[name]
     assert serialize.dump_json(payload) == _reference_json(payload)
+
+
+def test_dump_json_equals_json_dumps_on_record_tables():
+    # a 500-evaluation calibrate history and a parity table's rows
+    from pstsim import calibration
+
+    config = calibration.default_effective_config()
+    result = calibration.optimize_simultaneous_drives(
+        calibration.EffectiveBackend(config, seed=3),
+        calibration.perturb_drives(calibration.ideal_drive_settings(config), 1003),
+        calibration.OptimizerConfig(budget=500, seed=3))
+    rows = [dict(r.as_dict(), deviation_rad=r.deviation)
+            for r in protocols.parity_phase_table(6, ("+x", "-y"), zeta=(1e5,) * 5)]
+    for payload in (result.as_dict(), {"rows": rows}):
+        assert serialize.dump_json(payload) == _reference_json(payload)
 
 
 def test_dump_json_equals_json_dumps_on_cli_payloads(tmp_path, monkeypatch):
