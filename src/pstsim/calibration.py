@@ -16,6 +16,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import evolution, serialize
 from .models import chains
 from .models import device as device_models
 
@@ -199,7 +200,7 @@ class EffectiveBackend:
         return np.clip(pops, 0.0, 1.0)
 
     def run_chains(self, amplitudes, frequencies, initial: int, times) -> np.ndarray:
-        """Populations (B, len(times), n_sites) from one stacked ``eigh``.
+        """Populations (B, len(times), n_sites), all rows in one stacked eigen step.
 
         Row b of the (B, n_drives) ``amplitudes`` and ``frequencies`` is one
         drive setting; its populations equal those of a one-row block of that
@@ -218,10 +219,9 @@ class EffectiveBackend:
         up = np.arange(1, n)
         h[:, up, up] = np.cumsum(self.config.resonances(amps) - freqs, axis=1)
         h[:, up - 1, up] = h[:, up, up - 1] = np.array(self.config.coupling_slopes) * amps
-        w, v = np.linalg.eigh(h)
-        phases = np.exp(-1j * (t[:, None] * w[:, None, :]))
-        states = (phases * v[:, None, initial - 1, :].conj()) @ np.swapaxes(v, 1, 2)
-        pops = np.abs(states) ** 2
+        start = np.zeros((len(amps), n), dtype=complex)
+        start[:, initial - 1] = 1.0
+        pops = np.abs(evolution._block_states(h, start, t)) ** 2
         if self.config.noise:
             for b, (a, f) in enumerate(zip(amps.tolist(), freqs.tolist())):
                 pops[b] += self._noise(pops[b].shape, "chain", tuple(a), tuple(f), initial, t)
@@ -302,23 +302,28 @@ class DeviceBackend:
         return pops[:, 0, :].T
 
     def run_chain(self, drives: DriveSettings, initial: int, times) -> np.ndarray:
+        return self.run_chains([drives.amplitudes], [drives.frequencies], initial, times)[0]
+
+    def run_chains(self, amplitudes, frequencies, initial: int, times) -> np.ndarray:
+        """Populations (B, len(times), n_sites) from one ``evolve_columns`` call.
+
+        Each drive row is one column, so the step follows the fastest drive of any row.
+        """
         qubits = self.chain_qubits
         n = len(qubits)
-        if drives.n_drives != n - 1:
+        amps = np.asarray(amplitudes, dtype=float)
+        freqs = np.asarray(frequencies, dtype=float)
+        if amps.ndim != 2 or amps.shape[1] != n - 1 or freqs.shape != amps.shape:
             raise ValueError(f"expected {n - 1} drives for {n} qubits")
         if not 1 <= initial <= n:
             raise ValueError(f"initial site {initial} outside chain of {n}")
         couplers = [_bridging_coupler(self.device, (qubits[k], qubits[k + 1]))
                     for k in range(n - 1)]
-        column = [device_models.DriveConfig(j, a, f / math.tau)
-                  for j, a, f in zip(couplers, drives.amplitudes, drives.frequencies)]
-        pops = self._populations(qubits, couplers, [column], times,
-                                 qubits[initial - 1], qubits)
-        return pops[:, :, 0]
-
-    def run_chains(self, amplitudes, frequencies, initial: int, times) -> np.ndarray:
-        return np.array([self.run_chain(DriveSettings(a, f), initial, times)
-                         for a, f in zip(amplitudes, frequencies)])
+        columns = [[device_models.DriveConfig(j, a, f / math.tau)
+                    for j, a, f in zip(couplers, row_a, row_f)]
+                   for row_a, row_f in zip(amps.tolist(), freqs.tolist())]
+        pops = self._populations(qubits, couplers, columns, times, qubits[initial - 1], qubits)
+        return np.moveaxis(pops, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +597,11 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
 
 
 def write_convergence_csv(result: CalibrationResult, path) -> None:
-    """Per-evaluation CSV: objective, running minimum, and parameters.
-
-    Every row is formatted by one ``%`` over the whole history.
-    """
+    """Per-evaluation CSV: objective, running minimum, and parameters."""
     m = len(result.amplitudes)
     header = (["evaluation", "objective", "running_min"]
               + [f"amplitude_{b+1}" for b in range(m)] + [f"frequency_{b+1}" for b in range(m)])
-    line = "%d," + ",".join(["%.12g"] * (2 + 2 * m)) + "\n"
     cells = [x for entry, run in zip(result.history, result.running_minimum())
              for x in (entry["evaluation"], entry["objective"], run,
                        *entry["amplitudes"], *entry["frequencies"])]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(line * len(result.history) % tuple(cells))
+    serialize.write_csv(path, header, "%d," + ",".join(["%.12g"] * (2 + 2 * m)) + "\n", cells)

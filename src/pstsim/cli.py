@@ -219,14 +219,11 @@ def cmd_couplings(args) -> int:
     if args.format == "json":
         serialize.write_json(out.path("couplings.json"), payload)
     else:
-        with open(out.path("couplings.csv"), "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write("kind,index,value_hz\n")
-            for k, j in enumerate(spec.couplings, start=1):
-                fh.write(f"coupling,{k},{j / math.tau:.12e}\n")
-            if theta is not None:
-                for k, d in enumerate(spec.detunings, start=1):
-                    fh.write(f"detuning,{k},{d / math.tau:.12e}\n")
+        rows = [("coupling", spec.couplings)] + [("detuning", spec.detunings)] * (theta is not None)
+        cells = [x for kind, values in rows
+                 for k, v in enumerate(values, start=1) for x in (kind, k, v / math.tau)]
+        serialize.write_csv(out.path("couplings.csv"), ["kind", "index", "value_hz"],
+                            "%s,%d,%.12e\n", cells)
     out.finish({"n": args.n, "tau": args.tau, "theta": args.theta or "",
                 "format": args.format})
     return 0
@@ -292,11 +289,9 @@ def cmd_parity(args) -> int:
         payload["fit"] = protocols.parity_deviation_fit(
             [res for res in results if res.input_state == inputs[0]])
     serialize.write_json(out.path("parity.json"), payload)
-    cells = [r[k] for r in rows
-             for k in ("inner", "input_state", "parity", "phase_rad", "deviation_rad")]
-    with open(out.path("parity.csv"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("inner,input_state,parity,phase_rad,deviation_rad\n")
-        fh.write("%s,%s,%s,%.12e,%.12e\n" * len(rows) % tuple(cells))
+    keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
+    serialize.write_csv(out.path("parity.csv"), keys, "%s,%s,%s,%.12e,%.12e\n",
+                        [r[k] for r in rows for k in keys])
     if args.svg:
         first = [r for r in rows if r["input_state"] == inputs[0]]
         svg.bar_chart([r["inner"] for r in first],
@@ -449,15 +444,13 @@ def cmd_lattice(args) -> int:
     serialize.write_json(out.path("lattice.json"), {
         "schema_version": serialize.SCHEMA_VERSION, "nx": spec.nx,
         "ny": spec.ny, "tau_s": tau, "start": [x0, y0], "frames": frames})
-    # the cells of one frame in x-major order: x, y and population
-    x, y = np.divmod(np.arange(spec.nx * spec.ny), spec.ny)
-    with open(out.path("lattice.csv"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("fraction,t_s,x,y,population\n")
-        for k, frac in enumerate(fractions):
-            cells = np.column_stack([x + 1, y + 1, traj.populations[k]])
-            # the frame's prefix is digits, signs, '.' and 'e': no '%' to escape
-            line = f"{frac:g},{times[k]:.12e},%d,%d,%.12e\n"
-            fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
+    # the cells of each frame in x-major order: fraction, time, x, y and population
+    frame, cell = np.divmod(np.arange(traj.populations.size), spec.nx * spec.ny)
+    x, y = np.divmod(cell, spec.ny)
+    table = np.column_stack([np.array(fractions)[frame], times[frame], x + 1, y + 1,
+                             traj.populations.ravel()])
+    serialize.write_csv(out.path("lattice.csv"), ["fraction", "t_s", "x", "y", "population"],
+                        "%g,%.12e,%d,%d,%.12e\n", table.ravel())
     if args.svg:
         for k, frac in enumerate(fractions):
             grid = traj.populations[k].reshape(spec.nx, spec.ny)

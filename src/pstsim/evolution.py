@@ -3,27 +3,28 @@
 Static Hamiltonians are split into the connected components of their
 nonzero pattern.  For the excitation-conserving chains these are the
 excitation sectors (finer where a coupling vanishes), so no sector
-bookkeeping is passed in.  Each block the initial state touches is
-diagonalised once, with ``eigh`` when it is Hermitian (real ``eigh``
-for a real block) and ``eig`` when relaxation makes it non-Hermitian
-(``expm`` near an exceptional point, where the eigenvectors are
-ill-conditioned), and every requested time is then evaluated exactly; a
-block above ``DENSE_GUARD`` raises ResourceError before any work.
-``method="krylov"`` changes only what happens to a touched block above
-the guard: it is stepped with scipy's ``expm_multiply`` as a slice of H
-(sparse when H is) that is never made dense.  The flux-driven device
-model steps its H(t) as two static exponentials per commutator-free
-step, all the columns of a block in one stacked ``eigh`` whose items
-are bit-identical to the block kernel's; a step of one state vector,
-where that costs less than the decomposition, sums a Chebyshev series
-instead (Tal-Ezer & Kosloff 1984): about twenty matrix-vector products
-on the device's largest blocks.  For a column driven
-at one nonzero frequency whose period T fits in the time window, it
-takes those steps over one period only, applied to the block identity;
-later times reuse that period propagator and its substep propagators
-and add one short step, with no further decomposition.  Relaxation
-enters as non-Hermitian diagonal terms; the survival norm of the
-propagated state is tracked alongside per-site populations.  A
+bookkeeping is passed in.  One eigen kernel exponentiates a stack of
+blocks, each with its states and its time grid, from one decomposition:
+``eigh`` when the stack is Hermitian (real ``eigh`` for a real stack),
+``eig`` when relaxation makes it non-Hermitian (``expm`` near an
+exceptional point, where the eigenvectors are ill-conditioned); each
+item is bit-identical to a one-block stack.  ``evolve`` passes each
+block the initial state touches, and evaluates every requested time
+exactly; a block above ``DENSE_GUARD`` raises ResourceError before any
+work.  ``method="krylov"`` changes only what happens to a touched block
+above the guard: it is stepped with scipy's ``expm_multiply`` as a
+slice of H (sparse when H is) that is never made dense.  The
+flux-driven device model steps its H(t) as two static exponentials per
+commutator-free step, all the columns of a block as one stack; a step
+of one state vector, where that costs less than the decomposition, sums
+a Chebyshev series instead (Tal-Ezer & Kosloff 1984): about twenty
+matrix-vector products on the device's largest blocks.  For a column
+driven at one nonzero frequency whose period T fits in the time window,
+it takes those steps over one period only, applied to the block
+identity; later times reuse that period propagator and its substep
+propagators and add one short step, with no further decomposition.
+Relaxation enters as non-Hermitian diagonal terms; the survival norm of
+the propagated state is tracked alongside per-site populations.  A
 trajectory of more than ``OUTPUT_GUARD`` amplitudes raises
 ResourceError before it is allocated, and so does a device run of more
 than ``STEP_GUARD`` steps and period products before its first step.
@@ -59,9 +60,6 @@ STEP_GUARD = 10**5
 # eig-based propagation loses about cond(V) * eps; above this the block
 # is exponentiated directly instead
 _EIG_COND_LIMIT = 1e6
-
-# lines of a trajectory CSV formatted at once
-_CSV_BLOCK = 4096
 
 # the Chebyshev series drops the terms whose coefficient is below this
 _EPS = np.finfo(float).eps
@@ -131,47 +129,40 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     return np.asarray(H, dtype=complex) - 1j * np.diag(diag)
 
 
-def _block_states(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
-    """exp(-i h t) psi0 for every t in ``times``, from one decomposition of h.
+def _block_states(hs: np.ndarray, states: np.ndarray, times) -> np.ndarray:
+    """exp(-i h t) s for each block h of a stack (c, d, d) and every t of its grid.
 
-    ``psi0`` is one state (d,) or a matrix of states (d, m); the result
-    has shape (len(times), d) or (len(times), d, m).
+    ``states`` is one state (c, d) or one matrix of states (c, d, m) per
+    block and ``times`` one grid (T,) for all blocks or one per block
+    (c, T); the result has shape (c, T, d) or (c, T, d, m).  Each item is
+    exactly a one-block stack of its block: the same products in the same order.
     """
     times = np.asarray(times, dtype=float)
-    if np.array_equal(h, h.conj().T):
-        w, v = np.linalg.eigh(h)
-        c = v.conj().T @ psi0
-    else:
-        w, v = np.linalg.eig(h)
-        if np.linalg.cond(v) > _EIG_COND_LIMIT:
-            return np.array([expm(-1j * h * t) @ psi0 for t in times])
-        c = np.linalg.solve(v, psi0)
-    phases = np.exp(-1j * np.outer(times, w))
-    if c.ndim == 1:
-        return phases * c @ v.T
-    return (v * phases[:, None, :]) @ c
-
-
-def _block_steps(hs: np.ndarray, states: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i h t) s for each item of a stack, from one stacked ``eigh``.
-
-    ``hs`` holds Hermitian blocks (c, d, d), ``t`` one step per block and
-    ``states`` one state (c, d) or one matrix of states (c, d, m) per
-    block.  Each item is exactly ``_block_states(h, s, [t])[0]``: the
-    same products in the same order, stacked.
-    """
-    w, v = np.linalg.eigh(hs)
     vector = states.ndim == 2
-    c = v.conj().swapaxes(1, 2) @ (states[..., None] if vector else states)
-    phases = np.exp(-1j * (t[:, None] * w))
+    s = states[..., None] if vector else states
+    if (hs == hs.conj().swapaxes(1, 2)).all():
+        near = ()
+        w, v = np.linalg.eigh(hs)
+        c = v.conj().swapaxes(1, 2) @ s
+    else:
+        w, v = np.linalg.eig(hs)
+        near = np.flatnonzero(np.linalg.cond(v) > _EIG_COND_LIMIT)
+        v[near] = np.eye(hs.shape[1])   # a placeholder: these blocks take expm below
+        c = np.linalg.solve(v, s)
+    phases = np.exp(-1j * (times[..., None] * w[:, None, :]))
     if vector:
-        c = c[..., 0]
+        c = c[:, None, :, 0]
         # numpy fuses the multiply-adds of a complex product in its vector
-        # loop, but not for the one-element rows of 1-state blocks
+        # loop, but not for the one-element product of a 1-state block at one time
         (a, b), (x, y) = (phases.real, phases.imag), (c.real, c.imag)
-        pc = phases * c if w.shape[1] > 1 else a * x - b * y + 1j * (a * y + b * x)
-        return (pc[:, None] @ v.swapaxes(1, 2))[:, 0]
-    return (v * phases[:, None, :]) @ c
+        pc = phases * c if phases[0].size > 1 else a * x - b * y + 1j * (a * y + b * x)
+        out = pc @ v.swapaxes(1, 2)
+    else:
+        out = (v[:, None] * phases[:, :, None, :]) @ c[:, None]
+    for i in near:
+        grid = times[i] if times.ndim == 2 else times
+        out[i] = [expm(-1j * hs[i] * t) @ states[i] for t in grid]
+    return out
 
 
 def _gershgorin(h: np.ndarray, low=0.0, high=0.0):
@@ -341,20 +332,12 @@ class Trajectory:
         return self.populations.shape[1]
 
     def to_csv(self, path):
-        """Header, then one line per time: time_s, pop_site_1..n and norm as %.12e.
+        """Header, then one line per time: time_s, pop_site_1..n and norm as %.12e."""
+        from . import serialize     # serialize imports protocols, which imports this module
 
-        The stacked columns are formatted by one ``%`` per block of
-        ``_CSV_BLOCK`` lines, so a long trajectory never holds its whole
-        text at once.
-        """
         cols = ["time_s"] + [f"pop_site_{s + 1}" for s in range(self.n_sites)] + ["norm"]
         table = np.column_stack([self.times, self.populations, self.norm])
-        line = ",".join(["%.12e"] * len(cols)) + "\n"
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write(",".join(cols) + "\n")
-            for start in range(0, len(table), _CSV_BLOCK):
-                block = table[start:start + _CSV_BLOCK]
-                f.write(line * len(block) % tuple(block.ravel().tolist()))
+        serialize.write_csv(path, cols, ",".join(["%.12e"] * len(cols)) + "\n", table.ravel())
 
 
 def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
@@ -386,8 +369,8 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     states = np.zeros((len(times), len(psi0)), dtype=complex)
 
     for idx, h in blocks:
-        kernel = _block_states if len(idx) <= DENSE_GUARD else _krylov_states
-        states[:, idx] = kernel(h, psi0[idx], times)
+        states[:, idx] = (_block_states(h[None], psi0[None, idx], times)[0]
+                          if len(idx) <= DENSE_GUARD else _krylov_states(h, psi0[idx], times))
 
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite amplitudes during evolution")

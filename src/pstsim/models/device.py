@@ -18,7 +18,7 @@ from math import pi
 
 import numpy as np
 
-from ..evolution import (DENSE_GUARD, STEP_GUARD, ResourceError, _ascending_times, _block_steps,
+from ..evolution import (DENSE_GUARD, STEP_GUARD, ResourceError, _ascending_times, _block_states,
                          _blocks, _chebyshev_reach, _chebyshev_state, _gershgorin)
 
 __all__ = [
@@ -331,14 +331,14 @@ class DeviceSubsetModel:
                     hs = np.repeat(half[None], len(cols), axis=0)
                     hs.reshape(len(cols), -1)[:, ::len(idx) + 1] += d[:, idx]
                     if len(within) == 0:        # the whole stack, with no copy in or out
-                        stepped.append(_block_steps(hs, s, h))
+                        stepped.append(_block_states(hs, s, h[:, None])[:, 0])
                         continue
                     new = np.empty_like(s)
                     for col in within:
                         new[col] = _chebyshev_state(hs[col], s[col], h[col])
                     if len(within) < len(cols):
-                        eig = np.setdiff1d(np.arange(len(cols)), within)
-                        new[eig] = _block_steps(hs[eig], s[eig], h[eig])
+                        rest = np.setdiff1d(np.arange(len(cols)), within)
+                        new[rest] = _block_states(hs[rest], s[rest], h[rest, None])[:, 0]
                     stepped.append(new)
                 states = stepped
             return states

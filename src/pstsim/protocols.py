@@ -215,7 +215,7 @@ def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
     H = _parity_hamiltonian(spec, noise)
     columns = {}            # basis state -> its block and its column of the block propagator
     for idx, h in evolution._blocks(H):
-        u = evolution._block_states(h, np.eye(len(idx)), [spec.tau])[0]
+        u = evolution._block_states(h[None], np.eye(len(idx))[None], [spec.tau])[0, 0]
         columns.update((state, (idx, u[:, k])) for k, state in enumerate(idx.tolist()))
 
     def column(state):

@@ -1,4 +1,4 @@
-"""Config files and deterministic JSON emission.
+"""Config files and deterministic JSON and CSV emission.
 
 File schemas quote ordinary frequencies (Hz) and times in seconds; the
 loaders convert to the angular units the models use internally.  Every
@@ -135,6 +135,27 @@ def dump_json(payload) -> str:
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dump_json(payload))
+
+
+# lines of a CSV formatted at once
+_CSV_BLOCK = 4096
+
+
+def write_csv(path, columns, line: str, cells) -> None:
+    """A header of ``columns``, then one ``line`` per row filled from the flat ``cells``.
+
+    ``line`` is one row's ``%`` template, one conversion per column and no
+    literal ``%``; ``cells`` is a list or a numpy array.  One ``%`` formats
+    each block of ``_CSV_BLOCK`` lines, so a long table never holds its
+    whole text, nor an array all its cells as Python numbers, at once.
+    """
+    width = line.count("%")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(cells), _CSV_BLOCK * width):
+            block = cells[start:start + _CSV_BLOCK * width]
+            block = block.tolist() if isinstance(block, np.ndarray) else block
+            fh.write(line * (len(block) // width) % tuple(block))
 
 
 def load_json(path) -> dict:

@@ -48,17 +48,12 @@ KEEP = [
     # flags and config values the callers leave at their defaults
     ("cli.py", "parse_angle", "return float(t)",
      "--theta in radians, a documented form next to multiples of pi"),
-    ("cli.py", "cmd_parity", "if args.svg:", "parity --svg, a documented flag"),
-    ("calibration.py", "EffectiveBackend.run_chains", "for b, (a, f) in enumerate(",
-     "calibrate --noise, a documented flag: measurement noise on each row of a block"),
     ("calibration.py", "EffectiveBackend._noise", "return 0.0",
      "noiseless pair scans: noise 0 is the default configuration"),
     ("calibration.py", "fit_chevron", "e_span = 1e-9",
      "a scan of one frequency: its resonance is held at that frequency"),
     ("calibration.py", "fit_chevron", "best = min(",
      "the restart when the first start misses the residual threshold"),
-    ("protocols.py", "run_pst", "H = evolution.add_relaxation(H, noise, occ)",
-     "--noise on a full-register trajectory (an occupation-string --initial)"),
     ("protocols.py", "_parity_hamiltonian", "return evolution.add_relaxation(",
      "relaxation in a parity scenario (its t1_s field)"),
     ("protocols.py", "run_ghz", "spec = spec.with_zz(scenario.zeta)",
@@ -77,8 +72,9 @@ KEEP = [
     ("cli.py", "main", "except serialize.ConfigError", "config errors exit 2"),
     ("serialize.py", "ConfigError.__init__", "", "built only to be raised"),
     # numerical safety
-    ("evolution.py", "_block_states", "return np.array([expm(",
-     "the expm fallback when eigenvectors are ill-conditioned, near an exceptional point"),
+    ("evolution.py", "_block_states", "for i in near:",
+     "the expm fallback for the blocks of a stack whose eigenvectors are ill-conditioned, "
+     "near an exceptional point"),
     ("evolution.py", "_components", "if not A.has_canonical_format:",
      "a non-canonical CSR input: sum duplicates on a copy, never on the caller's matrix"),
     # method="krylov" on a block above DENSE_GUARD, which no workload has
@@ -89,8 +85,6 @@ KEEP = [
      'method="krylov" above DENSE_GUARD: ROADMAP leaves open whether such blocks should be '
      "stepped or raise; unit tests reach the path with a lowered guard"),
     # interfaces and references
-    ("calibration.py", "DeviceBackend.run_chains", "",
-     "the protocol member the objective is typed against, so both backends satisfy it"),
     ("models/device.py", "DeviceSubsetModel.hamiltonian", "",
      "reference that the device tests and tests/record_device_reference.py compare against"),
     ("tomography.py", "_frequencies", "return probs",

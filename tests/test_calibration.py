@@ -152,6 +152,25 @@ def test_run_chains_equals_run_chain_row_by_row(noise, rows):
             np.testing.assert_array_equal(pops, be.run_chains([a], [f], 2, t)[0])
 
 
+def test_run_chains_rows_equal_the_evolution_layer():
+    # each row is the exchange Hamiltonian of its drives, evolved by
+    # evolution.evolve from the initial site: the backend holds no
+    # propagator of its own
+    be = _backend()
+    cfg = be.config
+    t = np.linspace(0.0, 5 * be.tau, 7)
+    amps, freqs = _random_drives(cfg, 6, 11)
+    assert np.all(amps != 0)
+    got = be.run_chains(amps, freqs, 2, t)
+    up = np.arange(1, cfg.n_sites)
+    for a, f, pops in zip(amps, freqs, got):
+        h = np.zeros((cfg.n_sites, cfg.n_sites), dtype=complex)
+        h[up, up] = np.cumsum(cfg.resonances(a) - f)
+        h[up - 1, up] = h[up, up - 1] = np.array(cfg.coupling_slopes) * a
+        want = evolution.evolve(h, np.eye(cfg.n_sites)[1], t).populations
+        np.testing.assert_array_equal(pops, np.clip(want, 0.0, 1.0))
+
+
 def test_run_chains_rejects_bad_rows():
     be = _backend()
     amps, freqs = _random_drives(be.config, 2, 0)
@@ -169,15 +188,28 @@ def test_transfer_objective_block_equals_single_settings():
     assert all(type(v) is float for v in values)
 
 
-def test_device_run_chains_equals_run_chain():
-    db = calibration.DeviceBackend(levels=2)
-    f = [q.frequency_hz for q in db.device.qubits]
-    amps = [(0.01, 0.012), (0.008, 0.01)]
-    freqs = [(TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2]))] * 2
-    t = np.linspace(0.0, 1e-9, 3)
-    got = db.run_chains(amps, freqs, 1, t)
-    for a, fr, pops in zip(amps, freqs, got):
-        np.testing.assert_array_equal(pops, db.run_chain(calibration.DriveSettings(a, fr), 1, t))
+def test_device_run_chains_equals_run_chain(monkeypatch):
+    # rows of the same tones, each one column of a single evolve_columns
+    # call, at two and three levels
+    calls = []
+    evolve_columns = device_models.DeviceSubsetModel.evolve_columns
+
+    def counted(model, psi0, times, columns):
+        calls.append(len(columns))
+        return evolve_columns(model, psi0, times, columns)
+
+    monkeypatch.setattr(device_models.DeviceSubsetModel, "evolve_columns", counted)
+    for levels in (2, 3):
+        db = calibration.DeviceBackend(levels=levels)
+        f = [q.frequency_hz for q in db.device.qubits]
+        amps = [(0.01, 0.012), (0.008, 0.01), (0.012, 0.006)]
+        freqs = [(TWO_PI * abs(f[0] - f[1]), TWO_PI * abs(f[1] - f[2]))] * 3
+        t = np.linspace(0.0, 1e-9, 3)
+        calls.clear()
+        got = db.run_chains(amps, freqs, 1, t)
+        assert calls == [3]
+        for a, fr, pops in zip(amps, freqs, got):
+            np.testing.assert_array_equal(pops, db.run_chain(calibration.DriveSettings(a, fr), 1, t))
 
 
 # -------------------------------------------------------- chevron fits

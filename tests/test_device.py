@@ -388,8 +388,8 @@ def _plain_steps(model, psi0, times, columns):
             for d in (a1 * d1 + a2 * d2, a2 * d1 + a1 * d2):
                 for col in range(ncol):
                     for idx, half in halves:
-                        psi[idx, col] = evolution._block_states(half + np.diag(d[idx, col]),
-                                                                psi[idx, col], [h])[0]
+                        psi[idx, col] = evolution._block_states(
+                            (half + np.diag(d[idx, col]))[None], psi[None, idx, col], [h])[0, 0]
         t_now = t_out
         out[i] = np.abs(psi) ** 2
     return out
@@ -473,13 +473,13 @@ def test_one_period_path_kernel_calls(dev, monkeypatch):
     # per output time, where stepping the window took about 34 000 calls
     model, psi0 = _pair_model(dev)
     calls = []
-    kernel = dv._block_steps
+    kernel = dv._block_states
 
     def counted(hs, *args):
         calls.extend([None] * len(hs))          # one per block of the stack
         return kernel(hs, *args)
 
-    monkeypatch.setattr(dv, "_block_steps", counted)
+    monkeypatch.setattr(dv, "_block_states", counted)
     times = np.linspace(0.0, 600e-9, 31)
     columns = _pair_tones(dev, [0.0, 8e6])
     pops = model.evolve_columns(psi0, times, columns)
@@ -492,11 +492,11 @@ def _counted_kernels(monkeypatch):
     """Block dimension and state rank of every block the eigen and Chebyshev
     kernels step: one entry per Chebyshev call, and one per block of an
     eigen call's stack."""
-    calls = {"_block_steps": [], "_chebyshev_state": []}
+    calls = {"_block_states": [], "_chebyshev_state": []}
     for name, seen in calls.items():
         kernel = getattr(dv, name)
 
-        def counted(h, s, *args, kernel=kernel, seen=seen, stacked=name == "_block_steps"):
+        def counted(h, s, *args, kernel=kernel, seen=seen, stacked=name == "_block_states"):
             depth = len(h) if stacked else 1
             seen.extend([(np.shape(h)[-1], np.ndim(s) - stacked)] * depth)
             return kernel(h, s, *args)
@@ -510,7 +510,7 @@ def _two_tones(dev):
     return [[dv.DriveConfig(1, 0.01, f01), dv.DriveConfig(2, 0.012, f12)]]
 
 
-@pytest.mark.parametrize("levels, kernel", [(3, "_chebyshev_state"), (2, "_block_steps")])
+@pytest.mark.parametrize("levels, kernel", [(3, "_chebyshev_state"), (2, "_block_states")])
 def test_two_tone_chain_kernel(dev, monkeypatch, levels, kernel):
     # the 121-state block of the levels-3 chain takes Chebyshev vector
     # steps (2K < d); the 16-state blocks at two levels keep eigh
@@ -530,7 +530,7 @@ def test_pair_scan_keeps_the_eigen_kernel(dev, monkeypatch, levels):
     calls = _counted_kernels(monkeypatch)
     model.evolve_columns(_excited(model), np.linspace(0.0, 8e-9, 5), _pair_tones(dev, [2e6, 8e6]))
     assert calls["_chebyshev_state"] == []
-    assert {rank for _, rank in calls["_block_steps"]} == {1, 2}
+    assert {rank for _, rank in calls["_block_states"]} == {1, 2}
 
 
 def test_one_tone_chain_builds_its_period_with_eigh(dev, monkeypatch):
@@ -541,7 +541,7 @@ def test_one_tone_chain_builds_its_period_with_eigh(dev, monkeypatch):
     f01, _ = _chain_tones(dev)
     times = np.linspace(0.0, 5e-9, 4)
     model.evolve_columns(_excited(model), times, _columns(1, 0.01, [f01]))
-    assert calls["_block_steps"] == [(121, 2)] * (2 * dv._STEPS_PER_PERIOD)
+    assert calls["_block_states"] == [(121, 2)] * (2 * dv._STEPS_PER_PERIOD)
     assert set(calls["_chebyshev_state"]) == {(121, 1)}
     assert len(calls["_chebyshev_state"]) <= 2 * (len(times) - 1)
 
@@ -619,7 +619,7 @@ def test_long_windows_fail_before_the_first_step(dev, monkeypatch):
     from pstsim import calibration
 
     calls = []
-    monkeypatch.setattr(dv, "_block_steps", lambda *args: calls.append(None))
+    monkeypatch.setattr(dv, "_block_states", lambda *args: calls.append(None))
     f01, f12 = _chain_tones(dev)
     chain = calibration.DriveSettings((0.01, 0.01), (2 * pi * f01, 2 * pi * f12))
     start = time.perf_counter()

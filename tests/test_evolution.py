@@ -260,22 +260,25 @@ def test_dense_guard_trips_before_the_output_guard():
         evolution.evolve(H + H.T, _basis(5000), np.linspace(0.0, 1e-6, 5000))
 
 
-# ------------------------------------------- stacked steps vs the eigen kernel
+# ------------------------------------------- a stack vs one-block calls
 
 @pytest.mark.parametrize("d", [1, 4, 13, 14, 16])
 @pytest.mark.parametrize("m", [None, 1, 3])
 def test_block_steps_equal_the_eigen_kernel(d, m):
     # each item of a stack of 1 to 7 blocks, one state or a matrix of m
-    # states each, is bit for bit a one-time _block_states call
+    # states each, is bit for bit a one-block stack of that block: at one
+    # time per block, and on a grid of 5 times shared by every block
     rng = np.random.default_rng(10 * d + (m or 0))
     for c in range(1, 8):
         hs = np.array([_symmetric_block(rng, d) for _ in range(c)])
-        t = rng.uniform(1e-12, 1e-10, c)
         shape = (c, d) if m is None else (c, d, m)
         states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        got = evolution._block_steps(hs, states, t)
-        want = [evolution._block_states(h, s, [x])[0] for h, s, x in zip(hs, states, t)]
-        np.testing.assert_array_equal(got, want)
+        for times in (rng.uniform(1e-12, 1e-10, (c, 1)), np.linspace(0.0, 1e-10, 5)):
+            got = evolution._block_states(hs, states, times)
+            grids = times if times.ndim == 2 else [times] * c
+            want = [evolution._block_states(h[None], s[None], x)[0]
+                    for h, s, x in zip(hs, states, grids)]
+            np.testing.assert_array_equal(got, want)
 
 
 # ------------------------------------------- Chebyshev steps vs the eigen kernel
@@ -295,7 +298,7 @@ def test_chebyshev_state_matches_eigen_kernel(d):
             t = x / evolution._gershgorin(h)[1]
             psi = _spread_state(rng, d)
             np.testing.assert_allclose(evolution._chebyshev_state(h, psi, t),
-                                       evolution._block_states(h, psi, [t])[0],
+                                       evolution._block_states(h[None], psi[None], [t])[0, 0],
                                        rtol=0, atol=1e-12)
 
 
@@ -306,7 +309,8 @@ def test_chebyshev_state_on_a_multiple_of_the_identity(d):
     assert evolution._gershgorin(h) == (7e9, 0.0)
     psi = _spread_state(np.random.default_rng(d), d)
     np.testing.assert_allclose(evolution._chebyshev_state(h, psi, 3e-10),
-                               evolution._block_states(h, psi, [3e-10])[0], rtol=0, atol=1e-13)
+                               evolution._block_states(h[None], psi[None], [3e-10])[0, 0],
+                               rtol=0, atol=1e-13)
 
 
 def test_chebyshev_terms_bound_the_bessel_coefficients():
@@ -340,7 +344,7 @@ def _block_propagator(H, t):
     """exp(-i H t), assembled from every block's matrix-psi0 kernel on the identity."""
     U = np.zeros(H.shape, dtype=complex)
     for idx, h in evolution._blocks(H):
-        U[np.ix_(idx, idx)] = evolution._block_states(h, np.eye(len(idx)), [t])[0]
+        U[np.ix_(idx, idx)] = evolution._block_states(h[None], np.eye(len(idx))[None], [t])[0, 0]
     return U
 
 
@@ -410,6 +414,24 @@ def test_exceptional_point_falls_back_to_expm(monkeypatch):
         np.testing.assert_allclose(state, expm(-1j * H * t)[:, 0], rtol=0, atol=1e-10)
 
 
+def test_stack_falls_back_to_expm_only_for_its_exceptional_blocks(monkeypatch):
+    # a non-Hermitian stack of the exceptional block and a decaying one, each
+    # with its own grid: the first takes expm at each of its times, and both
+    # items equal their one-block stacks
+    g = 1e6
+    hs = np.array([[[0.0, g], [g, -2j * g]], [[0.0, g], [g, -0.5j * g]]])
+    states = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    times = np.array([np.linspace(0.0, 3e-6, 4), np.linspace(1e-6, 2e-6, 4)])
+    calls = []
+    monkeypatch.setattr(evolution, "expm", lambda a: calls.append(a) or expm(a))
+    got = evolution._block_states(hs, states, times)
+    assert len(calls) == 4
+    for h, s, grid, item in zip(hs, states, times, got):
+        np.testing.assert_array_equal(item, evolution._block_states(h[None], s[None], grid)[0])
+        for t, state in zip(grid, item):
+            np.testing.assert_allclose(state, expm(-1j * h * t) @ s, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi])
 def test_fst_chain_matches_expm(n, theta):
@@ -434,7 +456,10 @@ def test_uniform_grid_matches_stepped_expm():
 @pytest.mark.parametrize("name, allowed", [
     ("expm", {"evolution.py"}),   # evolution exponentiates every static Hamiltonian
     ("kron", set()),              # the device basis is built from its digits, not embedded
-], ids=["expm", "kron"])
+    # one eigen kernel for every static block; tomography projects onto PSD matrices
+    ("eigh", {"evolution.py", "tomography.py"}),
+    ("eig", {"evolution.py"}),
+], ids=["expm", "kron", "eigh", "eig"])
 def test_forbidden_name_stays_out(name, allowed):
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
@@ -697,7 +722,7 @@ def _per_row_csv(traj) -> bytes:
     return text.encode("ascii")
 
 
-@pytest.mark.parametrize("n_times", [1, evolution._CSV_BLOCK, evolution._CSV_BLOCK + 3])
+@pytest.mark.parametrize("n_times", [1, serialize._CSV_BLOCK, serialize._CSV_BLOCK + 3])
 def test_trajectory_csv_bytes_across_line_blocks(tmp_path, n_times):
     # relaxation: norms below 1; a grid from 0 with tiny populations in exponent form
     spec = chains.ChainSpec.pst(4, 1e-6)

@@ -238,7 +238,8 @@ def _dense_parity_table(n, input_states, zeta, noise):
     H = protocols._parity_hamiltonian(spec, noise)
     U = np.zeros(H.shape, dtype=complex)
     for idx, h in evolution._blocks(H):
-        U[np.ix_(idx, idx)] = evolution._block_states(h, np.eye(len(idx)), [spec.tau])[0]
+        U[np.ix_(idx, idx)] = evolution._block_states(h[None], np.eye(len(idx))[None],
+                                                      [spec.tau])[0, 0]
     rows = []
     for code in range(2 ** (n - 2)):
         inner = format(code, f"0{n - 2}b")

@@ -365,3 +365,19 @@ def test_manifest_bytes_stable(tmp_path):
     a.write(pa)
     b.write(pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_write_csv_bytes_across_line_blocks(tmp_path, monkeypatch, block):
+    # five rows of mixed cells, from a list and from an array, equal a
+    # per-row writer for blocks that split the rows every way
+    monkeypatch.setattr(serialize, "_CSV_BLOCK", block)
+    rows = [("coupling", k, 1e6 * k + 0.25) for k in range(1, 6)]
+    serialize.write_csv(tmp_path / "list.csv", ["kind", "index", "value_hz"], "%s,%d,%.12e\n",
+                        [x for row in rows for x in row])
+    want = "kind,index,value_hz\n" + "".join(f"{a},{b},{c:.12e}\n" for a, b, c in rows)
+    assert (tmp_path / "list.csv").read_bytes() == want.encode("ascii")
+    table = np.array([[k, k / 7] for k in range(5)])
+    serialize.write_csv(tmp_path / "array.csv", ["a", "b"], "%d,%.12g\n", table.ravel())
+    want = "a,b\n" + "".join("%d,%.12g\n" % (a, b) for a, b in table.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == want.encode("ascii")
