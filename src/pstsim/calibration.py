@@ -454,7 +454,11 @@ def transfer_error_objective(backend: ExperimentBackend, drives):
     the original configuration: all population on site n at odd
     multiples, on site 1 at even ones.  ``drives`` is one DriveSettings,
     which gives a float, or a sequence of them, which gives one value per
-    setting from a single ``run_chains`` call.
+    setting from a single ``run_chains`` call.  Each value equals the
+    one-setting value bit for bit on an ``EffectiveBackend``; on a
+    ``DeviceBackend`` every setting of the call is stepped with the step
+    of the fastest drive among them, so a value depends on the other
+    settings of the call (see :func:`optimize_simultaneous_drives`).
     """
     one = isinstance(drives, DriveSettings)
     block = [drives] if one else drives
@@ -533,9 +537,15 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
     steps depend only on the evaluation count, so up to ``_BLOCK`` of
     them are drawn ahead and one objective call evaluates that block of
     proposals from the incumbent.  The first improvement ends the block;
-    its unused steps then move the new incumbent, so the history is the
-    one of evaluating proposals one at a time.  Deterministic given the
-    config seed; stops when the objective is exactly zero or when the
+    its unused steps then move the new incumbent.  On an
+    ``EffectiveBackend``, whose rows do not depend on each other, the
+    history is bit for bit the one of evaluating proposals one at a time.
+    On a ``DeviceBackend`` it is not: ``run_chains`` steps every row of a
+    block with the step of the block's fastest drive, so a proposal's
+    value can differ from its one-row value (a three-level row beside
+    two-tone rows moved by about 2.5e-10 in its populations), and the
+    search can take another path.  Deterministic given the config seed
+    and the backend; stops when the objective is exactly zero or when the
     budget is exhausted (flagged on the result).
     """
     config = config or OptimizerConfig()

@@ -5,10 +5,12 @@ nonzero pattern.  For the excitation-conserving chains these are the
 excitation sectors (finer where a coupling vanishes), so no sector
 bookkeeping is passed in.  One eigen kernel exponentiates a stack of
 blocks, each with its states and its time grid, from one decomposition:
-``eigh`` when the stack is Hermitian (real ``eigh`` for a real stack),
-``eig`` when relaxation makes it non-Hermitian (``expm`` near an
-exceptional point, where the eigenvectors are ill-conditioned); each
-item is bit-identical to a one-block stack.  ``evolve`` passes each
+``eigh`` when the stack is Hermitian (real ``eigh`` for a real stack,
+such as every chain, lattice and device block, whose real eigenvectors
+then act on the real and imaginary parts of the states), ``eig`` when
+relaxation makes it non-Hermitian (``expm`` near an exceptional point,
+where the eigenvectors are ill-conditioned); each item is
+bit-identical to a one-block stack.  ``evolve`` passes each
 block the initial state touches, and evaluates every requested time
 exactly; a block above ``DENSE_GUARD`` raises ResourceError before any
 work.  ``method="krylov"`` changes only what happens to a touched block
@@ -129,6 +131,27 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     return np.asarray(H, dtype=complex) - 1j * np.diag(diag)
 
 
+def _product(a, b):
+    """a * b broadcast over a stack, each item as its one-item stack computes it.
+
+    numpy fuses the multiply-adds of a complex product in its vector loop,
+    but not for a one-element product: where each item's product has one
+    element it is written out, which is the unfused one.
+    """
+    if a.size > len(a) or b.size > len(b):
+        return a * b
+    (p, q), (x, y) = (a.real, a.imag), (b.real, b.imag)
+    return p * x - q * y + 1j * (p * y + q * x)
+
+
+def _matmul(a, b):
+    """a @ b, where a real a takes a complex b apart into its real and
+    imaginary parts as twice as many real columns and puts it together again."""
+    if a.dtype.kind == "c" or b.dtype.kind != "c":
+        return a @ b
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+
+
 def _block_states(hs: np.ndarray, states: np.ndarray, times) -> np.ndarray:
     """exp(-i h t) s for each block h of a stack (c, d, d) and every t of its grid.
 
@@ -136,6 +159,8 @@ def _block_states(hs: np.ndarray, states: np.ndarray, times) -> np.ndarray:
     block and ``times`` one grid (T,) for all blocks or one per block
     (c, T); the result has shape (c, T, d) or (c, T, d, m).  Each item is
     exactly a one-block stack of its block: the same products in the same order.
+    Real eigenvectors (a real symmetric stack) stay real: they act on the
+    real and imaginary parts of the states.
     """
     times = np.asarray(times, dtype=float)
     vector = states.ndim == 2
@@ -143,22 +168,24 @@ def _block_states(hs: np.ndarray, states: np.ndarray, times) -> np.ndarray:
     if (hs == hs.conj().swapaxes(1, 2)).all():
         near = ()
         w, v = np.linalg.eigh(hs)
-        c = v.conj().swapaxes(1, 2) @ s
+        c = _matmul(v.conj().swapaxes(1, 2), s)
     else:
         w, v = np.linalg.eig(hs)
         near = np.flatnonzero(np.linalg.cond(v) > _EIG_COND_LIMIT)
         v[near] = np.eye(hs.shape[1])   # a placeholder: these blocks take expm below
         c = np.linalg.solve(v, s)
-    phases = np.exp(-1j * (times[..., None] * w[:, None, :]))
-    if vector:
-        c = c[:, None, :, 0]
-        # numpy fuses the multiply-adds of a complex product in its vector
-        # loop, but not for the one-element product of a 1-state block at one time
-        (a, b), (x, y) = (phases.real, phases.imag), (c.real, c.imag)
-        pc = phases * c if phases[0].size > 1 else a * x - b * y + 1j * (a * y + b * x)
-        out = pc @ v.swapaxes(1, 2)
+    if vector and v.dtype.kind == "c":
+        # a complex v and one state per block (the effective backend, relaxed
+        # chains): calibrate's histories rest on this order of products
+        phases = np.exp(-1j * (times[..., None] * w[:, None, :]))
+        out = _product(phases, c[:, None, :, 0]) @ v.swapaxes(1, 2)
     else:
-        out = (v[:, None] * phases[:, :, None, :]) @ c[:, None]
+        # v @ (phase * c) at every time at once, the times as columns of (c, d, T m)
+        phases = np.exp(-1j * (w[:, :, None] * times[..., None, :]))
+        (k, d, m), t = c.shape, phases.shape[-1]
+        y = _product(phases[..., None], c[:, :, None]).reshape(k, d, t * m)
+        out = _matmul(v, y).reshape(k, d, t, m).swapaxes(1, 2)
+        out = out[..., 0] if vector else out
     for i in near:
         grid = times[i] if times.ndim == 2 else times
         out[i] = [expm(-1j * hs[i] * t) @ states[i] for t in grid]

@@ -12,7 +12,8 @@ The mirror-symmetric profile ``J_k ~ sqrt(k (n - k))`` makes the chain
 refocus every state onto its spatial mirror image at time ``tau``, and a
 one-parameter deformation with detunings transfers only a tunable
 fraction ``sin^2(theta/2)`` between mirror pairs.  All builders return
-angular-frequency units; evolution is exp(-i H t).
+angular-frequency units, as real matrices (every term above is real);
+evolution is exp(-i H t).
 """
 
 from dataclasses import dataclass, field
@@ -137,7 +138,7 @@ def _check_finite_profile(tau: float, *profile) -> None:
 
 
 def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
-    """Full 2**n Hamiltonian of the chain (sparse, angular frequency).
+    """Full 2**n Hamiltonian of the chain (sparse, real, angular frequency).
 
     Read off the occupation bits of every basis state: detunings and ZZ
     shifts on the diagonal, and for each coupling a hop of an excitation
@@ -158,14 +159,14 @@ def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
         vals.append(np.full(2 * len(src), j))
     return sparse.csr_matrix((np.concatenate([*vals, diag[d]]),
                               (np.concatenate([*rows, d]), np.concatenate([*cols, d]))),
-                             shape=(dim, dim), dtype=complex)
+                             shape=(dim, dim), dtype=float)
 
 
 def single_excitation_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
-    """n x n tridiagonal block on the one-excitation sector, ordered by site."""
-    c = np.array(spec.couplings, dtype=complex)
-    return sparse.diags([np.array(spec.detunings, dtype=complex), c, c], [0, 1, -1],
-                        format="csr")
+    """n x n real tridiagonal block on the one-excitation sector, ordered by site."""
+    c = np.array(spec.couplings)
+    return sparse.diags([np.array(spec.detunings), c, c], [0, 1, -1], format="csr",
+                        dtype=float)
 
 
 def transfer_phase(n: int) -> complex:

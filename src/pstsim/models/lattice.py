@@ -55,7 +55,7 @@ def _axis_couplings(n: int, tau: float) -> tuple:
 
 
 def build_lattice_hamiltonian(spec: LatticeSpec) -> sparse.csr_matrix:
-    """Single-excitation hopping matrix (angular frequency), nx*ny dimensional.
+    """Real single-excitation hopping matrix (angular frequency), nx*ny dimensional.
 
     Equals kron(h_x, 1) + kron(1, h_y) of the axes' transfer chains (which
     carry no detunings), built from the hops directly: ``sparse.kron``
@@ -68,4 +68,4 @@ def build_lattice_hamiltonian(spec: LatticeSpec) -> sparse.csr_matrix:
                           np.tile(_axis_couplings(spec.ny, spec.tau), spec.nx)])
     return sparse.csr_matrix((np.concatenate([hop, hop]),
                               (np.concatenate([src, dst]), np.concatenate([dst, src]))),
-                             shape=(spec.n_sites, spec.n_sites), dtype=complex)
+                             shape=(spec.n_sites, spec.n_sites), dtype=float)

@@ -38,6 +38,10 @@ __all__ = [
 
 INPUT_PHASES = {"+x": 0.0, "+y": pi / 2, "-x": pi, "-y": -pi / 2}
 
+# amplitudes of the transferred states a parity table reads out at once, so
+# that a large table never holds all its rows' 2^n states
+_READOUT_AMPLITUDES = 2**16
+
 
 # ---------------------------------------------------------------------------
 # gates
@@ -151,6 +155,13 @@ def _parity_hamiltonian(spec, noise):
     return evolution.add_relaxation(H, noise, statespace.occupation_matrix(spec.n_sites))
 
 
+def _input_weight(input_state: str):
+    """e^(i phi) of an input state, the weight of its excited branch."""
+    if input_state not in INPUT_PHASES:
+        raise ValueError(f"input_state must be one of {sorted(INPUT_PHASES)}")
+    return np.exp(1j * INPUT_PHASES[input_state])
+
+
 def _parity_input(n: int, inner: str, input_state: str):
     """Basis indices of the two input branches and the weight of the second.
 
@@ -159,23 +170,25 @@ def _parity_input(n: int, inner: str, input_state: str):
     """
     if len(inner) != n - 2 or set(inner) - {"0", "1"}:
         raise ValueError(f"inner must be a bitstring of length {n - 2}")
-    if input_state not in INPUT_PHASES:
-        raise ValueError(f"input_state must be one of {sorted(INPUT_PHASES)}")
     low = int(inner, 2) << 1                  # sites 2..n-1; site n empty
-    return low, low | 1 << (n - 1), np.exp(1j * INPUT_PHASES[input_state])
+    return low, low | 1 << (n - 1), _input_weight(input_state)
 
 
-def _parity_readout(state: np.ndarray, n: int, inner: str,
-                    input_state: str) -> ParityExperimentResult:
-    """The x-y angle of site n after the transfer, minus the input phase."""
-    rho = statespace.reduced_density_matrix(state, [n], n)
-    coher = 2.0 * rho[1, 0]                      # <X> + i<Y>
+def _parity_result(inner: str, input_state: str, coher) -> ParityExperimentResult:
+    """The row of a transferred state whose site n has <X> + i<Y> = ``coher``."""
     if abs(coher) < 1e-9:
         raise RuntimeError("transferred state has no x-y coherence; phase undefined")
     parity = -1 if inner.count("1") % 2 else 1
     return ParityExperimentResult(
         inner=inner, input_state=input_state, parity=parity,
         phase=wrap_phase(INPUT_PHASES[input_state] - cmath.phase(coher)))
+
+
+def _parity_readout(state: np.ndarray, n: int, inner: str,
+                    input_state: str) -> ParityExperimentResult:
+    """The x-y angle of site n after the transfer, minus the input phase."""
+    rho = statespace.reduced_density_matrix(state, [n], n)
+    return _parity_result(inner, input_state, 2.0 * rho[1, 0])
 
 
 def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
@@ -206,31 +219,52 @@ def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
     The transfer propagator of every excitation-sector block is built
     once per table, and each row reads the transferred state off two
     block columns, one per input branch: U[:, low] / sqrt(2) +
-    e^(i phi) U[:, high] / sqrt(2).  A block above
+    e^(i phi) U[:, high] / sqrt(2).  The rows whose two branches lie in
+    the same two blocks are read out together, at most
+    ``_READOUT_AMPLITUDES`` amplitudes at a time: their states are laid
+    out as site n's reduced density matrix takes them, and one stacked
+    product gives every row's coherence, bit for bit as
+    :func:`_parity_readout` gives it for one state.  A block above
     ``evolution.DENSE_GUARD`` states (n >= 15) raises ResourceError before
     any propagator is built; single experiments evolve only the two
     sectors their input touches.
     """
     spec = _parity_spec(n, zeta, tau)
+    weights = [_input_weight(inp) for inp in input_states]
     H = _parity_hamiltonian(spec, noise)
-    columns = {}            # basis state -> its block and its column of the block propagator
-    for idx, h in evolution._blocks(H):
+    block = np.empty(2**n, dtype=np.int64)          # block and column of every basis state
+    column = np.empty(2**n, dtype=np.int64)
+    columns = []                                    # per block: its propagator's columns as rows
+    for b, (idx, h) in enumerate(evolution._blocks(H)):
         u = evolution._block_states(h[None], np.eye(len(idx))[None], [spec.tau])[0, 0]
-        columns.update((state, (idx, u[:, k])) for k, state in enumerate(idx.tolist()))
-
-    def column(state):
-        idx, u = columns[state]
-        out = np.zeros(H.shape[0], dtype=complex)
-        out[idx] = u
-        return out
-
+        block[idx], column[idx] = b, np.arange(len(idx))
+        columns.append((idx, u.T))
+    # where reduced_density_matrix(state, [n], n) puts each amplitude: (site n, other sites)
+    half = 2 ** (n - 1)
+    slot = (np.arange(2**n) & 1) * half + (np.arange(2**n) >> 1)
+    low = np.arange(2 ** (n - 2)) << 1
+    high = low | 1 << (n - 1)
+    pair = block[low] * len(columns) + block[high]
+    chunk = max(1, _READOUT_AMPLITUDES // (2**n * max(1, len(weights))))
+    coher = np.empty((len(low), len(weights)), dtype=complex)
+    for key in np.unique(pair):
+        group = np.flatnonzero(pair == key)
+        (lo_idx, lo_u), (hi_idx, hi_u) = columns[key // len(columns)], columns[key % len(columns)]
+        for part in np.array_split(group, -(-len(group) // chunk)):
+            a = np.zeros((len(part), len(weights), 2**n), dtype=complex)
+            a[:, :, slot[lo_idx]] = (lo_u[column[low[part]]] / np.sqrt(2.0))[:, None]
+            hi = hi_u[column[high[part]]]
+            for j, weight in enumerate(weights):
+                # a scalar times a contiguous array, as in the one-row state:
+                # numpy's vector loop fuses the complex multiply-adds
+                a[:, j, slot[hi_idx]] = weight * hi / np.sqrt(2.0)
+            a = a.reshape(-1, 2, half)
+            rho = a @ a.conj().swapaxes(1, 2)
+            coher[part] = (2.0 * rho[:, 1, 0]).reshape(len(part), len(weights))
     rows = []
-    for code in range(2 ** (n - 2)):
+    for code, row in enumerate(coher.tolist()):
         inner = format(code, f"0{n - 2}b")
-        for inp in input_states:
-            low, high, weight = _parity_input(n, inner, inp)
-            state = column(low) / np.sqrt(2.0) + weight * column(high) / np.sqrt(2.0)
-            rows.append(_parity_readout(state, n, inner, inp))
+        rows += [_parity_result(inner, inp, c) for inp, c in zip(input_states, row)]
     return rows
 
 

@@ -267,18 +267,55 @@ def test_dense_guard_trips_before_the_output_guard():
 def test_block_steps_equal_the_eigen_kernel(d, m):
     # each item of a stack of 1 to 7 blocks, one state or a matrix of m
     # states each, is bit for bit a one-block stack of that block: at one
-    # time per block, and on a grid of 5 times shared by every block
+    # time per block, and on a grid of 5 times shared by every block; for
+    # real symmetric stacks (real eigenvectors) and complex Hermitian ones
     rng = np.random.default_rng(10 * d + (m or 0))
     for c in range(1, 8):
-        hs = np.array([_symmetric_block(rng, d) for _ in range(c)])
         shape = (c, d) if m is None else (c, d, m)
         states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for times in (rng.uniform(1e-12, 1e-10, (c, 1)), np.linspace(0.0, 1e-10, 5)):
-            got = evolution._block_states(hs, states, times)
-            grids = times if times.ndim == 2 else [times] * c
-            want = [evolution._block_states(h[None], s[None], x)[0]
-                    for h, s, x in zip(hs, states, grids)]
-            np.testing.assert_array_equal(got, want)
+        for hs in (np.array([_symmetric_block(rng, d) for _ in range(c)]),
+                   np.array([_random_hermitian(rng, d, scale=1e9) for _ in range(c)])):
+            for times in (rng.uniform(1e-12, 1e-10, (c, 1)), np.linspace(0.0, 1e-10, 5)):
+                got = evolution._block_states(hs, states, times)
+                grids = times if times.ndim == 2 else [times] * c
+                want = [evolution._block_states(h[None], s[None], x)[0]
+                        for h, s, x in zip(hs, states, grids)]
+                np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------- real chain blocks vs their complex copies
+
+def test_chain_builders_are_real_and_relaxation_complex():
+    spec = chains.ChainSpec.fst(5, 640e-9, 0.6 * np.pi).with_zz((-2 * np.pi * 1e5,) * 4)
+    H = chains.chain_hamiltonian(spec)
+    assert H.dtype == np.float64
+    assert chains.single_excitation_hamiltonian(spec).dtype == np.float64
+    noise = evolution.NoiseSpec(t1=(1e-5,) * 5)
+    occ = statespace.occupation_matrix(5)
+    for h in (H, H.toarray()):
+        assert evolution.add_relaxation(h, noise, occ).dtype == np.complex128
+
+
+@pytest.mark.parametrize("spec", [
+    chains.ChainSpec.pst(7, 640e-9),
+    chains.ChainSpec.fst(7, 640e-9, 0.6 * np.pi),          # odd n: nonzero detunings
+    chains.ChainSpec.pst(6, 640e-9).with_zz((-2 * np.pi * 1e5,) * 5),
+], ids=["pst", "fst-odd", "zz"])
+def test_real_chain_blocks_match_their_complex_copies(spec):
+    # every block through the real eigh against the complex eigh of the same
+    # block, for its propagator columns and for one complex state
+    rng = np.random.default_rng(spec.n_sites)
+    H = chains.chain_hamiltonian(spec)
+    times = np.linspace(0.0, 2 * spec.tau, 5)
+    blocks = list(evolution._blocks(H))
+    assert sum(len(idx) for idx, _ in blocks) == 2**spec.n_sites
+    for idx, h in blocks:
+        assert h.dtype == np.float64
+        for states in (np.eye(len(idx))[None], _spread_state(rng, len(idx))[None]):
+            np.testing.assert_allclose(
+                evolution._block_states(h[None], states, times),
+                evolution._block_states(h.astype(complex)[None], states, times),
+                rtol=0, atol=1e-12)
 
 
 # ------------------------------------------- Chebyshev steps vs the eigen kernel

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstsim import protocols
+from pstsim import evolution, protocols
 from pstsim.models import chains, lattice
 
 
@@ -47,6 +47,19 @@ def test_hamiltonian_is_kron_sum_of_chains():
     hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(4, 1e-6)).toarray()
     expect = np.kron(hx, np.eye(4)) + np.kron(np.eye(3), hy)
     np.testing.assert_allclose(H, expect, atol=1e-6)
+
+
+def test_real_lattice_matches_its_complex_copy():
+    spec = lattice.LatticeSpec(nx=5, ny=4, tau=1e-6)
+    H = lattice.build_lattice_hamiltonian(spec)
+    assert H.dtype == np.float64
+    psi0 = np.zeros(spec.n_sites, dtype=complex)
+    psi0[lattice.site_index(spec, 2, 3)] = 1.0
+    times = np.linspace(0.0, 2 * spec.tau, 9)
+    real = evolution.evolve(H, psi0, times)
+    ref = evolution.evolve(H.astype(complex), psi0, times)
+    np.testing.assert_allclose(real.states, ref.states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(real.populations, ref.populations, rtol=0, atol=1e-12)
 
 
 def test_single_column_grid_is_a_chain():

@@ -214,14 +214,20 @@ def test_parity_zz_deviation_grows_with_count():
     assert fit["r_squared"] > 0.999
 
 
+def _model_terms(n, model):
+    """zeta and noise of a parity model: ideal, zz, relax or zz+relax."""
+    zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
+    noise = (evolution.NoiseSpec(t1=tuple(np.linspace(10e-6, 40e-6, n)))
+             if "relax" in model else None)
+    return zeta, noise
+
+
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_parity_table_matches_single_experiments(n, model):
     # the table reads columns of block propagators; a single experiment
     # evolves its input through the two sectors it touches
-    zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
-    noise = (evolution.NoiseSpec(t1=tuple(np.linspace(10e-6, 40e-6, n)))
-             if "relax" in model else None)
+    zeta, noise = _model_terms(n, model)
     rows = protocols.parity_phase_table(n, tuple(protocols.INPUT_PHASES), zeta=zeta,
                                         noise=noise)
     assert len(rows) == 4 * 2 ** (n - 2)
@@ -253,12 +259,44 @@ def _dense_parity_table(n, input_states, zeta, noise):
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
 @pytest.mark.parametrize("n", [6, 9])
 def test_parity_table_equals_dense_propagator_table(n, model):
-    zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
-    noise = (evolution.NoiseSpec(t1=tuple(np.linspace(10e-6, 40e-6, n)))
-             if "relax" in model else None)
+    zeta, noise = _model_terms(n, model)
     inputs = tuple(protocols.INPUT_PHASES)
     assert (protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
             == _dense_parity_table(n, inputs, zeta, noise))
+
+
+@pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
+@pytest.mark.parametrize("n", [6, 9])
+def test_parity_table_on_real_blocks_matches_complex_blocks(n, model, monkeypatch):
+    # the table of the real chain Hamiltonian against the table of its complex copy
+    zeta, noise = _model_terms(n, model)
+    inputs = tuple(protocols.INPUT_PHASES)
+    rows = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
+    build = chains.chain_hamiltonian
+    monkeypatch.setattr(chains, "chain_hamiltonian", lambda spec: build(spec).astype(complex))
+    ref = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
+    assert [(r.inner, r.input_state, r.parity) for r in rows] == \
+        [(r.inner, r.input_state, r.parity) for r in ref]
+    assert max(abs(protocols.wrap_phase(a.phase - b.phase)) for a, b in zip(rows, ref)) < 1e-12
+
+
+@pytest.mark.parametrize("amplitudes", [1, 2**9, 2**12])
+def test_parity_readout_chunks_leave_rows_unchanged(amplitudes, monkeypatch):
+    # one row at a time, a few rows and whole blocks of rows read out the same bits
+    zeta, noise = _model_terms(7, "zz")
+    inputs = ("-y", "+x", "-x")
+    want = protocols.parity_phase_table(7, inputs, zeta=zeta, noise=noise)
+    monkeypatch.setattr(protocols, "_READOUT_AMPLITUDES", amplitudes)
+    assert protocols.parity_phase_table(7, inputs, zeta=zeta, noise=noise) == want
+
+
+def test_parity_without_coherence_raises():
+    # a T1 of 2 ns empties every excited branch long before tau = 640 ns
+    noise = evolution.NoiseSpec(t1=(2e-9,) * 4)
+    with pytest.raises(RuntimeError, match="no x-y coherence"):
+        protocols.parity_phase_table(4, noise=noise)
+    with pytest.raises(RuntimeError, match="no x-y coherence"):
+        protocols.parity_phase_experiment(4, "00", "+x", noise=noise)
 
 
 def test_parity_table_peaks_below_one_dense_propagator():
