@@ -215,7 +215,7 @@ class EffectiveBackend:
             raise ValueError(f"expected {m} drives per row")
         t = np.asarray(times, dtype=float)
         # each drive's detuning tilts everything downstream of its pair
-        h = np.zeros((len(amps), n, n), dtype=complex)
+        h = np.zeros((len(amps), n, n))
         up = np.arange(1, n)
         h[:, up, up] = np.cumsum(self.config.resonances(amps) - freqs, axis=1)
         h[:, up - 1, up] = h[:, up, up - 1] = np.array(self.config.coupling_slopes) * amps

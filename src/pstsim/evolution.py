@@ -174,18 +174,12 @@ def _block_states(hs: np.ndarray, states: np.ndarray, times) -> np.ndarray:
         near = np.flatnonzero(np.linalg.cond(v) > _EIG_COND_LIMIT)
         v[near] = np.eye(hs.shape[1])   # a placeholder: these blocks take expm below
         c = np.linalg.solve(v, s)
-    if vector and v.dtype.kind == "c":
-        # a complex v and one state per block (the effective backend, relaxed
-        # chains): calibrate's histories rest on this order of products
-        phases = np.exp(-1j * (times[..., None] * w[:, None, :]))
-        out = _product(phases, c[:, None, :, 0]) @ v.swapaxes(1, 2)
-    else:
-        # v @ (phase * c) at every time at once, the times as columns of (c, d, T m)
-        phases = np.exp(-1j * (w[:, :, None] * times[..., None, :]))
-        (k, d, m), t = c.shape, phases.shape[-1]
-        y = _product(phases[..., None], c[:, :, None]).reshape(k, d, t * m)
-        out = _matmul(v, y).reshape(k, d, t, m).swapaxes(1, 2)
-        out = out[..., 0] if vector else out
+    # v @ (phase * c) at every time at once, the times as columns of (c, d, T m)
+    phases = np.exp(-1j * (w[:, :, None] * times[..., None, :]))
+    (k, d, m), t = c.shape, phases.shape[-1]
+    y = _product(phases[..., None], c[:, :, None]).reshape(k, d, t * m)
+    out = _matmul(v, y).reshape(k, d, t, m).swapaxes(1, 2)
+    out = out[..., 0] if vector else out
     for i in near:
         grid = times[i] if times.ndim == 2 else times
         out[i] = [expm(-1j * hs[i] * t) @ states[i] for t in grid]

@@ -265,10 +265,11 @@ def test_parity_table_equals_dense_propagator_table(n, model):
             == _dense_parity_table(n, inputs, zeta, noise))
 
 
-@pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
+@pytest.mark.parametrize("model", ["ideal", "zz"])
 @pytest.mark.parametrize("n", [6, 9])
 def test_parity_table_on_real_blocks_matches_complex_blocks(n, model, monkeypatch):
-    # the table of the real chain Hamiltonian against the table of its complex copy
+    # the table of the real chain Hamiltonian against the table of its complex
+    # copy; relaxed models are left out, as add_relaxation makes both complex
     zeta, noise = _model_terms(n, model)
     inputs = tuple(protocols.INPUT_PHASES)
     rows = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
