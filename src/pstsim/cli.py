@@ -79,41 +79,14 @@ def parse_times(text: str, tau: float) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-def initial_state(text: str, spec: chains.ChainSpec, n_times: int):
-    """'site<k>' -> site index, or an n-bit occupation string -> vector.
+def initial_state(text: str):
+    """'site<k>' -> the site index k; any other text is an occupation string.
 
-    A bitstring whose run of ``n_times`` times would trip a guard of
-    ``evolution`` (read at call time) raises ResourceError before its
-    2^n vector exists: the chain block it touches above ``DENSE_GUARD``,
-    or n_times x 2^n amplitudes above ``OUTPUT_GUARD``.  Hops keep the
-    excitation number of each run of sites joined by nonzero couplings,
-    so that block is the product of C(run length, run excitations).
+    :func:`protocols.run_pst` takes either, checks it against the chain
+    and checks the guards on the block it touches.
     """
-    n = spec.n_sites
     m = re.fullmatch(r"site(\d+)", text.strip())
-    if m:
-        site = int(m.group(1))
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} outside 1..{n}")
-        return site
-    bits = text.strip()
-    if not re.fullmatch(r"[01]+", bits):
-        raise ValueError(f"initial state {text!r} is neither site<k> nor a bitstring")
-    if len(bits) != n:
-        raise ValueError(f"bitstring length {len(bits)} does not match {n} sites")
-    block, start = 1, 0
-    for end in [k + 1 for k, j in enumerate(spec.couplings) if j == 0] + [n]:
-        block *= math.comb(end - start, bits.count("1", start, end))
-        start = end
-    if block > evolution.DENSE_GUARD:
-        raise evolution.ResourceError(f"block dimension {block} above dense guard "
-                                      f"{evolution.DENSE_GUARD}")
-    if n_times * 2**n > evolution.OUTPUT_GUARD:
-        raise evolution.ResourceError(f"{n_times} times x {2**n} states above the output "
-                                      f"guard of {evolution.OUTPUT_GUARD} amplitudes")
-    psi = np.zeros(2**n, dtype=complex)
-    psi[int(bits, 2)] = 1.0
-    return psi
+    return int(m.group(1)) if m else text.strip()
 
 
 class _Outputs:
@@ -157,7 +130,7 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
                     config: dict) -> int:
     times = parse_times(args.times, spec.tau)
     out = _Outputs(args, command)
-    initial = initial_state(args.initial, spec, len(times))
+    initial = initial_state(args.initial)
     noise = serialize.load_noise(args.noise) if args.noise else None
     if noise is not None and len(noise.t1) != spec.n_sites:
         raise ValueError(f"noise table has {len(noise.t1)} entries for "

@@ -16,20 +16,21 @@ angular-frequency units, as real matrices (every term above is real);
 evolution is exp(-i H t).
 """
 
-from dataclasses import dataclass, field
-from math import inf, pi, sqrt
+from dataclasses import dataclass
+from itertools import combinations
+from math import comb, inf, isfinite, pi, prod, sqrt
 
 import numpy as np
 from scipy import sparse
 
-from .. import statespace
+from .. import evolution, statespace
 
 __all__ = [
     "ChainSpec",
     "pst_couplings",
     "fst_profile",
+    "block_states",
     "chain_hamiltonian",
-    "single_excitation_hamiltonian",
     "pst_state_map",
     "pst_unitary",
     "transfer_phase",
@@ -59,6 +60,8 @@ class ChainSpec:
             raise ValueError(f"need {n} detunings, got {len(dets)}")
         if len(zz) != n - 1:
             raise ValueError(f"need {n - 1} zz values, got {len(zz)}")
+        if not all(map(isfinite, self.couplings + dets + zz)):
+            raise ValueError("couplings, detunings and zz must be finite")
         if not 0 < self.tau < inf:
             raise ValueError("tau must be positive and finite")
         object.__setattr__(self, "detunings", dets)
@@ -137,36 +140,57 @@ def _check_finite_profile(tau: float, *profile) -> None:
         raise ValueError(f"tau {tau!r} s is too short: its couplings overflow")
 
 
-def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
-    """Full 2**n Hamiltonian of the chain (sparse, real, angular frequency).
+def block_states(spec: ChainSpec, start: str) -> np.ndarray:
+    """Basis states of the block of H holding the bitstring ``start``, descending.
 
-    Read off the occupation bits of every basis state: detunings and ZZ
-    shifts on the diagonal, and for each coupling a hop of an excitation
-    to its empty neighbour, whose target flips both bits of the pair.
+    Hops keep the excitation number of each run of sites joined by
+    nonzero couplings, so the block is every placement of each run's
+    excitations in its run, C(run length, run excitations) of them per
+    run.  Above ``evolution.DENSE_GUARD`` it raises ResourceError before
+    any state is enumerated.  A one-excitation block comes in site order.
+    Beyond 62 sites the indices are Python ints in an object array.
     """
     n = spec.n_sites
-    dim = 2**n
-    occ = statespace.occupation_rows(np.arange(dim), n)
+    cuts = [0] + [k + 1 for k, j in enumerate(spec.couplings) if j == 0] + [n]
+    runs = [(a, b, start.count("1", a, b)) for a, b in zip(cuts, cuts[1:])]
+    dim = prod(comb(b - a, m) for a, b, m in runs)
+    if dim > evolution.DENSE_GUARD:
+        raise evolution.ResourceError(f"block dimension {dim} above dense guard "
+                                      f"{evolution.DENSE_GUARD}")
+    states = [0]
+    for a, b, m in runs:
+        states = [s | sum(1 << (n - 1 - k) for k in sites)
+                  for s in states for sites in combinations(range(a, b), m)]
+    return np.array(sorted(states, reverse=True), dtype=np.int64 if n < 63 else object)
+
+
+def chain_hamiltonian(spec: ChainSpec, states=None) -> sparse.csr_matrix:
+    """H over basis states closed under its hops, by default all 2**n (sparse, real).
+
+    Row i is ``states[i]``.  Read off the occupation bits of every state:
+    detunings and ZZ shifts on the diagonal, and for each nonzero
+    coupling a hop of an excitation to its empty neighbour, whose target
+    flips both bits of the pair.
+    """
+    n = spec.n_sites
+    order = None if states is None else np.argsort(states)
+    states = np.arange(2**n) if states is None else np.asarray(states)
+    occ = statespace.occupation_rows(states, n)
     diag = occ @ np.array(spec.detunings) + (occ[:, :-1] * occ[:, 1:]) @ np.array(spec.zz)
     d = np.flatnonzero(diag)
     rows, cols, vals = [], [], []
     for k, j in enumerate(spec.couplings):
-        # hop an excitation from site k+1 to site k+2
-        src = np.flatnonzero((occ[:, k] == 1) & (occ[:, k + 1] == 0))
-        dst = src ^ (3 << (n - 2 - k))
+        # hop an excitation from site k+1 to site k+2; a zero coupling hops nothing
+        src = np.flatnonzero((occ[:, k] == 1) & (occ[:, k + 1] == 0) & (j != 0))
+        dst = states[src] ^ (3 << (n - 2 - k))
+        if order is not None:           # in the whole register a state is its own row
+            dst = order[np.searchsorted(states, dst, sorter=order)]
         rows += [src, dst]
         cols += [dst, src]
         vals.append(np.full(2 * len(src), j))
     return sparse.csr_matrix((np.concatenate([*vals, diag[d]]),
                               (np.concatenate([*rows, d]), np.concatenate([*cols, d]))),
-                             shape=(dim, dim), dtype=float)
-
-
-def single_excitation_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
-    """n x n real tridiagonal block on the one-excitation sector, ordered by site."""
-    c = np.array(spec.couplings)
-    return sparse.diags([np.array(spec.detunings), c, c], [0, 1, -1], format="csr",
-                        dtype=float)
+                             shape=(len(states),) * 2, dtype=float)
 
 
 def transfer_phase(n: int) -> complex:

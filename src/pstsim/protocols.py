@@ -1,8 +1,9 @@
 """Chain-transfer experiments: PST/FST runs, parity phases, GHZ generation.
 
-Each experiment is a pure function of its inputs.  States are full
-2^n vectors (site 1 = most significant bit) unless a function documents
-a sector-based fast path.
+Each experiment is a pure function of its inputs.  A transfer run
+evolves only the block of the chain Hamiltonian that its start touches;
+the parity and GHZ experiments hold full 2^n vectors (site 1 = most
+significant bit).
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +11,6 @@ from math import pi
 import cmath
 
 import numpy as np
-from scipy import sparse
 
 from . import evolution, statespace
 from .models import chains, lattice
@@ -87,30 +87,27 @@ def noise_label(zz, noise) -> str:
 
 
 def run_pst(spec: chains.ChainSpec, initial, times, noise=None) -> evolution.Trajectory:
-    """Evolve the chain and record per-site populations.
+    """Evolve the chain from a basis state and record per-site populations.
 
-    ``initial`` is either a 1-based site index (single-excitation fast
-    path in the n-dimensional sector) or a full 2^n state vector.  The
-    spec's zz couplings act as they are (they leave a single excitation
-    alone); ``noise`` adds relaxation.
+    ``initial`` is an n-bit occupation string (site 1 first) or a 1-based
+    site, the string with one excitation there.  Only the block of H
+    holding it is built (:func:`chains.block_states`); the trajectory's
+    ``states`` are its amplitudes.  The spec's zz couplings act as they
+    are (they leave a single excitation alone); ``noise`` adds relaxation.
     """
     n = spec.n_sites
     if isinstance(initial, (int, np.integer)):
         if not 1 <= initial <= n:
             raise ValueError(f"start site {initial} outside 1..{n}")
-        H = chains.single_excitation_hamiltonian(spec)
-        if noise is not None:
-            H = evolution.add_relaxation(H, noise, sparse.identity(n, format="csr"))
-        psi0 = np.zeros(n, dtype=complex)
-        psi0[initial - 1] = 1.0
-        return evolution.evolve(H, psi0, times)
-    psi0 = np.asarray(initial, dtype=complex)
-    if psi0.size != 2**n:
-        raise ValueError("initial state dimension does not match the chain")
-    H = chains.chain_hamiltonian(spec)
-    occ = statespace.occupation_matrix(n)
+        initial = "0" * (initial - 1) + "1" + "0" * (n - initial)
+    if len(initial) != n or set(initial) - {"0", "1"}:
+        raise ValueError(f"initial state {initial!r} is neither a site nor {n} occupations")
+    states = chains.block_states(spec, initial)
+    occ = statespace.occupation_rows(states, n).astype(float)
+    H = chains.chain_hamiltonian(spec, states)
     if noise is not None:
         H = evolution.add_relaxation(H, noise, occ)
+    psi0 = (states == int(initial, 2)).astype(complex)
     return evolution.evolve(H, psi0, times, occupations=occ)
 
 

@@ -193,6 +193,15 @@ def _number_list(data: dict, key: str, pointer: str, required: bool = True):
     return [_get(dict(enumerate(raw)), i, float, f"{pointer}/{key}") for i in range(len(raw))]
 
 
+def _angular_list(data: dict, key: str, required: bool = True) -> tuple:
+    """2 pi times the Hz values of the list at /key, () if left out; overflow fails there."""
+    out = tuple(math.tau * f for f in _number_list(data, key, "", required) or ())
+    for i, w in enumerate(out):
+        if not math.isfinite(w):
+            raise ConfigError(f"/{key}/{i}", "too large: its angular frequency overflows")
+    return out
+
+
 def _check_version(data: dict, pointer: str = "") -> None:
     version = _get(data, "schema_version", int, pointer)
     if version != SCHEMA_VERSION:
@@ -208,11 +217,11 @@ def parse_chain(data: dict) -> chains.ChainSpec:
     tau = _get(data, "tau_s", float, "")
     if tau <= 0:
         raise ConfigError("/tau_s", "must be positive")
-    couplings = _number_list(data, "couplings_hz", "")
+    couplings = _angular_list(data, "couplings_hz")
     if not couplings:
         raise ConfigError("/couplings_hz", "must not be empty")
-    detunings = _number_list(data, "detunings_hz", "", required=False) or ()
-    zz = _number_list(data, "zz_hz", "", required=False) or ()
+    detunings = _angular_list(data, "detunings_hz", required=False)
+    zz = _angular_list(data, "zz_hz", required=False)
     n = len(couplings) + 1
     _check_transfer_time(n, tau)
     if detunings and len(detunings) != n:
@@ -221,10 +230,7 @@ def parse_chain(data: dict) -> chains.ChainSpec:
         raise ConfigError("/zz_hz", f"expected {n - 1} entries, got {len(zz)}")
     try:
         return chains.ChainSpec(
-            couplings=tuple(math.tau * j for j in couplings),
-            tau=tau,
-            detunings=tuple(math.tau * d for d in detunings),
-            zz=tuple(math.tau * z for z in zz),
+            couplings=couplings, tau=tau, detunings=detunings, zz=zz,
             label=_get(data, "label", str, "", required=False, default=""),
         )
     except ValueError as exc:
@@ -257,10 +263,9 @@ def parse_scenario(data: dict) -> dict:
     if tau <= 0:
         raise ConfigError("/tau_s", "must be positive")
     _check_transfer_time(n, tau)
-    zeta_hz = _number_list(data, "zeta_hz", "", required=False) or []
-    if zeta_hz and len(zeta_hz) != n - 1:
-        raise ConfigError("/zeta_hz", f"expected {n - 1} entries, got {len(zeta_hz)}")
-    zeta = tuple(math.tau * z for z in zeta_hz)
+    zeta = _angular_list(data, "zeta_hz", required=False)
+    if zeta and len(zeta) != n - 1:
+        raise ConfigError("/zeta_hz", f"expected {n - 1} entries, got {len(zeta)}")
     label = _get(data, "label", str, "", required=False, default="")
     if kind == "ghz":
         t1 = _number_list(data, "t1_s", "")

@@ -36,9 +36,9 @@ def basis_index(bits) -> int:
 
 
 def occupation_rows(states, n: int) -> np.ndarray:
-    """(len(states), n) integer occupations (site 1 first) of an index array."""
-    states = np.asarray(states, dtype=np.int64)
-    return (states[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    """(len(states), n) int64 occupations (site 1 first) of an array of basis indices."""
+    states = np.asarray(states)
+    return ((states[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int64, copy=False)
 
 
 def occupation_matrix(n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from pstsim import calibration, evolution
+from pstsim import calibration, evolution, protocols
 from pstsim.models import chains
 from pstsim.models import device as device_models
 
@@ -513,10 +513,7 @@ def test_optimizer_draws_proposals_lazily():
 def test_objective_ideal_is_mirror_chain_evolution(n):
     tau = 640e-9
     spec = chains.ChainSpec.pst(n, tau)
-    psi0 = np.zeros(n, dtype=complex)
-    psi0[0] = 1.0
-    pops = evolution.evolve(chains.single_excitation_hamiltonian(spec), psi0,
-                            np.arange(1, 6) * tau).populations
+    pops = protocols.run_pst(spec, 1, np.arange(1, 6) * tau).populations
     np.testing.assert_allclose(pops, _mirror_one_hot(n), rtol=0, atol=1e-12)
     drives = calibration.DriveSettings((0.01,) * (n - 1), (1e9,) * (n - 1))
     assert calibration.transfer_error_objective(_ReplayChain(tau, pops), drives) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from pstsim import statespace
+from pstsim import evolution, statespace
 from pstsim.models import chains
 
 TAU = 640e-9
@@ -110,15 +110,60 @@ def test_chain_hamiltonian_matches_operator_sum(n, seed):
                                rtol=0, atol=1e-9 * np.abs(H).max())
 
 
-def test_single_excitation_hamiltonian_matches_sector_one():
+@pytest.mark.parametrize("values", [{"couplings": (1e6, np.inf)},
+                                    {"couplings": (1e6, 1e6), "detunings": (0, np.nan, 0)},
+                                    {"couplings": (1e6, 1e6), "zz": (-np.inf, 0)}])
+def test_chain_spec_rejects_non_finite_values(values):
+    with pytest.raises(ValueError, match="couplings, detunings and zz must be finite"):
+        chains.ChainSpec(tau=TAU, **values)
+
+
+def _sector_one(spec):
+    """H on the one-excitation sector, in site order, from the one chain builder."""
+    n = spec.n_sites
+    return chains.chain_hamiltonian(spec, [1 << (n - 1 - i) for i in range(n)]).toarray()
+
+
+def test_one_excitation_block_matches_sector_one():
     # site i alone excited is basis index 1 << (n-1-i), listed by site
     n = 5
     spec = chains.ChainSpec(couplings=chains.pst_couplings(n, TAU), tau=TAU,
                             detunings=np.linspace(-1e6, 1e6, n), zz=np.full(n - 1, -2e5))
     sites = [1 << (n - 1 - i) for i in range(n)]
+    np.testing.assert_array_equal(chains.block_states(spec, "00100"), sites)
     H = chains.chain_hamiltonian(spec).toarray()
-    np.testing.assert_array_equal(chains.single_excitation_hamiltonian(spec).toarray(),
-                                  H[np.ix_(sites, sites)])
+    np.testing.assert_array_equal(_sector_one(spec), H[np.ix_(sites, sites)])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_block_states_are_the_component_of_the_start(n):
+    # the enumerated block against the component evolve finds in the full H,
+    # on a chain with and without a zero coupling
+    rng = np.random.default_rng(n)
+    pst = chains.ChainSpec.pst(n, TAU)
+    cut = list(pst.couplings)
+    cut[rng.integers(n - 1)] = 0.0
+    for spec in (pst, chains.ChainSpec(couplings=cut, tau=TAU)):
+        for x in rng.integers(0, 2**n, 6):
+            states = chains.block_states(spec, format(int(x), f"0{n}b"))
+            assert list(states) == sorted(states, reverse=True)
+            _, labels, (label,) = evolution._components(chains.chain_hamiltonian(spec),
+                                                        np.eye(2**n)[x])
+            assert set(states) == set(np.flatnonzero(labels == label))
+
+
+def test_block_states_guard_and_wide_registers(monkeypatch):
+    # a one-excitation block beyond 62 sites holds Python ints, in site order
+    spec = chains.ChainSpec.pst(70, TAU)
+    states = chains.block_states(spec, "0" * 69 + "1")
+    assert states.dtype == object and list(states) == [1 << k for k in range(69, -1, -1)]
+    np.testing.assert_array_equal(statespace.occupation_rows(states, 70), np.eye(70))
+    J = np.array(spec.couplings)
+    np.testing.assert_array_equal(chains.chain_hamiltonian(spec, states).toarray(),
+                                  np.diag(J, 1) + np.diag(J, -1))
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 69)
+    with pytest.raises(evolution.ResourceError, match="block dimension 70 above dense guard 69"):
+        chains.block_states(spec, "1" + "0" * 69)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -169,7 +214,7 @@ def test_fst_profile_bounds():
 
 def _transfer_fraction(n, theta):
     spec = chains.ChainSpec.fst(n, TAU, theta)
-    H = chains.single_excitation_hamiltonian(spec).toarray()
+    H = _sector_one(spec)
     w, v = np.linalg.eigh(H)
     psi = (v * np.exp(-1j * w * TAU)) @ (v.conj().T @ np.eye(n)[:, 0])
     return abs(psi[-1]) ** 2

@@ -235,6 +235,24 @@ def test_evolve_non_finite_config_exits_2(tmp_path, capsys, tau):
     assert not (tmp_path / "evolve_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command, field, pointer", [
+    ("evolve", {"couplings_hz": [1e308, 1e6]}, "/couplings_hz/0"),
+    ("evolve", {"couplings_hz": [1e6, 1e6], "detunings_hz": [0.0, 1e308, 0.0]},
+     "/detunings_hz/1"),
+    ("evolve", {"couplings_hz": [1e6, 1e6], "zz_hz": [0.0, 1e308]}, "/zz_hz/1"),
+    ("ghz", {"kind": "ghz", "n": 3, "t1_s": [1e-5] * 3, "zeta_hz": [1e308, 1e308]},
+     "/zeta_hz/0"),
+])
+def test_overflowing_config_frequency_exits_2(tmp_path, capsys, command, field, pointer):
+    # 2 pi times 1e308 Hz is inf: refused at its pointer, before any file
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "tau_s": 640e-9, **field}))
+    flag = "--config" if command == "evolve" else "--noise"
+    assert _run(tmp_path / "out", command, flag, config) == 2
+    assert f"config error: {pointer}: too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, "couplings_hz": 3, "tau_s": 1e-6}\n')
@@ -555,36 +573,70 @@ def test_full_space_start_above_the_guards_fails_before_it_allocates(tmp_path, c
     assert not (tmp_path / "pst_trajectory.csv").exists()
 
 
-def test_full_space_output_above_the_guard_fails_before_it_allocates(tmp_path, capsys):
-    # one excitation on 17 sites is a 17-state block, but 241 x 2^17 amplitudes
-    assert _run(tmp_path, "pst", "--n", 17, "--tau", "640ns",
-                "--initial", "1" + "0" * 16) == 1
-    assert "241 times x 131072 states above the output guard" in capsys.readouterr().err
+@pytest.mark.parametrize("initial, message", [
+    ("site0", "start site 0 outside 1..4"), ("site5", "start site 5 outside 1..4"),
+    ("010", "'010' is neither a site nor 4 occupations"),
+    ("01x0", "'01x0' is neither a site nor 4 occupations"),
+])
+def test_bad_initial_state_exits_1(tmp_path, capsys, initial, message):
+    assert _run(tmp_path, "pst", "--n", 4, "--tau", "640ns", "--initial", initial) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pst_trajectory.csv").exists()
+
+
+def test_block_output_above_the_guard_fails_before_it_runs(tmp_path, capsys):
+    # 10 000 times x C(13, 6) = 1716 block states is above 4096^2 amplitudes
+    assert _run(tmp_path, "pst", "--n", 13, "--tau", "640ns", "--initial",
+                "1111110000000", "--times", "0:1tau:10000") == 1
+    assert "10000 times x 1716 states above the output guard" in capsys.readouterr().err
+    assert not (tmp_path / "pst_trajectory.csv").exists()
+
+
+def test_one_excitation_on_a_wide_register_costs_its_block(tmp_path):
+    # 40 states, not 2^40 amplitudes; at 20 sites the block run reads the
+    # same populations as a site start
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert _run(tmp_path / "40", "pst", "--n", 40, "--tau", "640ns",
+                    "--initial", "1" + "0" * 39) == 0
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20
+    header, rows = _csv_rows(tmp_path / "40", "pst_trajectory.csv")
+    assert len(header) == 42 and len(rows) == 241
+    for initial, name in (("1" + "0" * 19, "bits"), ("site1", "site")):
+        assert _run(tmp_path / name, "pst", "--n", 20, "--tau", "640ns",
+                    "--initial", initial, "--times", "0:1tau:2") == 0
+    assert ((tmp_path / "bits" / "pst_trajectory.csv").read_bytes()
+            == (tmp_path / "site" / "pst_trajectory.csv").read_bytes())
 
 
 def test_bitstring_guard_agrees_with_evolve(monkeypatch):
     # a zero coupling splits the chain in two runs; each keeps its excitations,
-    # so the block is smaller than C(n, excitations), as evolve finds it
+    # so the block run_pst counts is smaller than C(n, excitations), and is
+    # the component of the start that evolve finds in the full H
     monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
     spec = chains.ChainSpec(couplings=(1e6, 2e6, 0.0, 2e6, 1e6), tau=640e-9,
                             zz=(0.0, 3e5, 0.0, 3e5, 0.0))
     times = np.linspace(0.0, 640e-9, 3)
-    outcomes = []
+    sizes = []
     for bits in ("111000", "110100", "100000", "111100", "010110", "000111"):
-        try:
-            psi = cli.initial_state(bits, spec, len(times))
-        except evolution.ResourceError as exc:
-            psi = np.zeros(64)
-            psi[int(bits, 2)] = 1.0
-            with pytest.raises(evolution.ResourceError) as evolved:
-                protocols.run_pst(spec, psi, times)
-            assert str(evolved.value) == str(exc)
-            outcomes.append(False)
+        assert cli.initial_state(bits) == bits
+        _, labels, (label,) = evolution._components(chains.chain_hamiltonian(spec),
+                                                    np.eye(64)[int(bits, 2)])
+        sizes.append(int(np.sum(labels == label)))
+        if sizes[-1] > 8:
+            with pytest.raises(evolution.ResourceError) as exc:
+                protocols.run_pst(spec, bits, times)
+            assert str(exc.value) == f"block dimension {sizes[-1]} above dense guard 8"
         else:
-            protocols.run_pst(spec, psi, times)
-            outcomes.append(True)
-    # blocks of 1, 9, 3, 3, 9 and 1 states; C(6, k) is above 8 for all but 100000
-    assert outcomes == [True, False, True, True, False, True]
+            assert protocols.run_pst(spec, bits, times).states.shape == (3, sizes[-1])
+    # C(6, k) is above 8 for all but 100000
+    assert sizes == [1, 9, 3, 3, 9, 1]
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):

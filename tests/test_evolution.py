@@ -289,7 +289,7 @@ def test_chain_builders_are_real_and_relaxation_complex():
     spec = chains.ChainSpec.fst(5, 640e-9, 0.6 * np.pi).with_zz((-2 * np.pi * 1e5,) * 4)
     H = chains.chain_hamiltonian(spec)
     assert H.dtype == np.float64
-    assert chains.single_excitation_hamiltonian(spec).dtype == np.float64
+    assert chains.chain_hamiltonian(spec, chains.block_states(spec, "01000")).dtype == np.float64
     noise = evolution.NoiseSpec(t1=(1e-5,) * 5)
     occ = statespace.occupation_matrix(5)
     for h in (H, H.toarray()):
@@ -763,7 +763,7 @@ def _per_row_csv(traj) -> bytes:
 def test_trajectory_csv_bytes_across_line_blocks(tmp_path, n_times):
     # relaxation: norms below 1; a grid from 0 with tiny populations in exponent form
     spec = chains.ChainSpec.pst(4, 1e-6)
-    H = evolution.add_relaxation(chains.single_excitation_hamiltonian(spec),
+    H = evolution.add_relaxation(chains.chain_hamiltonian(spec, chains.block_states(spec, "1000")),
                                  evolution.NoiseSpec(t1=(2e-6, 3e-6, 1e-6, 4e-6)),
                                  np.eye(4))
     traj = evolution.evolve(H, _basis(4, 0), np.linspace(0.0, 3e-6, n_times))

@@ -40,11 +40,17 @@ def test_spec_validation():
         lattice.LatticeSpec(nx=2, ny=2, tau=0.0)
 
 
+def _chain(n):
+    """The one-excitation block of the n-site PST chain, in site order."""
+    spec = chains.ChainSpec.pst(n, 1e-6)
+    return chains.chain_hamiltonian(spec, chains.block_states(spec, "1" + "0" * (n - 1)))
+
+
 def test_hamiltonian_is_kron_sum_of_chains():
     spec = lattice.LatticeSpec(nx=3, ny=4, tau=1e-6)
     H = lattice.build_lattice_hamiltonian(spec).toarray()
-    hx = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(3, 1e-6)).toarray()
-    hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(4, 1e-6)).toarray()
+    hx = _chain(3).toarray()
+    hy = _chain(4).toarray()
     expect = np.kron(hx, np.eye(4)) + np.kron(np.eye(3), hy)
     np.testing.assert_allclose(H, expect, atol=1e-6)
 
@@ -65,7 +71,7 @@ def test_real_lattice_matches_its_complex_copy():
 def test_single_column_grid_is_a_chain():
     spec = lattice.LatticeSpec(nx=1, ny=5, tau=1e-6)
     H = lattice.build_lattice_hamiltonian(spec).toarray()
-    hy = chains.single_excitation_hamiltonian(chains.ChainSpec.pst(5, 1e-6)).toarray()
+    hy = _chain(5).toarray()
     np.testing.assert_allclose(H, hy, atol=1e-6)
 
 

@@ -337,13 +337,55 @@ def test_parity_errors():
 
 
 def test_run_pst_site_and_bitstring_agree():
+    # site k is the bitstring with one excitation at k: one path, the same bits
     spec = chains.ChainSpec.pst(4, 640e-9)
     times = np.linspace(0.0, spec.tau, 9)
     a = protocols.run_pst(spec, 2, times)
-    vec = np.zeros(16)
-    vec[statespace.basis_index([0, 1, 0, 0])] = 1.0
-    b = protocols.run_pst(spec, vec, times)
-    np.testing.assert_allclose(a.populations, b.populations, atol=1e-12)
+    b = protocols.run_pst(spec, "0100", times)
+    np.testing.assert_array_equal(a.populations, b.populations)
+    np.testing.assert_array_equal(a.norm, b.norm)
+    with pytest.raises(ValueError, match="neither a site nor 4 occupations"):
+        protocols.run_pst(spec, "010", times)
+    with pytest.raises(ValueError, match="outside 1..4"):
+        protocols.run_pst(spec, 5, times)
+
+
+def _full_register_run(spec, bits, times, noise):
+    """The trajectory of a start evolved on the whole 2^n register."""
+    n = spec.n_sites
+    occ = statespace.occupation_matrix(n)
+    H = chains.chain_hamiltonian(spec)
+    if noise is not None:
+        H = evolution.add_relaxation(H, noise, occ)
+    psi0 = np.zeros(2**n, dtype=complex)
+    psi0[int(bits, 2)] = 1.0
+    return evolution.evolve(H, psi0, times, occupations=occ)
+
+
+def _block_reference_specs(n, rng):
+    """PST, FST, PST with ZZ and PST with one zero coupling on n sites."""
+    pst = chains.ChainSpec.pst(n, 640e-9)
+    cut = list(pst.couplings)
+    cut[rng.integers(n - 1)] = 0.0
+    return [pst, chains.ChainSpec.fst(n, 640e-9, 0.6 * pi),
+            pst.with_zz(rng.uniform(-2e6, 2e6, n - 1)),
+            chains.ChainSpec(couplings=cut, tau=pst.tau)]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_block_run_matches_the_full_register(n):
+    # odd and even n cover both FST branches; T1 acts on every site
+    rng = np.random.default_rng(n)
+    times = np.linspace(0.0, 1.5 * 640e-9, 7)
+    noise = evolution.NoiseSpec(t1=tuple(rng.uniform(0.2e-6, 2e-6, n)))
+    for spec in _block_reference_specs(n, rng):
+        for bits in {format(int(x), f"0{n}b") for x in rng.integers(0, 2**n, 4)}:
+            for relax in (None, noise):
+                got = protocols.run_pst(spec, bits, times, noise=relax)
+                want = _full_register_run(spec, bits, times, relax)
+                np.testing.assert_allclose(got.populations, want.populations,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.norm, want.norm, rtol=0, atol=1e-12)
 
 
 def test_noisy_single_excitation_guard_trips_without_dense_occupations():
@@ -378,10 +420,8 @@ def test_two_excitations_feel_the_spec_zz():
     # ZZ acts whenever the spec carries it: no separate switch turns it on
     spec, ideal = _with_and_without_zz()
     times = np.linspace(0.0, spec.tau, 17)
-    psi0 = np.zeros(16)
-    psi0[statespace.basis_index([1, 1, 0, 0])] = 1.0
-    zz = protocols.run_pst(spec, psi0, times)
-    plain = protocols.run_pst(ideal, psi0, times)
+    zz = protocols.run_pst(spec, "1100", times)
+    plain = protocols.run_pst(ideal, "1100", times)
     assert np.max(np.abs(zz.populations - plain.populations)) > 1e-3
     np.testing.assert_allclose(zz.norm, 1.0, atol=1e-12)
 
