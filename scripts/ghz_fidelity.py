@@ -42,8 +42,7 @@ def main():
     if args.shots:
         settings = tomography.TomographySettings(
             scenario.n, shots=args.shots, seed=args.seed)
-        table = tomography.simulate_tomography(report.state, settings)
-        rho = tomography.reconstruct(table)
+        rho = tomography.reconstruct(report.state, settings)
         fid = tomography.fidelity_opt_z(rho, protocols.ghz_state(scenario.n))
         payload["tomography"] = dict(fid.as_dict(), shots=args.shots,
                                      seed=args.seed)

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from pstsim import protocols, svg
+from pstsim import protocols, serialize, svg
 from pstsim.models import lattice
 
 
@@ -30,13 +30,13 @@ def main():
     traj = protocols.lattice_pst(spec, (1, 1), times)
 
     path = os.path.join(args.out_dir, "lattice_frames.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("fraction,x,y,population\n")
-        for k, frac in enumerate(fractions):
-            grid = traj.populations[k].reshape(spec.nx, spec.ny)
-            for ix in range(spec.nx):
-                for iy in range(spec.ny):
-                    fh.write(f"{frac:g},{ix + 1},{iy + 1},{grid[ix, iy]:.12e}\n")
+    # the cells of each frame in x-major order: fraction, x, y and population
+    frame, cell = np.divmod(np.arange(traj.populations.size), spec.nx * spec.ny)
+    x, y = np.divmod(cell, spec.ny)
+    table = np.column_stack([np.array(fractions)[frame], x + 1, y + 1,
+                             traj.populations.ravel()])
+    serialize.write_csv(path, ["fraction", "x", "y", "population"],
+                        "%g,%d,%d,%.12e\n", table.ravel())
     for k, frac in enumerate(fractions):
         grid = traj.populations[k].reshape(spec.nx, spec.ny)
         svg.heatmap(grid.T,

@@ -10,7 +10,7 @@ import argparse
 import math
 import os
 
-from pstsim import protocols, svg
+from pstsim import protocols, serialize, svg
 
 
 def main():
@@ -30,11 +30,10 @@ def main():
 
     zz = protocols.parity_phase_table(args.n, ("+x",), zeta=zeta, tau=args.tau)
     path = os.path.join(args.out_dir, "parity_phases.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("inner,parity,phase_ideal_rad,phase_zz_rad,deviation_zz_rad\n")
-        for a, b in zip(ideal, zz):
-            fh.write(f"{a.inner},{a.parity},{a.phase:.12e},{b.phase:.12e},"
-                     f"{b.deviation:.12e}\n")
+    serialize.write_csv(
+        path, ["inner", "parity", "phase_ideal_rad", "phase_zz_rad", "deviation_zz_rad"],
+        "%s,%d,%.12e,%.12e,%.12e\n",
+        [v for a, b in zip(ideal, zz) for v in (a.inner, a.parity, a.phase, b.phase, b.deviation)])
     fit = protocols.parity_deviation_fit(zz)
     counts, means = fit["counts"], fit["mean_deviation_rad"]
     print("zz deviation means by inner excitation count:")

@@ -325,8 +325,7 @@ def cmd_ghz(args) -> int:
     target = protocols.ghz_state(n)
     if args.shots > 0:
         settings = tomography.TomographySettings(n, shots=args.shots, seed=args.seed)
-        table = tomography.simulate_tomography(state, settings)
-        rho = tomography.reconstruct(table)
+        rho = tomography.reconstruct(state, settings)
         rho_source = "tomography"
     else:
         psi = np.asarray(state, dtype=complex)

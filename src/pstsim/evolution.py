@@ -115,11 +115,9 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     """H minus i times the per-site decay rates weighted by occupation.
 
     ``occupations`` maps basis states to per-site excitation numbers,
-    shape (dim, n_sites), dense or sparse; it defines what "excitation
-    at site s" means in whatever basis H is expressed.
+    shape (dim, n_sites), a dense array; it defines what "excitation at
+    site s" means in whatever basis H is expressed.
     """
-    if not sparse.issparse(occupations):
-        occupations = np.asarray(occupations)
     if len(noise.t1) != occupations.shape[1]:
         raise ValueError("one T1 per site required")
     gam = decay_rates(noise)

@@ -1,24 +1,22 @@
-"""Pauli-basis state tomography, reconstruction, and fidelity metrics."""
+"""Pauli-basis state tomography by linear inversion, and fidelity metrics.
+
+A state is measured in all 3^n settings of X, Y or Z per site, and its
+density matrix is estimated straight from the outcome frequencies by
+inverting the single-qubit Pauli measurement channel on every site
+(Huang, Kueng & Preskill, arXiv:2002.08953).  This is the same estimate
+as averaging every Pauli string's marginal over the settings that
+measure it and summing the strings.
+"""
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import statespace
 from .statespace import wrap_phase
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-_PAULI_STACK = np.stack([PAULI[c] for c in "IXYZ"])
 
 _SQ = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex)
@@ -28,18 +26,21 @@ _TO_Z = {
     "Y": _H @ np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex),
 }
 # one site's rotation for each measured axis, in the X, Y, Z order of the settings
-_AXIS_STACK = np.stack([_TO_Z["X"], _TO_Z["Y"], PAULI["I"]])
+_AXIS_STACK = np.stack([_TO_Z["X"], _TO_Z["Y"], np.eye(2)])
+# inverse of the single-site measurement channel, M[a, b] = 3 U_a^dag |b><b| U_a - I
+# for axis a's rotation U_a and outcome b
+_INVERSE = 3 * np.einsum("abi,abj->abij", _AXIS_STACK.conj(), _AXIS_STACK) - np.eye(2)
 
 
 @dataclass(frozen=True)
 class TomographySettings:
     """Complete n-qubit measurement plan: every Pauli setting, shots, base seed.
 
-    The settings are all 3^n strings over X, Y, Z in product order
-    (``settings``).  ``shots = 0`` means exact expectations (no
-    sampling).  Each setting draws from its own stream derived from
-    ``seed`` and the setting's position in that order, so tables are
-    reproducible regardless of evaluation order.
+    The settings are all 3^n strings over X, Y, Z in product order (site
+    1 the most significant digit).  ``shots = 0`` means exact
+    probabilities (no sampling).  Each setting draws from its own stream,
+    keyed by ``seed`` and the setting's row index in that order, so the
+    draws are reproducible regardless of evaluation order.
     """
 
     n_sites: int
@@ -54,63 +55,14 @@ class TomographySettings:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    @property
-    def settings(self) -> tuple:
-        return tuple("".join(p) for p in itertools.product("XYZ", repeat=self.n_sites))
-
-
-@dataclass
-class ExpectationTable:
-    """Estimated <P> for every length-n Pauli string (I/X/Y/Z)."""
-
-    n_sites: int
-    shots: int
-    values: dict
-
-
-def _pauli_labels(n: int) -> list:
-    """Every length-n Pauli string, in base-4 index order (I=0, X=1, Y=2, Z=3)."""
-    return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-
-
-def _walsh_hadamard(freqs: np.ndarray, n: int) -> np.ndarray:
-    """Walsh-Hadamard transform, in place, of the rows of (S, 2^n) frequencies.
-
-    Entry ``m`` of a row becomes sum_b (-1)^popcount(b & m) freq[b]: the
-    expectation of that setting with the sites outside mask ``m`` (site 1
-    the most significant bit) replaced by the identity.  One butterfly
-    per site.
-    """
-    for site in range(1, n + 1):
-        pairs = freqs.reshape(len(freqs), 2 ** (site - 1), 2, 2 ** (n - site))
-        a0, a1 = pairs[:, :, 0], pairs[:, :, 1]
-        diff = a0 - a1
-        a0 += a1
-        a1[...] = diff
-    return freqs
-
-
-def _label_indices(settings: tuple, n: int) -> np.ndarray:
-    """(S, 2^n) base-4 index of the Pauli string behind each transform entry.
-
-    Entry ``[i, m]`` keeps setting ``i``'s axis on the sites in mask ``m``
-    and puts I elsewhere; strings are numbered with I=0, X=1, Y=2, Z=3
-    and site 1 as the most significant digit, which is also their
-    lexicographic order.
-    """
-    codes = np.frombuffer("".join(settings).encode("ascii"), dtype=np.uint8)
-    digits = np.searchsorted(np.frombuffer(b"IXYZ", dtype=np.uint8), codes)
-    place = statespace.occupation_rows(np.arange(2**n), n) * 4 ** np.arange(n - 1, -1, -1)
-    return digits.reshape(-1, n) @ place.T
-
 
 def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
     """(S, 2^n) outcome frequencies of a normalized state, one row per setting.
 
     Each site is rotated once for all settings: contracting it with the
     stacked X, Y and Z rotations turns S settings' amplitudes into 3 S,
-    the new axis the least significant digit, so rows come out in
-    ``settings.settings`` order.  Each amplitude is the same two-term sum
+    the new axis the least significant digit, so rows come out in the
+    settings' product order.  Each amplitude is the same two-term sum
     as rotating the setting's sites one at a time (Z is the identity), so
     the probabilities, and the multinomial draws from each setting's own
     stream, match those rotations wherever BLAS rounds both products
@@ -132,24 +84,23 @@ def _frequencies(psi: np.ndarray, settings: TomographySettings) -> np.ndarray:
     return freqs
 
 
-def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> ExpectationTable:
-    """Measure a state in every Pauli setting of the plan.
+def reconstruct(state: np.ndarray, settings: TomographySettings) -> np.ndarray:
+    """Measure a state in every Pauli setting of the plan and invert.
 
     With shots the joint outcome distribution of each setting is sampled
-    once (multinomial over the 2^n bitstrings) with a per-setting stream,
-    so parity correlations are preserved.  Each Pauli string is then
-    estimated by marginalizing every compatible setting (the ones that
-    match it on its non-identity sites) and averaging, which uses all
-    the data collected for the lower-weight strings.
+    once (multinomial over the 2^n bitstrings) with a per-setting stream
+    (``_frequencies``).  The linear-inversion estimate is then
+    rho = 3^-n sum_s sum_b f_s(b) (x)_i M[a_i, b_i], with M the inverse
+    of the single-site measurement channel (``_INVERSE``): the (3,)*n +
+    (2,)*n frequencies are contracted one site's (setting, outcome) pair
+    at a time, so no n-site operator or Pauli string is formed.  Every
+    Pauli coefficient of rho is the average of its marginal over the
+    settings that measure it.
 
-    The state is rotated into all 3^n settings at once, by one stacked
-    contraction per site (``_frequencies``).  One Walsh-Hadamard
-    transform of all settings' outcome frequencies gives every
-    compatible string's marginal at once, in O(n 2^n) per setting, and
-    the marginals are averaged per string by base-4 label index.
-
-    The state is normalized before measurement — a sub-normalized
+    The state is normalized before measurement: a sub-normalized
     (no-jump) vector is measured as the conditional state it represents.
+    Negative eigenvalues are clipped to zero and the trace renormalized
+    (plain projection, no likelihood fit).
     """
     psi = np.asarray(state, dtype=complex).ravel()
     n = settings.n_sites
@@ -158,38 +109,13 @@ def simulate_tomography(state: np.ndarray, settings: TomographySettings) -> Expe
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("cannot measure the zero state")
-    marginals = _walsh_hadamard(_frequencies(psi / nrm, settings), n).ravel()
-    labels = _label_indices(settings.settings, n).ravel()
-    hits = np.bincount(labels, minlength=4**n)
-    sums = np.bincount(labels, weights=marginals, minlength=4**n)
-    names = _pauli_labels(n)
-    values = {names[i]: float(sums[i] / hits[i]) for i in np.flatnonzero(hits)}
-    return ExpectationTable(n, settings.shots, values)
-
-
-def reconstruct(expectations) -> np.ndarray:
-    """Linear-inversion density matrix, projected to PSD and unit trace.
-
-    Needs an estimate for every Pauli string of the qubit count; raises
-    on an incomplete table.  The 4^n estimates form a (4,)*n tensor and
-    each axis is contracted with the stacked single-site Paulis in turn,
-    so no n-site Pauli operator is formed.  Negative eigenvalues are
-    clipped to zero and the trace renormalized (plain projection, no
-    likelihood fit).
-    """
-    values = expectations.values if isinstance(expectations, ExpectationTable) else dict(expectations)
-    n = len(next(iter(values)))
-    dim = 2**n
-    try:
-        coeffs = np.array([values[label] for label in _pauli_labels(n)])
-    except KeyError as exc:
-        raise ValueError(f"incomplete Pauli basis: missing {exc.args[0]}") from None
-    t = coeffs.reshape((4,) * n)
-    for _ in range(n):
-        # contracts the leading site axis and appends its (row, column) pair
-        t = np.tensordot(t, _PAULI_STACK, axes=([0], [0]))
+    t = _frequencies(psi / nrm, settings).reshape((3,) * n + (2,) * n)
+    for site in range(n):
+        # contracts the leading site's (setting, outcome) pair and appends
+        # its (row, column) pair
+        t = np.tensordot(t, _INVERSE, axes=([0, n - site], [0, 1]))
     rho = t.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
-    rho = rho.reshape(dim, dim) / dim
+    rho = rho.reshape(2**n, 2**n) / 3**n
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)

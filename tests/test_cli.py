@@ -404,7 +404,7 @@ def test_ghz_shots_beyond_int64_is_usage_error(tmp_path, monkeypatch):
     def no_tomography(*args):
         raise AssertionError("sampled a shot count that does not fit in int64")
 
-    monkeypatch.setattr(cli.tomography, "simulate_tomography", no_tomography)
+    monkeypatch.setattr(cli.tomography, "reconstruct", no_tomography)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         _run(out, "ghz", "--n", 3, "--shots", 2**63)

@@ -16,11 +16,19 @@ def _ghz3():
     return protocols.ghz_state(3)
 
 
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
 def pauli_operator(label: str) -> np.ndarray:
     """Tensor product of single-site Paulis, site 1 leftmost."""
     op = np.array([[1.0]], dtype=complex)
     for c in label:
-        op = np.kron(op, tomography.PAULI[c])
+        op = np.kron(op, PAULI[c])
     return op
 
 
@@ -36,12 +44,23 @@ def pauli_expectation(state: np.ndarray, label: str) -> float:
 # ------------------------------------------------------------------ settings
 
 
+def _settings(n):
+    """Every setting of an n-site plan, in the product order of its rows."""
+    return ["".join(p) for p in itertools.product("XYZ", repeat=n)]
+
+
 def test_full_settings_count():
     s = tomography.TomographySettings(3)
-    assert s.settings == tuple("".join(p) for p in itertools.product("XYZ", repeat=3))
-    assert len(s.settings) == 27
     assert s.n_sites == 3
     assert s.shots == 0
+    # |000>: a Z site reads 0, an X or Y site either outcome with equal odds
+    freqs = tomography._frequencies(np.eye(8)[0].astype(complex), s)
+    assert freqs.shape == (27, 8)
+    for row, setting in zip(freqs, _settings(3)):
+        want = np.ones(1)
+        for axis in setting:
+            want = np.kron(want, [1.0, 0.0] if axis == "Z" else [0.5, 0.5])
+        np.testing.assert_allclose(row, want, atol=1e-15)
 
 
 def test_settings_validation():
@@ -53,35 +72,31 @@ def test_settings_validation():
         tomography.TomographySettings(0)
 
 
-# ------------------------------------------------------------- exact tables
+# ------------------------------------------------------- exact probabilities
 
 
 def test_exact_table_matches_pauli_expectation():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    table = tomography.simulate_tomography(psi, tomography.TomographySettings(2))
-    assert table.shots == 0
+    rho = tomography.reconstruct(psi, tomography.TomographySettings(2))
     for label in ("".join(p) for p in itertools.product("IXYZ", repeat=2)):
-        assert table.values[label] == pytest.approx(
+        assert pauli_expectation(rho, label) == pytest.approx(
             pauli_expectation(psi, label), abs=1e-12
         )
-    assert table.values["II"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subnormalized_state_measured_as_conditional():
-    psi = 0.5 * _ghz3()
-    a = tomography.simulate_tomography(psi, tomography.TomographySettings(3))
-    b = tomography.simulate_tomography(_ghz3(), tomography.TomographySettings(3))
-    for label, value in a.values.items():
-        assert value == pytest.approx(b.values[label], abs=1e-12)
+    a = tomography.reconstruct(0.5 * _ghz3(), tomography.TomographySettings(3))
+    b = tomography.reconstruct(_ghz3(), tomography.TomographySettings(3))
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_zero_state_rejected():
-    with pytest.raises(ValueError):
-        tomography.simulate_tomography(
-            np.zeros(8), tomography.TomographySettings(3)
-        )
+    with pytest.raises(ValueError, match="zero state"):
+        tomography.reconstruct(np.zeros(8), tomography.TomographySettings(3))
+    with pytest.raises(ValueError, match="does not match"):
+        tomography.reconstruct(np.ones(4), tomography.TomographySettings(3))
 
 
 # ------------------------------------------------------------- reconstruct
@@ -89,26 +104,15 @@ def test_zero_state_rejected():
 
 def test_reconstruct_exact_round_trip():
     psi = _ghz3()
-    table = tomography.simulate_tomography(psi, tomography.TomographySettings(3))
-    rho = tomography.reconstruct(table)
+    rho = tomography.reconstruct(psi, tomography.TomographySettings(3))
     np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
     assert tomography.fidelity_opt_z(rho, psi).fidelity == pytest.approx(1.0, abs=1e-12)
 
 
-def test_reconstruct_missing_label():
-    table = tomography.simulate_tomography(
-        _ghz3(), tomography.TomographySettings(3)
-    )
-    del table.values["XYZ"]
-    with pytest.raises(ValueError, match="incomplete Pauli basis"):
-        tomography.reconstruct(table)
-
-
 def test_reconstruction_is_physical():
-    table = tomography.simulate_tomography(
+    rho = tomography.reconstruct(
         _ghz3(), tomography.TomographySettings(3, shots=2000, seed=3)
     )
-    rho = tomography.reconstruct(table)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
@@ -123,13 +127,13 @@ def _state2():
 
 def test_sampling_deterministic_per_seed():
     plan = tomography.TomographySettings(2, shots=500, seed=11)
-    a = tomography.simulate_tomography(_state2(), plan)
-    b = tomography.simulate_tomography(_state2(), plan)
-    assert a.values == b.values
-    other = tomography.simulate_tomography(
+    a = tomography.reconstruct(_state2(), plan)
+    b = tomography.reconstruct(_state2(), plan)
+    assert np.array_equal(a, b)
+    other = tomography.reconstruct(
         _state2(), tomography.TomographySettings(2, shots=500, seed=12)
     )
-    assert a.values != other.values
+    assert not np.array_equal(a, other)
 
 
 def test_sampled_ghz_fidelity_mean():
@@ -137,10 +141,10 @@ def test_sampled_ghz_fidelity_mean():
     psi = _ghz3()
     fids = []
     for seed in range(20):
-        table = tomography.simulate_tomography(
+        rho = tomography.reconstruct(
             psi, tomography.TomographySettings(3, shots=10000, seed=seed)
         )
-        fids.append(tomography.fidelity_opt_z(tomography.reconstruct(table), psi).fidelity)
+        fids.append(tomography.fidelity_opt_z(rho, psi).fidelity)
     assert np.mean(fids) >= 0.98
     assert min(fids) > 0.95
 
@@ -184,9 +188,9 @@ def test_fidelity_opt_z_matches_unnormalized_report():
 
 # ------------------------------------------------ references: the loop versions
 # The estimator, reconstruction and virtual-Z optimum as they were before the
-# per-qubit transforms, kept verbatim (module names qualified) so the
-# transforms can be pinned against them.  ``record`` collects each
-# setting's outcome frequencies.
+# per-qubit transforms, kept verbatim (module names qualified; the estimate
+# is a plain dict of Pauli-string values) so the transforms can be pinned
+# against them.  ``record`` collects each setting's outcome frequencies.
 
 
 def _signs(n: int, label: str) -> np.ndarray:
@@ -206,7 +210,7 @@ def _loop_simulate_tomography(state, settings, record=None):
     sums = {}
     hits = {}
     signs = {}                  # label -> _signs(n, label), built once per label
-    for idx, s in enumerate(settings.settings):
+    for idx, s in enumerate(_settings(n)):
         rotated = psi
         for site, axis in enumerate(s, start=1):
             if axis != "Z":
@@ -229,8 +233,7 @@ def _loop_simulate_tomography(state, settings, record=None):
                     signs[label] = _signs(n, label)
                 sums[label] = sums.get(label, 0.0) + float(np.dot(signs[label], freq))
                 hits[label] = hits.get(label, 0) + 1
-    values = {label: sums[label] / hits[label] for label in sums}
-    return tomography.ExpectationTable(n, settings.shots, values)
+    return {label: sums[label] / hits[label] for label in sums}
 
 
 def _kron_reconstruct(values: dict) -> np.ndarray:
@@ -292,12 +295,8 @@ def _random_rho(n, seed):
 
 def _assert_matches_loop(psi, plan):
     record = []
-    ref = _loop_simulate_tomography(psi, plan, record)
-    table = tomography.simulate_tomography(psi, plan)
-    assert table.shots == plan.shots
-    assert set(table.values) == set(ref.values)
-    for label, value in ref.values.items():
-        assert table.values[label] == pytest.approx(value, abs=1e-12), label
+    ref = _kron_reconstruct(_loop_simulate_tomography(psi, plan, record))
+    np.testing.assert_allclose(tomography.reconstruct(psi, plan), ref, rtol=0, atol=1e-12)
     freqs = tomography._frequencies(psi / np.linalg.norm(psi), plan)
     assert len(freqs) == len(record)
     for freq, want in zip(freqs, record):
@@ -314,16 +313,17 @@ def test_estimator_matches_loop_reference(n, kind, shots):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reconstruct_matches_kron_sum(n):
-    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    physical = {label: pauli_expectation(_random_rho(n, n), label)
-                for label in labels}
-    # random values: a non-physical table, so the eigenvalue clipping acts
-    rng = np.random.default_rng(n)
-    noisy = dict(zip(labels, rng.uniform(-1.0, 1.0, size=len(labels))))
-    noisy["I" * n] = 1.0
-    for values in (physical, noisy):
-        np.testing.assert_allclose(tomography.reconstruct(values),
+    # exact probabilities of a random state, and a 5-shot sample of a GHZ
+    # state whose linear-inversion estimate is not positive, so the
+    # eigenvalue clipping acts
+    exact = (_random_state(n, n), tomography.TomographySettings(n))
+    sampled = (protocols.ghz_state(n), tomography.TomographySettings(n, shots=5, seed=n))
+    for psi, plan in (exact, sampled):
+        values = _loop_simulate_tomography(psi, plan)
+        np.testing.assert_allclose(tomography.reconstruct(psi, plan),
                                    _kron_reconstruct(values), rtol=0, atol=1e-12)
+    raw = sum(v * pauli_operator(label) for label, v in values.items()) / 2**n
+    assert np.linalg.eigvalsh(raw).min() < -1e-3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
