@@ -93,9 +93,7 @@ def reconstruct(state: np.ndarray, settings: TomographySettings) -> np.ndarray:
     rho = 3^-n sum_s sum_b f_s(b) (x)_i M[a_i, b_i], with M the inverse
     of the single-site measurement channel (``_INVERSE``): the (3,)*n +
     (2,)*n frequencies are contracted one site's (setting, outcome) pair
-    at a time, so no n-site operator or Pauli string is formed.  Every
-    Pauli coefficient of rho is the average of its marginal over the
-    settings that measure it.
+    at a time, so no n-site operator or Pauli string is formed.
 
     The state is normalized before measurement: a sub-normalized
     (no-jump) vector is measured as the conditional state it represents.
