@@ -2,8 +2,8 @@
 
 Each experiment is a pure function of its inputs.  A transfer run
 evolves only the block of the chain Hamiltonian that its start touches;
-the parity and GHZ experiments hold full 2^n vectors (site 1 = most
-significant bit).
+the parity and GHZ experiments index the full 2^n register (site 1 =
+most significant bit).
 """
 
 from dataclasses import dataclass, field
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 INPUT_PHASES = {"+x": 0.0, "+y": pi / 2, "-x": pi, "-y": -pi / 2}
-
-# amplitudes of the transferred states a parity table reads out at once, so
-# that a large table never holds all its rows' 2^n states
-_READOUT_AMPLITUDES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +177,19 @@ def _parity_result(inner: str, input_state: str, coher) -> ParityExperimentResul
         phase=wrap_phase(INPUT_PHASES[input_state] - cmath.phase(coher)))
 
 
-def _parity_readout(state: np.ndarray, n: int, inner: str,
-                    input_state: str) -> ParityExperimentResult:
-    """The x-y angle of site n after the transfer, minus the input phase."""
-    rho = statespace.reduced_density_matrix(state, [n], n)
-    return _parity_result(inner, input_state, 2.0 * rho[1, 0])
-
-
 def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
                             noise=None, tau: float | None = None) -> ParityExperimentResult:
     """Transfer-phase measurement for one inner bitstring and input state.
 
     Site 1 is prepared in the +-x/+-y superposition, sites 2..n-1 in the
     computational ``inner`` pattern, site n in the ground state.  After
-    one transfer the x-y angle of site n's reduced state is read out and
-    the prepared input phase subtracted; the result is wrapped to
-    (-pi, pi].  Nonzero ``zeta`` (rad/s per adjacent pair) adds ZZ terms
-    during the transfer, and ``noise`` relaxation.  Only the two
-    excitation sectors the input touches are diagonalised.
+    one transfer site n's coherence <X> + i<Y> = 2 sum_x conj(psi[x]) psi[x|1]
+    (x over the states with site n, the least significant bit, empty) is
+    read out, and the prepared input phase is subtracted from its angle;
+    the result is wrapped to (-pi, pi].  Nonzero ``zeta`` (rad/s per
+    adjacent pair) adds ZZ terms during the transfer, and ``noise``
+    relaxation.  Only the two excitation sectors the input touches are
+    diagonalised.
     """
     spec = _parity_spec(n, zeta, tau)
     low, high, weight = _parity_input(n, inner, input_state)
@@ -206,58 +197,41 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     psi[low] = 1.0 / np.sqrt(2.0)
     psi[high] = weight / np.sqrt(2.0)
     state = evolution.evolve(_parity_hamiltonian(spec, noise), psi, [spec.tau]).states[0]
-    return _parity_readout(state, n, inner, input_state)
+    return _parity_result(inner, input_state, 2.0 * np.vdot(state[0::2], state[1::2]))
 
 
 def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
                        tau: float | None = None):
     """All 2^(n-2) inner bitstrings for the given input states.
 
-    The transfer propagator of every excitation-sector block is built
-    once per table, and each row reads the transferred state off two
-    block columns, one per input branch: U[:, low] / sqrt(2) +
-    e^(i phi) U[:, high] / sqrt(2).  The rows whose two branches lie in
-    the same two blocks are read out together, at most
-    ``_READOUT_AMPLITUDES`` amplitudes at a time: their states are laid
-    out as site n's reduced density matrix takes them, and one stacked
-    product gives every row's coherence, bit for bit as
-    :func:`_parity_readout` gives it for one state.  A block above
-    ``evolution.DENSE_GUARD`` states (n >= 15) raises ResourceError before
-    any propagator is built; single experiments evolve only the two
-    sectors their input touches.
+    The transfer propagator U of every excitation-sector block is built
+    once per table.  With site n the least significant bit, a row's
+    site-n coherence is e^(i phi) sum_x conj(U[x, low]) U[x|1, high]
+    over the states x of ``low``'s block with site n empty: the rows
+    whose two branches lie in the same two blocks gather those entries
+    and sum their products in one contraction.  A block above ``evolution.DENSE_GUARD``
+    states (n >= 15) raises ResourceError before any propagator is built;
+    single experiments evolve only the two sectors their input touches.
     """
     spec = _parity_spec(n, zeta, tau)
-    weights = [_input_weight(inp) for inp in input_states]
-    H = _parity_hamiltonian(spec, noise)
+    weights = np.array([_input_weight(inp) for inp in input_states])
     block = np.empty(2**n, dtype=np.int64)          # block and column of every basis state
     column = np.empty(2**n, dtype=np.int64)
-    columns = []                                    # per block: its propagator's columns as rows
-    for b, (idx, h) in enumerate(evolution._blocks(H)):
+    blocks = []                                     # per block: its states and propagator
+    for b, (idx, h) in enumerate(evolution._blocks(_parity_hamiltonian(spec, noise))):
         u = evolution._block_states(h[None], np.eye(len(idx))[None], [spec.tau])[0, 0]
         block[idx], column[idx] = b, np.arange(len(idx))
-        columns.append((idx, u.T))
-    # where reduced_density_matrix(state, [n], n) puts each amplitude: (site n, other sites)
-    half = 2 ** (n - 1)
-    slot = (np.arange(2**n) & 1) * half + (np.arange(2**n) >> 1)
+        blocks.append((idx, u))
     low = np.arange(2 ** (n - 2)) << 1
     high = low | 1 << (n - 1)
-    pair = block[low] * len(columns) + block[high]
-    chunk = max(1, _READOUT_AMPLITUDES // (2**n * max(1, len(weights))))
     coher = np.empty((len(low), len(weights)), dtype=complex)
-    for key in np.unique(pair):
-        group = np.flatnonzero(pair == key)
-        (lo_idx, lo_u), (hi_idx, hi_u) = columns[key // len(columns)], columns[key % len(columns)]
-        for part in np.array_split(group, -(-len(group) // chunk)):
-            a = np.zeros((len(part), len(weights), 2**n), dtype=complex)
-            a[:, :, slot[lo_idx]] = (lo_u[column[low[part]]] / np.sqrt(2.0))[:, None]
-            hi = hi_u[column[high[part]]]
-            for j, weight in enumerate(weights):
-                # a scalar times a contiguous array, as in the one-row state:
-                # numpy's vector loop fuses the complex multiply-adds
-                a[:, j, slot[hi_idx]] = weight * hi / np.sqrt(2.0)
-            a = a.reshape(-1, 2, half)
-            rho = a @ a.conj().swapaxes(1, 2)
-            coher[part] = (2.0 * rho[:, 1, 0]).reshape(len(part), len(weights))
+    for lo, hi in set(zip(block[low].tolist(), block[high].tolist())):
+        group = np.flatnonzero((block[low] == lo) & (block[high] == hi))
+        (idx, lo_u), hi_u = blocks[lo], blocks[hi][1]
+        x = idx[(idx & 1 == 0) & (block[idx | 1] == hi)]    # site n empty, x|1 in high's block
+        sums = np.einsum("kr,kr->r", lo_u[np.ix_(column[x], column[low[group]])].conj(),
+                         hi_u[np.ix_(column[x | 1], column[high[group]])])
+        coher[group] = sums[:, None] * weights
     rows = []
     for code, row in enumerate(coher.tolist()):
         inner = format(code, f"0{n - 2}b")

@@ -286,6 +286,8 @@ def parse_scenario(data: dict) -> dict:
             raise ConfigError("", str(exc)) from exc
         return {"kind": "ghz", "scenario": scenario}
     if kind == "parity":
+        if n < 3:
+            raise ConfigError("/n", "a parity scenario needs at least three sites")
         noise = parse_noise(data) if "t1_s" in data else None
         if noise is not None and len(noise.t1) != n:
             raise ConfigError("/t1_s", f"expected {n} entries, got {len(noise.t1)}")

@@ -15,7 +15,6 @@ __all__ = [
     "occupation_rows",
     "occupation_matrix",
     "apply_single_qubit",
-    "reduced_density_matrix",
 ]
 
 
@@ -57,17 +56,3 @@ def apply_single_qubit(psi: np.ndarray, op: np.ndarray, site: int, n: int) -> np
     tensor = np.moveaxis(tensor, 0, axis)
     return tensor.reshape(-1)
 
-
-def reduced_density_matrix(psi: np.ndarray, keep, n: int) -> np.ndarray:
-    """Partial trace of |psi><psi| keeping the listed sites (1-based, in order)."""
-    keep = list(keep)
-    if any(not 1 <= s <= n for s in keep):
-        raise ValueError("kept sites outside chain")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate sites in keep")
-    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
-    kept_axes = [s - 1 for s in keep]
-    other_axes = [a for a in range(n) if a not in kept_axes]
-    a = np.transpose(tensor, kept_axes + other_axes).reshape(2 ** len(keep), -1)
-    # rho_ab = sum_r a[a, r] conj(a[b, r])
-    return a @ a.conj().T

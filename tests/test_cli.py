@@ -348,6 +348,17 @@ def test_parity_model_contradicting_inputs_exits_2(tmp_path, capsys, model, fiel
     assert "config error: /model: " in capsys.readouterr().err
 
 
+def test_parity_scenario_below_three_sites_exits_2(tmp_path, capsys):
+    # the error names the file's field, not a --n flag that was never given
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"schema_version": 1, "kind": "parity", "n": 2,
+                                  "tau_s": 640e-9}))
+    assert _run(tmp_path, "parity", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert "config error: /n: " in err
+    assert "--n" not in err
+
+
 # ----------------------------------------------------------------------- ghz
 
 

@@ -298,6 +298,11 @@ def test_error_pointers():
         serialize.parse_scenario(
             {"schema_version": 1, "kind": "bogus", "n": 3, "tau_s": 1e-6}
         )
+    # two sites make a GHZ scenario but no parity table
+    with pytest.raises(serialize.ConfigError, match="^/n: "):
+        serialize.parse_scenario(
+            {"schema_version": 1, "kind": "parity", "n": 2, "tau_s": 1e-6}
+        )
 
 
 @pytest.mark.parametrize("key, value, pointer", [

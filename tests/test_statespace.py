@@ -51,50 +51,9 @@ def test_apply_single_qubit_matches_embedding(n, site, data):
                                full @ psi, atol=1e-12)
 
 
-def test_reduced_density_matrix_product_state():
-    a = np.array([0.6, 0.8j])
-    b = np.array([1.0, 1.0]) / np.sqrt(2)
-    psi = np.kron(a, b)
-    rho1 = ss.reduced_density_matrix(psi, [1], 2)
-    np.testing.assert_allclose(rho1, np.outer(a, a.conj()), atol=1e-12)
-    rho2 = ss.reduced_density_matrix(psi, [2], 2)
-    np.testing.assert_allclose(rho2, np.outer(b, b.conj()), atol=1e-12)
-
-
-def test_reduced_density_matrix_keep_order():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
-    c = np.array([1.0, 1.0]) / np.sqrt(2)
-    psi = np.kron(a, np.kron(b, c))
-    rho = ss.reduced_density_matrix(psi, [2, 3], 3)
-    np.testing.assert_allclose(rho, np.kron(np.outer(b, b), np.outer(c, c)),
-                               atol=1e-12)
-    # kept axes follow the keep list, not site order
-    rho_swapped = ss.reduced_density_matrix(psi, [3, 2], 3)
-    np.testing.assert_allclose(rho_swapped,
-                               np.kron(np.outer(c, c), np.outer(b, b)), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 4), st.data())
-def test_reduced_density_matrix_is_a_state(n, data):
-    psi = data.draw(_state(2**n))
-    keep = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
-                              unique=True))
-    rho = ss.reduced_density_matrix(psi, keep, n)
-    assert rho.shape == (2**len(keep),) * 2
-    np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
-    np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-12)
-    assert np.linalg.eigvalsh(rho).min() > -1e-12
-
-
 def test_bad_inputs():
     with pytest.raises(ValueError):
         ss.basis_index([0, 2, 0])
-    with pytest.raises(ValueError):
-        ss.reduced_density_matrix(np.ones(4) / 2, [3], 2)
-    with pytest.raises(ValueError):
-        ss.reduced_density_matrix(np.ones(4) / 2, [1, 1], 2)
     with pytest.raises(ValueError):
         ss.apply_single_qubit(np.ones(4) / 2, np.eye(2), 0, 2)
 

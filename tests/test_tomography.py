@@ -236,16 +236,21 @@ def _loop_simulate_tomography(state, settings, record=None):
     return {label: sums[label] / hits[label] for label in sums}
 
 
+def _pauli_sum(values: dict, n: int, prefix: str = "") -> np.ndarray:
+    """Sum of values[label] pauli_operator(label[len(prefix):]) over labels from prefix.
+
+    Built one site at a time, as sum_c kron(P_c, the same sum for prefix + c).
+    """
+    if len(prefix) == n:
+        if prefix not in values:
+            raise ValueError(f"incomplete Pauli basis: missing {prefix}")
+        return values[prefix]
+    return sum(np.kron(PAULI[c], _pauli_sum(values, n, prefix + c)) for c in "IXYZ")
+
+
 def _kron_reconstruct(values: dict) -> np.ndarray:
     n = len(next(iter(values)))
-    dim = 2**n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p in itertools.product("IXYZ", repeat=n):
-        label = "".join(p)
-        if label not in values:
-            raise ValueError(f"incomplete Pauli basis: missing {label}")
-        rho += values[label] * pauli_operator(label)
-    rho /= dim
+    rho = _pauli_sum(values, n) / 2**n
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
