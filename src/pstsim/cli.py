@@ -315,7 +315,7 @@ def cmd_ghz(args) -> int:
     if n < 2:
         raise UsageError("--n must be at least 2")
     if n > 8:
-        raise UsageError("tomography beyond 8 sites is not supported")
+        raise UsageError("ghz writes the 2^n x 2^n density matrix, so n is at most 8")
     if scenario is None:
         report, state, scenario_info = None, protocols.ghz_state(n), "none"
     else:

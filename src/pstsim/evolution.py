@@ -6,7 +6,7 @@ excitation sectors (finer where a coupling vanishes), so no sector
 bookkeeping is passed in.  One eigen kernel exponentiates a stack of
 blocks, each with its states and its time grid, from one decomposition:
 ``eigh`` when the stack is Hermitian (real ``eigh`` for a real stack,
-such as every chain, lattice and device block, whose real eigenvectors
+such as every chain and device block, whose real eigenvectors
 then act on the real and imaginary parts of the states), ``eig`` when
 relaxation makes it non-Hermitian (``expm`` near an exceptional point,
 where the eigenvectors are ill-conditioned); each item is

@@ -456,8 +456,24 @@ def graph_state_edges(n: int) -> GraphStateReport:
 # lattices
 
 def lattice_pst(spec: lattice.LatticeSpec, start, times) -> evolution.Trajectory:
-    """Single-excitation lattice transfer; populations indexed x-major."""
-    H = lattice.build_lattice_hamiltonian(spec)
-    psi0 = np.zeros(spec.n_sites, dtype=complex)
-    psi0[lattice.site_index(spec, *start)] = 1.0
-    return evolution.evolve(H, psi0, times)
+    """Single-excitation lattice transfer; states and populations indexed x-major.
+
+    The x hops and the y hops commute, so the amplitudes are products of
+    the two axis chains' amplitudes, one :func:`run_pst` per axis; an axis
+    of one site has amplitude 1, so a 1 x n or n x 1 lattice is its
+    chain's run.  Raises ResourceError, before either chain runs, when
+    len(times) * nx * ny is above ``evolution.OUTPUT_GUARD``.
+    """
+    lattice.site_index(spec, *start)
+    if np.size(times) * spec.n_sites > evolution.OUTPUT_GUARD:
+        raise evolution.ResourceError(f"{np.size(times)} times x {spec.n_sites} sites above "
+                                      f"the output guard of {evolution.OUTPUT_GUARD} amplitudes")
+    runs = [run_pst(chains.ChainSpec.pst(n, spec.tau), k, times)
+            for n, k in zip((spec.nx, spec.ny), start) if n > 1]
+    if len(runs) == 1:          # x-major order is then the longer axis's site order
+        return runs[0]
+    ax, ay = (run.states for run in runs)
+    states = (ax[:, :, None] * ay[:, None, :]).reshape(len(ax), spec.n_sites)
+    prob = np.abs(states) ** 2
+    return evolution.Trajectory(times=runs[0].times, states=states, populations=prob,
+                                norm=np.sqrt(prob.sum(axis=1)))

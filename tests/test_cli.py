@@ -442,6 +442,16 @@ def test_ghz_above_8_sites_is_refused_before_simulating(tmp_path, monkeypatch, s
     assert exc.value.code == 2
 
 
+def test_ghz_without_shots_names_the_density_matrix_limit(tmp_path, capsys):
+    # no tomography is asked for: the limit is the 2^n x 2^n rho ghz writes
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "ghz", "--n", 9)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "2^n x 2^n density matrix" in err
+    assert "tomography" not in err
+
+
 # ------------------------------------------------------------------ calibrate
 
 
@@ -557,13 +567,22 @@ def test_lattice_usage_errors(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [("pst", "--n", 100000, "--tau", "1us"),
-                                  ("lattice", "--nx", 1000, "--ny", 1000)])
+                                  ("lattice", "--nx", 4097, "--ny", 2)])
 def test_large_problem_fails_fast(tmp_path, capsys, argv):
-    # sparse Hamiltonians let the dense guard trip before any n x n matrix exists
+    # a chain, or a lattice's longer axis chain, above the dense guard trips
+    # it before any n x n matrix exists
     start = time.perf_counter()
     assert _run(tmp_path, *argv) == 1
     assert time.perf_counter() - start < 2.0
     assert "above dense guard 4096" in capsys.readouterr().err
+
+
+def test_lattice_above_the_output_guard_fails_fast(tmp_path, capsys):
+    # 7 snapshots of 4096 x 4096 sites are 7 * 2^24 amplitudes; no axis runs
+    start = time.perf_counter()
+    assert _run(tmp_path, "lattice", "--nx", 4096, "--ny", 4096) == 1
+    assert time.perf_counter() - start < 2.0
+    assert "above the output guard" in capsys.readouterr().err
 
 
 def test_full_space_start_above_the_guards_fails_before_it_allocates(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,33 +48,48 @@ def _chain(n):
     return chains.chain_hamiltonian(spec, chains.block_states(spec, "1" + "0" * (n - 1)))
 
 
-def test_hamiltonian_is_kron_sum_of_chains():
-    spec = lattice.LatticeSpec(nx=3, ny=4, tau=1e-6)
-    H = lattice.build_lattice_hamiltonian(spec).toarray()
-    hx = _chain(3).toarray()
-    hy = _chain(4).toarray()
-    expect = np.kron(hx, np.eye(4)) + np.kron(np.eye(3), hy)
-    np.testing.assert_allclose(H, expect, atol=1e-6)
+def _kron_sum(spec):
+    """H = kron(h_x, 1) + kron(1, h_y) of the two axis chains, dense."""
+    hx, hy = (_chain(n).toarray() if n > 1 else np.zeros((1, 1)) for n in (spec.nx, spec.ny))
+    return np.kron(hx, np.eye(spec.ny)) + np.kron(np.eye(spec.nx), hy)
 
 
-def test_real_lattice_matches_its_complex_copy():
-    spec = lattice.LatticeSpec(nx=5, ny=4, tau=1e-6)
-    H = lattice.build_lattice_hamiltonian(spec)
-    assert H.dtype == np.float64
-    psi0 = np.zeros(spec.n_sites, dtype=complex)
-    psi0[lattice.site_index(spec, 2, 3)] = 1.0
+@pytest.mark.parametrize("nx, ny", [(3, 4), (5, 4), (1, 5), (5, 1), (2, 2), (9, 7)])
+def test_product_of_axis_runs_matches_the_lattice_hamiltonian(nx, ny):
+    spec = lattice.LatticeSpec(nx=nx, ny=ny, tau=1e-6)
+    H = _kron_sum(spec)
     times = np.linspace(0.0, 2 * spec.tau, 9)
-    real = evolution.evolve(H, psi0, times)
-    ref = evolution.evolve(H.astype(complex), psi0, times)
-    np.testing.assert_allclose(real.states, ref.states, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(real.populations, ref.populations, rtol=0, atol=1e-12)
+    for start in [(1, 1), ((nx + 1) // 2, (ny + 1) // 2), (nx, ny)]:
+        psi0 = np.zeros(spec.n_sites, dtype=complex)
+        psi0[lattice.site_index(spec, *start)] = 1.0
+        ref = evolution.evolve(H, psi0, times)
+        traj = protocols.lattice_pst(spec, start, times)
+        np.testing.assert_array_equal(traj.times, ref.times)
+        np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.populations, ref.populations, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.norm, ref.norm, rtol=0, atol=1e-12)
 
 
-def test_single_column_grid_is_a_chain():
-    spec = lattice.LatticeSpec(nx=1, ny=5, tau=1e-6)
-    H = lattice.build_lattice_hamiltonian(spec).toarray()
-    hy = _chain(5).toarray()
-    np.testing.assert_allclose(H, hy, atol=1e-6)
+@pytest.mark.parametrize("start", [1, 3, 6])
+def test_one_row_lattice_is_its_chain_run(start):
+    spec = lattice.LatticeSpec(nx=1, ny=6, tau=1e-6)
+    times = np.linspace(0.0, spec.tau, 7)
+    traj = protocols.lattice_pst(spec, (1, start), times)
+    ref = protocols.run_pst(chains.ChainSpec.pst(6, spec.tau), start, times)
+    for field in ("times", "states", "populations", "norm"):
+        assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+
+
+def test_output_guard_trips_before_any_chain_runs(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("ran an axis chain of a lattice above the output guard")
+
+    monkeypatch.setattr(protocols, "run_pst", no_run)
+    spec = lattice.LatticeSpec(nx=4096, ny=4096, tau=1e-6)
+    start = time.perf_counter()
+    with pytest.raises(evolution.ResourceError, match="output guard"):
+        protocols.lattice_pst(spec, (1, 1), np.linspace(0.0, spec.tau, 7))
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=15, deadline=None)

@@ -188,28 +188,28 @@ def test_fidelity_opt_z_matches_unnormalized_report():
 
 # ------------------------------------------------ references: the loop versions
 # The estimator, reconstruction and virtual-Z optimum as they were before the
-# per-qubit transforms, kept verbatim (module names qualified; the estimate
-# is a plain dict of Pauli-string values) so the transforms can be pinned
-# against them.  ``record`` collects each setting's outcome frequencies.
+# per-qubit transforms (module names qualified; the estimate is a plain dict
+# of Pauli-string values) so the transforms can be pinned against them.  The
+# estimator rotates and samples one setting at a time, as it did; its
+# per-label sums are one sign matrix product per setting, accumulated in
+# setting order.  ``record`` collects each setting's outcome frequencies.
 
 
-def _signs(n: int, label: str) -> np.ndarray:
-    """Outcome signs (-1)^(parity of bits under the non-identity sites)."""
-    outcomes = np.arange(2**n)
-    parity = np.zeros(2**n, dtype=np.int64)
-    for site, c in enumerate(label, start=1):
-        if c != "I":
-            parity += (outcomes >> (n - site)) & 1
-    return 1.0 - 2.0 * (parity % 2)
+def _subset_signs(n: int) -> np.ndarray:
+    """(2^n kept-site masks, 2^n outcomes): (-1)^(parity of outcome bits a mask keeps)."""
+    masks = np.arange(2**n)
+    both = masks[:, None] & masks[None, :]
+    parity = np.zeros_like(both)
+    for b in range(n):
+        parity ^= (both >> b) & 1
+    return 1.0 - 2.0 * parity
 
 
 def _loop_simulate_tomography(state, settings, record=None):
     psi = np.asarray(state, dtype=complex).ravel()
     n = settings.n_sites
     psi = psi / np.linalg.norm(psi)
-    sums = {}
-    hits = {}
-    signs = {}                  # label -> _signs(n, label), built once per label
+    freqs = []
     for idx, s in enumerate(_settings(n)):
         rotated = psi
         for site, axis in enumerate(s, start=1):
@@ -223,17 +223,20 @@ def _loop_simulate_tomography(state, settings, record=None):
             freq = probs
         if record is not None:
             record.append(freq)
-        for r in range(n + 1):
-            for drop in itertools.combinations(range(n), r):
-                label = list(s)
-                for k in drop:
-                    label[k] = "I"
-                label = "".join(label)
-                if label not in signs:
-                    signs[label] = _signs(n, label)
-                sums[label] = sums.get(label, 0.0) + float(np.dot(signs[label], freq))
-                hits[label] = hits.get(label, 0) + 1
-    return {label: sums[label] / hits[label] for label in sums}
+        freqs.append(freq)
+    # a label keeps the setting's axis (X, Y, Z = 1, 2, 3) on the sites of a
+    # mask and I = 0 elsewhere, site 1 the most significant base-4 digit;
+    # its outcome signs depend only on the mask
+    values = np.array(freqs) @ _subset_signs(n).T
+    axes = np.array([["IXYZ".index(c) for c in s] for s in _settings(n)])
+    keep = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    codes = (axes * 4 ** np.arange(n - 1, -1, -1)) @ keep.T
+    sums = np.zeros(4**n)
+    np.add.at(sums, codes.ravel(), values.ravel())
+    hits = np.bincount(codes.ravel(), minlength=4**n)
+    digits = (np.arange(4**n)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    labels = ["".join(row) for row in np.array(list("IXYZ"))[digits]]
+    return {label: total / hit for label, total, hit in zip(labels, sums, hits)}
 
 
 def _pauli_sum(values: dict, n: int, prefix: str = "") -> np.ndarray:
