@@ -202,11 +202,13 @@ def transfer_phase(n: int) -> complex:
     return complex((-1) ** n * 1j ** (n + 1))
 
 
-def pst_state_map(n: int):
-    """Closed form action of one transfer period on the full basis.
+def pst_state_map(n: int, states=None):
+    """Closed form action of one transfer period on the basis states ``states``.
 
-    Returns ``(targets, phases)``: basis state ``x`` is sent to
-    ``targets[x]`` (its mirror image) with amplitude ``phases[x]``.  The
+    ``states`` lists basis states, by default all 2**n; only those are
+    read, so no 2**n array is built for a few states of a long chain.
+    Returns ``(targets, phases)``: ``states[i]`` is sent to
+    ``targets[i]`` (its mirror image) with amplitude ``phases[i]``.  The
     phases are fixed so the map equals exp(-i H tau) of the chain built
     from :func:`pst_couplings` exactly, with no global-phase freedom
     left: each swapped mirror pair contributes exp(i s P pi/2), where P
@@ -214,19 +216,23 @@ def pst_state_map(n: int):
     s = +1 for n % 4 == 0 and -1 otherwise, and for odd n every
     transferred excitation carries an extra site factor (the centre site
     a different one) required by the interference of the crossing
-    branches.
+    branches.  Every factor is a power of i, so every phase is exactly
+    +-1 or +-i.  Beyond 62 sites the targets are Python ints in an
+    object array.
     """
     s = +1 if n % 4 == 0 else -1
     alpha = transfer_phase(n)
     site_factor = np.ones(n, dtype=complex)
     if n % 2 == 1:
-        site_factor[:] = alpha * np.exp(-1j * s * pi / 2)
+        site_factor[:] = alpha * -1j * s
         site_factor[(n - 1) // 2] = alpha
-    bits = statespace.occupation_rows(np.arange(2**n), n)
-    targets = bits @ (1 << np.arange(n))      # site 1 becomes the least significant bit
+    states = np.arange(2**n) if states is None else np.asarray(states)
+    bits = statespace.occupation_rows(states, n)
+    # site 1 becomes the least significant bit
+    targets = bits @ np.array([1 << k for k in range(n)], dtype=np.int64 if n < 63 else object)
     # by the parity of the excitations strictly between the swapped pair
-    swap_phase = np.exp(1j * s * pi / 2 * np.array([1, -1]))
-    phases = np.ones(2**n, dtype=complex)
+    swap_phase = 1j * s * np.array([1, -1])
+    phases = np.ones(len(states), dtype=complex)
     for k in range(1, n // 2 + 1):
         kt = n + 1 - k
         factor = swap_phase[bits[:, k:kt - 1].sum(axis=1) % 2]

@@ -1,9 +1,12 @@
 """Chain-transfer experiments: PST/FST runs, parity phases, GHZ generation.
 
 Each experiment is a pure function of its inputs.  A transfer run
-evolves only the block of the chain Hamiltonian that its start touches;
-the parity and GHZ experiments index the full 2^n register (site 1 =
-most significant bit).
+evolves only the block of the chain Hamiltonian that its start touches.
+An ideal parity experiment maps only its two input branches through the
+closed-form transfer (:func:`chains.pst_state_map`); under ZZ or
+relaxation a parity table reads the propagators of the excitation-sector
+blocks, and a single parity experiment and the GHZ run index the full
+2^n register (site 1 = most significant bit).
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +40,10 @@ __all__ = [
 ]
 
 INPUT_PHASES = {"+x": 0.0, "+y": pi / 2, "-x": pi, "-y": -pi / 2}
+
+# rows of one parity table, inputs x 2^(n-2); 2^18 admits n = 18 with all
+# four inputs
+ROW_GUARD = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,15 @@ def _parity_result(inner: str, input_state: str, coher) -> ParityExperimentResul
         phase=wrap_phase(INPUT_PHASES[input_state] - cmath.phase(coher)))
 
 
+def _transfer_coherences(n: int, low, high) -> np.ndarray:
+    """p[high] conj(p[low]) for arrays of input branches, p the phases of
+    :func:`chains.pst_state_map`: low and high land on mirror images that
+    differ in site n only, so an input of weight w leaves site n the
+    coherence w p[high] conj(p[low])."""
+    _, p = chains.pst_state_map(n, np.concatenate([low, high]))
+    return p[len(low):] * p[:len(low)].conj()
+
+
 def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
                             noise=None, tau: float | None = None) -> ParityExperimentResult:
     """Transfer-phase measurement for one inner bitstring and input state.
@@ -188,11 +204,16 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     read out, and the prepared input phase is subtracted from its angle;
     the result is wrapped to (-pi, pi].  Nonzero ``zeta`` (rad/s per
     adjacent pair) adds ZZ terms during the transfer, and ``noise``
-    relaxation.  Only the two excitation sectors the input touches are
-    diagonalised.
+    relaxation.  Without either the coherence comes from the closed-form
+    transfer of the two input branches alone, so any n runs; with
+    either the input is evolved on the whole 2^n register, whose H is
+    built in full.
     """
     spec = _parity_spec(n, zeta, tau)
     low, high, weight = _parity_input(n, inner, input_state)
+    if noise_label(zeta, noise) == "ideal":
+        coher = _transfer_coherences(n, [low], [high])[0] * weight
+        return _parity_result(inner, input_state, coher)
     psi = np.zeros(2**n, dtype=complex)
     psi[low] = 1.0 / np.sqrt(2.0)
     psi[high] = weight / np.sqrt(2.0)
@@ -200,43 +221,77 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     return _parity_result(inner, input_state, 2.0 * np.vdot(state[0::2], state[1::2]))
 
 
-def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
-                       tau: float | None = None):
-    """All 2^(n-2) inner bitstrings for the given input states.
-
-    The transfer propagator U of every excitation-sector block is built
-    once per table.  With site n the least significant bit, a row's
-    site-n coherence is e^(i phi) sum_x conj(U[x, low]) U[x|1, high]
-    over the states x of ``low``'s block with site n empty: the rows
-    whose two branches lie in the same two blocks gather those entries
-    and sum their products in one contraction.  A block above ``evolution.DENSE_GUARD``
-    states (n >= 15) raises ResourceError before any propagator is built;
-    single experiments evolve only the two sectors their input touches.
-    """
-    spec = _parity_spec(n, zeta, tau)
-    weights = np.array([_input_weight(inp) for inp in input_states])
-    block = np.empty(2**n, dtype=np.int64)          # block and column of every basis state
-    column = np.empty(2**n, dtype=np.int64)
-    blocks = []                                     # per block: its states and propagator
-    for b, (idx, h) in enumerate(evolution._blocks(_parity_hamiltonian(spec, noise))):
-        u = evolution._block_states(h[None], np.eye(len(idx))[None], [spec.tau])[0, 0]
-        block[idx], column[idx] = b, np.arange(len(idx))
-        blocks.append((idx, u))
-    low = np.arange(2 ** (n - 2)) << 1
-    high = low | 1 << (n - 1)
-    coher = np.empty((len(low), len(weights)), dtype=complex)
-    for lo, hi in set(zip(block[low].tolist(), block[high].tolist())):
-        group = np.flatnonzero((block[low] == lo) & (block[high] == hi))
-        (idx, lo_u), hi_u = blocks[lo], blocks[hi][1]
-        x = idx[(idx & 1 == 0) & (block[idx | 1] == hi)]    # site n empty, x|1 in high's block
-        sums = np.einsum("kr,kr->r", lo_u[np.ix_(column[x], column[low[group]])].conj(),
-                         hi_u[np.ix_(column[x | 1], column[high[group]])])
-        coher[group] = sums[:, None] * weights
+def _table_rows(n: int, input_states, coher) -> list:
+    """Rows of a table: every inner bitstring, in order, for each input state."""
     rows = []
     for code, row in enumerate(coher.tolist()):
         inner = format(code, f"0{n - 2}b")
         rows += [_parity_result(inner, inp, c) for inp, c in zip(input_states, row)]
     return rows
+
+
+def _block_table(spec: chains.ChainSpec, noise, input_states) -> list:
+    """The table from the transfer propagators U of the blocks of H.
+
+    With site n the least significant bit, a row's site-n coherence is
+    e^(i phi) sum_x conj(U[x, low]) U[x|1, high] over the states x of
+    ``low``'s block with site n empty.  The rows whose branches lie in
+    the same two blocks sum their products in one contraction once both
+    blocks are built, and a block's U is dropped once no remaining row
+    needs it.  A block above ``evolution.DENSE_GUARD`` states (n >= 15)
+    raises ResourceError before any U is built.
+    """
+    n = spec.n_sites
+    weights = np.array([_input_weight(inp) for inp in input_states])
+    low = np.arange(2 ** (n - 2)) << 1
+    high = low | 1 << (n - 1)
+    block = np.full(2**n, -1)                       # block and column of every state built
+    column = np.empty(2**n, dtype=np.int64)
+    blocks = {}                                     # the states and propagator of a block in use
+    coher = np.empty((len(low), len(weights)), dtype=complex)
+    for b, (idx, h) in enumerate(evolution._blocks(_parity_hamiltonian(spec, noise))):
+        block[idx], column[idx] = b, np.arange(len(idx))
+        blocks[b] = idx, evolution._block_states(h[None], np.eye(len(idx))[None],
+                                                 [spec.tau])[0, 0]
+        lo_block, hi_block = block[low], block[high]
+        ready = ((lo_block == b) | (hi_block == b)) & (lo_block >= 0) & (hi_block >= 0)
+        for lo, hi in set(zip(lo_block[ready].tolist(), hi_block[ready].tolist())):
+            group = np.flatnonzero((lo_block == lo) & (hi_block == hi))
+            states = blocks[lo][0]
+            x = states[(states & 1 == 0) & (block[states | 1] == hi)]  # site n empty, x|1 in hi
+            sums = np.einsum("kr,kr->r",
+                             blocks[lo][1][np.ix_(column[x], column[low[group]])].conj(),
+                             blocks[hi][1][np.ix_(column[x | 1], column[high[group]])])
+            coher[group] = sums[:, None] * weights
+        pending = (lo_block < 0) | (hi_block < 0)
+        for done in set(blocks) - set(lo_block[pending].tolist() + hi_block[pending].tolist()):
+            del blocks[done]
+    return _table_rows(n, input_states, coher)
+
+
+def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
+                       tau: float | None = None):
+    """All 2^(n-2) inner bitstrings for the given input states.
+
+    Without ZZ or relaxation each row's coherence comes from the closed
+    form of the transfer of its two input branches: no Hamiltonian is
+    built, every phase is exactly parity * pi/2 plus the offset of n
+    mod 4, and a row on the branch cut reads +pi.  With either, the rows
+    are read from the sector propagators (:func:`_block_table`), whose
+    dense guard stops n >= 15.  A table of more
+    than ``ROW_GUARD`` rows (inputs x 2^(n-2)) raises ResourceError
+    before any array is built.
+    """
+    spec = _parity_spec(n, zeta, tau)
+    weights = np.array([_input_weight(inp) for inp in input_states])
+    if len(weights) << (n - 2) > ROW_GUARD:
+        raise evolution.ResourceError(f"{len(weights)} inputs x 2^{n - 2} inner states "
+                                      f"above the row guard of {ROW_GUARD} rows")
+    if noise_label(zeta, noise) != "ideal":
+        return _block_table(spec, noise, input_states)
+    low = np.arange(2 ** (n - 2)) << 1
+    coher = _transfer_coherences(n, low, low | 1 << (n - 1))[:, None] * weights
+    return _table_rows(n, input_states, coher)
 
 
 def parity_deviation_fit(results) -> dict:

@@ -182,8 +182,26 @@ def test_pst_state_map_is_mirror_permutation(n):
     for x in (0, 1, 2**n - 1):
         # the occupation pattern read backwards along the chain
         assert targets[x] == int(format(x, f"0{n}b")[::-1], 2)
-    # vacuum never acquires a phase
+    # vacuum never acquires a phase, and every phase is a power of i exactly
     assert phases[0] == 1.0 + 0j
+    assert set(phases.tolist()) <= {1, 1j, -1, -1j}
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_pst_state_map_of_listed_states(n):
+    # listed states map as they do in the whole register
+    targets, phases = chains.pst_state_map(n)
+    states = np.random.default_rng(n).integers(0, 2**n, 40)
+    got_targets, got_phases = chains.pst_state_map(n, states)
+    np.testing.assert_array_equal(got_targets, targets[states])
+    np.testing.assert_array_equal(got_phases, phases[states])
+
+
+def test_pst_state_map_beyond_62_sites():
+    # the targets of a 70-site chain are Python ints, read backwards
+    targets, phases = chains.pst_state_map(70, [1 << 69, 3])
+    assert targets.tolist() == [1, 3 << 68]
+    assert np.abs(phases).tolist() == [1.0, 1.0]
 
 
 def test_transfer_phase_cycle():

@@ -301,6 +301,18 @@ def test_parity_single_inner(tmp_path):
     assert row["phase_rad"] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+def test_parity_on_forty_sites(tmp_path, capsys):
+    # the table's 4 x 2^38 rows are above the row guard; one ideal inner
+    # state maps its two input branches only
+    start = time.perf_counter()
+    assert _run(tmp_path, "parity", "--n", 40) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "above the row guard" in capsys.readouterr().err
+    assert _run(tmp_path, "parity", "--n", 40, "--inner", "0" * 38, "--inputs", "+x") == 0
+    (row,) = _load(tmp_path, "parity.json")["rows"]
+    assert (row["parity"], row["deviation_rad"]) == (1, 0.0)
+
+
 @pytest.mark.parametrize("model", ["relax", "zz+relax"])
 def test_parity_relax_scenario(tmp_path, model):
     config = tmp_path / "scenario.json"

@@ -225,8 +225,9 @@ def _model_terms(n, model):
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_parity_table_matches_single_experiments(n, model):
-    # the table reads columns of block propagators; a single experiment
-    # evolves its input through the two sectors it touches
+    # under ZZ or relaxation the table reads columns of block propagators and
+    # a single experiment evolves its input on the whole register; ideal rows
+    # of both come from the closed form
     zeta, noise = _model_terms(n, model)
     rows = protocols.parity_phase_table(n, tuple(protocols.INPUT_PHASES), zeta=zeta,
                                         noise=noise)
@@ -272,11 +273,14 @@ def test_parity_table_equals_dense_propagator_table(n, model):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_ideal_parity_table_matches_closed_form(n):
-    # the ideal transfer is chains.pst_state_map's signed permutation: low and
-    # high land on mirror images that differ in site n only, so every row's
-    # phase is -angle(p[high] conj(p[low])), whatever the input phase
+    # the block path of the ideal model, the numeric reference of the closed
+    # form the table uses: the ideal transfer is chains.pst_state_map's signed
+    # permutation, low and high land on mirror images that differ in site n
+    # only, so every row's phase is -angle(p[high] conj(p[low])), whatever the
+    # input phase
     targets, p = chains.pst_state_map(n)
-    rows = protocols.parity_phase_table(n, tuple(protocols.INPUT_PHASES))
+    rows = protocols._block_table(protocols._parity_spec(n, (), None), None,
+                                  tuple(protocols.INPUT_PHASES))
     low = np.array([int(r.inner, 2) << 1 for r in rows])
     high = low | 1 << (n - 1)
     assert np.array_equal(targets[high], targets[low] | 1)
@@ -288,14 +292,16 @@ def test_ideal_parity_table_matches_closed_form(n):
 @pytest.mark.parametrize("model", ["ideal", "zz"])
 @pytest.mark.parametrize("n", [6, 9])
 def test_parity_table_on_real_blocks_matches_complex_blocks(n, model, monkeypatch):
-    # the table of the real chain Hamiltonian against the table of its complex
-    # copy; relaxed models are left out, as add_relaxation makes both complex
+    # the block table of the real chain Hamiltonian against the block table of
+    # its complex copy; relaxed models are left out, as add_relaxation makes
+    # both complex
     zeta, noise = _model_terms(n, model)
     inputs = tuple(protocols.INPUT_PHASES)
-    rows = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
+    spec = protocols._parity_spec(n, zeta, None)
+    rows = protocols._block_table(spec, noise, inputs)
     build = chains.chain_hamiltonian
     monkeypatch.setattr(chains, "chain_hamiltonian", lambda spec: build(spec).astype(complex))
-    ref = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
+    ref = protocols._block_table(spec, noise, inputs)
     assert [(r.inner, r.input_state, r.parity) for r in rows] == \
         [(r.inner, r.input_state, r.parity) for r in ref]
     assert max(abs(protocols.wrap_phase(a.phase - b.phase)) for a, b in zip(rows, ref)) < 1e-12
@@ -311,23 +317,63 @@ def test_parity_without_coherence_raises():
 
 
 def test_parity_table_peaks_below_one_dense_propagator():
-    # one dense 2^10 complex U alone takes 16 MiB; the block propagators
-    # of all eleven excitation sectors take 2.8 MiB together
+    # one dense 2^11 complex U alone takes 64 MiB.  The ZZ table builds the
+    # propagator of one excitation sector at a time and drops each once no
+    # remaining row needs it: its traced peak is 16.8 MiB, against 18.9 MiB
+    # when every sector's U is kept to the end
+    zeta, _ = _model_terms(11, "zz")
     tracemalloc.start()
     try:
-        protocols.parity_phase_table(10)
+        protocols.parity_phase_table(11, zeta=zeta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 18 * 2**20
 
 
 def test_parity_table_above_dense_guard_fails_fast():
-    # C(15, 7) = 6435 states in the largest excitation sector
+    # with ZZ the table reads sector propagators: C(15, 7) = 6435 states in
+    # the largest excitation sector
+    zeta, _ = _model_terms(15, "zz")
     start = time.perf_counter()
-    with pytest.raises(evolution.ResourceError):
-        protocols.parity_phase_table(15)
+    with pytest.raises(evolution.ResourceError, match="above dense guard"):
+        protocols.parity_phase_table(15, zeta=zeta)
     assert time.perf_counter() - start < 1.0
+
+
+def test_ideal_parity_table_above_the_dense_guard_is_exact():
+    # the closed form builds no sector, so n = 16 runs; every factor of its
+    # phases is a power of i, so every deviation is exactly zero
+    rows = protocols.parity_phase_table(16)
+    assert len(rows) == 2**14
+    assert all(row.deviation == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_ideal_rows_on_the_branch_cut_read_plus_pi(n):
+    # at n = 1 mod 4 an odd-parity row's ideal phase is pi; the closed form
+    # puts every such row on the same side of the cut
+    rows = protocols.parity_phase_table(n, tuple(protocols.INPUT_PHASES))
+    on_cut = [row for row in rows if abs(protocols.wrap_phase(row.phase - pi)) < 1e-9]
+    assert len(on_cut) == len(rows) // 2
+    assert all(row.phase == pi for row in on_cut)
+
+
+def test_parity_row_guard_fails_fast(monkeypatch):
+    # 2^38 rows; the guard is checked before any array of the table exists
+    monkeypatch.setattr(chains, "pst_state_map", None)
+    start = time.perf_counter()
+    with pytest.raises(evolution.ResourceError, match="row guard"):
+        protocols.parity_phase_table(40)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ideal_parity_experiment_maps_only_its_two_branches():
+    # 2^40 states in the register; the closed form maps the two input branches
+    row = protocols.parity_phase_experiment(40, "0" * 38, "+x")
+    assert (row.parity, row.phase, row.deviation) == (1, -pi / 2, 0.0)
+    row = protocols.parity_phase_experiment(40, "1" + "0" * 37, "-y")
+    assert (row.parity, row.deviation) == (-1, 0.0)
 
 
 def test_parity_errors():
