@@ -214,6 +214,80 @@ def test_parity_zz_deviation_grows_with_count():
     assert fit["r_squared"] > 0.999
 
 
+def _free_fermion_deviations(n, zeta, tau=640e-9, nodes=80):
+    """First-order ZZ deviation of every row of a parity table, from free fermions.
+
+    By Jordan-Wigner the XY chain is free fermions with the single-particle
+    H of its couplings (no string on a nearest-neighbour hop; Lieb, Schultz
+    & Mattis 1961), and a basis branch is a Slater determinant.  Wick's
+    theorem gives <n_k n_k+1> = G_kk G_k+1,k+1 - |G_k,k+1|^2 with
+    G_kl(t) = sum over occupied s of conj(U_ks) U_ls, U = exp(-i h t).  To
+    first order in zeta a branch gains only the phase
+    Phi = int_0^tau sum_k zeta_k <n_k n_k+1> dt (its amplitude into other
+    states reaches site n's coherence at second order), so a row deviates
+    by Phi_high - Phi_low.  The integrand is a trigonometric polynomial of
+    frequencies below 2 (n - 1) pi / tau: Gauss-Legendre with 80 nodes
+    integrates it to about 1e-14 for n <= 12.  No chain Hamiltonian and no
+    propagator of pstsim enters.
+    """
+    J = chains.pst_couplings(n, tau)
+    lam, v = np.linalg.eigh(np.diag(J, 1) + np.diag(J, -1))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = (x + 1) * tau / 2
+    U = (v * np.exp(-1j * lam * t[:, None, None])) @ v.T           # (nodes, n, n)
+    low = np.arange(2 ** (n - 2)) << 1
+
+    def phi(branches):
+        occ = ((branches[:, None] >> np.arange(n - 1, -1, -1)) & 1).T.astype(float)
+        g_diag = (np.abs(U) ** 2) @ occ                             # (nodes, n, rows)
+        g_next = (U[:, :-1].conj() * U[:, 1:]) @ occ                # G_k,k+1
+        pairs = g_diag[:, :-1] * g_diag[:, 1:] - np.abs(g_next) ** 2
+        return np.einsum("t,k,tkr->r", w * tau / 2, np.asarray(zeta), pairs)
+
+    return phi(low | 1 << (n - 1)) - phi(low)
+
+
+def _first_order_gap(n, zeta):
+    """Largest |deviation - free-fermion first order| over a ZZ table's rows."""
+    rows = protocols.parity_phase_table(n, zeta=zeta)
+    dev = np.array([row.deviation for row in rows])
+    return np.abs(np.angle(np.exp(1j * (dev - _free_fermion_deviations(n, zeta))))).max()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_zz_tables_match_free_fermions_to_third_order(n):
+    # With eps = max |zeta_k| tau the first neglected term is third order:
+    # the second cancels, as halving zeta divides the largest gap by 8 (a
+    # wrong sign or a ZZ term on the wrong pair would leave a first-order
+    # gap, halved with zeta).  Its coefficient stays below 1/50 for
+    # n <= 12 (at most 7.8e-3 for a uniform zeta, at n = 4, and 1.2e-2 for
+    # the mixed-sign profile, at n = 8), so every row is held to
+    # eps^3 / 50: 5.2e-6 rad at eps = 0.064 and 1.3e-3 rad at the
+    # -2 pi 100 kHz the other ZZ tests use (eps = 0.40).
+    tau = 640e-9
+    uniform = np.full(n - 1, -1e5)
+    mixed = 1e5 * np.cos(2.0 * np.arange(n - 1))       # both signs, no mirror symmetry
+    for zeta in (uniform, mixed, np.full(n - 1, -2 * pi * 100e3)):
+        eps = np.abs(zeta).max() * tau
+        assert _first_order_gap(n, tuple(zeta)) < eps**3 / 50
+    ratio = _first_order_gap(n, tuple(uniform)) / _first_order_gap(n, tuple(uniform / 2))
+    assert ratio == pytest.approx(8.0, abs=0.2)
+
+
+def test_recorded_zz_slope_matches_free_fermions():
+    # the slope test_parity_zz_deviation_grows_with_count records, from the
+    # first-order free-fermion deviations: each per-count mean moves by at
+    # most the eps^3 / 50 bound, so the slope of five counts 0..4 by at most
+    # sum |c - 2| / sum (c - 2)^2 = 0.6 times it
+    n, zeta = 6, (-2.0 * pi * 100e3,) * 5
+    dev = np.abs(_free_fermion_deviations(n, zeta))
+    counts = np.array([bin(code).count("1") for code in range(2 ** (n - 2))])
+    means = [dev[counts == k].mean() for k in range(n - 1)]
+    slope = np.polyfit(np.arange(n - 1), means, 1)[0]
+    bound = 0.6 * (2 * pi * 100e3 * 640e-9) ** 3 / 50
+    assert abs(slope - 0.129011) < bound + 1e-6
+
+
 def _model_terms(n, model):
     """zeta and noise of a parity model: ideal, zz, relax or zz+relax."""
     zeta = (-2.0 * pi * 100e3,) * (n - 1) if "zz" in model else ()
