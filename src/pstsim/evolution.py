@@ -1,35 +1,25 @@
 """Time evolution: the one place where a Hamiltonian is exponentiated.
 
-Static Hamiltonians are split into the connected components of their
-nonzero pattern.  For the excitation-conserving chains these are the
-excitation sectors (finer where a coupling vanishes), so no sector
-bookkeeping is passed in.  One eigen kernel exponentiates a stack of
-blocks, each with its states and its time grid, from one decomposition:
-``eigh`` when the stack is Hermitian (real ``eigh`` for a real stack,
-such as every chain and device block, whose real eigenvectors
-then act on the real and imaginary parts of the states), ``eig`` when
-relaxation makes it non-Hermitian (``expm`` near an exceptional point,
-where the eigenvectors are ill-conditioned); each item is
-bit-identical to a one-block stack.  ``evolve`` passes each
-block the initial state touches, and evaluates every requested time
-exactly; a block above ``DENSE_GUARD`` raises ResourceError before any
-work.  ``method="krylov"`` changes only what happens to a touched block
-above the guard: it is stepped with scipy's ``expm_multiply`` as a
-slice of H (sparse when H is) that is never made dense.  The
-flux-driven device model steps its H(t) as two static exponentials per
-commutator-free step, all the columns of a block as one stack; a step
-of one state vector, where that costs less than the decomposition, sums
-a Chebyshev series instead (Tal-Ezer & Kosloff 1984): about twenty
-matrix-vector products on the device's largest blocks.  For a column
-driven at one nonzero frequency whose period T fits in the time window,
-it takes those steps over one period only, applied to the block
-identity; later times reuse that period propagator and its substep
-propagators and add one short step, with no further decomposition.
-Relaxation enters as non-Hermitian diagonal terms; the survival norm of
-the propagated state is tracked alongside per-site populations.  A
-trajectory of more than ``OUTPUT_GUARD`` amplitudes raises
-ResourceError before it is allocated, and so does a device run of more
-than ``STEP_GUARD`` steps and period products before its first step.
+``evolve_blocks`` assembles a trajectory from the blocks of a static H
+that the initial state touches: the chains pass the dense blocks they
+know (``chains.block_states``), and ``evolve`` finds those of any H as
+the connected components of its nonzero pattern.  One eigen kernel
+exponentiates a stack of blocks, each with its states and time grid,
+from one decomposition: ``eigh`` for a Hermitian stack (real for a real
+one, such as every chain and device block), ``eig`` for a relaxed one
+(``expm`` near an exceptional point); each item is bit-identical to a
+one-block stack, and every time is evaluated exactly.  In ``evolve`` a
+touched block above ``DENSE_GUARD`` raises ResourceError before any
+work, or under ``method="krylov"`` is stepped with ``expm_multiply`` as
+a slice of H.  The flux-driven device model steps its H(t) as two
+static exponentials per commutator-free step, all the columns of a block
+as one stack, or one state vector by a Chebyshev series where that costs
+less (Tal-Ezer & Kosloff 1984); a column driven at one frequency whose
+period fits the time window reuses its one-period propagators.
+Relaxation enters as non-Hermitian diagonal terms, and the survival norm
+is tracked.  A trajectory of more than ``OUTPUT_GUARD`` amplitudes, and a
+device run of more than ``STEP_GUARD`` steps, raise ResourceError before
+any allocation or step.
 """
 
 from dataclasses import dataclass
@@ -41,11 +31,14 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
+from . import statespace
+
 __all__ = [
     "EvolutionOptions",
     "NoiseSpec",
     "Trajectory",
     "evolve",
+    "evolve_blocks",
     "add_relaxation",
     "decay_rates",
     "ResourceError",
@@ -111,8 +104,8 @@ def decay_rates(noise: NoiseSpec) -> np.ndarray:
     return pi / t1
 
 
-def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
-    """H minus i times the per-site decay rates weighted by occupation.
+def add_relaxation(H: np.ndarray, noise: NoiseSpec, occupations: np.ndarray) -> np.ndarray:
+    """The dense H minus i times the per-site decay rates weighted by occupation.
 
     ``occupations`` maps basis states to per-site excitation numbers,
     shape (dim, n_sites), a dense array; it defines what "excitation at
@@ -120,13 +113,8 @@ def add_relaxation(H, noise: NoiseSpec, occupations: np.ndarray):
     """
     if len(noise.t1) != occupations.shape[1]:
         raise ValueError("one T1 per site required")
-    gam = decay_rates(noise)
-    diag = occupations @ gam
-    if sparse.issparse(H):
-        n = H.shape[0]
-        return H.tocsr() - sparse.csr_matrix((1j * diag, np.arange(n), np.arange(n + 1)),
-                                             shape=H.shape)
-    return np.asarray(H, dtype=complex) - 1j * np.diag(diag)
+    return np.asarray(H, dtype=complex) - 1j * np.diag(
+        statespace.site_sums(occupations, decay_rates(noise)))
 
 
 def _product(a, b):
@@ -361,43 +349,41 @@ class Trajectory:
 
 def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
            occupations: np.ndarray | None = None) -> Trajectory:
-    """Propagate ``psi0`` through ``times`` (ascending, seconds).
+    """Propagate ``psi0`` through ``times`` (ascending, seconds) under a static H.
 
-    ``H`` is a static matrix, dense or sparse.  ``occupations``
-    (dim, n_sites) converts amplitudes to per-site populations; when
-    omitted each basis state is reported as its own column.  Each block
-    of H that ``psi0`` touches and that has at most ``DENSE_GUARD``
-    states (read at call time) is decomposed once, whatever the method.
-    A larger touched block raises ResourceError before any work under
-    the default method; ``method="krylov"`` instead steps
-    ``expm_multiply`` between the requested times on it, as a slice of
-    H (sparse when H is).  Components ``psi0`` does not touch stay
-    exactly zero under both methods.  Raises ValueError for times that
-    are not finite, not ascending or empty, and ResourceError, before
-    any work, when len(times) * dim is above ``OUTPUT_GUARD``.
+    ``H`` is dense or sparse; ``occupations`` (dim, n_sites) turns amplitudes
+    into per-site populations (each state its own column when omitted).  A
+    touched block of at most ``DENSE_GUARD`` states (read at call time) is
+    decomposed once; a larger one raises ResourceError before any work, or
+    under ``method="krylov"`` is stepped with ``expm_multiply`` as a slice
+    of H.  Untouched blocks stay exactly zero.  Raises ValueError for times
+    not finite, not ascending or empty, and ResourceError before any work
+    when len(times) * dim is above ``OUTPUT_GUARD``.
     """
-    options = options or EvolutionOptions()
-    times = _ascending_times(times)
     psi0 = np.asarray(psi0, dtype=complex)
     if np.shape(H) != (len(psi0), len(psi0)):
         raise ValueError("H must be a static square matrix matching psi0")
-    blocks = _blocks(H, psi0, slice_above_guard=options.method == "krylov")
+    krylov = options is not None and options.method == "krylov"
+    return evolve_blocks(_blocks(H, psi0, slice_above_guard=krylov), psi0, times, occupations)
+
+
+def evolve_blocks(blocks, psi0: np.ndarray, times,
+                  occupations: np.ndarray | None = None) -> Trajectory:
+    """:func:`evolve` on known blocks ``(idx, h)``, H on the states ``psi0[idx]``
+    (``idx`` an array or a slice), which cover every block ``psi0`` touches;
+    one above ``DENSE_GUARD`` (from ``evolve``'s krylov method) is stepped."""
+    times = _ascending_times(times)
+    psi0 = np.asarray(psi0, dtype=complex)
     if len(times) * len(psi0) > OUTPUT_GUARD:
         raise ResourceError(f"{len(times)} times x {len(psi0)} states above the output "
                             f"guard of {OUTPUT_GUARD} amplitudes")
     states = np.zeros((len(times), len(psi0)), dtype=complex)
-
     for idx, h in blocks:
         states[:, idx] = (_block_states(h[None], psi0[None, idx], times)[0]
-                          if len(idx) <= DENSE_GUARD else _krylov_states(h, psi0[idx], times))
-
+                          if h.shape[0] <= DENSE_GUARD else _krylov_states(h, psi0[idx], times))
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite amplitudes during evolution")
-
     prob = np.abs(states) ** 2
-    norm = np.sqrt(prob.sum(axis=1))
-    if occupations is not None:
-        populations = prob @ np.asarray(occupations)
-    else:
-        populations = prob
-    return Trajectory(times=times, states=states, populations=populations, norm=norm)
+    populations = prob if occupations is None else prob @ np.asarray(occupations)
+    return Trajectory(times=times, states=states, populations=populations,
+                      norm=np.sqrt(prob.sum(axis=1)))

@@ -31,6 +31,7 @@ __all__ = [
     "fst_profile",
     "block_states",
     "chain_hamiltonian",
+    "chain_block",
     "pst_state_map",
     "pst_unitary",
     "transfer_phase",
@@ -164,33 +165,40 @@ def block_states(spec: ChainSpec, start: str) -> np.ndarray:
     return np.array(sorted(states, reverse=True), dtype=np.int64 if n < 63 else object)
 
 
-def chain_hamiltonian(spec: ChainSpec, states=None) -> sparse.csr_matrix:
-    """H over basis states closed under its hops, by default all 2**n (sparse, real).
-
-    Row i is ``states[i]``.  Read off the occupation bits of every state:
-    detunings and ZZ shifts on the diagonal, and for each nonzero
-    coupling a hop of an excitation to its empty neighbour, whose target
-    flips both bits of the pair.
-    """
+def _entries(spec: ChainSpec, states: np.ndarray, position=None):
+    """``(rows, cols, vals)`` of H on ``states`` from their bits: each hop to an
+    empty neighbour both ways (``position`` maps the state a hop reaches to its
+    row, by default itself), then the nonzero diagonal."""
     n = spec.n_sites
-    order = None if states is None else np.argsort(states)
-    states = np.arange(2**n) if states is None else np.asarray(states)
     occ = statespace.occupation_rows(states, n)
-    diag = occ @ np.array(spec.detunings) + (occ[:, :-1] * occ[:, 1:]) @ np.array(spec.zz)
+    diag = (statespace.site_sums(occ, np.array(spec.detunings))
+            + statespace.site_sums(occ[:, :-1] * occ[:, 1:], np.array(spec.zz)))
+    J = np.array(spec.couplings)
+    k, src = np.nonzero(((occ[:, :-1] == 1) & (occ[:, 1:] == 0) & (J != 0)).T)
+    flips = np.array([3 << (n - 2 - i) for i in range(n - 1)], dtype=states.dtype)
+    dst = states[src] ^ flips[k]
+    dst = dst if position is None else position(dst)
     d = np.flatnonzero(diag)
-    rows, cols, vals = [], [], []
-    for k, j in enumerate(spec.couplings):
-        # hop an excitation from site k+1 to site k+2; a zero coupling hops nothing
-        src = np.flatnonzero((occ[:, k] == 1) & (occ[:, k + 1] == 0) & (j != 0))
-        dst = states[src] ^ (3 << (n - 2 - k))
-        if order is not None:           # in the whole register a state is its own row
-            dst = order[np.searchsorted(states, dst, sorter=order)]
-        rows += [src, dst]
-        cols += [dst, src]
-        vals.append(np.full(2 * len(src), j))
-    return sparse.csr_matrix((np.concatenate([*vals, diag[d]]),
-                              (np.concatenate([*rows, d]), np.concatenate([*cols, d]))),
-                             shape=(len(states),) * 2, dtype=float)
+    return (np.concatenate([src, dst, d]), np.concatenate([dst, src, d]),
+            np.concatenate([J[k], J[k], diag[d]]))
+
+
+def chain_hamiltonian(spec: ChainSpec) -> sparse.csr_matrix:
+    """H over all 2**n basis states, row i the state i (sparse, real)."""
+    dim = 2**spec.n_sites
+    rows, cols, vals = _entries(spec, np.arange(dim))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=float)
+
+
+def chain_block(spec: ChainSpec, states) -> np.ndarray:
+    """Dense float64 H on states closed under its hops (a :func:`block_states` block)."""
+    states = np.asarray(states)
+    order = np.argsort(states)
+    rows, cols, vals = _entries(spec, states,
+                                lambda x: order[np.searchsorted(states, x, sorter=order)])
+    h = np.zeros((len(states),) * 2)
+    h[rows, cols] = vals
+    return h
 
 
 def transfer_phase(n: int) -> complex:

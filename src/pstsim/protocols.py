@@ -1,12 +1,12 @@
 """Chain-transfer experiments: PST/FST runs, parity phases, GHZ generation.
 
-Each experiment is a pure function of its inputs.  A transfer run
-evolves only the block of the chain Hamiltonian that its start touches.
-An ideal parity experiment maps only its two input branches through the
-closed-form transfer (:func:`chains.pst_state_map`); under ZZ or
-relaxation a parity table reads the propagators of the excitation-sector
-blocks, and a single parity experiment and the GHZ run index the full
-2^n register (site 1 = most significant bit).
+Each experiment is a pure function of its inputs.  Every chain evolution
+runs on the dense blocks of known state lists (:func:`chains.block_states`):
+a transfer run on the block of its start, a ZZ or relaxed parity experiment
+on one block per input branch, a parity table and the GHZ and double-FST
+runs sector by sector (site 1 = most significant bit).  An ideal parity
+experiment maps its two input branches through the closed-form transfer
+(:func:`chains.pst_state_map`).
 """
 
 from dataclasses import dataclass, field
@@ -106,12 +106,24 @@ def run_pst(spec: chains.ChainSpec, initial, times, noise=None) -> evolution.Tra
     if len(initial) != n or set(initial) - {"0", "1"}:
         raise ValueError(f"initial state {initial!r} is neither a site nor {n} occupations")
     states = chains.block_states(spec, initial)
-    occ = statespace.occupation_rows(states, n).astype(float)
-    H = chains.chain_hamiltonian(spec, states)
-    if noise is not None:
-        H = evolution.add_relaxation(H, noise, occ)
     psi0 = (states == int(initial, 2)).astype(complex)
-    return evolution.evolve(H, psi0, times, occupations=occ)
+    return evolution.evolve_blocks([(slice(None), _block(spec, states, noise))], psi0, times,
+                                   occupations=statespace.occupation_rows(states, n).astype(float))
+
+
+def _block(spec: chains.ChainSpec, states, noise) -> np.ndarray:
+    """H on the basis states of a block, relaxed when ``noise`` is given."""
+    h = chains.chain_block(spec, states)
+    if noise is None:
+        return h
+    return evolution.add_relaxation(
+        h, noise, statespace.occupation_rows(states, spec.n_sites).astype(float))
+
+
+def _sectors(spec: chains.ChainSpec, counts) -> list:
+    """Ascending states of each listed excitation sector (one block with no zero coupling)."""
+    n = spec.n_sites
+    return [chains.block_states(spec, "1" * m + "0" * (n - m))[::-1] for m in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +158,6 @@ def _parity_spec(n: int, zeta, tau):
     if n < 3:
         raise ValueError("parity experiment needs n >= 3")
     return chains.ChainSpec.pst(n, 640e-9 if tau is None else tau).with_zz(zeta)
-
-
-def _parity_hamiltonian(spec, noise):
-    H = chains.chain_hamiltonian(spec)
-    if noise is None:
-        return H
-    return evolution.add_relaxation(H, noise, statespace.occupation_matrix(spec.n_sites))
 
 
 def _input_weight(input_state: str):
@@ -206,67 +211,58 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     adjacent pair) adds ZZ terms during the transfer, and ``noise``
     relaxation.  Without either the coherence comes from the closed-form
     transfer of the two input branches alone, so any n runs; with
-    either the input is evolved on the whole 2^n register, whose H is
-    built in full.
+    either it is the one row of :func:`_block_table`, each branch
+    evolved on its own block.
     """
     spec = _parity_spec(n, zeta, tau)
     low, high, weight = _parity_input(n, inner, input_state)
-    if noise_label(zeta, noise) == "ideal":
-        coher = _transfer_coherences(n, [low], [high])[0] * weight
-        return _parity_result(inner, input_state, coher)
-    psi = np.zeros(2**n, dtype=complex)
-    psi[low] = 1.0 / np.sqrt(2.0)
-    psi[high] = weight / np.sqrt(2.0)
-    state = evolution.evolve(_parity_hamiltonian(spec, noise), psi, [spec.tau]).states[0]
-    return _parity_result(inner, input_state, 2.0 * np.vdot(state[0::2], state[1::2]))
+    if noise_label(zeta, noise) != "ideal":
+        return _block_table(spec, noise, (input_state,), [low >> 1])[0]
+    coher = _transfer_coherences(n, [low], [high])[0] * weight
+    return _parity_result(inner, input_state, coher)
 
 
-def _table_rows(n: int, input_states, coher) -> list:
-    """Rows of a table: every inner bitstring, in order, for each input state."""
+def _table_rows(n: int, input_states, codes, coher) -> list:
+    """Rows of a table: each inner bitstring of ``codes``, in order, for each input state."""
     rows = []
-    for code, row in enumerate(coher.tolist()):
+    for code, row in zip(codes.tolist(), coher.tolist()):
         inner = format(code, f"0{n - 2}b")
         rows += [_parity_result(inner, inp, c) for inp, c in zip(input_states, row)]
     return rows
 
 
-def _block_table(spec: chains.ChainSpec, noise, input_states) -> list:
-    """The table from the transfer propagators U of the blocks of H.
+def _block_table(spec: chains.ChainSpec, noise, input_states, codes=None) -> list:
+    """Rows from the transfer of their input branches, one excitation sector at a time.
 
-    With site n the least significant bit, a row's site-n coherence is
-    e^(i phi) sum_x conj(U[x, low]) U[x|1, high] over the states x of
-    ``low``'s block with site n empty.  The rows whose branches lie in
-    the same two blocks sum their products in one contraction once both
-    blocks are built, and a block's U is dropped once no remaining row
-    needs it.  A block above ``evolution.DENSE_GUARD`` states (n >= 15)
-    raises ResourceError before any U is built.
+    ``codes`` are the rows' inner bitstrings as integers, by default all
+    2^(n-2) of a table.  With site n the least significant bit, a row's
+    site-n coherence is e^(i phi) sum_x conj(U[x, low]) U[x|1, high] over
+    the states x of ``low``'s sector with site n empty.  Sector m
+    propagates the ``low`` branches of m inner excitations and the
+    ``high`` ones of m - 1; a sector above the dense guard (a table of
+    n >= 15) raises before any sector is propagated or enumerated.
     """
     n = spec.n_sites
     weights = np.array([_input_weight(inp) for inp in input_states])
-    low = np.arange(2 ** (n - 2)) << 1
-    high = low | 1 << (n - 1)
-    block = np.full(2**n, -1)                       # block and column of every state built
-    column = np.empty(2**n, dtype=np.int64)
-    blocks = {}                                     # the states and propagator of a block in use
-    coher = np.empty((len(low), len(weights)), dtype=complex)
-    for b, (idx, h) in enumerate(evolution._blocks(_parity_hamiltonian(spec, noise))):
-        block[idx], column[idx] = b, np.arange(len(idx))
-        blocks[b] = idx, evolution._block_states(h[None], np.eye(len(idx))[None],
-                                                 [spec.tau])[0, 0]
-        lo_block, hi_block = block[low], block[high]
-        ready = ((lo_block == b) | (hi_block == b)) & (lo_block >= 0) & (hi_block >= 0)
-        for lo, hi in set(zip(lo_block[ready].tolist(), hi_block[ready].tolist())):
-            group = np.flatnonzero((lo_block == lo) & (hi_block == hi))
-            states = blocks[lo][0]
-            x = states[(states & 1 == 0) & (block[states | 1] == hi)]  # site n empty, x|1 in hi
-            sums = np.einsum("kr,kr->r",
-                             blocks[lo][1][np.ix_(column[x], column[low[group]])].conj(),
-                             blocks[hi][1][np.ix_(column[x | 1], column[high[group]])])
-            coher[group] = sums[:, None] * weights
-        pending = (lo_block < 0) | (hi_block < 0)
-        for done in set(blocks) - set(lo_block[pending].tolist() + hi_block[pending].tolist()):
-            del blocks[done]
-    return _table_rows(n, input_states, coher)
+    codes = np.arange(2 ** (n - 2)) if codes is None else np.array(codes, dtype=object)
+    count = np.array([bin(c).count("1") for c in codes.tolist()])
+    coher = np.empty((len(codes), len(weights)), dtype=complex)
+    needed = np.union1d(count, count + 1).tolist()      # the sectors of low and of high
+    for m, states in zip(needed, _sectors(spec, needed)):
+        low = codes[count == m] << 1
+        high = codes[count == m - 1] << 1 | 1 << (n - 1)
+        cols = np.searchsorted(states, np.concatenate([low, high]))
+        inputs = np.zeros((len(states), len(cols)))
+        inputs[cols, np.arange(len(cols))] = 1.0
+        u = evolution._block_states(_block(spec, states, noise)[None], inputs[None],
+                                    [spec.tau])[0, 0]
+        if len(high):           # the rows with m - 1 inner excitations
+            x = np.flatnonzero(prev_states & 1 == 0)
+            x1 = np.searchsorted(states, prev_states[x] | 1)
+            sums = np.einsum("kr,kr->r", prev_low[x].conj(), u[x1, len(low):])
+            coher[count == m - 1] = sums[:, None] * weights
+        prev_states, prev_low = states, u[:, :len(low)]
+    return _table_rows(n, input_states, codes, coher)
 
 
 def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
@@ -277,8 +273,8 @@ def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
     form of the transfer of its two input branches: no Hamiltonian is
     built, every phase is exactly parity * pi/2 plus the offset of n
     mod 4, and a row on the branch cut reads +pi.  With either, the rows
-    are read from the sector propagators (:func:`_block_table`), whose
-    dense guard stops n >= 15.  A table of more
+    come from the sector transfers of :func:`_block_table`, whose dense
+    guard stops n >= 15.  A table of more
     than ``ROW_GUARD`` rows (inputs x 2^(n-2)) raises ResourceError
     before any array is built.
     """
@@ -289,9 +285,9 @@ def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
                                       f"above the row guard of {ROW_GUARD} rows")
     if noise_label(zeta, noise) != "ideal":
         return _block_table(spec, noise, input_states)
-    low = np.arange(2 ** (n - 2)) << 1
-    coher = _transfer_coherences(n, low, low | 1 << (n - 1))[:, None] * weights
-    return _table_rows(n, input_states, coher)
+    codes = np.arange(2 ** (n - 2))
+    coher = _transfer_coherences(n, codes << 1, codes << 1 | 1 << (n - 1))[:, None] * weights
+    return _table_rows(n, input_states, codes, coher)
 
 
 def parity_deviation_fit(results) -> dict:
@@ -329,14 +325,14 @@ def double_fst_parity_experiment(middle_excited_first_leg: bool) -> np.ndarray:
     """
     tau = 350e-9
     spec = chains.ChainSpec.fst(3, tau, pi / 2)
-    H = chains.chain_hamiltonian(spec)
+    blocks = [(s, _block(spec, s, None)) for s in _sectors(spec, range(4))]
     state = np.zeros(8, dtype=complex)
     bits = 0b100 | (0b010 if middle_excited_first_leg else 0)
     state[bits] = 1.0
-    state = evolution.evolve(H, state, [tau]).states[0]
+    state = evolution.evolve_blocks(blocks, state, [tau]).states[0]
     if middle_excited_first_leg:
         state = apply_gate(state, _X, (2,), 3)
-    state = evolution.evolve(H, state, [tau]).states[0]
+    state = evolution.evolve_blocks(blocks, state, [tau]).states[0]
     occ = statespace.occupation_matrix(3)
     return (np.abs(state) ** 2) @ occ
 
@@ -450,18 +446,15 @@ def run_ghz(scenario: GHZScenario) -> GHZReport:
     spec = chains.ChainSpec.pst(n, scenario.tau)
     if scenario.zeta and scenario.zz_application == "transfer":
         spec = spec.with_zz(scenario.zeta)
+    blocks = [(s, _block(spec, s, scenario.noise())) for s in _sectors(spec, range(n + 1))]
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     state = apply_gate(state, _H, range(1, n + 1), n)
-    H = chains.chain_hamiltonian(spec)
-    occ = statespace.occupation_matrix(n)
-    noise = scenario.noise()
-    if noise is not None:
-        H = evolution.add_relaxation(H, noise, occ)
-    state = evolution.evolve(H, state, [scenario.tau]).states[0]
+    state = evolution.evolve_blocks(blocks, state, [scenario.tau]).states[0]
     for u, sites in ghz_circuit(n):
         state = apply_gate(state, u, sites, n)
     if scenario.zeta and scenario.zz_application == "end":
+        occ = statespace.occupation_matrix(n)
         pair_term = np.zeros(2**n)
         for k, z in enumerate(scenario.zeta, start=1):
             pair_term += z * occ[:, k - 1] * occ[:, k]

@@ -14,6 +14,7 @@ __all__ = [
     "basis_index",
     "occupation_rows",
     "occupation_matrix",
+    "site_sums",
     "apply_single_qubit",
 ]
 
@@ -43,6 +44,13 @@ def occupation_rows(states, n: int) -> np.ndarray:
 def occupation_matrix(n: int) -> np.ndarray:
     """(2**n, n) matrix of per-site occupations over the full basis."""
     return occupation_rows(np.arange(2**n), n).astype(float)
+
+
+def site_sums(occupations: np.ndarray, values) -> np.ndarray:
+    """``occupations @ values``, one row summed as one of two: numpy gives a one-row
+    product to ``dot``, which rounds it otherwise than ``gemv`` in a longer one."""
+    rows = occupations if len(occupations) != 1 else np.repeat(occupations, 2, axis=0)
+    return (rows @ values)[:len(occupations)]
 
 
 def apply_single_qubit(psi: np.ndarray, op: np.ndarray, site: int, n: int) -> np.ndarray:

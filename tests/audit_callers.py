@@ -54,8 +54,6 @@ KEEP = [
      "a scan of one frequency: its resonance is held at that frequency"),
     ("calibration.py", "fit_chevron", "best = min(",
      "the restart when the first start misses the residual threshold"),
-    ("protocols.py", "_parity_hamiltonian", "return evolution.add_relaxation(",
-     "relaxation in a parity scenario (its t1_s field)"),
     ("protocols.py", "run_ghz", "spec = spec.with_zz(scenario.zeta)",
      'zz_application "transfer", a config value of GHZ scenarios'),
     ("serialize.py", "_get", "if key not in data:", "optional config fields left out"),

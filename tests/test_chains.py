@@ -119,9 +119,9 @@ def test_chain_spec_rejects_non_finite_values(values):
 
 
 def _sector_one(spec):
-    """H on the one-excitation sector, in site order, from the one chain builder."""
+    """H on the one-excitation sector, in site order, from the block builder."""
     n = spec.n_sites
-    return chains.chain_hamiltonian(spec, [1 << (n - 1 - i) for i in range(n)]).toarray()
+    return chains.chain_block(spec, [1 << (n - 1 - i) for i in range(n)])
 
 
 def test_one_excitation_block_matches_sector_one():
@@ -159,7 +159,7 @@ def test_block_states_guard_and_wide_registers(monkeypatch):
     assert states.dtype == object and list(states) == [1 << k for k in range(69, -1, -1)]
     np.testing.assert_array_equal(statespace.occupation_rows(states, 70), np.eye(70))
     J = np.array(spec.couplings)
-    np.testing.assert_array_equal(chains.chain_hamiltonian(spec, states).toarray(),
+    np.testing.assert_array_equal(chains.chain_block(spec, states),
                                   np.diag(J, 1) + np.diag(J, -1))
     monkeypatch.setattr(evolution, "DENSE_GUARD", 69)
     with pytest.raises(evolution.ResourceError, match="block dimension 70 above dense guard 69"):

@@ -313,6 +313,37 @@ def test_parity_on_forty_sites(tmp_path, capsys):
     assert (row["parity"], row["deviation_rad"]) == (1, 0.0)
 
 
+ZZ_N40 = "tests/data/scenario_parity_zz_n40.json"
+
+
+def test_zz_parity_on_forty_sites(tmp_path):
+    # each branch of one inner state runs on its own block: the empty chain
+    # (1 state) and one excitation on site 1 (40 states), which ZZ leaves alone
+    assert _run(tmp_path, "parity", "--config", ZZ_N40, "--inner", "0" * 38) == 0
+    data = _load(tmp_path, "parity.json")
+    assert (data["n"], data["model"]) == (40, "zz")
+    assert len(data["rows"]) == 4
+    for row in data["rows"]:
+        assert row["parity"] == 1 and abs(row["deviation_rad"]) < 1e-9
+
+
+def test_zz_parity_branches_above_the_dense_guard_fail_fast(tmp_path, capsys):
+    # C(40, 19) and C(40, 20) states: the dense guard stops the first branch
+    # before any of its states is enumerated
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert _run(tmp_path, "parity", "--config", ZZ_N40,
+                    "--inner", "1" * 19 + "0" * 19) == 1
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20
+    assert "block dimension 131282408400 above dense guard" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["relax", "zz+relax"])
 def test_parity_relax_scenario(tmp_path, model):
     config = tmp_path / "scenario.json"

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import tokenize
 from pathlib import Path
 
@@ -84,34 +85,35 @@ def test_decay_conventions():
 
 def test_add_relaxation_shapes_and_signs():
     spec = chains.ChainSpec.pst(3, 1e-6)
-    H = chains.chain_hamiltonian(spec)
+    H = chains.chain_hamiltonian(spec).toarray()
     noise = evolution.NoiseSpec(t1=(1e-6, 2e-6, 3e-6))
     Heff = evolution.add_relaxation(H, noise, statespace.occupation_matrix(3))
-    anti = (Heff.toarray() - Heff.toarray().conj().T) / 2j
+    anti = (Heff - Heff.conj().T) / 2j
     assert np.all(np.linalg.eigvalsh(anti) <= 1e-12)
     with pytest.raises(ValueError):
         evolution.add_relaxation(H, evolution.NoiseSpec(t1=(1e-6,)),
                                  statespace.occupation_matrix(3))
 
 
-def test_add_relaxation_sparse_matches_diags_form():
-    # the rates enter through one CSR diagonal; the result must be the
-    # matrix the sparse.diags form built, entry for entry and sign of zero
-    noise = evolution.NoiseSpec(t1=(1e-6, 2e-6, 3e-6))
-    occ = statespace.occupation_matrix(3)
-    rates = occ @ evolution.decay_rates(noise)
-    spec = chains.ChainSpec.pst(3, 1e-6)
-    bare = chains.chain_hamiltonian(spec)
-    assert not bare.diagonal().any()                # no stored diagonal
-    with_diagonal = chains.chain_hamiltonian(spec.with_zz((2e5, 3e5)))
-    assert with_diagonal.diagonal().any()
-    for H in (bare, bare.tocoo(), with_diagonal, with_diagonal.real.tocsr()):
-        got = evolution.add_relaxation(H, noise, occ)
-        want = (H - 1j * sparse.diags(rates.astype(complex))).tocsr()
-        assert got.format == "csr" and got.dtype == complex
-        assert (got != want).nnz == 0
-        np.testing.assert_array_equal(np.signbit(got.toarray().real),
-                                      np.signbit(want.toarray().real))
+def test_add_relaxation_matches_the_full_register():
+    # a relaxed chain block (1, 7 and 21 states) is the block of the relaxed
+    # full-register H, built in its sparse.diags form, entry for entry and
+    # sign of zero, with and without a ZZ diagonal; the one-state block's
+    # one-row rate sum would go to dot, which rounds it another way
+    noise = evolution.NoiseSpec(t1=tuple(np.linspace(1e-6, 9e-6, 7)))
+    rates = statespace.occupation_matrix(7) @ evolution.decay_rates(noise)
+    pst = chains.ChainSpec.pst(7, 1e-6)
+    for spec, start in itertools.product((pst, pst.with_zz(np.linspace(2e5, 9e5, 6))),
+                                         ("1111111", "1111110", "1100000")):
+        states = chains.block_states(spec, start)[::-1]
+        got = evolution.add_relaxation(chains.chain_block(spec, states), noise,
+                                       statespace.occupation_rows(states, 7).astype(float))
+        H = chains.chain_hamiltonian(spec)
+        want = (H - 1j * sparse.diags(rates.astype(complex))).toarray()[np.ix_(states, states)]
+        assert got.dtype == complex
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+        np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def test_krylov_matches_dense_on_sparse_chain(monkeypatch):
@@ -182,7 +184,7 @@ def test_krylov_steps_only_blocks_above_a_lowered_guard(monkeypatch):
 def test_krylov_matches_eigen_on_relaxed_chain(monkeypatch):
     # non-Hermitian blocks, and a state with support in all seven sectors
     noise = serialize.load_noise(CONFIGS / "noise_t1.json")
-    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)),
+    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)).toarray(),
                                  noise, statespace.occupation_matrix(6))
     psi0 = _spread_state(np.random.default_rng(9), 64)
     times = np.linspace(0.0, 2 * 640e-9, 7)
@@ -289,11 +291,10 @@ def test_chain_builders_are_real_and_relaxation_complex():
     spec = chains.ChainSpec.fst(5, 640e-9, 0.6 * np.pi).with_zz((-2 * np.pi * 1e5,) * 4)
     H = chains.chain_hamiltonian(spec)
     assert H.dtype == np.float64
-    assert chains.chain_hamiltonian(spec, chains.block_states(spec, "01000")).dtype == np.float64
+    assert chains.chain_block(spec, chains.block_states(spec, "01000")).dtype == np.float64
     noise = evolution.NoiseSpec(t1=(1e-5,) * 5)
     occ = statespace.occupation_matrix(5)
-    for h in (H, H.toarray()):
-        assert evolution.add_relaxation(h, noise, occ).dtype == np.complex128
+    assert evolution.add_relaxation(H.toarray(), noise, occ).dtype == np.complex128
 
 
 @pytest.mark.parametrize("spec", [
@@ -406,12 +407,12 @@ def test_full_space_chain_matches_expm(n):
 def test_relaxation_matches_expm(t1):
     noise = (serialize.load_noise(CONFIGS / "noise_t1.json") if t1 is None
              else evolution.NoiseSpec(t1=t1))
-    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)),
+    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)).toarray(),
                                  noise, statespace.occupation_matrix(6))
     psi0 = _spread_state(np.random.default_rng(7), 64)
     _assert_matches_expm(H, psi0, np.linspace(0.0, 2 * 640e-9, 7))
     np.testing.assert_allclose(_block_propagator(H, 640e-9),
-                               expm(-1j * H.toarray() * 640e-9), rtol=0, atol=1e-10)
+                               expm(-1j * H * 640e-9), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("form", ["dense", "csr", "duplicated csr"])
@@ -763,7 +764,7 @@ def _per_row_csv(traj) -> bytes:
 def test_trajectory_csv_bytes_across_line_blocks(tmp_path, n_times):
     # relaxation: norms below 1; a grid from 0 with tiny populations in exponent form
     spec = chains.ChainSpec.pst(4, 1e-6)
-    H = evolution.add_relaxation(chains.chain_hamiltonian(spec, chains.block_states(spec, "1000")),
+    H = evolution.add_relaxation(chains.chain_block(spec, chains.block_states(spec, "1000")),
                                  evolution.NoiseSpec(t1=(2e-6, 3e-6, 1e-6, 4e-6)),
                                  np.eye(4))
     traj = evolution.evolve(H, _basis(4, 0), np.linspace(0.0, 3e-6, n_times))

@@ -45,12 +45,12 @@ def test_spec_validation():
 def _chain(n):
     """The one-excitation block of the n-site PST chain, in site order."""
     spec = chains.ChainSpec.pst(n, 1e-6)
-    return chains.chain_hamiltonian(spec, chains.block_states(spec, "1" + "0" * (n - 1)))
+    return chains.chain_block(spec, chains.block_states(spec, "1" + "0" * (n - 1)))
 
 
 def _kron_sum(spec):
     """H = kron(h_x, 1) + kron(1, h_y) of the two axis chains, dense."""
-    hx, hy = (_chain(n).toarray() if n > 1 else np.zeros((1, 1)) for n in (spec.nx, spec.ny))
+    hx, hy = (_chain(n) if n > 1 else np.zeros((1, 1)) for n in (spec.nx, spec.ny))
     return np.kron(hx, np.eye(spec.ny)) + np.kron(np.eye(spec.nx), hy)
 
 

@@ -214,8 +214,8 @@ def test_parity_zz_deviation_grows_with_count():
     assert fit["r_squared"] > 0.999
 
 
-def _free_fermion_deviations(n, zeta, tau=640e-9, nodes=80):
-    """First-order ZZ deviation of every row of a parity table, from free fermions.
+def _free_fermion_deviations(n, zeta, tau=640e-9, nodes=80, codes=None):
+    """First-order ZZ deviation of the rows of a parity table, from free fermions.
 
     By Jordan-Wigner the XY chain is free fermions with the single-particle
     H of its couplings (no string on a nearest-neighbour hop; Lieb, Schultz
@@ -228,14 +228,15 @@ def _free_fermion_deviations(n, zeta, tau=640e-9, nodes=80):
     by Phi_high - Phi_low.  The integrand is a trigonometric polynomial of
     frequencies below 2 (n - 1) pi / tau: Gauss-Legendre with 80 nodes
     integrates it to about 1e-14 for n <= 12.  No chain Hamiltonian and no
-    propagator of pstsim enters.
+    propagator of pstsim enters.  ``codes`` lists the rows' inner
+    bitstrings as integers, by default all 2^(n-2) of a table.
     """
     J = chains.pst_couplings(n, tau)
     lam, v = np.linalg.eigh(np.diag(J, 1) + np.diag(J, -1))
     x, w = np.polynomial.legendre.leggauss(nodes)
     t = (x + 1) * tau / 2
     U = (v * np.exp(-1j * lam * t[:, None, None])) @ v.T           # (nodes, n, n)
-    low = np.arange(2 ** (n - 2)) << 1
+    low = (np.arange(2 ** (n - 2)) if codes is None else np.asarray(codes)) << 1
 
     def phi(branches):
         occ = ((branches[:, None] >> np.arange(n - 1, -1, -1)) & 1).T.astype(float)
@@ -266,12 +267,33 @@ def test_zz_tables_match_free_fermions_to_third_order(n):
     # -2 pi 100 kHz the other ZZ tests use (eps = 0.40).
     tau = 640e-9
     uniform = np.full(n - 1, -1e5)
+    gap = _first_order_gap(n, tuple(uniform))
+    assert gap < (1e5 * tau) ** 3 / 50
+    assert gap / _first_order_gap(n, tuple(uniform / 2)) == pytest.approx(8.0, abs=0.2)
     mixed = 1e5 * np.cos(2.0 * np.arange(n - 1))       # both signs, no mirror symmetry
-    for zeta in (uniform, mixed, np.full(n - 1, -2 * pi * 100e3)):
-        eps = np.abs(zeta).max() * tau
-        assert _first_order_gap(n, tuple(zeta)) < eps**3 / 50
-    ratio = _first_order_gap(n, tuple(uniform)) / _first_order_gap(n, tuple(uniform / 2))
-    assert ratio == pytest.approx(8.0, abs=0.2)
+    # at n = 12, about 1 s a table, the small uniform zeta and its half only
+    for zeta in (mixed, np.full(n - 1, -2 * pi * 100e3)) if n < 12 else ():
+        assert _first_order_gap(n, tuple(zeta)) < (np.abs(zeta).max() * tau) ** 3 / 50
+
+
+def test_zz_single_experiments_on_forty_sites_match_free_fermions():
+    # one branch of each row in the 40-state one-excitation block, the other
+    # in the 780-state two-excitation block; held to the same eps^3 / 50
+    n, tau = 40, 640e-9
+    zeta = 1e5 * np.cos(2.0 * np.arange(n - 1))
+    inners = ["0" * 38, "1" + "0" * 37, "0" * 19 + "1" + "0" * 18, "0" * 37 + "1"]
+    want = _free_fermion_deviations(n, zeta, codes=[int(inner, 2) for inner in inners])
+    got = [protocols.parity_phase_experiment(n, inner, "+x", zeta=tuple(zeta)).deviation
+           for inner in inners]
+    eps = np.abs(zeta).max() * tau
+    assert np.abs(np.angle(np.exp(1j * (np.array(got) - want)))).max() < eps**3 / 50
+    assert abs(want[1]) > 1e-3          # sites 1 and 2 excited: a first-order phase
+
+
+def test_zz_single_experiment_beyond_62_sites():
+    # 70 sites: the branch blocks hold Python ints; one excitation feels no ZZ
+    row = protocols.parity_phase_experiment(70, "0" * 68, "-y", zeta=(-6e5,) * 69)
+    assert (row.parity, row.deviation) == (1, 0.0)
 
 
 def test_recorded_zz_slope_matches_free_fermions():
@@ -313,10 +335,18 @@ def test_parity_table_matches_single_experiments(n, model):
         assert abs(protocols.wrap_phase(row.phase - single.phase)) < 1e-12
 
 
+def _full_register_hamiltonian(spec, noise):
+    """The chain H on the whole 2^n register, dense, relaxed when ``noise`` is given."""
+    H = chains.chain_hamiltonian(spec).toarray()
+    if noise is None:
+        return H
+    return evolution.add_relaxation(H, noise, statespace.occupation_matrix(spec.n_sites))
+
+
 def _dense_parity_table(n, input_states, zeta, noise):
     """The table as it was first built: two columns of one dense 2^n x 2^n U per row."""
     spec = protocols._parity_spec(n, zeta, None)
-    H = protocols._parity_hamiltonian(spec, noise)
+    H = _full_register_hamiltonian(spec, noise)
     U = np.zeros(H.shape, dtype=complex)
     for idx, h in evolution._blocks(H):
         U[np.ix_(idx, idx)] = evolution._block_states(h[None], np.eye(len(idx))[None],
@@ -334,8 +364,11 @@ def _dense_parity_table(n, input_states, zeta, noise):
 
 
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
-@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10])
 def test_parity_table_equals_dense_propagator_table(n, model):
+    # the sector table and the single experiments' two branch blocks against
+    # the whole register's propagator; the single experiments on up to 16
+    # rows spread over the table
     zeta, noise = _model_terms(n, model)
     inputs = tuple(protocols.INPUT_PHASES)
     rows = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
@@ -343,6 +376,10 @@ def test_parity_table_equals_dense_propagator_table(n, model):
     assert [(r.inner, r.input_state, r.parity) for r in rows] == \
         [(r.inner, r.input_state, r.parity) for r in ref]
     assert max(abs(protocols.wrap_phase(a.phase - b.phase)) for a, b in zip(rows, ref)) < 1e-12
+    for r in ref[::max(1, len(ref) // 16)]:
+        single = protocols.parity_phase_experiment(n, r.inner, r.input_state, zeta=zeta,
+                                                   noise=noise)
+        assert abs(protocols.wrap_phase(single.phase - r.phase)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -373,8 +410,9 @@ def test_parity_table_on_real_blocks_matches_complex_blocks(n, model, monkeypatc
     inputs = tuple(protocols.INPUT_PHASES)
     spec = protocols._parity_spec(n, zeta, None)
     rows = protocols._block_table(spec, noise, inputs)
-    build = chains.chain_hamiltonian
-    monkeypatch.setattr(chains, "chain_hamiltonian", lambda spec: build(spec).astype(complex))
+    build = chains.chain_block
+    monkeypatch.setattr(chains, "chain_block",
+                        lambda spec, states: build(spec, states).astype(complex))
     ref = protocols._block_table(spec, noise, inputs)
     assert [(r.inner, r.input_state, r.parity) for r in rows] == \
         [(r.inner, r.input_state, r.parity) for r in ref]
@@ -391,10 +429,10 @@ def test_parity_without_coherence_raises():
 
 
 def test_parity_table_peaks_below_one_dense_propagator():
-    # one dense 2^11 complex U alone takes 64 MiB.  The ZZ table builds the
-    # propagator of one excitation sector at a time and drops each once no
-    # remaining row needs it: its traced peak is 16.8 MiB, against 18.9 MiB
-    # when every sector's U is kept to the end
+    # one dense 2^11 complex U alone takes 64 MiB.  The ZZ table propagates
+    # one excitation sector at a time, only its own table inputs: its traced
+    # peak is 9.7 MiB, against 16.8 MiB when each sector's whole propagator
+    # was built and 18.9 MiB when every sector's was kept to the end
     zeta, _ = _model_terms(11, "zz")
     tracemalloc.start()
     try:
@@ -483,13 +521,10 @@ def test_run_pst_site_and_bitstring_agree():
 def _full_register_run(spec, bits, times, noise):
     """The trajectory of a start evolved on the whole 2^n register."""
     n = spec.n_sites
-    occ = statespace.occupation_matrix(n)
-    H = chains.chain_hamiltonian(spec)
-    if noise is not None:
-        H = evolution.add_relaxation(H, noise, occ)
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[int(bits, 2)] = 1.0
-    return evolution.evolve(H, psi0, times, occupations=occ)
+    return evolution.evolve(_full_register_hamiltonian(spec, noise), psi0, times,
+                            occupations=statespace.occupation_matrix(n))
 
 
 def _block_reference_specs(n, rng):
@@ -557,6 +592,50 @@ def test_two_excitations_feel_the_spec_zz():
 
 
 # ---------------------------------------------------------------- double FST
+
+
+def _with_full_register_transfer(monkeypatch, spec, noise):
+    """Make evolution.evolve_blocks ignore its blocks and evolve the whole
+    2^n register of ``spec`` instead, as the GHZ and double-FST runs did."""
+    H = _full_register_hamiltonian(spec, noise)
+    assemble = evolution.evolve_blocks      # what evolve(H, psi, times) runs on H's blocks
+    monkeypatch.setattr(evolution, "evolve_blocks", lambda blocks, psi, times: assemble(
+        evolution._blocks(H, np.asarray(psi, dtype=complex)), psi, times))
+
+
+def test_double_fst_sectors_equal_the_full_register(monkeypatch):
+    legs = [protocols.double_fst_parity_experiment(m) for m in (False, True)]
+    _with_full_register_transfer(monkeypatch, chains.ChainSpec.fst(3, 350e-9, pi / 2), None)
+    for m, got in zip((False, True), legs):
+        np.testing.assert_array_equal(got, protocols.double_fst_parity_experiment(m))
+
+
+def _ghz_scenarios():
+    """Ideal, ZZ during the transfer and T1 GHZ scenarios of 2..8 sites, and the paper's."""
+    out = [protocols.paper_ghz_scenario()]
+    for n in range(2, 9):
+        zeta = tuple(np.linspace(-3e6, 2e6, n - 1))
+        out += [protocols.GHZScenario(n=n),
+                protocols.GHZScenario(n=n, zeta=zeta, zz_application="transfer")]
+        if n < 8:
+            # at 8 sites the rates sum 8 terms per state, and gemv rounds such
+            # a row by where it falls among the rows of one call
+            out.append(protocols.GHZScenario(n=n, t1=tuple(np.linspace(10e-6, 60e-6, n))))
+    return out
+
+
+@pytest.mark.parametrize("scenario", _ghz_scenarios(), ids=lambda s: s.label or (
+    f"{s.n}-" + ("t1" if s.t1 else "zz" if s.zeta else "ideal")))
+def test_run_ghz_sectors_equal_the_full_register(scenario, monkeypatch):
+    # the probabilities feed the tomography's multinomial draws: bit for bit
+    state = protocols.run_ghz(scenario).state
+    spec = chains.ChainSpec.pst(scenario.n, scenario.tau)
+    if scenario.zz_application == "transfer":
+        spec = spec.with_zz(scenario.zeta)
+    _with_full_register_transfer(monkeypatch, spec, scenario.noise())
+    want = protocols.run_ghz(scenario).state
+    np.testing.assert_array_equal(state, want)
+    np.testing.assert_array_equal(np.abs(state) ** 2, np.abs(want) ** 2)
 
 
 def test_double_fst_transfer_and_refocus():
