@@ -240,7 +240,7 @@ def _block_table(spec: chains.ChainSpec, noise, input_states, codes=None) -> lis
     the states x of ``low``'s sector with site n empty.  Sector m
     propagates the ``low`` branches of m inner excitations and the
     ``high`` ones of m - 1; a sector above the dense guard (a table of
-    n >= 15) raises before any sector is propagated or enumerated.
+    n >= 15) raises before any sector is propagated.
     """
     n = spec.n_sites
     weights = np.array([_input_weight(inp) for inp in input_states])

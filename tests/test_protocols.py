@@ -321,9 +321,9 @@ def _model_terms(n, model):
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_parity_table_matches_single_experiments(n, model):
-    # under ZZ or relaxation the table reads columns of block propagators and
-    # a single experiment evolves its input on the whole register; ideal rows
-    # of both come from the closed form
+    # under ZZ or relaxation a single experiment is the one row of the sector
+    # path, which propagates its two branches only, and the table propagates
+    # every row's branches; ideal rows of both come from the closed form
     zeta, noise = _model_terms(n, model)
     rows = protocols.parity_phase_table(n, tuple(protocols.INPUT_PHASES), zeta=zeta,
                                         noise=noise)
@@ -539,18 +539,21 @@ def _block_reference_specs(n, rng):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_block_run_matches_the_full_register(n):
-    # odd and even n cover both FST branches; T1 acts on every site
+    # odd and even n cover both FST branches; T1 acts on every site; each
+    # spec also starts from one site, given as its index
     rng = np.random.default_rng(n)
     times = np.linspace(0.0, 1.5 * 640e-9, 7)
     noise = evolution.NoiseSpec(t1=tuple(rng.uniform(0.2e-6, 2e-6, n)))
-    for spec in _block_reference_specs(n, rng):
-        for bits in {format(int(x), f"0{n}b") for x in rng.integers(0, 2**n, 4)}:
-            for relax in (None, noise):
-                got = protocols.run_pst(spec, bits, times, noise=relax)
-                want = _full_register_run(spec, bits, times, relax)
-                np.testing.assert_allclose(got.populations, want.populations,
-                                           rtol=0, atol=1e-12)
-                np.testing.assert_allclose(got.norm, want.norm, rtol=0, atol=1e-12)
+    for i, spec in enumerate(_block_reference_specs(n, rng)):
+        site = 1 + i % n
+        starts = {format(int(x), f"0{n}b") for x in rng.integers(0, 2**n, 4)} | {site}
+        for start, relax in itertools.product(starts, (None, noise)):
+            bits = start if isinstance(start, str) else format(1 << (n - site), f"0{n}b")
+            got = protocols.run_pst(spec, start, times, noise=relax)
+            want = _full_register_run(spec, bits, times, relax)
+            np.testing.assert_allclose(got.populations, want.populations,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.norm, want.norm, rtol=0, atol=1e-12)
 
 
 def test_noisy_single_excitation_guard_trips_without_dense_occupations():
