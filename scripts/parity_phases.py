@@ -25,7 +25,7 @@ def main():
     zeta = (2 * math.pi * args.zeta_khz * 1e3,) * (args.n - 1)
 
     ideal = protocols.parity_phase_table(args.n, ("+x",), tau=args.tau)
-    worst = max(abs(r.deviation) for r in ideal)
+    worst = max(abs(ideal.deviation))
     print(f"ideal: {len(ideal)} inner states, max |deviation| = {worst:.3e}")
 
     zz = protocols.parity_phase_table(args.n, ("+x",), zeta=zeta, tau=args.tau)
@@ -33,7 +33,8 @@ def main():
     serialize.write_csv(
         path, ["inner", "parity", "phase_ideal_rad", "phase_zz_rad", "deviation_zz_rad"],
         "%s,%d,%.12e,%.12e,%.12e\n",
-        [v for a, b in zip(ideal, zz) for v in (a.inner, a.parity, a.phase, b.phase, b.deviation)])
+        [v for row in zip(ideal.inner.tolist(), ideal.parity.tolist(), ideal.phase.tolist(),
+                          zz.phase.tolist(), zz.deviation.tolist()) for v in row])
     fit = protocols.parity_deviation_fit(zz)
     counts, means = fit["counts"], fit["mean_deviation_rad"]
     print("zz deviation means by inner excitation count:")
@@ -42,7 +43,7 @@ def main():
     print(f"slope = {fit['slope_rad']:.6f} rad/excitation, "
           f"r^2 = {fit['r_squared']:.8f}")
 
-    svg.bar_chart([r.inner for r in zz], [r.phase for r in zz],
+    svg.bar_chart(zz.inner.tolist(), zz.phase.tolist(),
                   os.path.join(args.out_dir, "parity_phases.svg"),
                   title=f"transfer phase by inner state (zz = {args.zeta_khz} kHz)",
                   y_label="phase (rad)")

@@ -243,33 +243,28 @@ def cmd_parity(args) -> int:
             raise UsageError(f"unknown input state {inp!r}")
     out = _Outputs(args, "parity")
     if args.inner == "all":
-        results = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise,
-                                               tau=tau)
+        table = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise, tau=tau)
     else:
         if not re.fullmatch(r"[01]+", args.inner) or len(args.inner) != n - 2:
             raise UsageError(f"--inner must be 'all' or an {n - 2}-bit string")
-        results = [protocols.parity_phase_experiment(n, args.inner, inp, zeta=zeta,
-                                                     noise=noise, tau=tau)
-                   for inp in inputs]
-    rows = []
-    for res in results:
-        rows.append(dict(res.as_dict(), deviation_rad=res.deviation))
+        table = np.rec.array(np.hstack([
+            protocols.parity_phase_experiment(n, args.inner, inp, zeta=zeta, noise=noise,
+                                              tau=tau) for inp in inputs]))
+    keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
+    rows = [dict(zip(keys, row))
+            for row in table[["inner", "input_state", "parity", "phase", "deviation"]].tolist()]
     payload = {"schema_version": serialize.SCHEMA_VERSION, "n": n,
                "model": model, "tau_s": tau,
                "zeta_hz": [z / math.tau for z in zeta], "label": label,
                "rows": rows}
+    first = table[::len(inputs)]        # the first input's rows; the table is inner-major
     if "zz" in model and args.inner == "all":
-        payload["fit"] = protocols.parity_deviation_fit(
-            [res for res in results if res.input_state == inputs[0]])
+        payload["fit"] = protocols.parity_deviation_fit(first)
     serialize.write_json(out.path("parity.json"), payload)
-    keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
     serialize.write_csv(out.path("parity.csv"), keys, "%s,%s,%s,%.12e,%.12e\n",
                         [r[k] for r in rows for k in keys])
     if args.svg:
-        first = [r for r in rows if r["input_state"] == inputs[0]]
-        svg.bar_chart([r["inner"] for r in first],
-                      [r["phase_rad"] for r in first],
-                      out.path("parity.svg"),
+        svg.bar_chart(first.inner.tolist(), first.phase.tolist(), out.path("parity.svg"),
                       title=f"transfer phase by inner state (n={n}, {model})",
                       y_label="phase (rad)")
     out.finish({"n": n, "inner": args.inner, "model": model,

@@ -6,7 +6,9 @@ a transfer run on the block of its start, a ZZ or relaxed parity experiment
 on one block per input branch, a parity table and the GHZ and double-FST
 runs sector by sector (site 1 = most significant bit).  An ideal parity
 experiment maps its two input branches through the closed-form transfer
-(:func:`chains.pst_state_map`).
+(:func:`chains.pst_state_map`).  Parity results are numpy record arrays,
+one row per inner bitstring and input state; a single experiment is the
+one row of such a table.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,6 @@ from .statespace import wrap_phase
 
 __all__ = [
     "GraphStateReport",
-    "ParityExperimentResult",
     "GHZScenario",
     "GHZReport",
     "wrap_phase",
@@ -129,30 +130,6 @@ def _sectors(spec: chains.ChainSpec, counts) -> list:
 # ---------------------------------------------------------------------------
 # parity experiment
 
-@dataclass(frozen=True)
-class ParityExperimentResult:
-    inner: str
-    input_state: str
-    phase: float
-    parity: int
-
-    @property
-    def deviation(self) -> float:
-        """Phase minus its ideal value, wrapped to (-pi, pi].
-
-        Ideally the phase is parity * pi/2 plus an offset fixed by n mod 4
-        (pi, -pi/2, 0, +pi/2 for n mod 4 = 0, 1, 2, 3): minus the Z angle
-        one transfer puts on every mirror-paired site.
-        """
-        n = len(self.inner) + 2
-        paired_angle = (pi, pi / 2, 0.0, -pi / 2)[n % 4]
-        return wrap_phase(self.phase - self.parity * pi / 2 + paired_angle)
-
-    def as_dict(self) -> dict:
-        return {"inner": self.inner, "input_state": self.input_state,
-                "phase_rad": self.phase, "parity": self.parity}
-
-
 def _parity_spec(n: int, zeta, tau):
     """Chain spec of a parity experiment (shared by a table)."""
     if n < 3:
@@ -167,39 +144,53 @@ def _input_weight(input_state: str):
     return np.exp(1j * INPUT_PHASES[input_state])
 
 
-def _parity_input(n: int, inner: str, input_state: str):
-    """Basis indices of the two input branches and the weight of the second.
+def _table(n: int, input_states, codes, coher) -> np.recarray:
+    """The rows of the inner bitstrings ``codes`` (integers), each for every input state.
 
-    Without site 1's excitation the input is ``low``, with it ``high``;
-    each branch carries 1/sqrt(2) and ``high`` the input phase on top.
+    ``coher`` (codes x inputs) holds the <X> + i<Y> each row leaves on
+    site n.  A row's phase is its input phase minus the angle of that
+    coherence, wrapped to (-pi, pi].  Ideally it is parity * pi/2 plus an
+    offset fixed by n mod 4 (pi, -pi/2, 0, +pi/2 for n mod 4 = 0, 1, 2,
+    3): minus the Z angle one transfer puts on every mirror-paired site.
+    A row's deviation is its phase minus that ideal value, wrapped the
+    same way.
     """
-    if len(inner) != n - 2 or set(inner) - {"0", "1"}:
-        raise ValueError(f"inner must be a bitstring of length {n - 2}")
-    low = int(inner, 2) << 1                  # sites 2..n-1; site n empty
-    return low, low | 1 << (n - 1), _input_weight(input_state)
-
-
-def _parity_result(inner: str, input_state: str, coher) -> ParityExperimentResult:
-    """The row of a transferred state whose site n has <X> + i<Y> = ``coher``."""
-    if abs(coher) < 1e-9:
+    if np.any(np.abs(coher) < 1e-9):
         raise RuntimeError("transferred state has no x-y coherence; phase undefined")
-    parity = -1 if inner.count("1") % 2 else 1
-    return ParityExperimentResult(
-        inner=inner, input_state=input_state, parity=parity,
-        phase=wrap_phase(INPUT_PHASES[input_state] - cmath.phase(coher)))
+    k, codes = len(input_states), codes.tolist()
+    count = np.array([bin(c).count("1") for c in codes])
+    parity = np.repeat(1 - 2 * (count % 2), k)
+    phase = wrap_phase(np.tile([INPUT_PHASES[inp] for inp in input_states], len(codes))
+                       - np.array([cmath.phase(c) for c in coher.ravel().tolist()]))
+    deviation = wrap_phase(phase - parity * pi / 2 + (pi, pi / 2, 0.0, -pi / 2)[n % 4])
+    inner = np.repeat([format(c, f"0{n - 2}b") for c in codes], k)
+    return np.rec.fromarrays([inner, np.tile(input_states, len(codes)), phase, parity, deviation],
+                             names="inner,input_state,phase,parity,deviation")
 
 
-def _transfer_coherences(n: int, low, high) -> np.ndarray:
-    """p[high] conj(p[low]) for arrays of input branches, p the phases of
-    :func:`chains.pst_state_map`: low and high land on mirror images that
-    differ in site n only, so an input of weight w leaves site n the
-    coherence w p[high] conj(p[low])."""
-    _, p = chains.pst_state_map(n, np.concatenate([low, high]))
-    return p[len(low):] * p[:len(low)].conj()
+def _rows(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
+    """The table rows of the inner bitstrings ``codes`` (integers).
+
+    Site 1 is the most significant bit, so a row's input branches are
+    ``low`` = code << 1, without site 1's excitation, and ``high``, with
+    it.  Without ZZ or relaxation they land on mirror images that differ
+    in site n only, with the phases p of :func:`chains.pst_state_map`,
+    so an input of weight w (:func:`_input_weight`) leaves site n the
+    coherence w p[high] conj(p[low]): no Hamiltonian is built.  With
+    either, the rows come from the sector transfers of
+    :func:`_block_table`.
+    """
+    if noise_label(spec.zz, noise) != "ideal":
+        return _block_table(spec, noise, input_states, codes)
+    n = spec.n_sites
+    weights = np.array([_input_weight(inp) for inp in input_states])
+    low = codes << 1
+    _, p = chains.pst_state_map(n, np.concatenate([low, low | 1 << (n - 1)]))
+    return _table(n, input_states, codes, (p[len(low):] * p[:len(low)].conj())[:, None] * weights)
 
 
 def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
-                            noise=None, tau: float | None = None) -> ParityExperimentResult:
+                            noise=None, tau: float | None = None) -> np.record:
     """Transfer-phase measurement for one inner bitstring and input state.
 
     Site 1 is prepared in the +-x/+-y superposition, sites 2..n-1 in the
@@ -211,40 +202,29 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     adjacent pair) adds ZZ terms during the transfer, and ``noise``
     relaxation.  Without either the coherence comes from the closed-form
     transfer of the two input branches alone, so any n runs; with
-    either it is the one row of :func:`_block_table`, each branch
-    evolved on its own block.
+    either each branch is evolved on its own block.  Returns the one row
+    of such a table (see :func:`parity_phase_table`).
     """
     spec = _parity_spec(n, zeta, tau)
-    low, high, weight = _parity_input(n, inner, input_state)
-    if noise_label(zeta, noise) != "ideal":
-        return _block_table(spec, noise, (input_state,), [low >> 1])[0]
-    coher = _transfer_coherences(n, [low], [high])[0] * weight
-    return _parity_result(inner, input_state, coher)
+    if len(inner) != n - 2 or set(inner) - {"0", "1"}:
+        raise ValueError(f"inner must be a bitstring of length {n - 2}")
+    # Python ints: the codes of more than 64 sites overflow int64
+    return _rows(spec, noise, (input_state,), np.array([int(inner, 2)], dtype=object))[0]
 
 
-def _table_rows(n: int, input_states, codes, coher) -> list:
-    """Rows of a table: each inner bitstring of ``codes``, in order, for each input state."""
-    rows = []
-    for code, row in zip(codes.tolist(), coher.tolist()):
-        inner = format(code, f"0{n - 2}b")
-        rows += [_parity_result(inner, inp, c) for inp, c in zip(input_states, row)]
-    return rows
-
-
-def _block_table(spec: chains.ChainSpec, noise, input_states, codes=None) -> list:
+def _block_table(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
     """Rows from the transfer of their input branches, one excitation sector at a time.
 
-    ``codes`` are the rows' inner bitstrings as integers, by default all
-    2^(n-2) of a table.  With site n the least significant bit, a row's
-    site-n coherence is e^(i phi) sum_x conj(U[x, low]) U[x|1, high] over
-    the states x of ``low``'s sector with site n empty.  Sector m
-    propagates the ``low`` branches of m inner excitations and the
-    ``high`` ones of m - 1; a sector above the dense guard (a table of
-    n >= 15) raises before any sector is propagated.
+    ``codes`` are the rows' inner bitstrings as integers.  With site n the
+    least significant bit, a row's site-n coherence is e^(i phi) sum_x
+    conj(U[x, low]) U[x|1, high] over the states x of ``low``'s sector
+    with site n empty.  Sector m propagates the ``low`` branches of m
+    inner excitations and the ``high`` ones of m - 1; a sector above the
+    dense guard (a table of n >= 15) raises before any sector is
+    propagated.
     """
     n = spec.n_sites
     weights = np.array([_input_weight(inp) for inp in input_states])
-    codes = np.arange(2 ** (n - 2)) if codes is None else np.array(codes, dtype=object)
     count = np.array([bin(c).count("1") for c in codes.tolist()])
     coher = np.empty((len(codes), len(weights)), dtype=complex)
     needed = np.union1d(count, count + 1).tolist()      # the sectors of low and of high
@@ -262,45 +242,39 @@ def _block_table(spec: chains.ChainSpec, noise, input_states, codes=None) -> lis
             sums = np.einsum("kr,kr->r", prev_low[x].conj(), u[x1, len(low):])
             coher[count == m - 1] = sums[:, None] * weights
         prev_states, prev_low = states, u[:, :len(low)]
-    return _table_rows(n, input_states, codes, coher)
+    return _table(n, input_states, codes, coher)
 
 
 def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
-                       tau: float | None = None):
+                       tau: float | None = None) -> np.recarray:
     """All 2^(n-2) inner bitstrings for the given input states.
 
-    Without ZZ or relaxation each row's coherence comes from the closed
-    form of the transfer of its two input branches: no Hamiltonian is
-    built, every phase is exactly parity * pi/2 plus the offset of n
-    mod 4, and a row on the branch cut reads +pi.  With either, the rows
-    come from the sector transfers of :func:`_block_table`, whose dense
-    guard stops n >= 15.  A table of more
-    than ``ROW_GUARD`` rows (inputs x 2^(n-2)) raises ResourceError
-    before any array is built.
+    One record array with the fields ``inner``, ``input_state``,
+    ``phase``, ``parity`` and ``deviation`` (see :func:`_table`), a row
+    per inner bitstring and input state, inner-major.  Without ZZ or
+    relaxation every phase is exactly parity * pi/2 plus the offset of
+    n mod 4, from the closed form (:func:`_rows`), and a row on the
+    branch cut reads +pi.  With either, the dense guard of the sector
+    transfers stops n >= 15.  A table of more than ``ROW_GUARD`` rows
+    (inputs x 2^(n-2)) raises ResourceError before anything of size n is
+    built.
     """
-    spec = _parity_spec(n, zeta, tau)
-    weights = np.array([_input_weight(inp) for inp in input_states])
-    if len(weights) << (n - 2) > ROW_GUARD:
-        raise evolution.ResourceError(f"{len(weights)} inputs x 2^{n - 2} inner states "
+    if n >= 3 and len(input_states) << (n - 2) > ROW_GUARD:
+        raise evolution.ResourceError(f"{len(input_states)} inputs x 2^{n - 2} inner states "
                                       f"above the row guard of {ROW_GUARD} rows")
-    if noise_label(zeta, noise) != "ideal":
-        return _block_table(spec, noise, input_states)
-    codes = np.arange(2 ** (n - 2))
-    coher = _transfer_coherences(n, codes << 1, codes << 1 | 1 << (n - 1))[:, None] * weights
-    return _table_rows(n, input_states, codes, coher)
+    return _rows(_parity_spec(n, zeta, tau), noise, input_states, np.arange(2 ** (n - 2)))
 
 
-def parity_deviation_fit(results) -> dict:
+def parity_deviation_fit(table) -> dict:
     """Line through the per-count means of |deviation| (rad).
 
-    ``results`` are parity experiments; they are grouped by the number of
-    excited inner sites, the occupation the ZZ phase error grows with.
+    ``table`` is a :func:`parity_phase_table` or some of its rows; they are
+    grouped by the number of excited inner sites, the occupation the ZZ
+    phase error grows with.
     """
-    by_count = {}
-    for res in results:
-        by_count.setdefault(res.inner.count("1"), []).append(abs(res.deviation))
-    counts = sorted(by_count)
-    means = [float(np.mean(by_count[k])) for k in counts]
+    count = np.array([inner.count("1") for inner in table.inner.tolist()])
+    counts = np.unique(count).tolist()
+    means = [float(np.mean(np.abs(table.deviation[count == k]))) for k in counts]
     slope, intercept = np.polyfit(counts, means, 1)
     pred = np.polyval([slope, intercept], counts)
     ss_res = float(np.sum((np.array(means) - pred) ** 2))

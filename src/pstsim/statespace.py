@@ -19,9 +19,14 @@ __all__ = [
 ]
 
 
-def wrap_phase(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_phase(x):
+    """Wrap an angle, or each angle of an array, to (-pi, pi].
+
+    An array is wrapped element by element exactly as each float would be.
+    """
     out = (x + pi) % (2 * pi) - pi
+    if isinstance(out, np.ndarray):
+        return np.where(out == -pi, pi, out)
     return pi if out == -pi else out
 
 

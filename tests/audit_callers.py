@@ -56,10 +56,8 @@ KEEP = [
      "the restart when the first start misses the residual threshold"),
     ("protocols.py", "run_ghz", "spec = spec.with_zz(scenario.zeta)",
      'zz_application "transfer", a config value of GHZ scenarios'),
-    ("serialize.py", "_get", "if key not in data:", "optional config fields left out"),
     ("serialize.py", "_get", "value = float(value)",
      "integer numbers in config files (the committed files write floats)"),
-    ("serialize.py", "_number_list", "return None", "optional config lists left out"),
     # degenerate plot data
     ("svg.py", "_axis_ticks", "hi = lo + 1.0", "a flat colour scale"),
     ("svg.py", "line_chart", "yhi = ylo + 1.0", "a flat series"),

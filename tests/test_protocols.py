@@ -1,5 +1,6 @@
 """Tests for gate sequences, parity experiments, and GHZ preparation."""
 
+import cmath
 import itertools
 import time
 import tracemalloc
@@ -31,6 +32,14 @@ def test_wrap_phase_branch_cut():
     assert protocols.wrap_phase(pi) == pytest.approx(pi)
     assert protocols.wrap_phase(-pi) == pytest.approx(pi)
     assert protocols.wrap_phase(0.0) == 0.0
+
+
+def test_wrap_phase_array_equals_each_float():
+    # the table's wrap, one array op, against the scalar wrap of each angle,
+    # the branch cut and its odd multiples included
+    x = np.random.default_rng(5).uniform(-50.0, 50.0, 200_000)
+    x = np.concatenate([x, [pi, -pi, 3 * pi, -3 * pi, 0.0, -0.0, 2 * pi]])
+    assert protocols.wrap_phase(x).tolist() == [protocols.wrap_phase(v) for v in x.tolist()]
 
 
 # ----------------------------------------------------------------- apply_gate
@@ -180,13 +189,12 @@ def test_parity_table_n6_exact():
     assert seen == {"".join(b) for b in itertools.product("01", repeat=4)}
 
 
-def test_parity_result_as_dict():
+def test_parity_experiment_is_a_table_row():
+    # inner 10 is code 2, so with two inputs its +y row is row 2 * 2 + 1
     row = protocols.parity_phase_experiment(4, "10", "+y")
-    d = row.as_dict()
-    assert d["inner"] == "10"
-    assert d["input_state"] == "+y"
-    assert d["parity"] == -1
-    assert d["phase_rad"] == row.phase
+    assert row.dtype.names == ("inner", "input_state", "phase", "parity", "deviation")
+    assert (row.inner, row.input_state, row.parity) == ("10", "+y", -1)
+    assert row.tolist() == protocols.parity_phase_table(4, ("+x", "+y"))[5].tolist()
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -335,6 +343,48 @@ def test_parity_table_matches_single_experiments(n, model):
         assert abs(protocols.wrap_phase(row.phase - single.phase)) < 1e-12
 
 
+@pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_parity_table_equals_the_scalar_readout(n, model, monkeypatch):
+    # each row read from its coherence one float at a time: cmath.phase and
+    # the scalar wrap; and the fit means against per-count lists.  np.angle
+    # differs from cmath.phase in the last bit on some ZZ rows, and a
+    # bincount sum from the mean of a list on some counts, so all is held to
+    # ==.  The ideal tables of n = 5 and 9 and the relaxed one of n = 9 hold
+    # rows on the branch cut
+    seen = []
+    table = protocols._table
+    monkeypatch.setattr(protocols, "_table",
+                        lambda *args: seen.append(args) or table(*args))
+    zeta, noise = _model_terms(n, model)
+    inputs = tuple(protocols.INPUT_PHASES)
+    rows = protocols.parity_phase_table(n, inputs, zeta=zeta, noise=noise)
+    ((_, _, codes, coher),) = seen
+    paired_angle = (pi, pi / 2, 0.0, -pi / 2)[n % 4]
+    want = []
+    for code, row in zip(codes.tolist(), coher.tolist()):
+        inner = format(code, f"0{n - 2}b")
+        parity = -1 if inner.count("1") % 2 else 1
+        for inp, c in zip(inputs, row):
+            phase = protocols.wrap_phase(protocols.INPUT_PHASES[inp] - cmath.phase(c))
+            deviation = protocols.wrap_phase(phase - parity * pi / 2 + paired_angle)
+            want.append((inner, inp, phase, parity, deviation))
+    assert rows.tolist() == want
+    if model in ("ideal", "relax") and n % 4 == 1:
+        # the odd-parity rows, within rounding of +-pi
+        assert sum(abs(abs(w[2]) - pi) < 1e-9 for w in want) == len(want) // 2
+    if "zz" in model:
+        # the fit of the first input's rows, as the CLI writes it, and of all
+        for part in (rows[rows.input_state == "+x"], rows):
+            by_count = {}
+            for inner, _, _, _, deviation in part.tolist():
+                by_count.setdefault(inner.count("1"), []).append(abs(deviation))
+            fit = protocols.parity_deviation_fit(part)
+            assert fit["counts"] == sorted(by_count)
+            assert fit["mean_deviation_rad"] == [float(np.mean(by_count[k]))
+                                                 for k in sorted(by_count)]
+
+
 def _full_register_hamiltonian(spec, noise):
     """The chain H on the whole 2^n register, dense, relaxed when ``noise`` is given."""
     H = chains.chain_hamiltonian(spec).toarray()
@@ -354,13 +404,15 @@ def _dense_parity_table(n, input_states, zeta, noise):
     rows = []
     for code in range(2 ** (n - 2)):
         inner = format(code, f"0{n - 2}b")
+        low = code << 1
         for inp in input_states:
-            low, high, weight = protocols._parity_input(n, inner, inp)
-            state = U[:, low] / np.sqrt(2.0) + weight * U[:, high] / np.sqrt(2.0)
+            weight = np.exp(1j * protocols.INPUT_PHASES[inp])
+            state = U[:, low] / np.sqrt(2.0) + weight * U[:, low | 1 << (n - 1)] / np.sqrt(2.0)
             # site n's <X> + i<Y>, read off the whole 2^n state
             coher = 2.0 * np.vdot(state[0::2], state[1::2])
-            rows.append(protocols._parity_result(inner, inp, coher))
-    return rows
+            phase = protocols.wrap_phase(protocols.INPUT_PHASES[inp] - cmath.phase(coher))
+            rows.append((inner, inp, -1 if inner.count("1") % 2 else 1, phase))
+    return np.rec.fromrecords(rows, names="inner,input_state,parity,phase")
 
 
 @pytest.mark.parametrize("model", ["ideal", "zz", "relax", "zz+relax"])
@@ -391,7 +443,7 @@ def test_ideal_parity_table_matches_closed_form(n):
     # input phase
     targets, p = chains.pst_state_map(n)
     rows = protocols._block_table(protocols._parity_spec(n, (), None), None,
-                                  tuple(protocols.INPUT_PHASES))
+                                  tuple(protocols.INPUT_PHASES), np.arange(2 ** (n - 2)))
     low = np.array([int(r.inner, 2) << 1 for r in rows])
     high = low | 1 << (n - 1)
     assert np.array_equal(targets[high], targets[low] | 1)
@@ -409,11 +461,12 @@ def test_parity_table_on_real_blocks_matches_complex_blocks(n, model, monkeypatc
     zeta, noise = _model_terms(n, model)
     inputs = tuple(protocols.INPUT_PHASES)
     spec = protocols._parity_spec(n, zeta, None)
-    rows = protocols._block_table(spec, noise, inputs)
+    codes = np.arange(2 ** (n - 2))
+    rows = protocols._block_table(spec, noise, inputs, codes)
     build = chains.chain_block
     monkeypatch.setattr(chains, "chain_block",
                         lambda spec, states: build(spec, states).astype(complex))
-    ref = protocols._block_table(spec, noise, inputs)
+    ref = protocols._block_table(spec, noise, inputs, codes)
     assert [(r.inner, r.input_state, r.parity) for r in rows] == \
         [(r.inner, r.input_state, r.parity) for r in ref]
     assert max(abs(protocols.wrap_phase(a.phase - b.phase)) for a, b in zip(rows, ref)) < 1e-12
@@ -472,12 +525,14 @@ def test_ideal_rows_on_the_branch_cut_read_plus_pi(n):
 
 
 def test_parity_row_guard_fails_fast(monkeypatch):
-    # 2^38 rows; the guard is checked before any array of the table exists
+    # 2^38 rows, and 2^(10^7 - 2): the guard is checked before any array of
+    # the table exists, and before the chain spec's n - 1 couplings
     monkeypatch.setattr(chains, "pst_state_map", None)
-    start = time.perf_counter()
-    with pytest.raises(evolution.ResourceError, match="row guard"):
-        protocols.parity_phase_table(40)
-    assert time.perf_counter() - start < 1.0
+    for n in (40, 10**7):
+        start = time.perf_counter()
+        with pytest.raises(evolution.ResourceError, match="row guard"):
+            protocols.parity_phase_table(n)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_ideal_parity_experiment_maps_only_its_two_branches():

@@ -149,8 +149,10 @@ def test_dump_json_equals_json_dumps_on_record_tables():
         calibration.EffectiveBackend(config, seed=3),
         calibration.perturb_drives(calibration.ideal_drive_settings(config), 1003),
         calibration.OptimizerConfig(budget=500, seed=3))
-    rows = [dict(r.as_dict(), deviation_rad=r.deviation)
-            for r in protocols.parity_phase_table(6, ("+x", "-y"), zeta=(1e5,) * 5)]
+    table = protocols.parity_phase_table(6, ("+x", "-y"), zeta=(1e5,) * 5)
+    keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
+    rows = [dict(zip(keys, row))
+            for row in table[["inner", "input_state", "parity", "phase", "deviation"]].tolist()]
     for payload in (result.as_dict(), {"rows": rows}):
         assert serialize.dump_json(payload) == _reference_json(payload)
 
