@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from pstsim import protocols, svg
+from pstsim import protocols, serialize, svg
 from pstsim.models import chains
 
 
@@ -28,7 +28,7 @@ def main():
     for start in (1, 3):
         traj = protocols.run_pst(spec, start, times)
         stem = os.path.join(args.out_dir, f"transfer_n{args.n}_site{start}")
-        traj.to_csv(stem + ".csv")
+        serialize.write_trajectory_csv(stem + ".csv", traj)
         ticks = [(k / 2.0, f"{k}") for k in range(3)]
         n = traj.populations.shape[1]
         svg.heatmap(traj.populations.T, stem + ".svg",

@@ -496,30 +496,32 @@ class OptimizerConfig:
             raise ValueError("budget must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
-    """Best drives found, with the full evaluation history."""
+    """Best drives found, with the full evaluation history.
+
+    ``history`` is a record array, one row per evaluation in order, with
+    the fields ``evaluation`` (from 1), ``amplitudes`` and ``frequencies``
+    (one per drive) and ``objective``.  Results compare by identity;
+    compare their fields to compare runs.
+    """
 
     amplitudes: tuple
     frequencies: tuple
-    history: tuple
+    history: np.recarray
     best_objective: float
     evaluations: int
     seed: int
     budget_exhausted: bool
 
-    def running_minimum(self) -> list:
-        out, best = [], math.inf
-        for entry in self.history:
-            best = min(best, entry["objective"])
-            out.append(best)
-        return out
+    def running_minimum(self) -> np.ndarray:
+        return np.minimum.accumulate(self.history.objective)
 
     def as_dict(self) -> dict:
         return {
             "amplitudes": list(self.amplitudes),
             "frequencies": list(self.frequencies),
-            "history": [dict(e) for e in self.history],
+            "history": self.history,
             "best_objective": self.best_objective,
             "evaluations": self.evaluations,
             "seed": self.seed,
@@ -569,37 +571,37 @@ def optimize_simultaneous_drives(backend: ExperimentBackend, guess: DriveSetting
         delta[i] = scale * rng.standard_normal()
         return delta
 
-    history, steps = [], []
+    points, objectives, steps = [], [], []
     best_coords, best_value = np.zeros(dim), math.inf
     block = best_coords[None]
     while True:
         amps, freqs = decode(block)
         drives = [DriveSettings(a, f) for a, f in zip(amps.tolist(), freqs.tolist())]
         values = transfer_error_objective(backend, drives)
-        for used, (coords, d, value) in enumerate(zip(block, drives, values), 1):
-            history.append({
-                "evaluation": len(history) + 1,
-                "amplitudes": list(d.amplitudes),
-                "frequencies": list(d.frequencies),
-                "objective": value,
-            })
+        for used, value in enumerate(values, 1):
             if value < best_value:
-                best_coords, best_value = coords, value
+                best_coords, best_value = block[used - 1], value
                 break
-        if len(history) >= config.budget or best_value == 0.0:
+        points.append(block[:used])
+        objectives += values[:used]
+        if len(objectives) >= config.budget or best_value == 0.0:
             break
         del steps[:used]
-        steps += [step(len(history) + k)
-                  for k in range(len(steps), min(_BLOCK, config.budget - len(history)))]
+        steps += [step(len(objectives) + k)
+                  for k in range(len(steps), min(_BLOCK, config.budget - len(objectives)))]
         block = np.clip(best_coords + np.array(steps), -1.0, 1.0)
 
     best = DriveSettings(*decode(best_coords))
+    history = np.rec.fromarrays(
+        [np.arange(1, len(objectives) + 1), *decode(np.concatenate(points)), objectives],
+        dtype=[("evaluation", int), ("amplitudes", float, (m,)),
+               ("frequencies", float, (m,)), ("objective", float)])
     return CalibrationResult(
         amplitudes=best.amplitudes,
         frequencies=best.frequencies,
-        history=tuple(history),
+        history=history,
         best_objective=best_value,
-        evaluations=len(history),
+        evaluations=len(objectives),
         seed=config.seed,
         # the loop ends early only on a zero objective
         budget_exhausted=best_value > 0.0,
@@ -611,7 +613,8 @@ def write_convergence_csv(result: CalibrationResult, path) -> None:
     m = len(result.amplitudes)
     header = (["evaluation", "objective", "running_min"]
               + [f"amplitude_{b+1}" for b in range(m)] + [f"frequency_{b+1}" for b in range(m)])
-    cells = [x for entry, run in zip(result.history, result.running_minimum())
-             for x in (entry["evaluation"], entry["objective"], run,
-                       *entry["amplitudes"], *entry["frequencies"])]
-    serialize.write_csv(path, header, "%d," + ",".join(["%.12g"] * (2 + 2 * m)) + "\n", cells)
+    h = result.history
+    table = np.column_stack([h.evaluation, h.objective, result.running_minimum(),
+                             h.amplitudes, h.frequencies])
+    serialize.write_csv(path, header, "%d," + ",".join(["%.12g"] * (2 + 2 * m)) + "\n",
+                        table.ravel())

@@ -137,13 +137,14 @@ def _run_trajectory(args, command: str, spec: chains.ChainSpec,
                          f"{spec.n_sites} sites")
     traj = protocols.run_pst(spec, initial, times, noise=noise)
     csv_name = args.out or f"{command}_trajectory.csv"
-    traj.to_csv(out.path(csv_name))
+    serialize.write_trajectory_csv(out.path(csv_name), traj)
     if args.svg:
         stem = csv_name.rsplit(".", 1)[0]
         _trajectory_svg(traj, spec.tau, out.path(f"{stem}.svg"),
                         f"{command} n={spec.n_sites}")
     config = dict(config, initial=args.initial, times=args.times,
-                  model=protocols.noise_label(spec.zz, noise), noise=args.noise or "")
+                  model=protocols.noise_label(spec.zz, noise),
+                  noise=os.path.basename(args.noise or ""))
     out.finish(config)
     return 0
 
@@ -251,8 +252,8 @@ def cmd_parity(args) -> int:
             protocols.parity_phase_experiment(n, args.inner, inp, zeta=zeta, noise=noise,
                                               tau=tau) for inp in inputs]))
     keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
-    rows = [dict(zip(keys, row))
-            for row in table[["inner", "input_state", "parity", "phase", "deviation"]].tolist()]
+    rows = np.rec.fromarrays([table.inner, table.input_state, table.parity, table.phase,
+                              table.deviation], names=keys)
     payload = {"schema_version": serialize.SCHEMA_VERSION, "n": n,
                "model": model, "tau_s": tau,
                "zeta_hz": [z / math.tau for z in zeta], "label": label,
@@ -262,7 +263,7 @@ def cmd_parity(args) -> int:
         payload["fit"] = protocols.parity_deviation_fit(first)
     serialize.write_json(out.path("parity.json"), payload)
     serialize.write_csv(out.path("parity.csv"), keys, "%s,%s,%s,%.12e,%.12e\n",
-                        [r[k] for r in rows for k in keys])
+                        [x for row in rows.tolist() for x in row])
     if args.svg:
         svg.bar_chart(first.inner.tolist(), first.phase.tolist(), out.path("parity.svg"),
                       title=f"transfer phase by inner state (n={n}, {model})",
@@ -341,7 +342,7 @@ def cmd_ghz(args) -> int:
     serialize.write_json(out.path("ghz.json"), payload)
     serialize.write_json(out.path("ghz_rho.json"), {
         "schema_version": serialize.SCHEMA_VERSION, "n": n,
-        "rho_source": rho_source, "rho": [list(row) for row in rho]})
+        "rho_source": rho_source, "rho": rho})
     if args.svg:
         _rho_corner_svg(rho, out.path("ghz.svg"),
                         f"GHZ density-matrix corners (n={n}, {scenario_info})")
@@ -369,9 +370,8 @@ def cmd_calibrate(args) -> int:
     serialize.write_json(out.path("calibration.json"), payload)
     calibration.write_convergence_csv(result, out.path("convergence.csv"))
     if args.svg:
-        evals = np.arange(1, len(result.history) + 1)
-        svg.line_chart(evals, {"objective": [h["objective"] for h in result.history],
-                               "running min": result.running_minimum()},
+        svg.line_chart(result.history.evaluation, {"objective": result.history.objective,
+                                                   "running min": result.running_minimum()},
                        out.path("convergence.svg"), log_y=True,
                        title=f"drive optimization (seed {args.seed})",
                        x_label="evaluation", y_label="transfer error")
@@ -403,11 +403,9 @@ def cmd_lattice(args) -> int:
     out = _Outputs(args, "lattice")
     times = np.array(fractions) * tau
     traj = protocols.lattice_pst(spec, (x0, y0), times)
-    frames = []
-    for k, frac in enumerate(fractions):
-        grid = traj.populations[k].reshape(spec.nx, spec.ny)
-        frames.append({"fraction": frac, "t_s": float(times[k]),
-                       "populations": [list(row) for row in grid]})
+    grids = traj.populations.reshape(len(fractions), spec.nx, spec.ny)
+    frames = [{"fraction": frac, "t_s": t, "populations": grid}
+              for frac, t, grid in zip(fractions, times.tolist(), grids)]
     serialize.write_json(out.path("lattice.json"), {
         "schema_version": serialize.SCHEMA_VERSION, "nx": spec.nx,
         "ny": spec.ny, "tau_s": tau, "start": [x0, y0], "frames": frames})
@@ -419,8 +417,7 @@ def cmd_lattice(args) -> int:
     serialize.write_csv(out.path("lattice.csv"), ["fraction", "t_s", "x", "y", "population"],
                         "%g,%.12e,%d,%d,%.12e\n", table.ravel())
     if args.svg:
-        for k, frac in enumerate(fractions):
-            grid = traj.populations[k].reshape(spec.nx, spec.ny)
+        for k, (frac, grid) in enumerate(zip(fractions, grids)):
             svg.heatmap(grid.T, out.path(f"lattice_frame_{k}.svg"),
                         title=f"t = {frac:g} tau", x_label="x", y_label="y",
                         vmin=0.0, vmax=1.0,

@@ -338,14 +338,6 @@ class Trajectory:
     def n_sites(self) -> int:
         return self.populations.shape[1]
 
-    def to_csv(self, path):
-        """Header, then one line per time: time_s, pop_site_1..n and norm as %.12e."""
-        from . import serialize     # serialize imports protocols, which imports this module
-
-        cols = ["time_s"] + [f"pop_site_{s + 1}" for s in range(self.n_sites)] + ["norm"]
-        table = np.column_stack([self.times, self.populations, self.norm])
-        serialize.write_csv(path, cols, ",".join(["%.12e"] * len(cols)) + "\n", table.ravel())
-
 
 def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
            occupations: np.ndarray | None = None) -> Trajectory:

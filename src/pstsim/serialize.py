@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import protocols
+from . import evolution, protocols
 from .models import chains
 
 SCHEMA_VERSION = 1
@@ -33,96 +33,84 @@ def dump_json(payload) -> str:
     """Deterministic JSON text of a payload tree, ending in a newline.
 
     The text is exactly ``json.dumps(x, sort_keys=True, indent=2) + "\\n"``
-    of the tree ``x`` restricted to JSON types: a complex number becomes
-    ``[re, im]``, a tuple a list, a numpy scalar the Python number (bool,
-    int or float) it holds, and a dict key ``str(key)``; any other type
-    raises TypeError.  NaN and the infinities are written as ``json``
-    writes them.  The tree is walked once; a list of only floats, or of
-    only complex numbers, is formatted in bulk, and so is a table of
-    records (see ``records``).
+    of the tree ``x`` restricted to JSON types: a tuple becomes a list, a
+    dict key ``str(key)``, a complex number ``[re, im]``, a numpy array
+    its ``tolist()`` and a record array the list of its rows, each a dict
+    of its fields.  NaN and the infinities are written as ``json`` writes
+    them.  Lists, tuples and dicts are walked item by item.  A numpy
+    array is formatted by its dtype, the whole array through one ``%``
+    template (see ``template``), and so is a numpy scalar, a bool, a float
+    and a complex number, each as a 0-d array.  An array of bools, ints,
+    floats, complex numbers or strs, or a record array of such fields
+    (subarrays included), is written; any other array or type raises
+    TypeError.
     """
-    floatstr = float.__repr__
     encode = json.encoder.encode_basestring_ascii
+    # the json text of each item of a bool, int or str array's tolist()
+    forms = {"b": ("false", "true").__getitem__, "i": int.__repr__, "u": int.__repr__,
+             "U": encode}
 
-    def records(rows: list, indent: str) -> str | None:
-        """A list of dicts as one row template filled by one ``%``, or None.
+    def joined(items: list, indent: str, brackets: str = "[]") -> str:
+        """Formatted items, each on its own line one level in, as json lays them out."""
+        if not items:
+            return brackets
+        inner = indent + "  "
+        return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent
+                + brackets[1])
 
-        Applies when every row has the same non-empty set of str keys and
-        each column holds only ints (not bools), only finite floats, only
-        strs, or only non-empty lists of finite floats of one length;
-        ``%r`` of an exact int or float is its ``json`` spelling.
+    def template(dtype: np.dtype, shape: tuple, indent: str) -> str:
+        """The text of an array of ``shape`` and ``dtype`` with a ``%s`` for each cell.
+
+        A record is a dict of its fields, a complex number ``[re, im]``.
         """
-        keys = rows[0].keys()
-        # with a missing key read as None below, rows of one length share
-        # one key set; the caller passes no rows whose first one is empty,
-        # so the loop below always runs and checks this
-        same = all(len(r) == len(keys) for r in rows)
-        inner, deeper = indent + "  ", indent + "    "
-        fields, columns = [], []
-        for key in sorted(keys, key=str):
-            column = [r.get(key) for r in rows]
-            kind = set(map(type, column))
-            width, field = 1, "%r"
-            if kind == {list}:
-                width = len(column[0])
-                column = [x for v in column if len(v) == width for x in v]
-                kind = {list, *map(type, column)}
-                field = "[\n" + deeper + (",\n" + deeper).join(["%r"] * width) + "\n" + inner + "]"
-            if kind == {str}:
-                column, field = list(map(encode, column)), "%s"
-            if not (same and type(key) is str and kind in ({int}, {float}, {str}, {list, float})
-                    and width and len(column) == width * len(rows)
-                    and (float not in kind or all(map(math.isfinite, column)))):
-                return None
-            fields.append(encode(key).replace("%", "%%") + ": " + field)
-            columns.append((width, column))
-        stride = sum(width for width, _ in columns)
-        cells = [None] * (stride * len(rows))
-        start = 0
-        for width, column in columns:
-            for k in range(width):
-                cells[start + k::stride] = column[k::width]
-            start += width
-        row = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
-        return (",\n" + indent).join([row] * len(rows)) % tuple(cells)
+        inner = indent + "  "
+        if shape:
+            return joined([template(dtype, shape[1:], inner)] * shape[0], indent)
+        if dtype.names is not None:
+            return joined([encode(k).replace("%", "%%") + ": "
+                           + template(dtype[k].base, dtype[k].shape, inner)
+                           for k in sorted(dtype.names)], indent, "{}")
+        return template(np.dtype(float), (2,), indent) if dtype.kind == "c" else "%s"
 
-    def spelled(floats: str) -> str:
-        # float reprs hold no letters but those of nan and inf, which json
-        # spells NaN and Infinity
-        return floats.replace("nan", "NaN").replace("inf", "Infinity")
+    def cells(value: np.ndarray) -> list:
+        """The formatted cells of ``value`` in the order its ``template`` takes them."""
+        if value.dtype.names is not None:
+            # the fields' cells interleaved row by row; a table of no rows has none
+            rows = value.reshape(-1)
+            columns = [cells(rows[k]) for k in sorted(value.dtype.names)]
+            out, start = [None] * sum(map(len, columns)), 0
+            stride = len(out) // max(len(rows), 1)
+            for column in columns:
+                width = len(column) // max(len(rows), 1)
+                for k in range(width):
+                    out[start + k::stride] = column[k::width]
+                start += width
+            return out
+        kind = value.dtype.kind
+        if kind in "fc":
+            # re, im of each complex; %s of a float is its repr, json's
+            # spelling of a finite float, and json spells the others
+            flat = value.astype(complex if kind == "c" else float).reshape(-1).view(float)
+            out, odd = flat.astype(object), ~np.isfinite(flat)
+            out[odd] = list(map(json.dumps, flat[odd].tolist()))
+            return out.tolist()
+        if kind not in forms:
+            raise TypeError(f"cannot serialize an array of dtype {value.dtype}")
+        return list(map(forms[kind], value.reshape(-1).tolist()))
 
     def emit(value, indent: str) -> str:
-        is_complex = isinstance(value, (complex, np.complexfloating))
-        if is_complex or isinstance(value, (dict, list, tuple)):
-            items = [value.real, value.imag] if is_complex else value
-            if not items:
-                return "{}" if isinstance(items, dict) else "[]"
-            inner = indent + "  "
-            sep = ",\n" + inner
-            if isinstance(items, dict):
-                keyed = {str(k): v for k, v in items.items()}
-                body = sep.join(encode(k) + ": " + emit(keyed[k], inner) for k in sorted(keyed))
-                return "{\n" + inner + body + "\n" + indent + "}"
-            kinds = set(map(type, items))
-            if all(issubclass(k, (complex, np.complexfloating)) for k in kinds):
-                # re0, im0, re1, im1, ... each pair an [re, im] list one level in
-                flat = map(floatstr, np.array(items, dtype=complex).view(float).tolist())
-                deeper = "\n  " + inner
-                pairs = map(("," + deeper).join, zip(flat, flat))
-                body = spelled("[" + deeper + ("\n" + inner + "]" + sep + "[" + deeper).join(pairs)
-                               + "\n" + inner + "]")
-            elif all(issubclass(k, (float, np.floating)) for k in kinds):
-                body = spelled(sep.join(map(floatstr, map(float, items))))
-            else:
-                body = kinds == {dict} and items[0] and records(items, inner) or sep.join(
-                    emit(v, inner) for v in items)
-            return "[\n" + inner + body + "\n" + indent + "]"
-        if isinstance(value, (bool, np.bool_)):
-            return "true" if value else "false"
-        if isinstance(value, (int, np.integer)):
+        if isinstance(value, (np.ndarray, np.generic, bool, float, complex)):
+            value = np.asarray(value)
+            return template(value.dtype, value.shape, indent) % tuple(cells(value))
+        inner = indent + "  "
+        if isinstance(value, dict):
+            keyed = {str(k): v for k, v in value.items()}
+            return joined([encode(k) + ": " + emit(keyed[k], inner) for k in sorted(keyed)],
+                          indent, "{}")
+        if isinstance(value, (list, tuple)):
+            return joined([emit(v, inner) for v in value], indent)
+        if isinstance(value, int):
             return int.__repr__(int(value))
-        if isinstance(value, (float, np.floating)):
-            return spelled(floatstr(float(value)))
         if value is None:
             return "null"
         if isinstance(value, str):
@@ -156,6 +144,13 @@ def write_csv(path, columns, line: str, cells) -> None:
             block = cells[start:start + _CSV_BLOCK * width]
             block = block.tolist() if isinstance(block, np.ndarray) else block
             fh.write(line * (len(block) // width) % tuple(block))
+
+
+def write_trajectory_csv(path, traj: evolution.Trajectory) -> None:
+    """Header, then one line per time: time_s, pop_site_1..n and norm as %.12e."""
+    cols = ["time_s"] + [f"pop_site_{s + 1}" for s in range(traj.n_sites)] + ["norm"]
+    table = np.column_stack([traj.times, traj.populations, traj.norm])
+    write_csv(path, cols, ",".join(["%.12e"] * len(cols)) + "\n", table.ravel())
 
 
 def load_json(path) -> dict:
@@ -308,8 +303,6 @@ def load_scenario(path) -> dict:
 
 def parse_noise(data: dict):
     """Parse a relaxation-time table into a ``NoiseSpec``."""
-    from . import evolution
-
     _check_version(data)
     t1 = _number_list(data, "t1_s", "")
     for i, t in enumerate(t1):

@@ -461,7 +461,10 @@ def test_optimizer_deterministic_and_consistent():
     a = calibration.optimize_simultaneous_drives(be, guess, cfg)
     b = calibration.optimize_simultaneous_drives(be, guess, cfg)
     assert a.amplitudes == b.amplitudes
-    assert a.history == b.history
+    assert a.history.dtype.names == ("evaluation", "amplitudes", "frequencies", "objective")
+    for name in a.history.dtype.names:
+        assert a.history[name].tolist() == b.history[name].tolist()
+    assert a.history.evaluation.tolist() == list(range(1, 61))
     assert a.best_objective == min(h["objective"] for h in a.history)
     assert a.evaluations == len(a.history) == 60
     assert a.budget_exhausted
@@ -703,11 +706,17 @@ def test_optimizer_matches_reference_search(noise):
                 calibration.ideal_drive_settings(be.config), 1000 + seed)
             got = calibration.optimize_simultaneous_drives(
                 be, guess, calibration.OptimizerConfig(budget=budget, seed=seed))
-            assert got == _reference_optimize(
+            ref = _reference_optimize(
                 be, guess, _ReferenceOptimizerConfig(budget=budget, seed=seed))
+            for name in ("amplitudes", "frequencies", "best_objective", "evaluations", "seed",
+                         "budget_exhausted"):
+                assert getattr(got, name) == getattr(ref, name), name
+            # the record history, field by field, bit for bit
+            assert set(got.history.dtype.names) == set(ref.history[0])
+            for name in got.history.dtype.names:
+                assert got.history[name].tolist() == [h[name] for h in ref.history], name
             # every evaluated point lies inside the search box
-            amps = np.array([h["amplitudes"] for h in got.history])
-            freqs = np.array([h["frequencies"] for h in got.history])
+            amps, freqs = got.history.amplitudes, got.history.frequencies
             rel = amps / np.array(guess.amplitudes) - 1.0
             assert np.all(np.abs(rel) <= 0.35 * (1 + 1e-12))
             df = freqs - np.array(guess.frequencies)

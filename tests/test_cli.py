@@ -192,6 +192,21 @@ def test_trajectory_manifest_model(tmp_path, zz_hz, noise, model):
     assert _load(tmp_path, f"{argv[0]}_manifest.json")["config"]["model"] == model
 
 
+@pytest.mark.parametrize("argv", [
+    ["pst", "--n", 6, "--tau", "640ns"],
+    ["fst", "--n", 6, "--tau", "640ns", "--theta", "0.6pi"],
+    ["evolve", "--config", "configs/chain_n6.json"],
+], ids=["pst", "fst", "evolve"])
+def test_trajectory_manifest_noise_is_a_basename(tmp_path, argv):
+    # the same run from another working directory writes the same manifest
+    manifests = []
+    for i, noise in enumerate(["configs/noise_t1.json", os.path.abspath("configs/noise_t1.json")]):
+        assert _run(tmp_path / str(i), *argv, "--times", "0:1tau:3", "--noise", noise) == 0
+        manifests.append((tmp_path / str(i) / f"{argv[0]}_manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["config"]["noise"] == "noise_t1.json"
+
+
 @pytest.mark.parametrize("times", ["0:nantau:3", "0:inftau:3", "nantau:1tau:3"])
 def test_non_finite_times_are_usage_errors(tmp_path, capsys, times):
     with pytest.raises(SystemExit) as exc:

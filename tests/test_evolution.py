@@ -738,14 +738,14 @@ def test_trajectory_to_csv_round_trip(tmp_path):
     traj = evolution.evolve(H, _basis(8, 0b100), times,
                             occupations=statespace.occupation_matrix(3))
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    serialize.write_trajectory_csv(path, traj)
     text = path.read_text()
     assert text.splitlines()[0] == "time_s,pop_site_1,pop_site_2,pop_site_3,norm"
     data = np.genfromtxt(path, delimiter=",", names=True)
     np.testing.assert_allclose(data["pop_site_3"], traj.populations[:, 2],
                                rtol=1e-10)
     # identical evolution, identical bytes
-    traj.to_csv(tmp_path / "again.csv")
+    serialize.write_trajectory_csv(tmp_path / "again.csv", traj)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
     assert path.read_bytes() == _per_row_csv(traj)
 
@@ -768,7 +768,7 @@ def test_trajectory_csv_bytes_across_line_blocks(tmp_path, n_times):
                                  evolution.NoiseSpec(t1=(2e-6, 3e-6, 1e-6, 4e-6)),
                                  np.eye(4))
     traj = evolution.evolve(H, _basis(4, 0), np.linspace(0.0, 3e-6, n_times))
-    traj.to_csv(tmp_path / "traj.csv")
+    serialize.write_trajectory_csv(tmp_path / "traj.csv", traj)
     assert (tmp_path / "traj.csv").read_bytes() == _per_row_csv(traj)
 
 

@@ -15,7 +15,19 @@ from pstsim.models import chains
 
 
 def canonical(value):
-    """Reference: restrict a payload tree to JSON types; complex becomes [re, im]."""
+    """Reference: restrict a payload tree to JSON types; complex becomes [re, im].
+
+    An array becomes its ``tolist()``, a record array the list of its rows,
+    each a dict of its fields.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.names is not None:
+        return canonical(value[()] if value.ndim == 0 else list(value))
+    if isinstance(value, np.void) and value.dtype.names is not None:
+        return {k: canonical(value[k]) for k in value.dtype.names}
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "biufcU":
+            raise TypeError(f"cannot serialize an array of dtype {value.dtype}")
+        return canonical(value.tolist())
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -63,7 +75,10 @@ def test_canonical_types():
 
 
 def test_canonical_rejects_unknown():
-    for payload in (object(), {"a": [1.0, object()]}, np.zeros(2), [1j, np.zeros(1)], {1, 2}):
+    # an array of Python objects is not formatted by its dtype, whatever it holds
+    for payload in (object(), {"a": [1.0, object()]}, np.zeros(2, dtype=object),
+                    [1j, np.array([1.0], dtype=object)], {1, 2}, np.array([b"x"]),
+                    np.zeros(2, dtype=[("a", object)])):
         with pytest.raises(TypeError):
             serialize.dump_json(payload)
 
@@ -75,6 +90,13 @@ def test_dump_json_deterministic():
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [1.0, [0.0, 2.0]], "z": 1}
 
+
+_RECORDS = np.rec.fromarrays(
+    [np.arange(4), np.linspace(0.0, 1.0, 8).reshape(4, 2), np.array(["a", "%s", "\u00e9", ""]),
+     np.array([0.5, np.nan, np.inf, -np.inf]), np.array([1 + 2j, -0.0j, complex(np.nan, 1), 0j]),
+     np.array([True, False, True, False])],
+    dtype=[("n", int), ("pair", float, (2,)), ("s", "U2"), ("x", float), ("z", complex),
+           ("b", bool)])
 
 _EDGE_PAYLOADS = {
     "non-finite floats": [float("nan"), float("inf"), float("-inf"), 1.0, np.float64("nan")],
@@ -104,7 +126,7 @@ _EDGE_PAYLOADS = {
     "top level float": 2.5,
     "top level complex": np.complex64(1j),
     "deep nesting": {"a": {"b": {"c": [{"d": [1.0, 2.0]}, [1j, 2j]]}}},
-    # lists of dicts: the regular ones take the bulk record table
+    # lists of dicts, walked item by item like any list
     "records": {"rows": [{"evaluation": k, "objective": 0.1 * k, "label": f"r{k}",
                           "amplitudes": [0.01 * k, -0.0, 5e-324], "frequencies": [1e9, 2e9]}
                          for k in range(1, 6)]},
@@ -131,6 +153,41 @@ _EDGE_PAYLOADS = {
     "records with int keys": [{1: 2, 3: 4.0}, {1: 5, 3: 6.0}],
     "records of nested dicts": [{"a": {"b": 1.0}}, {"a": {"b": 2.0}}],
     "records after a dict": [{"a": 1}, [{"a": 2}], {"rows": []}],
+    # numpy arrays and scalars, each formatted by its dtype: json writes an
+    # array's tolist(), and a record array's rows as dicts
+    "float array": np.array([0.1, -0.0, 1e16, 5e-324, 1.7976931348623157e308]),
+    "float32 array": np.array([0.1, 1e-8], dtype=np.float32),
+    "non-finite floats array": np.array([np.nan, np.inf, -np.inf, 1.0]),
+    "complex array": np.array([1 + 2j, 0.5j, complex(np.nan, -np.inf), -0.0 - 0.0j]),
+    "complex64 array": np.array([1.5 - 0.25j], dtype=np.complex64),
+    "int array": np.array([-7, 0, 2**62]),
+    "uint8 array": np.array([0, 255], dtype=np.uint8),
+    "bool array": np.array([True, False]),
+    "str array": np.array(["a", "%s", "\u03c1 \u00e9t\u00e9", "\"q\"\\\n"]),
+    "0-d float array": np.array(2.5),
+    "0-d complex array": np.array(1j),
+    "0-d str array": np.array("nan"),
+    "empty array": np.zeros(0),
+    "empty 2-D array": np.zeros((0, 3)),
+    "2-D array of empty rows": np.zeros((2, 0), dtype=complex),
+    "2-D float array": np.arange(6.0).reshape(2, 3),
+    "2-D complex array": (np.arange(4.0) + 1j).reshape(2, 2),
+    "3-D int array": np.arange(12).reshape(2, 3, 2),
+    "record array": _RECORDS,
+    "record array of no rows": _RECORDS[:0],
+    "0-d record array": _RECORDS[1:2].reshape(()),
+    "2-D record array": _RECORDS.reshape(2, 2),
+    "record array with % and non-ASCII names": np.rec.fromarrays(
+        [np.arange(3), np.ones((3, 2)), np.array(["x", "y", "z"])],
+        dtype=[("a%d", int), ("\u03c1", float, (2,)), ("%", "U1")]),
+    "record array with 2-D and empty subarrays": np.zeros(
+        2, dtype=[("m", float, (2, 3)), ("e", float, (0,)), ("c", complex, (2,))]),
+    "nested record array": np.zeros(
+        2, dtype=[("a", [("b", int), ("c", float, (2,))]), ("d", "U3")]),
+    "arrays in a tree": {"rho": np.eye(2, dtype=complex), "frames": [
+        {"grid": np.ones((2, 2)), "t": np.float64(0.5)}, {"grid": np.zeros((2, 2)), "t": 1.0}]},
+    "numpy scalars as arrays": [np.float64(np.nan), np.int64(3), np.bool_(True), np.str_("s"),
+                                np.complex128(np.inf), _RECORDS[0]],
 }
 
 
@@ -141,7 +198,8 @@ def test_dump_json_equals_json_dumps_on_edge_payloads(name):
 
 
 def test_dump_json_equals_json_dumps_on_record_tables():
-    # a 500-evaluation calibrate history and a parity table's rows
+    # a 500-evaluation calibrate history and a parity table with the fields
+    # the CLI writes, each passed as its record array
     from pstsim import calibration
 
     config = calibration.default_effective_config()
@@ -150,9 +208,11 @@ def test_dump_json_equals_json_dumps_on_record_tables():
         calibration.perturb_drives(calibration.ideal_drive_settings(config), 1003),
         calibration.OptimizerConfig(budget=500, seed=3))
     table = protocols.parity_phase_table(6, ("+x", "-y"), zeta=(1e5,) * 5)
-    keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
-    rows = [dict(zip(keys, row))
-            for row in table[["inner", "input_state", "parity", "phase", "deviation"]].tolist()]
+    rows = np.rec.fromarrays([table.inner, table.input_state, table.parity, table.phase,
+                              table.deviation],
+                             names=["inner", "input_state", "parity", "phase_rad",
+                                    "deviation_rad"])
+    assert isinstance(result.as_dict()["history"], np.recarray)
     for payload in (result.as_dict(), {"rows": rows}):
         assert serialize.dump_json(payload) == _reference_json(payload)
 
