@@ -248,9 +248,8 @@ def cmd_parity(args) -> int:
     else:
         if not re.fullmatch(r"[01]+", args.inner) or len(args.inner) != n - 2:
             raise UsageError(f"--inner must be 'all' or an {n - 2}-bit string")
-        table = np.rec.array(np.hstack([
-            protocols.parity_phase_experiment(n, args.inner, inp, zeta=zeta, noise=noise,
-                                              tau=tau) for inp in inputs]))
+        table = protocols.parity_phase_experiment(n, args.inner, inputs, zeta=zeta,
+                                                  noise=noise, tau=tau)
     keys = ["inner", "input_state", "parity", "phase_rad", "deviation_rad"]
     rows = np.rec.fromarrays([table.inner, table.input_state, table.parity, table.phase,
                               table.deviation], names=keys)

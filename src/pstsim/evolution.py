@@ -11,9 +11,10 @@ one, such as every chain and device block), ``eig`` for a relaxed one
 one-block stack, and every time is evaluated exactly.  In ``evolve`` a
 touched block above ``DENSE_GUARD`` raises ResourceError before any
 work, or under ``method="krylov"`` is stepped with ``expm_multiply`` as
-a slice of H.  The flux-driven device model steps its H(t) as two
-static exponentials per commutator-free step, all the columns of a block
-as one stack, or one state vector by a Chebyshev series where that costs
+a slice of H.  The flux-driven device model takes its blocks from the
+parity of its total excitation number, and steps its H(t) as two static
+exponentials per commutator-free step, all the columns of a block as
+one stack, or one state vector by a Chebyshev series where that costs
 less (Tal-Ezer & Kosloff 1984); a column driven at one frequency whose
 period fits the time window reuses its one-period propagators.
 Relaxation enters as non-Hermitian diagonal terms, and the survival norm
@@ -254,51 +255,33 @@ def _krylov_states(h, psi0: np.ndarray, times) -> np.ndarray:
     return states
 
 
-def _components(A, psi0: np.ndarray | None = None):
-    """The nonzero entries of A (CSR or ndarray) and the connected components of their pattern.
-
-    Returns ``((row, col, val), labels, wanted)``: every nonzero entry once,
-    rows ascending; the component label of every basis state; and the
-    labels of the components where ``psi0`` has support, or all of them.
+def _blocks(H, psi0: np.ndarray | None = None, slice_above_guard: bool = False):
+    """Diagonal blocks of H (dense or sparse) over the connected components
+    of its nonzero pattern: an iterator of ``(indices, block)``, components
+    in order of their lowest state, all of them or those where ``psi0`` has
+    support.  A block of at most ``DENSE_GUARD`` states is dense; a larger
+    one raises ResourceError before any block is built or, with
+    ``slice_above_guard``, is yielded as a sparse slice of H.
     """
-    if sparse.issparse(A):
-        if not A.has_canonical_format:          # the block fill assigns each entry once
-            A = A.copy()
-            A.sum_duplicates()
-        row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        col, val = A.indices, A.data
-    else:
-        row, col = np.nonzero(A)
-        val = A[row, col]
+    A = sparse.csr_matrix(H)
+    if not A.has_canonical_format:          # the block fill assigns each entry once
+        A = A.copy()
+        A.sum_duplicates()
     dim = A.shape[0]
-    edge = val != 0                                 # a stored zero couples nothing
-    row, col, val = row[edge], col[edge], val[edge]
+    row = np.repeat(np.arange(dim), np.diff(A.indptr))
+    edge = A.data != 0                              # a stored zero couples nothing
+    row, col, val = row[edge], A.indices[edge], A.data[edge]
     # real unit weights: csgraph casts complex weights to float, which
     # would drop purely imaginary couplings
     indptr = np.searchsorted(row, np.arange(dim + 1))
     pattern = sparse.csr_matrix((np.ones(len(row)), col, indptr), shape=(dim, dim))
     n_comp, labels = connected_components(pattern, directed=False)
     wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
-    return (row, col, val), labels, wanted
-
-
-def _blocks(H, psi0: np.ndarray | None = None, slice_above_guard: bool = False):
-    """Diagonal blocks of H over the components of its nonzero pattern.
-
-    Returns an iterator of ``(indices, block)`` for every component, or
-    only for those where ``psi0`` has support.  A block of at most
-    ``DENSE_GUARD`` states is a dense array.  A larger one raises
-    ResourceError here, before any block is built, or, with
-    ``slice_above_guard``, is yielded as a slice of H (sparse when H
-    is) that is never made dense.
-    """
-    A = H.tocsr() if sparse.issparse(H) else np.asarray(H)
-    (row, col, val), labels, wanted = _components(A, psi0)
     largest = np.bincount(labels)[wanted].max(initial=0)
     if largest > DENSE_GUARD and not slice_above_guard:
         raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
     entry_labels = labels[row]
-    local = np.empty(len(labels), dtype=np.int64)   # position of each state in its block
+    local = np.empty(dim, dtype=np.int64)           # position of each state in its block
 
     def block(label):
         idx = np.flatnonzero(labels == label)

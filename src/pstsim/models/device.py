@@ -19,7 +19,7 @@ from math import pi
 import numpy as np
 
 from ..evolution import (DENSE_GUARD, STEP_GUARD, ResourceError, _ascending_times, _block_states,
-                         _blocks, _chebyshev_reach, _chebyshev_state, _gershgorin)
+                         _chebyshev_reach, _chebyshev_state, _gershgorin)
 
 __all__ = [
     "QubitSpec",
@@ -259,10 +259,12 @@ class DeviceSubsetModel:
         h = T / _STEPS_PER_PERIOD, keeping every substep's propagator, and
         the state at t = k T + r is one short step from floor(r / h) h to
         r after that substep's propagator, applied to U_T^k psi0.  Each
-        step takes the columns it moves together: one stacked
-        eigendecomposition per block, or a Chebyshev series per column for
-        a vector step that costs less that way.  Returns |amplitudes|^2
-        with shape (len(times), dim, len(columns)).
+        coupling moves two modes by one level and each drive is diagonal,
+        so the blocks are the parity classes of the total excitation
+        number that psi0 touches, even first.  Each step takes the columns
+        it moves together: one stacked eigendecomposition per block, or a
+        Chebyshev series per column for a vector step that costs less that
+        way.  Returns |amplitudes|^2 with shape (len(times), dim, len(columns)).
 
         Raises ValueError for a non-finite drive and ResourceError, before
         the first step, when the CF4 steps plus the U_T products the
@@ -299,7 +301,9 @@ class DeviceSubsetModel:
         # a step h is exp(-ih(a2 H1 + a1 H2)) exp(-ih(a1 H1 + a2 H2)), Hk = H(t + ck h)
         r = 3**0.5 / 6
         c1, c2, a1, a2 = 0.5 - r, 0.5 + r, 0.25 + r, 0.25 - r
-        halves = [(idx, block / 2) for idx, block in _blocks(self.H_fixed, psi0)]
+        parity = self.occupations.sum(axis=1) % 2
+        halves = [(idx, self.H_fixed[np.ix_(idx, idx)] / 2) for idx in map(
+            np.flatnonzero, parity == np.unique(parity[np.flatnonzero(psi0)])[:, None])]
         # a vector step of h takes the Chebyshev kernel when h r is below
         # _chebyshev_reach(d), with r a Gershgorin half-width of every step's
         # block: each coupler anywhere in its tuning range, and a1 > 0 > a2

@@ -8,7 +8,7 @@ runs sector by sector (site 1 = most significant bit).  An ideal parity
 experiment maps its two input branches through the closed-form transfer
 (:func:`chains.pst_state_map`).  Parity results are numpy record arrays,
 one row per inner bitstring and input state; a single experiment is the
-one row of such a table.
+rows of its one inner bitstring.
 """
 
 from dataclasses import dataclass, field
@@ -189,9 +189,9 @@ def _rows(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
     return _table(n, input_states, codes, (p[len(low):] * p[:len(low)].conj())[:, None] * weights)
 
 
-def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
-                            noise=None, tau: float | None = None) -> np.record:
-    """Transfer-phase measurement for one inner bitstring and input state.
+def parity_phase_experiment(n: int, inner: str, input_states=("+x",), zeta=(),
+                            noise=None, tau: float | None = None) -> np.recarray:
+    """Transfer-phase measurement for one inner bitstring and each input state.
 
     Site 1 is prepared in the +-x/+-y superposition, sites 2..n-1 in the
     computational ``inner`` pattern, site n in the ground state.  After
@@ -202,14 +202,14 @@ def parity_phase_experiment(n: int, inner: str, input_state: str, zeta=(),
     adjacent pair) adds ZZ terms during the transfer, and ``noise``
     relaxation.  Without either the coherence comes from the closed-form
     transfer of the two input branches alone, so any n runs; with
-    either each branch is evolved on its own block.  Returns the one row
-    of such a table (see :func:`parity_phase_table`).
+    either each branch is evolved on its own block.  Returns the rows of
+    ``inner`` in such a table, one per input (see :func:`parity_phase_table`).
     """
     spec = _parity_spec(n, zeta, tau)
     if len(inner) != n - 2 or set(inner) - {"0", "1"}:
         raise ValueError(f"inner must be a bitstring of length {n - 2}")
     # Python ints: the codes of more than 64 sites overflow int64
-    return _rows(spec, noise, (input_state,), np.array([int(inner, 2)], dtype=object))[0]
+    return _rows(spec, noise, tuple(input_states), np.array([int(inner, 2)], dtype=object))
 
 
 def _block_table(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:

@@ -37,13 +37,14 @@ def dump_json(payload) -> str:
     dict key ``str(key)``, a complex number ``[re, im]``, a numpy array
     its ``tolist()`` and a record array the list of its rows, each a dict
     of its fields.  NaN and the infinities are written as ``json`` writes
-    them.  Lists, tuples and dicts are walked item by item.  A numpy
-    array is formatted by its dtype, the whole array through one ``%``
-    template (see ``template``), and so is a numpy scalar, a bool, a float
-    and a complex number, each as a 0-d array.  An array of bools, ints,
-    floats, complex numbers or strs, or a record array of such fields
-    (subarrays included), is written; any other array or type raises
-    TypeError.
+    them.  Keys sort as their text (``10`` before ``2``); two keys of one
+    text make no such tree and raise TypeError.  Lists, tuples and dicts
+    are walked item by item.  A numpy array is formatted by its dtype, the
+    whole array through one ``%`` template (see ``template``), and so is a
+    numpy scalar, a bool, a float and a complex number, each as a 0-d
+    array.  An array of bools, ints, floats, complex numbers or strs, or a
+    record array of such fields (subarrays included), is written; any
+    other array or type raises TypeError.
     """
     encode = json.encoder.encode_basestring_ascii
     # the json text of each item of a bool, int or str array's tolist()
@@ -105,6 +106,8 @@ def dump_json(payload) -> str:
         inner = indent + "  "
         if isinstance(value, dict):
             keyed = {str(k): v for k, v in value.items()}
+            if len(keyed) < len(value):
+                raise TypeError("two dict keys have the same text")
             return joined([encode(k) + ": " + emit(keyed[k], inner) for k in sorted(keyed)],
                           indent, "{}")
         if isinstance(value, (list, tuple)):

@@ -71,7 +71,7 @@ KEEP = [
     ("evolution.py", "_block_states", "for i in near:",
      "the expm fallback for the blocks of a stack whose eigenvectors are ill-conditioned, "
      "near an exceptional point"),
-    ("evolution.py", "_components", "if not A.has_canonical_format:",
+    ("evolution.py", "_blocks", "if not A.has_canonical_format:",
      "a non-canonical CSR input: sum duplicates on a copy, never on the caller's matrix"),
     # method="krylov" on a block above DENSE_GUARD, which no workload has
     ("evolution.py", "_krylov_states", "",

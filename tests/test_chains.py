@@ -147,9 +147,8 @@ def test_block_states_are_the_component_of_the_start(n):
         for x in rng.integers(0, 2**n, 6):
             states = chains.block_states(spec, format(int(x), f"0{n}b"))
             assert list(states) == sorted(states, reverse=True)
-            _, labels, (label,) = evolution._components(chains.chain_hamiltonian(spec),
-                                                        np.eye(2**n)[x])
-            assert set(states) == set(np.flatnonzero(labels == label))
+            [(idx, _)] = evolution._blocks(chains.chain_hamiltonian(spec), np.eye(2**n)[x])
+            assert set(states) == set(idx.tolist())
 
 
 def test_block_states_guard_and_wide_registers(monkeypatch):

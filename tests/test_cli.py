@@ -707,22 +707,23 @@ def test_bitstring_guard_agrees_with_evolve(monkeypatch):
     # a zero coupling splits the chain in two runs; each keeps its excitations,
     # so the block run_pst counts is smaller than C(n, excitations), and is
     # the component of the start that evolve finds in the full H
-    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
     spec = chains.ChainSpec(couplings=(1e6, 2e6, 0.0, 2e6, 1e6), tau=640e-9,
                             zz=(0.0, 3e5, 0.0, 3e5, 0.0))
     times = np.linspace(0.0, 640e-9, 3)
-    sizes = []
-    for bits in ("111000", "110100", "100000", "111100", "010110", "000111"):
+    starts = ("111000", "110100", "100000", "111100", "010110", "000111")
+    # the blocks evolve finds, under the default guard
+    blocks = [evolution._blocks(chains.chain_hamiltonian(spec), np.eye(64)[int(bits, 2)])
+              for bits in starts]
+    sizes = [len(idx) for [(idx, _)] in blocks]
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
+    for bits, size in zip(starts, sizes):
         assert cli.initial_state(bits) == bits
-        _, labels, (label,) = evolution._components(chains.chain_hamiltonian(spec),
-                                                    np.eye(64)[int(bits, 2)])
-        sizes.append(int(np.sum(labels == label)))
-        if sizes[-1] > 8:
+        if size > 8:
             with pytest.raises(evolution.ResourceError) as exc:
                 protocols.run_pst(spec, bits, times)
-            assert str(exc.value) == f"block dimension {sizes[-1]} above dense guard 8"
+            assert str(exc.value) == f"block dimension {size} above dense guard 8"
         else:
-            assert protocols.run_pst(spec, bits, times).states.shape == (3, sizes[-1])
+            assert protocols.run_pst(spec, bits, times).states.shape == (3, size)
     # C(6, k) is above 8 for all but 100000
     assert sizes == [1, 9, 3, 3, 9, 1]
 

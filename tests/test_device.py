@@ -208,6 +208,58 @@ def test_occupations_match_kron_form(dev, levels):
     assert np.array_equal(model.H_fixed, kron_H_fixed(model))
 
 
+def _subset_models(dev):
+    """Every device subset the tests and the DeviceBackend build: the Kronecker
+    subsets, the pair of every coupler at 2-4 levels, the chain at 2-3, the
+    two-qubit ring, and last the model without couplers, the one whose modes
+    no coupling joins."""
+    ring = dv.DeviceSpec(qubits=dev.qubits[:2], couplers=dev.couplers[:2],
+                         qubit_qubit_g_hz=(5e6, 7e6))
+    subsets = [(dev, qubits, couplers, levels) for qubits, couplers, top in _KRON_SUBSETS
+               for levels in range(2, top + 1)]
+    subsets += [(dev, dev.coupler_qubits(j), (j,), levels)
+                for j in range(1, 7) for levels in (2, 3, 4)]
+    subsets += [(dev, (1, 2, 3), (1, 2), levels) for levels in (2, 3)]
+    subsets += [(ring, (2, 1), (1, 2), levels) for levels in (2, 3)]
+    subsets += [(dev, (1, 2), (), 3)]
+    return [dv.DeviceSubsetModel(*subset) for subset in subsets]
+
+
+def test_device_hamiltonians_keep_the_excitation_parity(dev):
+    # every coupling moves two modes by one level and every coupler term is
+    # diagonal: no element joins an even total excitation number to an odd one
+    for model in _subset_models(dev):
+        odd = model.occupations.sum(axis=1) % 2 == 1
+        for H in (model.H_fixed, model.hamiltonian()):
+            assert not H[np.ix_(odd, ~odd)].any() and not H[np.ix_(~odd, odd)].any()
+
+
+@pytest.mark.parametrize("start", ["one excitation", "both parities"])
+def test_parity_blocks_are_the_components_evolve_finds(dev, monkeypatch, start):
+    # on the subsets whose modes the couplings join, each parity class is one
+    # component of H_fixed's pattern: evolve_columns steps the blocks that
+    # evolution._blocks finds, in the same order (seen as it bounds their spectra)
+    seen = []
+    bound = dv._gershgorin
+
+    def recorded(h, *shifts):
+        seen.append(h)
+        return bound(h, *shifts)
+
+    monkeypatch.setattr(dv, "_gershgorin", recorded)
+    for model in _subset_models(dev)[:-1]:
+        psi0 = np.zeros(model.dim, dtype=complex)
+        psi0[model.bare_index({("q", model.qubits[0]): 1})] = 1.0
+        if start == "both parities":
+            psi0[0] = 1.0                       # and the ground state, of even parity
+        seen.clear()
+        model.evolve_columns(psi0, [0.0], [])
+        blocks = list(evolution._blocks(model.H_fixed, psi0))
+        assert len(seen) == len(blocks) == (1 if start == "one excitation" else 2)
+        for half, (_, h) in zip(seen, blocks):
+            assert np.array_equal(half, h / 2), (model.qubits, model.couplers, model.levels)
+
+
 def test_bare_index_rejects_unknown_modes(dev):
     model = dv.DeviceSubsetModel(dev, (1, 2), (1,), levels=2)
     assert model.bare_index({}) == 0
@@ -597,8 +649,9 @@ def test_undriven_columns_match_static_evolve(dev, levels):
 
 
 def test_model_without_couplers_evolves_under_its_static_h(dev):
-    # qubits 1 and 2 share no residual coupling: every block is one state,
-    # and two undriven columns step their 1-state blocks as one stack
+    # qubits 1 and 2 share no residual coupling, so H is diagonal: its blocks
+    # are the two parity classes of the total excitation number, and two
+    # undriven columns step each as one stack
     model = dv.DeviceSubsetModel(dev, (1, 2), (), levels=3)
     psi0 = np.full(model.dim, 1 / 3, dtype=complex)
     times = np.linspace(0.0, 5e-9, 4)

@@ -146,10 +146,7 @@ def test_input_phase_table():
 
 
 def test_parity_phase_input_independent():
-    phases = [
-        protocols.parity_phase_experiment(5, "101", s).phase
-        for s in protocols.INPUT_PHASES
-    ]
+    phases = protocols.parity_phase_experiment(5, "101", tuple(protocols.INPUT_PHASES)).phase
     for p in phases[1:]:
         assert abs(protocols.wrap_phase(p - phases[0])) < 1e-9
 
@@ -167,8 +164,8 @@ _IDEAL_PHASES = {
 @pytest.mark.parametrize("n", sorted(_IDEAL_PHASES))
 def test_parity_phases_frozen(n):
     even_ref, odd_ref = _IDEAL_PHASES[n]
-    even = protocols.parity_phase_experiment(n, "0" * (n - 2), "+x")
-    odd = protocols.parity_phase_experiment(n, "1" + "0" * (n - 3), "+x")
+    even = protocols.parity_phase_experiment(n, "0" * (n - 2))[0]
+    odd = protocols.parity_phase_experiment(n, "1" + "0" * (n - 3))[0]
     assert even.parity == 1
     assert odd.parity == -1
     assert abs(protocols.wrap_phase(even.phase - even_ref)) < 1e-9
@@ -190,11 +187,11 @@ def test_parity_table_n6_exact():
 
 
 def test_parity_experiment_is_a_table_row():
-    # inner 10 is code 2, so with two inputs its +y row is row 2 * 2 + 1
-    row = protocols.parity_phase_experiment(4, "10", "+y")
-    assert row.dtype.names == ("inner", "input_state", "phase", "parity", "deviation")
-    assert (row.inner, row.input_state, row.parity) == ("10", "+y", -1)
-    assert row.tolist() == protocols.parity_phase_table(4, ("+x", "+y"))[5].tolist()
+    # inner 10 is code 2, so with two inputs its rows are rows 2 * 2 and 2 * 2 + 1
+    rows = protocols.parity_phase_experiment(4, "10", ("+x", "+y"))
+    assert rows.dtype.names == ("inner", "input_state", "phase", "parity", "deviation")
+    assert (rows[1].inner, rows[1].input_state, rows[1].parity) == ("10", "+y", -1)
+    assert rows.tolist() == protocols.parity_phase_table(4, ("+x", "+y"))[4:6].tolist()
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -291,7 +288,7 @@ def test_zz_single_experiments_on_forty_sites_match_free_fermions():
     zeta = 1e5 * np.cos(2.0 * np.arange(n - 1))
     inners = ["0" * 38, "1" + "0" * 37, "0" * 19 + "1" + "0" * 18, "0" * 37 + "1"]
     want = _free_fermion_deviations(n, zeta, codes=[int(inner, 2) for inner in inners])
-    got = [protocols.parity_phase_experiment(n, inner, "+x", zeta=tuple(zeta)).deviation
+    got = [protocols.parity_phase_experiment(n, inner, zeta=tuple(zeta))[0].deviation
            for inner in inners]
     eps = np.abs(zeta).max() * tau
     assert np.abs(np.angle(np.exp(1j * (np.array(got) - want)))).max() < eps**3 / 50
@@ -300,7 +297,7 @@ def test_zz_single_experiments_on_forty_sites_match_free_fermions():
 
 def test_zz_single_experiment_beyond_62_sites():
     # 70 sites: the branch blocks hold Python ints; one excitation feels no ZZ
-    row = protocols.parity_phase_experiment(70, "0" * 68, "-y", zeta=(-6e5,) * 69)
+    row = protocols.parity_phase_experiment(70, "0" * 68, ("-y",), zeta=(-6e5,) * 69)[0]
     assert (row.parity, row.deviation) == (1, 0.0)
 
 
@@ -338,8 +335,8 @@ def test_parity_table_matches_single_experiments(n, model):
     assert len(rows) == 4 * 2 ** (n - 2)
     # every inner bitstring once, the input state cycling through all four
     for row in (rows[4 * code + code % 4] for code in range(2 ** (n - 2))):
-        single = protocols.parity_phase_experiment(n, row.inner, row.input_state,
-                                                   zeta=zeta, noise=noise)
+        single = protocols.parity_phase_experiment(n, row.inner, (row.input_state,),
+                                                   zeta=zeta, noise=noise)[0]
         assert abs(protocols.wrap_phase(row.phase - single.phase)) < 1e-12
 
 
@@ -429,8 +426,8 @@ def test_parity_table_equals_dense_propagator_table(n, model):
         [(r.inner, r.input_state, r.parity) for r in ref]
     assert max(abs(protocols.wrap_phase(a.phase - b.phase)) for a, b in zip(rows, ref)) < 1e-12
     for r in ref[::max(1, len(ref) // 16)]:
-        single = protocols.parity_phase_experiment(n, r.inner, r.input_state, zeta=zeta,
-                                                   noise=noise)
+        single = protocols.parity_phase_experiment(n, r.inner, (r.input_state,), zeta=zeta,
+                                                   noise=noise)[0]
         assert abs(protocols.wrap_phase(single.phase - r.phase)) < 1e-12
 
 
@@ -478,7 +475,7 @@ def test_parity_without_coherence_raises():
     with pytest.raises(RuntimeError, match="no x-y coherence"):
         protocols.parity_phase_table(4, noise=noise)
     with pytest.raises(RuntimeError, match="no x-y coherence"):
-        protocols.parity_phase_experiment(4, "00", "+x", noise=noise)
+        protocols.parity_phase_experiment(4, "00", noise=noise)
 
 
 def test_parity_table_peaks_below_one_dense_propagator():
@@ -537,23 +534,23 @@ def test_parity_row_guard_fails_fast(monkeypatch):
 
 def test_ideal_parity_experiment_maps_only_its_two_branches():
     # 2^40 states in the register; the closed form maps the two input branches
-    row = protocols.parity_phase_experiment(40, "0" * 38, "+x")
+    row = protocols.parity_phase_experiment(40, "0" * 38)[0]
     assert (row.parity, row.phase, row.deviation) == (1, -pi / 2, 0.0)
-    row = protocols.parity_phase_experiment(40, "1" + "0" * 37, "-y")
+    row = protocols.parity_phase_experiment(40, "1" + "0" * 37, ("-y",))[0]
     assert (row.parity, row.deviation) == (-1, 0.0)
 
 
 def test_parity_errors():
     with pytest.raises(ValueError):
-        protocols.parity_phase_experiment(2, "", "+x")
+        protocols.parity_phase_experiment(2, "")
     with pytest.raises(ValueError):
-        protocols.parity_phase_experiment(5, "10", "+x")
+        protocols.parity_phase_experiment(5, "10")
     with pytest.raises(ValueError):
-        protocols.parity_phase_experiment(5, "102", "+x")
+        protocols.parity_phase_experiment(5, "102")
     with pytest.raises(ValueError):
-        protocols.parity_phase_experiment(5, "101", "up")
+        protocols.parity_phase_experiment(5, "101", ("up",))
     with pytest.raises(ValueError, match="zz values"):
-        protocols.parity_phase_experiment(5, "101", "+x", zeta=(1.0,))
+        protocols.parity_phase_experiment(5, "101", zeta=(1.0,))
 
 
 # -------------------------------------------------------------------- run_pst

@@ -83,6 +83,19 @@ def test_canonical_rejects_unknown():
             serialize.dump_json(payload)
 
 
+def test_dict_keys_of_one_text_raise():
+    # json.dumps(sort_keys=True) raises on these dicts too; neither value
+    # may be dropped without an error
+    for payload in ({1: "a", "1": "b"}, {"x": [{None: 1, "None": 2}]}):
+        with pytest.raises(TypeError, match="same text"):
+            serialize.dump_json(payload)
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True)
+    # keys of distinct texts are written as their text, sorted as text
+    assert serialize.dump_json({10: "a", "2": "b"}) == json.dumps(
+        {"10": "a", "2": "b"}, sort_keys=True, indent=2) + "\n"
+
+
 def test_dump_json_deterministic():
     a = serialize.dump_json({"z": 1, "a": [1.0, 2.0j]})
     b = serialize.dump_json({"a": [1.0, 2.0j], "z": 1})
