@@ -4,9 +4,9 @@ Subpackages cover the excitation-conserving chain models and their
 closed-form transfer unitaries, a flux-tunable transmon-coupler device
 model, one time-evolution layer (one eigen kernel for every static
 block: a stack of excitation sectors, device parity blocks or calibration
-drive rows diagonalised at once with eigh, or eig under relaxation;
-scipy's expm_multiply, with method="krylov", only for sectors above the
-dense guard; commutator-free exponentials for driven models),
+drive rows diagonalised at once with eigh, or eig under relaxation; a
+sector above the dense guard is refused; commutator-free exponentials
+for driven models),
 the transfer protocols and GHZ circuit, simulated tomography, and the
 chevron / closed-loop calibration pipeline.
 """

@@ -8,15 +8,15 @@ exponentiates a stack of blocks, each with its states and time grid,
 from one decomposition: ``eigh`` for a Hermitian stack (real for a real
 one, such as every chain and device block), ``eig`` for a relaxed one
 (``expm`` near an exceptional point); each item is bit-identical to a
-one-block stack, and every time is evaluated exactly.  In ``evolve`` a
-touched block above ``DENSE_GUARD`` raises ResourceError before any
-work, or under ``method="krylov"`` is stepped with ``expm_multiply`` as
-a slice of H.  The flux-driven device model takes its blocks from the
-parity of its total excitation number, and steps its H(t) as two static
-exponentials per commutator-free step, all the columns of a block as
-one stack, or one state vector by a Chebyshev series where that costs
-less (Tal-Ezer & Kosloff 1984); a column driven at one frequency whose
-period fits the time window reuses its one-period propagators.
+one-block stack, and every time is evaluated exactly.  A touched block
+above ``DENSE_GUARD`` raises ResourceError before any work, under any
+``EvolutionOptions``.  The flux-driven device model takes its blocks
+from the parity of its total excitation number, and steps its H(t) as
+two static exponentials per commutator-free step, all the columns of a
+block as one stack, or one state vector by a Chebyshev series where
+that costs less (Tal-Ezer & Kosloff 1984); a column driven at one
+frequency whose period fits the time window reuses its one-period
+propagators.
 Relaxation enters as non-Hermitian diagonal terms, and the survival norm
 is tracked.  A trajectory of more than ``OUTPUT_GUARD`` amplitudes, and a
 device run of more than ``STEP_GUARD`` steps, raise ResourceError before
@@ -30,7 +30,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
 from . import statespace
 
@@ -67,7 +66,10 @@ class ResourceError(RuntimeError):
 
 @dataclass
 class EvolutionOptions:
-    # dense-expm | krylov (also steps touched blocks above DENSE_GUARD)
+    """Kept for the callers that pass it: :func:`evolve` reads none of it,
+    and every method takes the one block path.  ``method`` is still
+    checked by name."""
+
     method: str = "dense-expm"
 
     def __post_init__(self):
@@ -237,61 +239,28 @@ def _chebyshev_state(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * mid * t) * (coef @ terms)
 
 
-def _krylov_states(h, psi0: np.ndarray, times) -> np.ndarray:
-    """exp(-i h t) psi0 for every t in ``times``, stepping ``expm_multiply`` between them.
-
-    ``h`` is sparse or dense and is never densified; the result has shape
-    (len(times), d).
-    """
-    A = -1j * h
-    states = np.empty((len(times), len(psi0)), dtype=complex)
-    psi = psi0
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        if t != t_prev:
-            psi = expm_multiply(A * (t - t_prev), psi)
-        states[i] = psi
-        t_prev = t
-    return states
-
-
-def _blocks(H, psi0: np.ndarray | None = None, slice_above_guard: bool = False):
-    """Diagonal blocks of H (dense or sparse) over the connected components
-    of its nonzero pattern: an iterator of ``(indices, block)``, components
-    in order of their lowest state, all of them or those where ``psi0`` has
-    support.  A block of at most ``DENSE_GUARD`` states is dense; a larger
-    one raises ResourceError before any block is built or, with
-    ``slice_above_guard``, is yielded as a sparse slice of H.
+def _blocks(H, psi0: np.ndarray | None = None):
+    """Dense diagonal blocks of H (dense or sparse) over the connected
+    components of its nonzero pattern: an iterator of ``(indices, block)``,
+    components in order of their lowest state, all of them or those where
+    ``psi0`` has support.  A block above ``DENSE_GUARD`` states raises
+    ResourceError before any block is built.
     """
     A = sparse.csr_matrix(H)
-    if not A.has_canonical_format:          # the block fill assigns each entry once
+    # A != 0 sums the duplicates of a non-canonical CSR and sorts its
+    # indices in place: do that on a copy, never on the caller's matrix
+    if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    dim = A.shape[0]
-    row = np.repeat(np.arange(dim), np.diff(A.indptr))
-    edge = A.data != 0                              # a stored zero couples nothing
-    row, col, val = row[edge], A.indices[edge], A.data[edge]
-    # real unit weights: csgraph casts complex weights to float, which
-    # would drop purely imaginary couplings
-    indptr = np.searchsorted(row, np.arange(dim + 1))
-    pattern = sparse.csr_matrix((np.ones(len(row)), col, indptr), shape=(dim, dim))
-    n_comp, labels = connected_components(pattern, directed=False)
+    n_comp, labels = connected_components(A != 0, directed=False)
     wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
     largest = np.bincount(labels)[wanted].max(initial=0)
-    if largest > DENSE_GUARD and not slice_above_guard:
+    if largest > DENSE_GUARD:
         raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
-    entry_labels = labels[row]
-    local = np.empty(dim, dtype=np.int64)           # position of each state in its block
 
     def block(label):
         idx = np.flatnonzero(labels == label)
-        if len(idx) > DENSE_GUARD:
-            return idx, A[idx][:, idx]
-        local[idx] = np.arange(len(idx))
-        mine = entry_labels == label
-        dense = np.zeros((len(idx), len(idx)), dtype=val.dtype)
-        dense[local[row[mine]], local[col[mine]]] = val[mine]
-        return idx, dense
+        return idx, A[idx][:, idx].toarray()
 
     return map(block, wanted)
 
@@ -327,26 +296,25 @@ def evolve(H, psi0: np.ndarray, times, options: EvolutionOptions | None = None,
     """Propagate ``psi0`` through ``times`` (ascending, seconds) under a static H.
 
     ``H`` is dense or sparse; ``occupations`` (dim, n_sites) turns amplitudes
-    into per-site populations (each state its own column when omitted).  A
-    touched block of at most ``DENSE_GUARD`` states (read at call time) is
-    decomposed once; a larger one raises ResourceError before any work, or
-    under ``method="krylov"`` is stepped with ``expm_multiply`` as a slice
-    of H.  Untouched blocks stay exactly zero.  Raises ValueError for times
+    into per-site populations (each state its own column when omitted);
+    ``options`` is accepted and not read.  Each touched block of the
+    nonzero pattern is decomposed once; one above ``DENSE_GUARD`` states
+    (read at call time) raises ResourceError before any work.  Untouched
+    blocks stay exactly zero.  Raises ValueError for times
     not finite, not ascending or empty, and ResourceError before any work
     when len(times) * dim is above ``OUTPUT_GUARD``.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if np.shape(H) != (len(psi0), len(psi0)):
         raise ValueError("H must be a static square matrix matching psi0")
-    krylov = options is not None and options.method == "krylov"
-    return evolve_blocks(_blocks(H, psi0, slice_above_guard=krylov), psi0, times, occupations)
+    return evolve_blocks(_blocks(H, psi0), psi0, times, occupations)
 
 
 def evolve_blocks(blocks, psi0: np.ndarray, times,
                   occupations: np.ndarray | None = None) -> Trajectory:
     """:func:`evolve` on known blocks ``(idx, h)``, H on the states ``psi0[idx]``
     (``idx`` an array or a slice), which cover every block ``psi0`` touches;
-    one above ``DENSE_GUARD`` (from ``evolve``'s krylov method) is stepped."""
+    each dense block is exponentiated by the eigen kernel."""
     times = _ascending_times(times)
     psi0 = np.asarray(psi0, dtype=complex)
     if len(times) * len(psi0) > OUTPUT_GUARD:
@@ -354,8 +322,7 @@ def evolve_blocks(blocks, psi0: np.ndarray, times,
                             f"guard of {OUTPUT_GUARD} amplitudes")
     states = np.zeros((len(times), len(psi0)), dtype=complex)
     for idx, h in blocks:
-        states[:, idx] = (_block_states(h[None], psi0[None, idx], times)[0]
-                          if h.shape[0] <= DENSE_GUARD else _krylov_states(h, psi0[idx], times))
+        states[:, idx] = _block_states(h[None], psi0[None, idx], times)[0]
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite amplitudes during evolution")
     prob = np.abs(states) ** 2

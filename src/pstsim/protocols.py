@@ -178,8 +178,13 @@ def _rows(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
     so an input of weight w (:func:`_input_weight`) leaves site n the
     coherence w p[high] conj(p[low]): no Hamiltonian is built.  With
     either, the rows come from the sector transfers of
-    :func:`_block_table`.
+    :func:`_block_table`.  A bare string for ``input_states`` raises
+    TypeError: its characters are no input states.
     """
+    if isinstance(input_states, str):
+        raise TypeError(f"input_states must be a sequence of input states such as "
+                        f"('+x',), got the string {input_states!r}")
+    input_states = tuple(input_states)
     if noise_label(spec.zz, noise) != "ideal":
         return _block_table(spec, noise, input_states, codes)
     n = spec.n_sites
@@ -209,7 +214,7 @@ def parity_phase_experiment(n: int, inner: str, input_states=("+x",), zeta=(),
     if len(inner) != n - 2 or set(inner) - {"0", "1"}:
         raise ValueError(f"inner must be a bitstring of length {n - 2}")
     # Python ints: the codes of more than 64 sites overflow int64
-    return _rows(spec, noise, tuple(input_states), np.array([int(inner, 2)], dtype=object))
+    return _rows(spec, noise, input_states, np.array([int(inner, 2)], dtype=object))
 
 
 def _block_table(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:

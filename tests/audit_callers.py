@@ -73,13 +73,6 @@ KEEP = [
      "near an exceptional point"),
     ("evolution.py", "_blocks", "if not A.has_canonical_format:",
      "a non-canonical CSR input: sum duplicates on a copy, never on the caller's matrix"),
-    # method="krylov" on a block above DENSE_GUARD, which no workload has
-    ("evolution.py", "_krylov_states", "",
-     'method="krylov" above DENSE_GUARD: ROADMAP leaves open whether such blocks should be '
-     "stepped or raise; unit tests reach the path with a lowered guard"),
-    ("evolution.py", "_blocks", "if len(idx) > DENSE_GUARD:",
-     'method="krylov" above DENSE_GUARD: ROADMAP leaves open whether such blocks should be '
-     "stepped or raise; unit tests reach the path with a lowered guard"),
     # interfaces and references
     ("models/device.py", "DeviceSubsetModel.hamiltonian", "",
      "reference that the device tests and tests/record_device_reference.py compare against"),

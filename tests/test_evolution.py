@@ -116,100 +116,20 @@ def test_add_relaxation_matches_the_full_register():
         np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
-def test_krylov_matches_dense_on_sparse_chain(monkeypatch):
-    spec = chains.ChainSpec.pst(10, 640e-9)
-    H = chains.chain_hamiltonian(spec)
-    psi0 = _spread_state(np.random.default_rng(5), 2**10)
-    times = np.linspace(0.0, 2 * 640e-9, 9)
-    dense = evolution.evolve(H, psi0, times)
-    # a guard of 0 puts every touched block, all eleven sectors, above it
-    monkeypatch.setattr(evolution, "DENSE_GUARD", 0)
-    operands = _record_expm_multiply(monkeypatch)
-    krylov = evolution.evolve(H, psi0, times,
-                              evolution.EvolutionOptions(method="krylov"))
-    assert len(operands) == 11 * (len(times) - 1)
-    np.testing.assert_allclose(krylov.states, dense.states, rtol=0, atol=1e-10)
-
-
-def _record_expm_multiply(monkeypatch):
-    operands = []
-    kernel = evolution.expm_multiply
-    monkeypatch.setattr(evolution, "expm_multiply",
-                        lambda A, v: operands.append(A) or kernel(A, v))
-    return operands
-
-
-def test_krylov_steps_only_the_touched_sector(monkeypatch):
-    # |110000000000> lives in the 66-state two-excitation sector of 4096 states
-    H = chains.chain_hamiltonian(chains.ChainSpec.pst(12, 640e-9))
-    psi0 = _basis(2**12, 0b110000000000)
-    times = np.linspace(0.0, 2 * 640e-9, 9)
-    eigen = evolution.evolve(H, psi0, times)
-    monkeypatch.setattr(evolution, "DENSE_GUARD", 65)
-    operands = _record_expm_multiply(monkeypatch)
-    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
-    assert len(operands) == len(times) - 1
-    assert {A.shape for A in operands} == {(66, 66)}
-    np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
-
-
-def test_krylov_below_dense_guard_is_the_eigen_path(monkeypatch):
-    # under the default guard the 66-state sector takes the exact kernel
-    operands = _record_expm_multiply(monkeypatch)
+def test_krylov_option_is_the_default_path(monkeypatch):
+    # |110000000000> lives in the 66-state two-excitation sector of 4096
+    # states: method="krylov" decomposes it as the default does, and a
+    # guard of 65 refuses it under both methods
     H = chains.chain_hamiltonian(chains.ChainSpec.pst(12, 640e-9))
     psi0 = _basis(2**12, 0b110000000000)
     times = np.linspace(0.0, 2 * 640e-9, 41)
-    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
-    assert operands == []
-    np.testing.assert_array_equal(krylov.states, evolution.evolve(H, psi0, times).states)
-
-
-def test_krylov_steps_only_blocks_above_a_lowered_guard(monkeypatch):
-    # 6 sites, one state in every sector: blocks of 1, 6, 15, 20, 15, 6 and 1
-    # states; a guard of 6 steps the 15-, 20- and 15-state blocks only
-    H = chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9))
-    psi0 = _spread_state(np.random.default_rng(4), 64)
-    times = np.linspace(0.0, 640e-9, 5)
-    eigen = evolution.evolve(H, psi0, times)
-    monkeypatch.setattr(evolution, "DENSE_GUARD", 6)
-    operands = _record_expm_multiply(monkeypatch)
-    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
-    assert sorted(A.shape[0] for A in operands) == sorted([15, 20, 15] * (len(times) - 1))
-    assert all(sparse.issparse(A) for A in operands)
-    np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
-    small = np.array([bin(k).count("1") in (0, 1, 5, 6) for k in range(64)])
-    np.testing.assert_array_equal(krylov.states[:, small], eigen.states[:, small])
-
-
-def test_krylov_matches_eigen_on_relaxed_chain(monkeypatch):
-    # non-Hermitian blocks, and a state with support in all seven sectors
-    noise = serialize.load_noise(CONFIGS / "noise_t1.json")
-    H = evolution.add_relaxation(chains.chain_hamiltonian(chains.ChainSpec.pst(6, 640e-9)).toarray(),
-                                 noise, statespace.occupation_matrix(6))
-    psi0 = _spread_state(np.random.default_rng(9), 64)
-    times = np.linspace(0.0, 2 * 640e-9, 7)
-    eigen = evolution.evolve(H, psi0, times)
-    monkeypatch.setattr(evolution, "DENSE_GUARD", 0)
-    operands = _record_expm_multiply(monkeypatch)
-    krylov = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
-    assert len(operands) == 7 * (len(times) - 1)
-    np.testing.assert_allclose(krylov.states, eigen.states, rtol=0, atol=1e-10)
-    assert krylov.norm[-1] < 1 - 1e-3
-
-
-def test_krylov_runs_above_dense_guard(monkeypatch):
-    # the 10-state two-excitation block of 5 sites is above a guard of 8:
-    # the eigen path refuses it, Krylov steps it as a sparse slice
-    monkeypatch.setattr(evolution, "DENSE_GUARD", 8)
-    operands = _record_expm_multiply(monkeypatch)
-    H = chains.chain_hamiltonian(chains.ChainSpec.pst(5, 640e-9))
-    psi0 = _basis(32, 0b11000)
-    times = np.linspace(0.0, 640e-9, 5)
-    traj = evolution.evolve(H, psi0, times, evolution.EvolutionOptions(method="krylov"))
-    assert operands and all(sparse.issparse(A) and A.shape == (10, 10) for A in operands)
-    for t, state in zip(times, traj.states):
-        np.testing.assert_allclose(state, expm(-1j * H.toarray() * t) @ psi0,
-                                   rtol=0, atol=1e-10)
+    krylov = evolution.EvolutionOptions(method="krylov")
+    np.testing.assert_array_equal(evolution.evolve(H, psi0, times, krylov).states,
+                                  evolution.evolve(H, psi0, times).states)
+    monkeypatch.setattr(evolution, "DENSE_GUARD", 65)
+    for options in (None, krylov):
+        with pytest.raises(evolution.ResourceError, match="block dimension 66 above dense guard 65"):
+            evolution.evolve(H, psi0, times, options)
 
 
 @pytest.mark.parametrize("method", ["dense-expm", "krylov"])
@@ -437,6 +357,24 @@ def test_imaginary_couplings_and_duplicate_entries(form):
                                rtol=0, atol=1e-10)
     # sites 0-2 form one block, site 3 its own
     assert sorted(len(idx) for idx, _ in evolution._blocks(Hin)) == [1, 3]
+
+
+def test_non_canonical_csr_input_is_left_unchanged():
+    # unsorted column indices and a coupling stored as two halves: the
+    # pattern search canonicalises a copy, never the caller's arrays
+    H = sparse.csr_matrix((np.array([3e5, 5e5, 1e5, 1e6, 2e5]), np.array([1, 0, 0, 1, 0]),
+                           np.array([0, 2, 5])), shape=(2, 2))
+    dense = np.array([[5e5, 3e5], [3e5, 1e6]])
+    assert not H.has_canonical_format
+    saved = H.data.copy(), H.indices.copy(), H.indptr.copy()
+    np.testing.assert_allclose(evolution.evolve(H, _basis(2), [1e-6]).states[0],
+                               expm(-1e-6j * dense) @ _basis(2), rtol=0, atol=1e-12)
+    [(idx, h)] = evolution._blocks(H)
+    np.testing.assert_array_equal(idx, [0, 1])
+    np.testing.assert_array_equal(h, dense)
+    for before, after in zip(saved, (H.data, H.indices, H.indptr)):
+        np.testing.assert_array_equal(after, before)
+    assert not H.has_canonical_format
 
 
 def test_exceptional_point_falls_back_to_expm(monkeypatch):

@@ -551,6 +551,11 @@ def test_parity_errors():
         protocols.parity_phase_experiment(5, "101", ("up",))
     with pytest.raises(ValueError, match="zz values"):
         protocols.parity_phase_experiment(5, "101", zeta=(1.0,))
+    # a bare string is no sequence of input states, at either entry point
+    with pytest.raises(TypeError, match=r"such as \('\+x',\), got the string '\+x'"):
+        protocols.parity_phase_experiment(5, "101", "+x")
+    with pytest.raises(TypeError, match=r"such as \('\+x',\), got the string '\+x'"):
+        protocols.parity_phase_table(5, "+x")
 
 
 # -------------------------------------------------------------------- run_pst
