@@ -171,6 +171,8 @@ def _chain_spec(n: int, tau_text: str, theta_text: str | None = None):
         raise UsageError("--theta must lie in [0, pi]")
     try:
         spec = chains.ChainSpec.pst(n, tau) if theta is None else chains.ChainSpec.fst(n, tau, theta)
+    except evolution.ResourceError as exc:  # more couplings than the output guard
+        raise UsageError(f"--n: {exc}") from None
     except ValueError as exc:               # a tau so short that the couplings overflow
         raise UsageError(f"--tau: {exc}") from None
     return spec, theta

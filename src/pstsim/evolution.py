@@ -2,8 +2,9 @@
 
 ``evolve_blocks`` assembles a trajectory from the blocks of a static H
 that the initial state touches: the chains pass the dense blocks they
-know (``chains.block_states``), and ``evolve`` finds those of any H as
-the connected components of its nonzero pattern.  One eigen kernel
+know (``chains.block_states``), and ``evolve`` finds those of any H by a
+breadth-first search of its nonzero pattern from the initial state's
+support.  One eigen kernel
 exponentiates a stack of blocks, each with its states and time grid,
 from one decomposition: ``eigh`` for a Hermitian stack (real for a real
 one, such as every chain and device block), ``eig`` for a relaxed one
@@ -28,8 +29,6 @@ from math import exp, lgamma, log, pi
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 
 from . import statespace
 
@@ -170,6 +169,8 @@ def _block_states(hs: np.ndarray, states: np.ndarray, times) -> np.ndarray:
     out = _matmul(v, y).reshape(k, d, t, m).swapaxes(1, 2)
     out = out[..., 0] if vector else out
     for i in near:
+        from scipy.linalg import expm   # only near an exceptional point
+
         grid = times[i] if times.ndim == 2 else times
         out[i] = [expm(-1j * hs[i] * t) @ states[i] for t in grid]
     return out
@@ -239,30 +240,54 @@ def _chebyshev_state(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * mid * t) * (coef @ terms)
 
 
+def _component(P, s: int, seen: np.ndarray) -> np.ndarray:
+    """The sorted states that the nonzero pattern P (a boolean CSR) joins
+    to ``s`` in either direction, all marked in ``seen`` on return.
+
+    The states already seen form components closed the same way, so every
+    entry in their columns lies in their rows and none is reached again.
+    """
+    ptr, cols = P.indptr, P.indices
+    seen[s] = True
+    found = [np.array([s])]
+    while len(found[-1]):
+        while len(found[-1]):           # along the rows of the states found last
+            reached = np.concatenate([cols[ptr[i]:ptr[i + 1]] for i in found[-1].tolist()])
+            found.append(np.unique(reached[~seen[reached]]))
+            seen[found[-1]] = True
+        # along the columns: the rows with an entry in a column seen
+        found.append(np.flatnonzero((P @ seen > 0) & ~seen))
+        seen[found[-1]] = True
+    return np.sort(np.concatenate(found))
+
+
 def _blocks(H, psi0: np.ndarray | None = None):
     """Dense diagonal blocks of H (dense or sparse) over the connected
     components of its nonzero pattern: an iterator of ``(indices, block)``,
     components in order of their lowest state, all of them or those where
-    ``psi0`` has support.  A block above ``DENSE_GUARD`` states raises
-    ResourceError before any block is built.
+    ``psi0`` has support.  A component grows breadth-first from a state
+    along the nonzero entries of its rows and then of its columns, until
+    neither adds a state, so an asymmetric pattern joins as an undirected
+    graph; its indices are sorted.  A block above ``DENSE_GUARD`` states
+    raises ResourceError before any block is built.
     """
     A = sparse.csr_matrix(H)
-    # A != 0 sums the duplicates of a non-canonical CSR and sorts its
-    # indices in place: do that on a copy, never on the caller's matrix
+    # duplicates of a non-canonical CSR that cancel are no coupling: sum
+    # them, and sort the indices, on a copy, never on the caller's matrix
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    n_comp, labels = connected_components(A != 0, directed=False)
-    wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
-    largest = np.bincount(labels)[wanted].max(initial=0)
+    P = A != 0                      # the nonzero pattern, stored zeros pruned
+    seen = np.zeros(A.shape[0], dtype=bool)
+    # in order, so a seed that an earlier component holds is skipped
+    comps = [_component(P, s, seen) for s in
+             (range(A.shape[0]) if psi0 is None else np.flatnonzero(psi0).tolist())
+             if not seen[s]]
+    comps.sort(key=lambda idx: idx[0])
+    largest = max(map(len, comps), default=0)
     if largest > DENSE_GUARD:
         raise ResourceError(f"block dimension {largest} above dense guard {DENSE_GUARD}")
-
-    def block(label):
-        idx = np.flatnonzero(labels == label)
-        return idx, A[idx][:, idx].toarray()
-
-    return map(block, wanted)
+    return ((idx, A[idx][:, idx].toarray()) for idx in comps)
 
 
 def _ascending_times(times) -> np.ndarray:

@@ -85,10 +85,22 @@ class ChainSpec:
         return ChainSpec(self.couplings, self.tau, self.detunings, tuple(zz), self.label)
 
 
-def pst_couplings(n: int, tau: float) -> np.ndarray:
-    """Mirror-symmetric profile J_k = (pi/2 tau) sqrt(k (n-k)), k = 1..n-1."""
+def _check_sites(n: int) -> None:
+    """ValueError below two sites, and ResourceError, from n alone, above a
+    profile of ``evolution.OUTPUT_GUARD`` couplings."""
     if n < 2:
         raise ValueError("need at least two sites")
+    if n - 1 > evolution.OUTPUT_GUARD:
+        raise evolution.ResourceError(f"{n} sites have {n - 1} couplings, above the output "
+                                      f"guard of {evolution.OUTPUT_GUARD}")
+
+
+def pst_couplings(n: int, tau: float) -> np.ndarray:
+    """Mirror-symmetric profile J_k = (pi/2 tau) sqrt(k (n-k)), k = 1..n-1.
+
+    Raises ResourceError above ``evolution.OUTPUT_GUARD`` couplings before
+    any is computed."""
+    _check_sites(n)
     if not 0 < tau < inf:
         raise ValueError("tau must be positive and finite")
     # k (n-k) is computed as an integer so J_k == J_{n-k} bit for bit
@@ -105,10 +117,11 @@ def fst_profile(n: int, tau: float, theta: float):
     with exactly zero detunings; at theta = 0 nothing is transferred.
     The closed forms come in an even-n and an odd-n branch; the pairing
     used here is the only one whose denominators are nonsingular, and
-    tests verify the transferred fraction it produces.
+    tests verify the transferred fraction it produces.  Raises
+    ResourceError above ``evolution.OUTPUT_GUARD`` couplings before any is
+    computed.
     """
-    if n < 2:
-        raise ValueError("need at least two sites")
+    _check_sites(n)
     if not 0 < tau < inf:
         raise ValueError("tau must be positive and finite")
     if not 0 <= theta <= pi:

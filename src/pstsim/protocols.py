@@ -168,6 +168,15 @@ def _table(n: int, input_states, codes, coher) -> np.recarray:
                              names="inner,input_state,phase,parity,deviation")
 
 
+def _input_tuple(input_states) -> tuple:
+    """``input_states`` as a tuple; a bare string raises TypeError, since
+    its characters are no input states."""
+    if isinstance(input_states, str):
+        raise TypeError(f"input_states must be a sequence of input states such as "
+                        f"('+x',), got the string {input_states!r}")
+    return tuple(input_states)
+
+
 def _rows(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
     """The table rows of the inner bitstrings ``codes`` (integers).
 
@@ -178,13 +187,8 @@ def _rows(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
     so an input of weight w (:func:`_input_weight`) leaves site n the
     coherence w p[high] conj(p[low]): no Hamiltonian is built.  With
     either, the rows come from the sector transfers of
-    :func:`_block_table`.  A bare string for ``input_states`` raises
-    TypeError: its characters are no input states.
+    :func:`_block_table`.  ``input_states`` is a tuple (:func:`_input_tuple`).
     """
-    if isinstance(input_states, str):
-        raise TypeError(f"input_states must be a sequence of input states such as "
-                        f"('+x',), got the string {input_states!r}")
-    input_states = tuple(input_states)
     if noise_label(spec.zz, noise) != "ideal":
         return _block_table(spec, noise, input_states, codes)
     n = spec.n_sites
@@ -214,7 +218,8 @@ def parity_phase_experiment(n: int, inner: str, input_states=("+x",), zeta=(),
     if len(inner) != n - 2 or set(inner) - {"0", "1"}:
         raise ValueError(f"inner must be a bitstring of length {n - 2}")
     # Python ints: the codes of more than 64 sites overflow int64
-    return _rows(spec, noise, input_states, np.array([int(inner, 2)], dtype=object))
+    return _rows(spec, noise, _input_tuple(input_states),
+                 np.array([int(inner, 2)], dtype=object))
 
 
 def _block_table(spec: chains.ChainSpec, noise, input_states, codes) -> np.recarray:
@@ -264,10 +269,12 @@ def parity_phase_table(n: int, input_states=("+x",), zeta=(), noise=None,
     (inputs x 2^(n-2)) raises ResourceError before anything of size n is
     built.
     """
-    if n >= 3 and len(input_states) << (n - 2) > ROW_GUARD:
-        raise evolution.ResourceError(f"{len(input_states)} inputs x 2^{n - 2} inner states "
+    inputs = _input_tuple(input_states)
+    # inputs x 2^(n-2) > ROW_GUARD, without building 2^(n-2)
+    if n >= 3 and len(inputs) > ROW_GUARD >> (n - 2):
+        raise evolution.ResourceError(f"{len(inputs)} inputs x 2^{n - 2} inner states "
                                       f"above the row guard of {ROW_GUARD} rows")
-    return _rows(_parity_spec(n, zeta, tau), noise, input_states, np.arange(2 ** (n - 2)))
+    return _rows(_parity_spec(n, zeta, tau), noise, inputs, np.arange(2 ** (n - 2)))
 
 
 def parity_deviation_fit(table) -> dict:

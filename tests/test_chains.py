@@ -211,6 +211,15 @@ def test_transfer_phase_cycle():
     assert abs(chains.transfer_phase(11)) == 1.0
 
 
+def test_profiles_above_the_output_guard_fail_before_any_coupling():
+    # one coupling more than the guard, and 10^20 sites, checked from n alone
+    for n in (evolution.OUTPUT_GUARD + 2, 10**20):
+        with pytest.raises(evolution.ResourceError, match="above the output guard"):
+            chains.pst_couplings(n, TAU)
+        with pytest.raises(evolution.ResourceError, match="above the output guard"):
+            chains.fst_profile(n, TAU, 1.0)
+
+
 def test_fst_profile_theta_pi_reduces_to_pst():
     for n in (2, 3, 4, 5, 6, 7):
         J, delta = chains.fst_profile(n, TAU, np.pi)

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -635,6 +637,29 @@ def test_large_problem_fails_fast(tmp_path, capsys, argv):
     assert "above dense guard 4096" in capsys.readouterr().err
 
 
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("couplings", "--n", _HUGE, "--tau", "640ns"), 2, f"--n: {_HUGE} sites have"),
+    (("pst", "--n", _HUGE, "--tau", "640ns"), 2, f"--n: {_HUGE} sites have"),
+    (("fst", "--n", _HUGE, "--tau", "640ns", "--theta", "0.5pi"), 2, f"--n: {_HUGE} sites have"),
+    (("lattice", "--nx", _HUGE, "--ny", "3"), 1, "couplings, above the output guard"),
+    (("lattice", "--nx", "3", "--ny", _HUGE), 1, "couplings, above the output guard"),
+    (("parity", "--n", _HUGE), 1, "above the row guard"),
+])
+def test_huge_sizes_fail_fast(tmp_path, capsys, argv, code, message):
+    # each size is checked from arithmetic before any work of that size
+    start = time.perf_counter()
+    try:
+        got = _run(tmp_path, *argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert time.perf_counter() - start < 2.0
+    assert message in capsys.readouterr().err
+
+
 def test_lattice_above_the_output_guard_fails_fast(tmp_path, capsys):
     # 7 snapshots of 4096 x 4096 sites are 7 * 2^24 amplitudes; no axis runs
     start = time.perf_counter()
@@ -791,3 +816,53 @@ def test_committed_configs_run_as_the_readme_shows(tmp_path):
         read.update(os.path.basename(a) for a in argv if a.startswith("configs/"))
     assert [c[0] for c in commands] == ["evolve", "parity", "ghz"]
     assert read == set(os.listdir("configs"))
+
+
+# the commands of one process that loads scipy.sparse and no other scipy module
+_SCIPY_PROBE = """
+import sys
+
+import numpy
+import scipy.sparse
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+alone = scipy_modules()
+from pstsim import calibration, cli, evolution
+from pstsim.models import chains
+
+out = sys.argv[1]
+for argv in [
+    ["couplings", "--n", "6", "--tau", "640ns"],
+    ["pst", "--n", "6", "--tau", "640ns", "--svg"],
+    ["fst", "--n", "3", "--tau", "640ns", "--theta", "0.6pi"],
+    ["evolve", "--config", "configs/chain_n6.json", "--noise", "configs/noise_t1.json"],
+    ["parity", "--n", "5", "--svg"],
+    ["parity", "--config", "configs/scenario_parity_zz.json"],
+    ["ghz", "--noise", "paper", "--shots", "200", "--svg"],
+    ["lattice", "--nx", "3", "--ny", "3", "--svg"],
+    ["calibrate", "--budget", "40", "--noise", "0.01", "--svg"],
+]:
+    assert cli.main([*argv, "--out-dir", out]) == 0, argv
+config = calibration.default_effective_config(noise=0.01)
+resonance = config.resonances([0.0, 0.012, 0.0, 0.0, 0.0])[1]
+freqs = resonance + 2e6 * numpy.pi * numpy.linspace(-1.2, 1.2, 21)
+scan = calibration.chevron_scan(calibration.EffectiveBackend(config, seed=3), (2, 3), [0.012],
+                                freqs, numpy.linspace(0.0, 1.2e-6, 41))
+calibration.fit_chevron(scan)
+H = chains.chain_hamiltonian(chains.ChainSpec.pst(8, 640e-9))
+evolution.evolve(H, numpy.eye(256)[0b11000000], numpy.linspace(0.0, 1.28e-6, 9))
+print(alone == scipy_modules(), sorted(set(scipy_modules()) - set(alone)))
+"""
+
+
+def test_commands_load_no_scipy_module_but_scipy_sparse(tmp_path):
+    # pstsim needs scipy.sparse (chain_hamiltonian returns CSR) and nothing
+    # more of scipy for any command, a chevron fit or a chain evolution
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], cwd=root,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "True []"

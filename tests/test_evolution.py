@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.linalg
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -377,12 +378,79 @@ def test_non_canonical_csr_input_is_left_unchanged():
     assert not H.has_canonical_format
 
 
+# ------------------------------------------- block search vs connected components
+
+def _reference_blocks(H, psi0=None):
+    """The blocks from scipy's connected components of the canonical nonzero
+    pattern, as an undirected graph, in order of their lowest state."""
+    from scipy.sparse.csgraph import connected_components
+
+    A = sparse.csr_matrix(H)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    n_comp, labels = connected_components(A != 0, directed=False)
+    wanted = np.arange(n_comp) if psi0 is None else np.unique(labels[np.flatnonzero(psi0)])
+    return [(idx, A[idx][:, idx].toarray())
+            for idx in (np.flatnonzero(labels == label) for label in wanted)]
+
+
+def _random_pattern(rng, n, form):
+    """A random sparse n x n H of one form of nonzero pattern."""
+    if form == "diagonal":
+        return sparse.diags(rng.normal(size=n) * (rng.random(n) < 0.8)).tocsr()
+    M = sparse.random(n, n, density=rng.uniform(0.0, 0.12), random_state=rng, format="coo",
+                      dtype=complex if rng.random() < 0.5 else float)
+    row, col, val = M.row, M.col, M.data
+    if form == "stored zeros":
+        A = M.tocsr()
+        A.data[::3] = 0.0
+        return A
+    if form == "non-canonical":
+        # every entry twice, as two halves, and one more pair that cancels
+        k = int(rng.integers(n)), int(rng.integers(n))
+        row, col = np.r_[row, row, k[0], k[0]], np.r_[col, col, k[1], k[1]]
+        val = np.r_[val / 2, val / 2, 1.0, -1.0]
+        order = np.lexsort((rng.random(len(row)), row))      # rows in order, columns shuffled
+        return sparse.csr_matrix((val[order], col[order],
+                                  np.r_[0, np.cumsum(np.bincount(row, minlength=n))]),
+                                 shape=(n, n))
+    return M.tocsr()                                            # an asymmetric pattern
+
+
+def _assert_same_blocks(H, psi0):
+    got, want = list(evolution._blocks(H, psi0)), _reference_blocks(H, psi0)
+    assert [len(idx) for idx, _ in got] == [len(idx) for idx, _ in want]
+    for (idx, h), (ref_idx, ref_h) in zip(got, want):
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(h, ref_h)
+        assert h.dtype == ref_h.dtype
+
+
+@pytest.mark.parametrize("form", ["asymmetric", "stored zeros", "non-canonical", "diagonal"])
+def test_block_search_matches_connected_components(form):
+    rng = np.random.default_rng(["asymmetric", "stored zeros", "non-canonical",
+                                 "diagonal"].index(form))
+    for _ in range(80):
+        n = int(rng.integers(1, 40))
+        H = _random_pattern(rng, n, form)
+        for psi0 in (None, rng.random(n) < 0.2):
+            _assert_same_blocks(H, psi0)
+
+
+def test_block_search_on_the_full_register():
+    # every block of the 12-site chain, and the block of one start
+    H = chains.chain_hamiltonian(chains.ChainSpec.pst(12, 640e-9))
+    for psi0 in (None, _basis(4096, 0b110000000000)):
+        _assert_same_blocks(H, psi0)
+
+
 def test_exceptional_point_falls_back_to_expm(monkeypatch):
     # [[0, g], [g, -2ig]] has one doubly degenerate eigenvalue and one eigenvector
     g = 1e6
     H = np.array([[0.0, g], [g, -2j * g]])
     calls = []
-    monkeypatch.setattr(evolution, "expm", lambda a: calls.append(a) or expm(a))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
     times = np.linspace(0.0, 3e-6, 7)
     traj = evolution.evolve(H, _basis(2), times)
     assert len(calls) == len(times)
@@ -399,7 +467,7 @@ def test_stack_falls_back_to_expm_only_for_its_exceptional_blocks(monkeypatch):
     states = np.array([[1.0, 0.0], [0.6, 0.8j]])
     times = np.array([np.linspace(0.0, 3e-6, 4), np.linspace(1e-6, 2e-6, 4)])
     calls = []
-    monkeypatch.setattr(evolution, "expm", lambda a: calls.append(a) or expm(a))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
     got = evolution._block_states(hs, states, times)
     assert len(calls) == 4
     for h, s, grid, item in zip(hs, states, times, got):

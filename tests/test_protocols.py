@@ -522,14 +522,26 @@ def test_ideal_rows_on_the_branch_cut_read_plus_pi(n):
 
 
 def test_parity_row_guard_fails_fast(monkeypatch):
-    # 2^38 rows, and 2^(10^7 - 2): the guard is checked before any array of
-    # the table exists, and before the chain spec's n - 1 couplings
+    # 2^38 rows, 2^(10^7 - 2) and 2^(10^20 - 2): the guard is checked before
+    # any array of the table exists, before the chain spec's n - 1
+    # couplings, and without building the number 2^(n - 2)
     monkeypatch.setattr(chains, "pst_state_map", None)
-    for n in (40, 10**7):
+    for n in (40, 10**7, 10**20):
         start = time.perf_counter()
         with pytest.raises(evolution.ResourceError, match="row guard"):
             protocols.parity_phase_table(n)
         assert time.perf_counter() - start < 1.0
+
+
+def test_parity_row_guard_is_exact(monkeypatch):
+    # 2^18 rows are allowed, one more input or site is above the guard
+    monkeypatch.setattr(protocols, "ROW_GUARD", 2**18)
+    monkeypatch.setattr(protocols, "_rows", lambda spec, noise, inputs, codes: len(codes))
+    assert protocols.parity_phase_table(20, ("+x",)) == 2**18
+    assert protocols.parity_phase_table(19, ("+x", "-x")) == 2**17
+    for n, inputs in ((20, ("+x", "-x")), (21, ("+x",)), (19, ("+x", "-x", "+y"))):
+        with pytest.raises(evolution.ResourceError, match="row guard"):
+            protocols.parity_phase_table(n, inputs)
 
 
 def test_ideal_parity_experiment_maps_only_its_two_branches():
@@ -556,6 +568,9 @@ def test_parity_errors():
         protocols.parity_phase_experiment(5, "101", "+x")
     with pytest.raises(TypeError, match=r"such as \('\+x',\), got the string '\+x'"):
         protocols.parity_phase_table(5, "+x")
+    # before the row guard, which would count the string's two characters
+    with pytest.raises(TypeError, match="got the string"):
+        protocols.parity_phase_table(40, "+x")
 
 
 # -------------------------------------------------------------------- run_pst
